@@ -8,8 +8,10 @@ constraint operators:
 * ``R_m`` -- the ``z^(2m)`` coefficient of the ratio
   ``(sum_l r_l z^(2l) / (3+2l)) / (sum_l r_l z^(2l))``.
 
-Both have closed forms as Bell-polynomial sums, which is how they are built
-here; the series recurrences serve as independent oracles in the tests.
+Both are built here by series division, one multiplication by a single
+variable per earlier coefficient; their closed forms as Bell-polynomial sums
+serve as independent oracles in the tests.  ``bell`` itself is used by the
+free-energy extraction.
 """
 
 from __future__ import annotations
@@ -20,9 +22,12 @@ from math import comb, factorial
 from typing import Sequence
 
 from taulap.ring import (
+    Key,
     MomentPoly,
     RingError,
     double_factorial,
+    finalize,
+    mul_into,
 )
 
 
@@ -84,42 +89,40 @@ def bell(n: int, k: int, xs: Sequence[object]) -> object:
     return total
 
 
+def _over_unit(index: int) -> MomentPoly:
+    """``v_index / unit`` for a variable index ``>= 1``."""
+    return MomentPoly.monomial((-1,) + (0,) * (index - 1) + (1,))
+
+
 @lru_cache(maxsize=None)
 def reciprocal_coefficient(m: int) -> MomentPoly:
-    """``S_m``: the Bell-sum form of the reciprocal-series coefficients."""
+    """``S_m``, from the series division ``r0 S_m = -sum_k m!/(m-k)! r_k S_{m-k}``."""
     if m < 0:
         raise RingError("series index must be nonnegative")
     if m == 0:
         return MomentPoly.one()
-    xs = [MomentPoly.variable(i).scale(factorial(i)) for i in range(1, m + 1)]
-    total = MomentPoly.zero()
-    for i in range(1, m + 1):
-        value = bell(m, i, xs)
-        if not isinstance(value, MomentPoly):
-            continue
-        sign = -1 if i % 2 else 1
-        total = total + (value * MomentPoly.unit_power(-i)).scale(
-            Fraction(sign * factorial(i))
-        )
-    return total
+    acc: dict[Key, Fraction] = {}
+    for k in range(1, m + 1):
+        scalar = Fraction(-(factorial(m) // factorial(m - k)))
+        mul_into(acc, _over_unit(k), reciprocal_coefficient(m - k), scalar)
+    return finalize(acc)
 
 
 @lru_cache(maxsize=None)
 def resolvent_coefficient(m: int) -> MomentPoly:
-    """``R_m`` in moment variables."""
+    """``R_m`` in moment variables, from ``r0 R_m = N_m - sum_k r_k R_{m-k}``.
+
+    ``N_m = r_m / (3+2m)`` is the numerator series (``N_0 = r0 / 3``).
+    """
     if m < 0:
         raise RingError("series index must be nonnegative")
     if m == 0:
         return MomentPoly.constant(Fraction(1, 3))
-    total = MomentPoly.zero()
+    acc: dict[Key, Fraction] = {}
+    mul_into(acc, _over_unit(m), MomentPoly.one(), Fraction(1, 3 + 2 * m))
     for k in range(1, m + 1):
-        factor = MomentPoly.monomial(
-            (0,) * k + (1,), Fraction(k, 3 + 2 * k)
-        ) * MomentPoly.unit_power(-1)
-        total = total + (factor * reciprocal_coefficient(m - k)).scale(
-            Fraction(1, factorial(m - k))
-        )
-    return total.scale(Fraction(-2, 3))
+        mul_into(acc, _over_unit(k), resolvent_coefficient(m - k), Fraction(-1))
+    return finalize(acc)
 
 
 @lru_cache(maxsize=None)
@@ -127,37 +130,23 @@ def resolvent_coefficient_t(m: int) -> MomentPoly:
     """``R_m`` in the rescaled display form whose natural unit is ``T0``.
 
     Equal to ``(2m-1)!! * convert(resolvent_coefficient(m), "rho", "t")``.
-    Built here directly from its own Bell-sum display as an independent path;
-    the equality with the converted form is exercised in the tests.
+    Built by the same division written in the rescaled variables
+    (``r_l = -t_{l+1} / (2l+1)!!``, slot ``l`` holding ``t_{l+1}``)::
+
+        T0 R_m = -(2m-1)!!/(2m+3)!! t_{m+1}
+                 + sum_k (2m-1)!! / ((2k+1)!! (2m-2k-1)!!) t_{k+1} R_{m-k}
     """
     if m < 0:
         raise RingError("series index must be nonnegative")
     if m == 0:
         return MomentPoly.constant(Fraction(1, 3))
-    xs = [
-        MomentPoly.monomial(
-            (-1,) + (0,) * (j - 1) + (1,),
-            Fraction(factorial(j), double_factorial(2 * j + 1)),
-        )
-        for j in range(1, m + 1)
-    ]
-    total = MomentPoly.zero()
+    top = double_factorial(2 * m - 1)
+    acc: dict[Key, Fraction] = {}
+    mul_into(acc, _over_unit(m), MomentPoly.one(), Fraction(-top, double_factorial(2 * m + 3)))
     for k in range(1, m + 1):
-        outer = MomentPoly.monomial(
-            (-1,) + (0,) * (k - 1) + (1,),
-            Fraction(double_factorial(2 * m - 1) * k, double_factorial(2 * k + 3)),
-        )
-        inner = MomentPoly.zero()
-        for l in range(m - k + 1):
-            value = bell(m - k, l, xs)
-            if isinstance(value, MomentPoly):
-                inner = inner + value.scale(Fraction(factorial(l), factorial(m - k)))
-            elif value:
-                inner = inner + MomentPoly.constant(
-                    Fraction(value) * Fraction(factorial(l), factorial(m - k))
-                )
-        total = total + outer * inner
-    return total.scale(Fraction(2, 3))
+        scalar = Fraction(top, double_factorial(2 * k + 1) * double_factorial(2 * (m - k) - 1))
+        mul_into(acc, _over_unit(k), resolvent_coefficient_t(m - k), scalar)
+    return finalize(acc)
 
 
 def binomial(n: int, k: int) -> int:

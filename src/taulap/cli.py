@@ -55,13 +55,13 @@ def _fraction(value: object) -> Fraction:
     raise RingError(f"cannot interpret {value!r} as a rational number")
 
 
-def _parse_groups(text: str) -> list[list[Fraction]]:
+def _parse_groups(text: str, option: str = "--groups") -> list[list[Fraction]]:
     try:
         raw = json.loads(text)
     except json.JSONDecodeError as exc:
-        raise RingError(f"--groups must be JSON: {exc}") from exc
+        raise RingError(f"{option} must be JSON: {exc}") from exc
     if not isinstance(raw, list) or not raw or not all(isinstance(g, list) and g for g in raw):
-        raise RingError("--groups must be a nonempty list of nonempty lists")
+        raise RingError(f"{option} must be a nonempty list of nonempty lists")
     return [[_fraction(v) for v in grp] for grp in raw]
 
 
@@ -141,6 +141,9 @@ def _cmd_model(args: argparse.Namespace) -> int:
                 text = handle.read()
         except OSError as exc:
             raise SpectralError(f"cannot read model file: {exc}") from exc
+    points = None
+    if args.eval:
+        points = [[float(v) for v in grp] for grp in _parse_groups(args.eval, "--eval")]
     model = SpectralModel.from_json(text)
     solution = solve(model, tol=args.tol)
     moments = solution.moments(args.lmax)
@@ -155,9 +158,8 @@ def _cmd_model(args: argparse.Namespace) -> int:
         "mass_shift": solution.mass_shift,
         "moments": {str(l): moments[l] for l in sorted(moments)},
     }
-    if args.eval:
-        groups = [[float(v) for v in grp] for grp in json.loads(args.eval)]
-        report["correlator"] = solution.evaluate_correlator(args.genus, groups)
+    if points is not None:
+        report["correlator"] = solution.evaluate_correlator(args.genus, points)
     if args.format == "json":
         print(json.dumps(report, indent=2))
         return 0
@@ -176,14 +178,14 @@ def _cmd_check(args: argparse.Namespace) -> int:
 
     failures: list[str] = []
     if args.suite == "oracle":
-        gmax = args.gmax or 5
+        gmax = 5 if args.gmax is None else args.gmax
         for g in range(1, gmax + 1):
             ok = recursion.one_point(g).terms == correlator(g, 1).terms
             print(f"one-point genus {g}: {'ok' if ok else 'MISMATCH'}")
             if not ok:
                 failures.append(f"oracle g={g}")
     elif args.suite == "dse1":
-        gmax = args.gmax or 4
+        gmax = 4 if args.gmax is None else args.gmax
         for g in range(1, gmax + 1):
             ok = not recursion.one_point_residual(g).terms
             print(f"one-boundary loop equation genus {g}: {'ok' if ok else 'NONZERO'}")
@@ -196,7 +198,7 @@ def _cmd_check(args: argparse.Namespace) -> int:
             if not ok:
                 failures.append(f"dseB ({g},{b})")
     else:  # virasoro
-        gmax = args.gmax or 5
+        gmax = 5 if args.gmax is None else args.gmax
         series = virasoro.stable_series(gmax)
         for n in range(0, 18):
             ok = virasoro.constraint_satisfied(n, series)
@@ -277,8 +279,12 @@ def build_parser() -> _Parser:
 def main(argv: Sequence[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if getattr(args, "gmax", None) is not None and args.command == "fg" and args.gmax < 2:
+    if args.command == "fg" and args.gmax < 2:
         parser.error("--gmax must be at least 2")
+    if args.command == "check" and args.gmax is not None and args.gmax < 1:
+        parser.error("--gmax must be at least 1")
+    if args.command == "coeffs" and args.mmax < 0:
+        parser.error("--mmax must be nonnegative")
     try:
         return args.func(args)
     except (RingError, SpectralError) as exc:

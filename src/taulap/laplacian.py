@@ -22,9 +22,8 @@ coefficients of ``F_g`` in the ``t`` form.
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import lru_cache
-from math import factorial
-from typing import Sequence
+from math import factorial, gcd, lcm
+from typing import Callable, Sequence
 
 from taulap.bell import bell, resolvent_coefficient, resolvent_coefficient_t
 from taulap.ring import (
@@ -32,8 +31,8 @@ from taulap.ring import (
     MomentPoly,
     RingError,
     convert,
+    double_factorial,
     finalize,
-    mul_into,
 )
 
 F = Fraction
@@ -76,7 +75,6 @@ def genus_two_t() -> MomentPoly:
 # operator coefficients, moment form
 
 
-@lru_cache(maxsize=None)
 def _c2_rho() -> MomentPoly:
     return MomentPoly({
         (-3, 3): F(-6, 5),
@@ -85,7 +83,6 @@ def _c2_rho() -> MomentPoly:
     })
 
 
-@lru_cache(maxsize=None)
 def _c1_rho() -> MomentPoly:
     return MomentPoly({
         (-4, 3): F(2),
@@ -94,7 +91,6 @@ def _c1_rho() -> MomentPoly:
     })
 
 
-@lru_cache(maxsize=None)
 def _m_rho(k: int) -> MomentPoly:
     out = MomentPoly({(-3, 2): F(-2, 5), (-2, 0, 1): F(2, 7)}) * MomentPoly.variable(k + 1)
     out = out + resolvent_coefficient(k + 2) * MomentPoly({(-1, 1): F(-3, 2)})
@@ -102,8 +98,7 @@ def _m_rho(k: int) -> MomentPoly:
     return out
 
 
-@lru_cache(maxsize=None)
-def _d_rho_ordered(k: int, l: int) -> MomentPoly:
+def _d_rho(k: int, l: int) -> MomentPoly:
     # The unit power of the first term is forced by the operator's scaling
     # grading (every block must raise the scaling degree by exactly two, so
     # coefficients of mixed second derivatives are degree-zero).
@@ -118,11 +113,6 @@ def _d_rho_ordered(k: int, l: int) -> MomentPoly:
     return out
 
 
-def _d_rho(k: int, l: int) -> MomentPoly:
-    return _d_rho_ordered(min(k, l), max(k, l))
-
-
-@lru_cache(maxsize=None)
 def _e_rho(k: int) -> MomentPoly:
     out = MomentPoly({(-4, 2): F(19, 60), (-3, 0, 1): F(-25, 84)}) * MomentPoly.variable(k + 1)
     out = out + resolvent_coefficient(k + 2) * MomentPoly({(-2, 1): F(1, 16)})
@@ -134,27 +124,7 @@ def _e_rho(k: int) -> MomentPoly:
 
 def apply_laplacian_rho(p: MomentPoly) -> MomentPoly:
     """Apply the moment-form Laplacian; raises the weight by exactly three."""
-    acc: dict[Key, Fraction] = {}
-    d0 = p.partial(0)
-    if not d0.is_zero:
-        mul_into(acc, _c1_rho(), d0, F(-1))
-        d00 = d0.partial(0)
-        if not d00.is_zero:
-            mul_into(acc, _c2_rho(), d00, F(-1))
-    for k in range(1, p.max_index() + 1):
-        dk = p.partial(k)
-        if dk.is_zero:
-            continue
-        mul_into(acc, _e_rho(k), dk, F(-(3 + 2 * k)))
-        dk0 = dk.partial(0)
-        if not dk0.is_zero:
-            mul_into(acc, _m_rho(k), dk0, F(-(3 + 2 * k)))
-        for l in range(1, dk.max_index() + 1):
-            dkl = dk.partial(l)
-            if dkl.is_zero:
-                continue
-            mul_into(acc, _d_rho(k, l), dkl, F(-(3 + 2 * k) * (3 + 2 * l)))
-    return finalize(acc)
+    return _apply_packed(p, _RHO_TABLES)
 
 
 # ---------------------------------------------------------------------------
@@ -164,7 +134,6 @@ def apply_laplacian_rho(p: MomentPoly) -> MomentPoly:
 # so a displayed ``d/dt_0`` is ``-partial(0)`` on stored exponents.
 
 
-@lru_cache(maxsize=None)
 def _c2_t() -> MomentPoly:
     return MomentPoly({
         (-3, 3): F(2, 45),
@@ -173,7 +142,6 @@ def _c2_t() -> MomentPoly:
     })
 
 
-@lru_cache(maxsize=None)
 def _c1_t() -> MomentPoly:
     return MomentPoly({
         (-4, 3): F(2, 27),
@@ -182,7 +150,6 @@ def _c1_t() -> MomentPoly:
     })
 
 
-@lru_cache(maxsize=None)
 def _m_t(j: int) -> MomentPoly:
     # displayed label k = j + 1
     out = MomentPoly({(-3, 2): F(2, 45), (-2, 0, 1): F(2, 105)}) * MomentPoly.variable(j + 1)
@@ -191,10 +158,7 @@ def _m_t(j: int) -> MomentPoly:
     return out
 
 
-@lru_cache(maxsize=None)
-def _d_t_ordered(j: int, i: int) -> MomentPoly:
-    from taulap.ring import double_factorial
-
+def _d_t(j: int, i: int) -> MomentPoly:
     # unit power forced by the scaling grading, as in the moment form
     out = (
         MomentPoly.variable(j + 1)
@@ -210,11 +174,6 @@ def _d_t_ordered(j: int, i: int) -> MomentPoly:
     return out
 
 
-def _d_t(j: int, i: int) -> MomentPoly:
-    return _d_t_ordered(min(j, i), max(j, i))
-
-
-@lru_cache(maxsize=None)
 def _e_t(j: int) -> MomentPoly:
     out = MomentPoly({(-4, 2): F(19, 540), (-3, 0, 1): F(5, 252)}) * MomentPoly.variable(j + 1)
     out = out + resolvent_coefficient_t(j + 2) * MomentPoly({(-2, 1): F(1, 48)})
@@ -226,29 +185,256 @@ def _e_t(j: int) -> MomentPoly:
 
 def apply_laplacian_t(p: MomentPoly) -> MomentPoly:
     """The same operator written in the rescaled variables."""
-    acc: dict[Key, Fraction] = {}
-    d0 = p.partial(0)
-    if not d0.is_zero:
-        # -C1 d/dt_0 = +C1 partial(0); -C2 d^2/dt_0^2 = -C2 partial(0)^2
-        mul_into(acc, _c1_t(), d0, F(1))
-        d00 = d0.partial(0)
-        if not d00.is_zero:
-            mul_into(acc, _c2_t(), d00, F(-1))
-    for j in range(1, p.max_index() + 1):
-        dj = p.partial(j)
-        if dj.is_zero:
-            continue
-        mul_into(acc, _e_t(j), dj, F(-1))
-        dj0 = dj.partial(0)
-        if not dj0.is_zero:
-            # -M d^2/dt_k dt_0 = +M partial(j) partial(0)
-            mul_into(acc, _m_t(j), dj0, F(1))
-        for i in range(1, dj.max_index() + 1):
-            dji = dj.partial(i)
-            if dji.is_zero:
-                continue
-            mul_into(acc, _d_t(j, i), dji, F(-1))
-    return finalize(acc)
+    return _apply_packed(p, _T_TABLES)
+
+
+# ---------------------------------------------------------------------------
+# packed integer arithmetic: the operator kernel and the extraction products
+#
+# The packing is described in ``_apply_packed``; ``_Packed`` uses the same keys.
+
+
+class SlotOverflow(RingError):
+    """An exponent does not fit its slot in the packed representation."""
+
+
+_SLOT_BITS = 8  # one byte per slot: keys convert with int.from_bytes / to_bytes
+_SLOT_MASK = (1 << _SLOT_BITS) - 1
+_UNIT_OFFSET = 1 << (_SLOT_BITS - 1)
+
+
+def _shift(key: Key) -> int:
+    """``sum_i e_i 2^(8 i)``: what multiplying by the monomial adds to a packed key.
+
+    The caller has checked the bounds of ``key``.
+    """
+    if not key:
+        return 0
+    return key[0] + (int.from_bytes(bytes(key[1:]), "little") << _SLOT_BITS)
+
+
+def _unpack(code: int) -> Key:
+    e0 = (code & _SLOT_MASK) - _UNIT_OFFSET
+    rest = code >> _SLOT_BITS
+    if not rest:
+        return (e0,) if e0 else ()
+    return (e0, *rest.to_bytes((rest.bit_length() + 7) // 8, "little"))
+
+
+# (least unit exponent, largest unit exponent, largest variable exponent)
+Bounds = tuple[int, int, int]
+
+
+def _bounds(keys: list[Key]) -> Bounds:
+    e0s = [k[0] if k else 0 for k in keys] or [0]
+    top = max((max(k[1:]) for k in keys if len(k) > 1), default=0)
+    return min(e0s), max(e0s), top
+
+
+def _check_slots(bounds: Bounds) -> None:
+    low, high, top = bounds
+    if low < -_UNIT_OFFSET or high >= _UNIT_OFFSET or top > _SLOT_MASK:
+        raise SlotOverflow(
+            f"unit exponents {low}..{high} or variable exponents up to {top} "
+            f"do not fit {_SLOT_BITS}-bit slots"
+        )
+
+
+def _add_bounds(a: Bounds, b: Bounds) -> Bounds:
+    return a[0] + b[0], a[1] + b[1], a[2] + b[2]
+
+
+def _to_poly(terms: dict[int, int], den: int) -> MomentPoly:
+    """Reduce numerators and denominator by their gcd once, then leave packed form."""
+    nums = {code: v for code, v in terms.items() if v}
+    common = gcd(den, *nums.values())
+    den //= common
+    return finalize({_unpack(code): F(v // common, den) for code, v in nums.items()})
+
+
+class _Packed:
+    """A log-free polynomial in packed form: the ring ``bell`` runs over in extraction."""
+
+    __slots__ = ("terms", "den", "bounds")
+
+    def __init__(self, terms: dict[int, int], den: int, bounds: Bounds) -> None:
+        self.terms = terms
+        self.den = den
+        self.bounds = bounds
+
+    @classmethod
+    def from_poly(cls, p: MomentPoly) -> "_Packed":
+        if p.log_coeff:
+            raise RingError("log terms have no packed form")
+        bounds = _bounds(list(p.terms))
+        _check_slots(bounds)
+        den = lcm(*(c.denominator for c in p.terms.values()))
+        terms = {_UNIT_OFFSET + _shift(k): c.numerator * (den // c.denominator)
+                 for k, c in p.terms.items()}
+        return cls(terms, den, bounds)
+
+    def to_poly(self) -> MomentPoly:
+        return _to_poly(self.terms, self.den)
+
+    def __mul__(self, other: object) -> "_Packed":
+        if isinstance(other, (int, Fraction)):
+            num, den = other.numerator, other.denominator
+            return _Packed({k: v * num for k, v in self.terms.items()},
+                           self.den * den, self.bounds)
+        if not isinstance(other, _Packed):
+            return NotImplemented
+        bounds = _add_bounds(self.bounds, other.bounds)
+        _check_slots(bounds)
+        acc: dict[int, int] = {}
+        get = acc.get
+        theirs = list(other.terms.items())
+        for ka, ca in self.terms.items():
+            base = ka - _UNIT_OFFSET
+            for kb, cb in theirs:
+                code = base + kb
+                acc[code] = get(code, 0) + ca * cb
+        return _Packed(acc, self.den * other.den, bounds)
+
+    __rmul__ = __mul__
+
+    def __add__(self, other: object) -> "_Packed":
+        if isinstance(other, int) and not other:
+            return self  # ``bell`` starts its sums from the integer 0
+        if not isinstance(other, _Packed):
+            return NotImplemented
+        den = lcm(self.den, other.den)
+        mine, theirs = den // self.den, den // other.den
+        acc = {k: v * mine for k, v in self.terms.items()}
+        get = acc.get
+        for k, v in other.terms.items():
+            acc[k] = get(k, 0) + v * theirs
+        (a0, a1, a2), (b0, b1, b2) = self.bounds, other.bounds
+        return _Packed(acc, den, (min(a0, b0), max(a1, b1), max(a2, b2)))
+
+    __radd__ = __add__
+
+
+# Block ``(name, *indices)`` -> (denominator, [(key shift, numerator)], bounds).
+_Table = tuple[int, list[tuple[int, int]], Bounds]
+
+
+class _OperatorTables:
+    """One form's operator blocks as integer tables, each built on first use.
+
+    ``blocks`` maps a block name (``c1``, ``c2``, ``e``, ``m``, ``d``) to a
+    function of the block's indices returning the block and the integer
+    scalar it carries in the operator; the table holds their product, so the
+    kernel only adds products.
+    """
+
+    def __init__(self, blocks: dict[str, Callable[..., tuple[MomentPoly, int]]]) -> None:
+        self._blocks = blocks
+        self._tables: dict[tuple[object, ...], _Table] = {}
+
+    def table(self, block: tuple[object, ...]) -> _Table:
+        got = self._tables.get(block)
+        if got is None:
+            poly, scalar = self._blocks[block[0]](*block[1:])  # type: ignore[index]
+            den = lcm(*(c.denominator for c in poly.terms.values()))
+            items = [(_shift(k), scalar * c.numerator * (den // c.denominator))
+                     for k, c in poly.terms.items()]
+            got = self._tables[block] = (den, items, _bounds(list(poly.terms)))
+        return got
+
+
+def _apply_packed(p: MomentPoly, form: _OperatorTables) -> MomentPoly:
+    """Apply one form of the operator to ``p`` in packed integer arithmetic.
+
+    A monomial is one int with an 8-bit slot per variable: slot ``i`` is bits
+    ``8 i`` to ``8 i + 7`` and holds ``e_i``, except slot 0, which holds
+    ``e0 + 128``. So ``-128 <= e0 <= 127`` and ``0 <= e_k <= 255``.
+    Multiplying monomials adds keys, and a derivative by variable ``k``
+    subtracts ``2^(8 k)``. The exponent bounds of ``p`` and of every block are
+    checked before any product is formed: ``SlotOverflow`` is raised if an
+    exponent could leave its slot, so a key never wraps silently.
+
+    Coefficients are integer numerators: ``p`` over the lcm of its
+    denominators, each block table over its own. One pass over the monomials
+    of ``p`` lists, per block, the keys of the derivatives it meets and their
+    integer multiplicities. Each block then multiplies its list, rescaled to
+    the step's common denominator, and the sum is reduced by its gcd once.
+    """
+    coeffs = list(p.terms.values())
+    if p.log_coeff:
+        coeffs.append(p.log_coeff)
+    if not coeffs:
+        return MomentPoly.zero()
+    bounds = _bounds(list(p.terms) + ([()] if p.log_coeff else []))
+    _check_slots(bounds)
+    den_p = lcm(*(c.denominator for c in coeffs))
+    jobs: dict[tuple[object, ...], list[tuple[int, int]]] = {}
+
+    def job(block: tuple[object, ...], code: int, mult: int) -> None:
+        todo = jobs.get(block)
+        if todo is None:
+            jobs[block] = [(code, mult)]
+        else:
+            todo.append((code, mult))
+
+    for key, c in p.terms.items():
+        e0 = key[0] if key else 0
+        code = _UNIT_OFFSET + _shift(key)
+        num = c.numerator * (den_p // c.denominator)
+        if e0:
+            job(("c1",), code - 1, num * e0)
+            if e0 != 1:
+                job(("c2",), code - 2, num * e0 * (e0 - 1))
+        slots = [(k, e, code - (1 << (_SLOT_BITS * k))) for k, e in enumerate(key) if k and e]
+        for i, (k, e, dk) in enumerate(slots):
+            job(("e", k), dk, num * e)
+            if e0:
+                job(("m", k), dk - 1, num * e * e0)
+            if e > 1:
+                job(("d", k, k), dk - (1 << (_SLOT_BITS * k)), num * e * (e - 1))
+            for l, f, _ in slots[i + 1:]:
+                # the ordered sum over (k, l) meets every symmetric block twice
+                job(("d", k, l), dk - (1 << (_SLOT_BITS * l)), 2 * num * e * f)
+    if p.log_coeff:
+        # the unit derivative of c log(unit) is c / unit, and its own is -c / unit^2
+        num = p.log_coeff.numerator * (den_p // p.log_coeff.denominator)
+        job(("c1",), _UNIT_OFFSET - 1, num)
+        job(("c2",), _UNIT_OFFSET - 2, -num)
+
+    tables = {block: form.table(block) for block in jobs}
+    for _, _, block_bounds in tables.values():
+        # derivatives lower exponents, the unit's by at most two
+        _check_slots(_add_bounds((bounds[0] - 2, *bounds[1:]), block_bounds))
+    den_ops = lcm(*(t[0] for t in tables.values()))
+    acc: dict[int, int] = {}
+    get = acc.get
+    for block, todo in jobs.items():
+        den, items, _ = tables[block]
+        rescale = den_ops // den
+        for base, mult in todo:
+            mult *= rescale
+            for shift, c in items:
+                code = base + shift
+                acc[code] = get(code, 0) + mult * c
+    return _to_poly(acc, den_p * den_ops)
+
+
+# Each form's blocks carry the scalars of its operator. In the rescaled form a
+# displayed d/dt_0 is -partial(0), which flips the signs of the C1 and M blocks.
+_RHO_TABLES = _OperatorTables({
+    "c1": lambda: (_c1_rho(), -1),
+    "c2": lambda: (_c2_rho(), -1),
+    "e": lambda k: (_e_rho(k), -(3 + 2 * k)),
+    "m": lambda k: (_m_rho(k), -(3 + 2 * k)),
+    "d": lambda k, l: (_d_rho(k, l), -(3 + 2 * k) * (3 + 2 * l)),
+})
+
+_T_TABLES = _OperatorTables({
+    "c1": lambda: (_c1_t(), 1),
+    "c2": lambda: (_c2_t(), -1),
+    "e": lambda j: (_e_t(j), -1),
+    "m": lambda j: (_m_t(j), 1),
+    "d": lambda j, i: (_d_t(j, i), -1),
+})
 
 
 # ---------------------------------------------------------------------------
@@ -284,28 +470,28 @@ class StablePartition:
         return self._u[g - 1].scale(F(1, factorial(g - 1)))
 
     def f(self, g: int) -> MomentPoly:
-        """``F_g``, extracted along two independent routes that must agree."""
+        """``F_g``, extracted along two independent routes that must agree.
+
+        Both routes run ``bell`` over packed integer polynomials and are
+        compared exactly once back in ``MomentPoly`` form.
+        """
         if g < 2:
             raise GenusOutOfRange(f"stable range starts at genus 2, got {g}")
         cached = self._f.get(g)
         if cached is not None:
             return cached
         n = g - 1
-        route1 = self.z(g)
+        route1 = _Packed.from_poly(self.z(g))
         if g >= 3:
-            xs_f = [self.f(h + 1).scale(factorial(h)) for h in range(1, g - 1)]
+            xs_f = [_Packed.from_poly(self.f(h + 1)) * factorial(h) for h in range(1, g - 1)]
             for k in range(2, g):
-                value = bell(n, k, xs_f)
-                if isinstance(value, MomentPoly):
-                    route1 = route1 - value.scale(F(1, factorial(n)))
-        xs_z = [self.z(h + 1).scale(factorial(h)) for h in range(1, g)]
-        route2 = MomentPoly.zero()
+                route1 = route1 + bell(n, k, xs_f) * F(-1, factorial(n))
+        xs_z = [_Packed.from_poly(self.z(h + 1)) * factorial(h) for h in range(1, g)]
+        route2: object = 0
         for k in range(1, g):
-            value = bell(n, k, xs_z)
-            if not isinstance(value, MomentPoly):
-                continue
             sign = 1 if k % 2 else -1
-            route2 = route2 + value.scale(F(sign * factorial(k - 1), factorial(n)))
+            route2 = route2 + bell(n, k, xs_z) * F(sign * factorial(k - 1), factorial(n))
+        route1, route2 = route1.to_poly(), route2.to_poly()  # type: ignore[attr-defined]
         if route1 != route2:
             raise ExtractionMismatch(
                 f"free-energy extraction routes disagree at genus {g}"

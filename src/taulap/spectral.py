@@ -42,6 +42,13 @@ class OnCut(SpectralError):
 VALID_DIMENSIONS = (0, 2, 4, 6)
 
 
+def _integral(value: object, name: str) -> int:
+    """``int(value)``, except that a float must be whole: it is never truncated."""
+    if isinstance(value, float) and not value.is_integer():
+        raise InvalidModel(f"{name} must be an integer, got {value!r}")
+    return int(value)  # type: ignore[call-overload]
+
+
 @dataclass(frozen=True)
 class SpectralModel:
     """Finite spectrum with coupling and volume."""
@@ -54,15 +61,16 @@ class SpectralModel:
     def __post_init__(self) -> None:
         if self.dimension not in VALID_DIMENSIONS:
             raise InvalidModel(f"dimension must be one of {VALID_DIMENSIONS}")
-        if not self.coupling >= 0:
-            raise InvalidModel("coupling must be nonnegative")
-        if not self.volume > 0:
-            raise InvalidModel("volume must be positive")
+        # chained comparisons also reject nan and inf
+        if not 0 <= self.coupling < math.inf:
+            raise InvalidModel("coupling must be finite and nonnegative")
+        if not 0 < self.volume < math.inf:
+            raise InvalidModel("volume must be finite and positive")
         if not self.levels:
             raise InvalidModel("the spectrum must contain at least one level")
         for energy, mult in self.levels:
-            if not energy > 0:
-                raise InvalidModel("level energies must be positive")
+            if not 0 < energy < math.inf:
+                raise InvalidModel("level energies must be finite and positive")
             if mult < 1:
                 raise InvalidModel("level multiplicities must be positive integers")
 
@@ -75,7 +83,7 @@ class SpectralModel:
     @classmethod
     def from_dict(cls, data: Mapping) -> "SpectralModel":
         try:
-            dimension = int(data["dimension"])
+            dimension = _integral(data["dimension"], "dimension")
             coupling = float(data["lambda"])
             volume = float(data["volume"])
         except (KeyError, TypeError, ValueError) as exc:
@@ -84,7 +92,7 @@ class SpectralModel:
             levels = []
             for entry in data["eigenvalues"]:
                 try:
-                    levels.append((float(entry["E"]), int(entry["mult"])))
+                    levels.append((float(entry["E"]), _integral(entry["mult"], "mult")))
                 except (KeyError, TypeError, ValueError) as exc:
                     raise InvalidModel(f"bad eigenvalue entry {entry!r}") from exc
             return cls(dimension, coupling, volume, tuple(levels))
@@ -95,7 +103,7 @@ class SpectralModel:
             if dimension not in (2, 4, 6):
                 raise InvalidModel("the linear generator needs dimension 2, 4 or 6")
             try:
-                cutoff = int(gen["cutoff_N"])
+                cutoff = _integral(gen["cutoff_N"], "cutoff_N")
                 mu2 = float(gen["mu2"])
             except (KeyError, TypeError, ValueError) as exc:
                 raise InvalidModel(f"bad generator block: {exc}") from exc

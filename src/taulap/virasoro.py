@@ -57,18 +57,6 @@ def raising_part(n: int, p: MomentPoly) -> MomentPoly:
     return out
 
 
-def _second_partials(p: MomentPoly, first: int) -> dict[int, MomentPoly]:
-    d = p.partial(first)
-    if d.is_zero:
-        return {}
-    out: dict[int, MomentPoly] = {}
-    for l in sorted(d.moment_support() | {0}):
-        dd = d.partial(l)
-        if not dd.is_zero:
-            out[l] = dd
-    return out
-
-
 def _quadratic_one(p: MomentPoly) -> MomentPoly:
     out = MomentPoly.zero()
     support = sorted(p.moment_support())

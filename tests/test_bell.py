@@ -1,6 +1,7 @@
 """Bell polynomials and series-coefficient families against independent oracles."""
 
 from fractions import Fraction
+from math import factorial
 
 import pytest
 import sympy
@@ -62,23 +63,21 @@ def test_bell_index_shift_identity(n: int, k: int, xs: list) -> None:
 
 # -- reciprocal-series coefficients S_m ----------------------------------------
 
-def _reciprocal_series_oracle(mmax: int) -> list[MomentPoly]:
-    """b_m of (sum r_l tau^l / r0)^(-1) via the defining recurrence; S_m = m! b_m."""
-    bs = [MomentPoly.one()]
-    for m in range(1, mmax + 1):
-        total = MomentPoly.zero()
-        for k in range(1, m + 1):
-            total = total + MomentPoly.variable(k) * MomentPoly.unit_power(-1) * bs[m - k]
-        bs.append(-total)
-    return bs
+def _reciprocal_bell_oracle(m: int) -> MomentPoly:
+    """S_m as the Bell-polynomial sum sum_i (-1)^i i! B_{m,i}(1! r_1, 2! r_2, ...) / r0^i."""
+    if m == 0:
+        return MomentPoly.one()
+    xs = [MomentPoly.variable(i).scale(factorial(i)) for i in range(1, m + 1)]
+    total = MomentPoly.zero()
+    for i in range(1, m + 1):
+        sign = -1 if i % 2 else 1
+        total = total + (bell(m, i, xs) * MomentPoly.unit_power(-i)).scale(sign * factorial(i))
+    return total
 
 
-def test_reciprocal_coefficients_match_series_oracle() -> None:
-    from math import factorial
-
-    oracle = _reciprocal_series_oracle(8)
+def test_reciprocal_coefficients_match_bell_oracle() -> None:
     for m in range(9):
-        assert reciprocal_coefficient(m) == oracle[m].scale(factorial(m))
+        assert reciprocal_coefficient(m) == _reciprocal_bell_oracle(m)
 
 
 def test_reciprocal_coefficients_frozen() -> None:
@@ -89,8 +88,6 @@ def test_reciprocal_coefficients_frozen() -> None:
 
 def test_reciprocal_is_series_inverse() -> None:
     """(sum_m S_m tau^m / m!) * (sum_l r_l tau^l) = r0 order by order."""
-    from math import factorial
-
     mmax = 7
     for order in range(1, mmax + 1):
         total = MomentPoly.zero()
@@ -103,22 +100,46 @@ def test_reciprocal_is_series_inverse() -> None:
 
 # -- resolvent-series coefficients R_m -----------------------------------------
 
-def _resolvent_series_oracle(mmax: int) -> list[MomentPoly]:
-    """R_m via the defining ratio recurrence r0 R_m = N_m - sum r_k R_{m-k}."""
-    out: list[MomentPoly] = []
-    for m in range(mmax + 1):
-        num = MomentPoly.variable(m).scale(F(1, 3 + 2 * m)) if m else MomentPoly.unit_power(1).scale(F(1, 3))
-        total = num
-        for k in range(1, m + 1):
-            total = total - MomentPoly.variable(k) * out[m - k]
-        out.append(total * MomentPoly.unit_power(-1))
-    return out
+def _resolvent_bell_oracle(m: int) -> MomentPoly:
+    """R_m = -(2/3) sum_k k/(3+2k) r_k/r0 S_{m-k}/(m-k)!, with S from its Bell sum."""
+    if m == 0:
+        return MomentPoly.constant(F(1, 3))
+    total = MomentPoly.zero()
+    for k in range(1, m + 1):
+        factor = MomentPoly.monomial((-1,) + (0,) * (k - 1) + (1,), F(k, 3 + 2 * k))
+        total = total + (factor * _reciprocal_bell_oracle(m - k)).scale(F(1, factorial(m - k)))
+    return total.scale(F(-2, 3))
 
 
-def test_resolvent_coefficients_match_series_oracle() -> None:
-    oracle = _resolvent_series_oracle(8)
+def _resolvent_t_bell_oracle(m: int) -> MomentPoly:
+    """R_m in the rescaled form, from its own Bell-sum display."""
+    if m == 0:
+        return MomentPoly.constant(F(1, 3))
+    xs = [
+        MomentPoly.monomial((-1,) + (0,) * (j - 1) + (1,), F(factorial(j), double_factorial(2 * j + 1)))
+        for j in range(1, m + 1)
+    ]
+    total = MomentPoly.zero()
+    for k in range(1, m + 1):
+        outer = MomentPoly.monomial(
+            (-1,) + (0,) * (k - 1) + (1,),
+            F(double_factorial(2 * m - 1) * k, double_factorial(2 * k + 3)),
+        )
+        inner = MomentPoly.zero()
+        for l in range(m - k + 1):
+            inner = inner + MomentPoly.one() * bell(m - k, l, xs) * F(factorial(l), factorial(m - k))
+        total = total + outer * inner
+    return total.scale(F(2, 3))
+
+
+def test_resolvent_coefficients_match_bell_oracle() -> None:
     for m in range(9):
-        assert resolvent_coefficient(m) == oracle[m]
+        assert resolvent_coefficient(m) == _resolvent_bell_oracle(m)
+
+
+def test_resolvent_display_form_matches_bell_oracle() -> None:
+    for m in range(9):
+        assert resolvent_coefficient_t(m) == _resolvent_t_bell_oracle(m)
 
 
 def test_resolvent_coefficients_frozen() -> None:

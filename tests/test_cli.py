@@ -210,6 +210,27 @@ def test_check_failure_exits_two(capsys, monkeypatch):
     assert "FAILED" in err
 
 
+def test_model_eval_rejects_malformed_points(capsys, tmp_path):
+    path = tmp_path / "model.json"
+    path.write_text(json.dumps(MODEL4))
+    for points in ("notjson", "[]", '[["a"]]', "5"):
+        code, out, err = run(capsys, "model", "--file", str(path), "--eval", points)
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error:") and err.count("\n") == 1
+
+
+def test_model_rejects_non_finite_and_fractional_spectra(capsys, tmp_path):
+    path = tmp_path / "model.json"
+    for change in ({"E": "inf", "mult": 1}, {"E": 0.5, "mult": 1.7}):
+        path.write_text(json.dumps({**MODEL4, "eigenvalues": [change]}))
+        code, _, err = run(capsys, "model", "--file", str(path))
+        assert code == 1
+        assert err.startswith("error:")
+    path.write_text(json.dumps({**MODEL4, "dimension": 4.9}))
+    assert run(capsys, "model", "--file", str(path))[0] == 1
+
+
 # ---------------------------------------------------------------------------
 # usage errors
 
@@ -222,6 +243,10 @@ def test_usage_errors_exit_64(capsys):
         ["tau"],
         ["check", "--suite", "bogus"],
         ["tau", "--indices", "a,b"],
+        ["check", "--suite", "oracle", "--gmax", "0"],
+        ["check", "--suite", "virasoro", "--gmax", "-2"],
+        ["coeffs", "--family", "R", "--mmax", "-1"],
+        ["coeffs", "--family", "S", "--mmax", "-3"],
     ):
         with pytest.raises(SystemExit) as exc:
             main(argv)

@@ -10,6 +10,7 @@ from taulap.laplacian import (
     DimensionMismatch,
     ExtractionMismatch,
     GenusOutOfRange,
+    SlotOverflow,
     StablePartition,
     apply_laplacian_rho,
     apply_laplacian_t,
@@ -20,7 +21,7 @@ from taulap.laplacian import (
     stable_partition,
     tau_intersection,
 )
-from taulap.ring import MomentPoly, convert, render_terms
+from taulap.ring import MomentPoly, RingError, convert, render_terms
 
 F = Fraction
 
@@ -142,6 +143,34 @@ def test_operator_coefficients_scaling_degree() -> None:
         for l in range(1, 6):
             assert degrees(_d_rho(k, l)) == {0}
             assert _d_rho(k, l) == _d_rho(l, k)
+
+
+def test_packed_kernel_raises_on_slot_overflow() -> None:
+    """Exponents live in 8-bit slots (unit offset by 128); leaving one raises, never wraps."""
+    assert issubclass(SlotOverflow, RingError)
+    # fits: the operator lowers the unit power by at most 6 here (to -126)
+    assert apply_laplacian_rho(MomentPoly({(-120, 1): 1})).weight() == 4
+    for probe in (
+        MomentPoly({(-127, 1): 1}),   # image would need a unit power below -128
+        MomentPoly({(-129, 1): 1}),   # does not fit a slot at all
+        MomentPoly({(0, 255): F(1, 3)}),  # image would need r1^257
+    ):
+        with pytest.raises(SlotOverflow):
+            apply_laplacian_rho(probe)
+        with pytest.raises(SlotOverflow):
+            apply_laplacian_t(probe)
+
+
+def test_packed_products_raise_on_slot_overflow() -> None:
+    from taulap.laplacian import _Packed
+
+    half = _Packed.from_poly(MomentPoly({(-60, 1): 1, (-64, 0, 3): F(2, 5)}))
+    assert (half * half).to_poly() == MomentPoly({(-60, 1): 1, (-64, 0, 3): F(2, 5)}) ** 2
+    with pytest.raises(SlotOverflow):
+        half * half * half
+    high = _Packed.from_poly(MomentPoly({(0, 200): 1}))
+    with pytest.raises(SlotOverflow):
+        high * high
 
 
 def test_genus_one_constant() -> None:

@@ -149,6 +149,40 @@ def test_from_dict_errors():
         SpectralModel.from_json("{not json")
 
 
+def test_from_dict_rejects_non_finite_values():
+    base = {"dimension": 4, "lambda": 0.1, "volume": 1.0,
+            "eigenvalues": [{"E": 1.0, "mult": 1}]}
+    for bad in (
+        {"eigenvalues": [{"E": "inf", "mult": 1}]},
+        {"eigenvalues": [{"E": 1.0, "mult": 1}, {"E": float("nan"), "mult": 2}]},
+        {"lambda": "inf"},
+        {"lambda": float("nan")},
+        {"volume": float("inf")},
+        {"dimension": float("inf")},
+    ):
+        with pytest.raises(InvalidModel):
+            SpectralModel.from_dict({**base, **bad})
+    with pytest.raises(InvalidModel):
+        SpectralModel.from_json('{"dimension": 2, "lambda": 0.1, "volume": Infinity,'
+                                ' "eigenvalues": [{"E": 1.0, "mult": 1}]}')
+
+
+def test_from_dict_rejects_fractional_counts():
+    base = {"dimension": 4, "lambda": 0.1, "volume": 1.0,
+            "eigenvalues": [{"E": 1.0, "mult": 2}]}
+    for bad in (
+        {"dimension": 4.9},
+        {"eigenvalues": [{"E": 1.0, "mult": 1.7}]},
+        {"generator": {"e": "linear", "cutoff_N": 2.5, "mu2": 1.0}, "eigenvalues": None},
+    ):
+        data = {k: v for k, v in {**base, **bad}.items() if v is not None}
+        with pytest.raises(InvalidModel):
+            SpectralModel.from_dict(data)
+    whole = SpectralModel.from_dict({**base, "dimension": 4.0,
+                                     "eigenvalues": [{"E": 1.0, "mult": 2.0}]})
+    assert whole.dimension == 4 and whole.levels == ((1.0, 2),)
+
+
 # ---------------------------------------------------------------------------
 # solving
 
