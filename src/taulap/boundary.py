@@ -24,15 +24,19 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 from itertools import product
+from math import lcm
 from typing import Mapping, Sequence
 
 from taulap.laplacian import GenusOutOfRange, genus_one, stable_partition
 from taulap.ring import (
     CoincidentPoints,
+    Key,
     MomentPoly,
     RingError,
+    ZKey,
     ZLaurent,
     ZRational,
+    finalize,
 )
 
 F = Fraction
@@ -66,76 +70,130 @@ def generic_moments(count: int = 12) -> dict[int, Fraction]:
 # operators
 
 
-def _moment_indices(obj: MomentPoly | ZLaurent | ZRational) -> range:
+def _lowered(key: Key, l: int) -> Key:
+    """``key`` with ``e_l`` lowered by one, trailing zeros trimmed."""
+    e = key[l] - 1
+    if e or l + 1 < len(key):
+        return key[:l] + (e,) + key[l + 1:]
+    key = key[:l]
+    while key and not key[-1]:
+        key = key[:-1]
+    return key
+
+
+def _lowered_ratio(key: Key, l: int) -> Key:
+    """``_lowered(key, l)`` times ``r_{l+1} / r_0``."""
+    raised = (key[l + 1] if l + 1 < len(key) else 0) + 1
+    if l == 0:
+        return (key[0] - 2, raised) + key[2:]
+    return (key[0] - 1,) + key[1:l] + (key[l] - 1, raised) + key[l + 2:]
+
+
+def _create_laurent(obj: MomentPoly | ZLaurent, factor: int, with_dz: bool = True) -> ZLaurent:
+    """Creation on a polynomial or Laurent object, in integers over one denominator.
+
+    Each coefficient becomes an integer numerator over the lcm of the input's
+    denominators, with ``factor`` folded in. A term ``c r^K z^E`` emits, for
+    every moment index ``l`` with ``K[l] != 0``, its derivative
+    ``d = K[l] c r^K / r_l`` as ``-(3+2l) (r_{l+1}/r_0) d z^E z_new^-3`` and as
+    ``(3+2l) d z^E z_new^(-5-2l)``, and, for every ``E[i] != 0``, the ``z_i``
+    derivative term ``E[i] c (r^K / r_0) z^E z_i^-2 z_new^-3``. A genus-one
+    ``c log r_0`` differentiates to ``c / r_0``.
+
+    Terms are emitted moment index by moment index (the ``z_new^-3`` block of
+    every input term, then its ``z_new^(-5-2l)`` block), then boundary variable
+    by boundary variable, into one accumulator; a coefficient or a whole
+    ``z`` key that cancels is removed at once. That fixes the insertion order
+    of the result, and so the order in which float evaluation sums it.
+    ``with_dz=False`` leaves out the derivative terms.
+    """
     if isinstance(obj, MomentPoly):
-        support = obj.moment_support()
-    elif isinstance(obj, ZLaurent):
-        support = obj.moment_support()
+        items, nvars, log = [((), obj)], 0, obj.log_coeff
     else:
-        support = obj.num.moment_support()
-    return range(0, (max(support) if support else -1) + 1)
+        items, nvars, log = list(obj.terms.items()), obj.nvars, F(0)
+    coeffs = [c for _, poly in items for c in poly.terms.values()]
+    den = lcm(*(c.denominator for c in coeffs), log.denominator)
+    rows = [
+        (zkey, [(k, c.numerator * (den // c.denominator) * factor) for k, c in poly.terms.items()])
+        for zkey, poly in items
+    ]
+    acc: dict[ZKey, dict[Key, int]] = {}
 
-
-def _ratio_coeff(l: int) -> MomentPoly:
-    """``r_{l+1} / r_0`` as a moment polynomial."""
-    return MomentPoly.monomial((-1,) + (0,) * l + (1,))
-
-
-def create(obj: MomentPoly | ZLaurent | ZRational) -> ZLaurent | ZRational:
-    """Boundary creation: one more variable, appended as the last slot."""
-    if isinstance(obj, MomentPoly):
-        acc: dict[tuple[int, ...], MomentPoly] = {}
-
-        def _add(exp: int, poly: MomentPoly) -> None:
-            prev = acc.get((exp,))
-            total = poly if prev is None else prev + poly
-            if total.is_zero:
-                acc.pop((exp,), None)
+    def merge(zkey: ZKey, block: list[tuple[Key, int]]) -> None:
+        poly = acc.get(zkey)
+        if poly is None:
+            acc[zkey] = dict(block)
+            return
+        for k, v in block:
+            prev = poly.get(k)
+            if prev is None:
+                poly[k] = v
+            elif prev + v:
+                poly[k] = prev + v
             else:
-                acc[(exp,)] = total
+                del poly[k]
+        if not poly:
+            del acc[zkey]
 
-        for l in _moment_indices(obj):
-            dp = obj.partial(l)
-            if dp.is_zero:
-                continue
-            _add(-3, dp * _ratio_coeff(l).scale(-(3 + 2 * l)))
-            _add(-5 - 2 * l, dp.scale(3 + 2 * l))
-        out = ZLaurent(1)
-        out.terms = acc
-        return out
+    width = max((len(k) for _, row in rows for k, _ in row), default=0)
+    if log:
+        width = max(width, 1)
+    for l in range(width):
+        scale = 3 + 2 * l
+        pole = (-5 - 2 * l,)
+        low: list[tuple[ZKey, list[tuple[Key, int]]]] = []
+        high: list[tuple[ZKey, list[tuple[Key, int]]]] = []
+        for zkey, row in rows:
+            low_block = []
+            high_block = []
+            for k, c in row:
+                if l < len(k) and k[l]:
+                    v = scale * k[l] * c
+                    low_block.append((_lowered_ratio(k, l), -v))
+                    high_block.append((_lowered(k, l), v))
+            if log and l == 0:
+                v = 3 * log.numerator * (den // log.denominator) * factor
+                low_block.append(((-2, 1), -v))
+                high_block.append(((-1,), v))
+            if low_block:
+                low.append((zkey + (-3,), low_block))
+                high.append((zkey + pole, high_block))
+        for zkey, block in low:
+            merge(zkey, block)
+        for zkey, block in high:
+            merge(zkey, block)
+    if with_dz:
+        for i in range(nvars):
+            for zkey, row in rows:
+                e = zkey[i]
+                if e:
+                    merge(zkey[:i] + (e - 2,) + zkey[i + 1:] + (-3,),
+                          [(_lowered(k or (0,), 0), e * c) for k, c in row])
+    out = ZLaurent(nvars + 1)
+    for zkey, poly in acc.items():
+        coeff = finalize({k: F(v, den) for k, v in poly.items()})
+        if coeff.terms:
+            out.terms[zkey] = coeff
+    return out
+
+
+def create(obj: MomentPoly | ZLaurent | ZRational, factor: int = 1) -> ZLaurent | ZRational:
+    """Boundary creation: one more variable, appended as the last slot.
+
+    The result is multiplied by the integer ``factor``; ``correlator`` passes
+    the power of two of each chain step here.
+    """
+    if not isinstance(obj, ZRational):
+        return _create_laurent(obj, factor)
+    # the rational (planar) input: quotient-rule derivative terms
     n = obj.nvars
     positions = list(range(n))
-    if isinstance(obj, ZLaurent):
-        total = ZLaurent.zero(n + 1)
-        for l in _moment_indices(obj):
-            d = obj.partial_moment(l)
-            if d.is_zero:
-                continue
-            wide = d.embed(positions, n + 1)
-            total = total + wide.scale(_ratio_coeff(l).scale(-(3 + 2 * l))).shift(n, -3)
-            total = total + wide.scale(3 + 2 * l).shift(n, -5 - 2 * l)
-        inv_unit = MomentPoly.unit_power(-1)
-        for i in range(n):
-            dz = obj.dz(i)
-            if dz.is_zero:
-                continue
-            total = total + dz.embed(positions, n + 1).shift(i, -1).shift(n, -3).scale(inv_unit)
-        return total
-    # rational input
-    total = ZRational(ZLaurent.zero(n + 1))
-    for l in _moment_indices(obj):
-        d = obj.partial_moment(l)
-        if d.num.is_zero:
-            continue
-        wide = d.embed(positions, n + 1)
-        total = total + wide.scale(_ratio_coeff(l).scale(-(3 + 2 * l))).shift(n, -3)
-        total = total + wide.scale(3 + 2 * l).shift(n, -5 - 2 * l)
-    inv_unit = MomentPoly.unit_power(-1)
+    total = ZRational(_create_laurent(obj.num, factor, with_dz=False), obj.den)
+    unit = MomentPoly({(-1,): factor})
     for i in range(n):
         dz = obj.dz(i)
-        if dz.num.is_zero:
-            continue
-        total = total + dz.embed(positions, n + 1).shift(i, -1).shift(n, -3).scale(inv_unit)
+        if not dz.num.is_zero:
+            total = total + dz.embed(positions, n + 1).shift(i, -1).shift(n, -3).scale(unit)
     return total.reduce()
 
 
@@ -255,10 +313,8 @@ def correlator(g: int, boundaries: int) -> ZLaurent | ZRational:
     if g == 0 and boundaries == 2:
         return planar_pair()
     if boundaries == 1:
-        return create(_stored_free_energy(g)).scale(2 ** (4 * g))
-    factor = 4 if boundaries == 2 else 8
-    result = create(correlator(g, boundaries - 1)).scale(factor)
-    return result
+        return create(_stored_free_energy(g), 2 ** (4 * g))
+    return create(correlator(g, boundaries - 1), 4 if boundaries == 2 else 8)
 
 
 def diagonal(g: int) -> ZLaurent | ZRational:
@@ -293,16 +349,19 @@ def n_point_core(
         if not grp:
             raise RingError("every boundary group needs at least one point")
         _check_group(grp)
+    choices = list(product(*[range(len(grp)) for grp in groups]))
+    values = stored.evaluate_many(
+        [[groups[b][choice[b]] for b in range(B)] for choice in choices], moments
+    )
     total: object = None
-    for choice in product(*[range(len(grp)) for grp in groups]):
-        pts = [groups[b][choice[b]] for b in range(B)]
+    for choice, value in zip(choices, values):
         weight: object = F(1)
         for b, grp in enumerate(groups):
             zk = grp[choice[b]]
             for li, zl in enumerate(grp):
                 if li != choice[b]:
                     weight = weight * 2 / (zk * zk - zl * zl)
-        part = stored.evaluate(pts, moments) * weight
+        part = value * weight
         total = part if total is None else total + part
     return total
 

@@ -281,8 +281,13 @@ def main(argv: Sequence[str] | None = None) -> int:
     args = parser.parse_args(argv)
     if args.command == "fg" and args.gmax < 2:
         parser.error("--gmax must be at least 2")
-    if args.command == "check" and args.gmax is not None and args.gmax < 1:
-        parser.error("--gmax must be at least 1")
+    if args.command == "check":
+        if args.gmax is not None and args.suite == "dseB":
+            parser.error("--gmax does not apply to --suite dseB")
+        if args.gmax is not None and args.gmax < 1:
+            parser.error("--gmax must be at least 1")
+        if args.threads < 1:
+            parser.error("--threads must be at least 1")
     if args.command == "coeffs" and args.mmax < 0:
         parser.error("--mmax must be nonnegative")
     try:

@@ -30,7 +30,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import zip_longest
-from math import factorial
+from math import factorial, lcm
 from typing import Callable, Iterable, Mapping, Sequence
 
 
@@ -786,13 +786,6 @@ class ZLaurent:
             out |= coeff.moment_support()
         return out
 
-    def exponent_range(self, var: int) -> tuple[int, int]:
-        """(min, max) exponent of ``z_var``; (0, 0) for the zero polynomial."""
-        if not self.terms:
-            return (0, 0)
-        exps = [k[var] for k in self.terms]
-        return (min(exps), max(exps))
-
     def collect(self, var: int) -> dict[int, "ZLaurent"]:
         """Group terms by the exponent of ``z_var``; values drop that variable."""
         if self.nvars < 2:
@@ -828,12 +821,6 @@ class ZLaurent:
             terms[rest] = val
         out.terms = {k: c for k, c in terms.items() if not c.is_zero}
         return out
-
-    def coefficient(self, var: int, exponent: int) -> MomentPoly:
-        """Coefficient of ``z_var ** exponent`` for single-variable objects."""
-        if self.nvars != 1:
-            raise RingError("coefficient() is for single-variable objects")
-        return self.terms.get((exponent,), MomentPoly.zero())
 
     def identify(self, var: int, target: int) -> "ZLaurent":
         """Substitute ``z_var := z_target`` and drop the slot of ``z_var``."""
@@ -875,8 +862,31 @@ class ZLaurent:
 
     def evaluate(self, points: Sequence[object], moments: Mapping[int, object]) -> object:
         """Evaluate at numeric boundary points and numeric moment values."""
-        if len(points) != self.nvars:
-            raise RingError(f"expected {self.nvars} points, got {len(points)}")
+        return self.evaluate_many([points], moments)[0]
+
+    def evaluate_many(
+        self, point_sets: Sequence[Sequence[object]], moments: Mapping[int, object]
+    ) -> list[object]:
+        """Values at several point tuples.
+
+        With exact points and moments (ints and Fractions) the moments are
+        bound once, in integers (``_bind_exact``), and each value is summed as
+        one integer (``_sum_exact``). Otherwise each tuple is summed term by
+        term, in the order of ``terms``.
+        """
+        for points in point_sets:
+            if len(points) != self.nvars:
+                raise RingError(f"expected {self.nvars} points, got {len(points)}")
+        if not (_is_exact(moments.values()) and all(_is_exact(p) for p in point_sets)):
+            return [self._sum_terms(points, moments) for points in point_sets]
+        for points in point_sets:
+            zeros = [i for i, z in enumerate(points) if not z]
+            if zeros and any(key[i] < 0 for key in self.terms for i in zeros):
+                raise CoincidentPoints("evaluation at z = 0 hits a pole")
+        ints, scale = _bind_exact(self, moments)
+        return [_sum_exact(ints, scale, points) for points in point_sets]
+
+    def _sum_terms(self, points: Sequence[object], moments: Mapping[int, object]) -> object:
         total: object = None
         for key, coeff in self.terms.items():
             part = coeff.substitute(moments)
@@ -902,6 +912,96 @@ class ZLaurent:
 
     def __repr__(self) -> str:
         return f"ZLaurent({render_z(self)})"
+
+
+def _is_exact(values: Iterable[object]) -> bool:
+    return all(type(v) is int or type(v) is Fraction for v in values)
+
+
+def _power_tables(
+    ranges: Sequence[Sequence[int]], values: Sequence[Fraction | int]
+) -> tuple[list[list[int]], list[int], Fraction]:
+    """Integer power tables of exact values, one per exponent range ``(lo, hi)``.
+
+    For ``value = p/q``, entry ``e - lo`` is ``p^(e-lo) q^(hi-e)``, that is
+    ``value^e`` times ``q^hi / p^lo``. Products of entries are integers; the
+    returned scale, the product of the ``p^lo / q^hi``, undoes the extra
+    factors.
+    """
+    tables: list[list[int]] = []
+    lows: list[int] = []
+    scale = Fraction(1)
+    for (lo, hi), value in zip(ranges, values):
+        p, q = value.numerator, value.denominator
+        tables.append([p ** j * q ** (hi - lo - j) for j in range(hi - lo + 1)])
+        lows.append(lo)
+        scale *= Fraction(value) ** lo / Fraction(q) ** (hi - lo)
+    return tables, lows, scale
+
+
+def _table_sum(rows: Iterable[tuple[Key, int]], tables: list[list[int]], lows: list[int]) -> int:
+    """``sum n prod_i tables[i][key_i - lows[i]]`` over the ``(key, n)`` rows."""
+    total = 0
+    for key, n in rows:
+        for table, e, lo in zip(tables, key, lows):
+            n *= table[e - lo]
+        total += n
+    return total
+
+
+def _bind_exact(obj: ZLaurent, moments: Mapping[int, Fraction | int]) -> tuple[dict[ZKey, int], Fraction]:
+    """Coefficients at exact moment values, as integers ``n_k`` and one common scale.
+
+    The coefficient of ``z^k`` is ``n_k * scale``; zero coefficients are left
+    out. Each moment gets one power table across all coefficients, and the
+    coefficients are taken over the lcm of their denominators.
+    """
+    den = lcm(*(c.denominator for poly in obj.terms.values() for c in poly.terms.values()))
+    width = max((len(k) for poly in obj.terms.values() for k in poly.terms), default=0)
+    # every range holds 0, the exponent of the variables past the end of a key
+    ranges = [[0, 0] for _ in range(width)]
+    for poly in obj.terms.values():
+        for key in poly.terms:
+            for r, e in zip(ranges, key):
+                if e < r[0]:
+                    r[0] = e
+                elif e > r[1]:
+                    r[1] = e
+    values: list[Fraction | int] = []
+    for l, (lo, hi) in enumerate(ranges):
+        if lo == hi == 0:
+            values.append(0)  # the table of a variable that does not occur is [1]
+            continue
+        if l not in moments:
+            raise UnknownVariable(f"no value bound for variable index {l}")
+        if lo < 0 and not moments[l]:
+            raise NonUnitSubstitution("the unit must be bound to a nonzero value")
+        values.append(moments[l])
+    tables, lows, scale = _power_tables(ranges, values)
+    # tails[n]: the entries of the zero exponents past the end of a key of length n
+    tails = [1] * (width + 1)
+    for l in range(width - 1, -1, -1):
+        tails[l] = tails[l + 1] * tables[l][-lows[l]]
+    out: dict[ZKey, int] = {}
+    for zkey, poly in obj.terms.items():
+        rows = ((k, c.numerator * (den // c.denominator) * tails[len(k)])
+                for k, c in poly.terms.items())
+        n = _table_sum(rows, tables, lows)
+        if n:
+            out[zkey] = n
+    return out, scale / den
+
+
+def _sum_exact(ints: Mapping[ZKey, int], scale: Fraction, points: Sequence[Fraction | int]) -> Fraction:
+    """``scale * sum_k ints[k] prod_i z_i^k_i`` at exact points, summed as one integer.
+
+    A zero point must not meet a negative exponent.
+    """
+    if not ints:
+        return _ZERO
+    ranges = [(min(column), max(column)) for column in zip(*ints)]
+    tables, lows, factor = _power_tables(ranges, points)
+    return scale * factor * _table_sum(ints.items(), tables, lows)
 
 
 def render_z(obj: ZLaurent, convention: str = "rho") -> str:
@@ -1141,15 +1241,23 @@ class ZRational:
         return ZRational(num, den)
 
     def evaluate(self, points: Sequence[object], moments: Mapping[int, object]) -> object:
-        value = self.num.evaluate(points, moments)
-        for (i, j, sign), power in self.den.items():
-            base = points[i] + sign * points[j]
-            if not base:
-                raise CoincidentPoints(
-                    f"evaluation point makes (z{i + 1} {'+' if sign == 1 else '-'} z{j + 1}) vanish"
-                )
-            value = value / base**power
-        return value
+        return self.evaluate_many([points], moments)[0]
+
+    def evaluate_many(
+        self, point_sets: Sequence[Sequence[object]], moments: Mapping[int, object]
+    ) -> list[object]:
+        """Values at several point tuples; the numerator binds the moments once."""
+        out = []
+        for points, value in zip(point_sets, self.num.evaluate_many(point_sets, moments)):
+            for (i, j, sign), power in self.den.items():
+                base = points[i] + sign * points[j]
+                if not base:
+                    raise CoincidentPoints(
+                        f"evaluation point makes (z{i + 1} {'+' if sign == 1 else '-'} z{j + 1}) vanish"
+                    )
+                value = value / base**power
+            out.append(value)
+        return out
 
     def __str__(self) -> str:
         den = "*".join(

@@ -13,6 +13,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from math import comb, sqrt
 from typing import Mapping, Sequence
 
@@ -74,11 +75,16 @@ class SpectralModel:
             if mult < 1:
                 raise InvalidModel("level multiplicities must be positive integers")
 
-    @property
+    @cached_property
     def weights(self) -> tuple[float, ...]:
         """Per-level weights ``2 (2 lambda)^2 mult / V``."""
         lam = self.coupling
         return tuple(2 * (2 * lam) ** 2 * mult / self.volume for _, mult in self.levels)
+
+    @cached_property
+    def _cut_squares(self) -> tuple[float, ...]:
+        """Per-level ``4 E^2``: the cut position of a level at shift ``c`` is ``sqrt(4 E^2 + c)``."""
+        return tuple(4 * e * e for e, _ in self.levels)
 
     @classmethod
     def from_dict(cls, data: Mapping) -> "SpectralModel":
@@ -134,7 +140,7 @@ def _edge(model: SpectralModel, c: float) -> float:
 
 
 def _cut_positions(model: SpectralModel, c: float) -> list[float]:
-    return [sqrt(4 * e * e + c) for e, _ in model.levels]
+    return [sqrt(s + c) for s in model._cut_squares]
 
 
 def _spectral_sum(model: SpectralModel, c: float, edge_power: int) -> float:
@@ -146,28 +152,30 @@ def _spectral_sum(model: SpectralModel, c: float, edge_power: int) -> float:
     return total / 2
 
 
-def _implicit(model: SpectralModel, c: float) -> float:
-    z0 = _edge(model, c)
-    lhs = (1 - z0) * ((1 + z0) if model.dimension == 6 else 1.0)
-    return lhs - _spectral_sum(model, c, model.dimension // 2)
-
-
-def _implicit_derivative(model: SpectralModel, c: float) -> float:
+def _implicit(model: SpectralModel, c: float) -> tuple[float, float]:
+    """The implicit shift equation and its derivative at ``c``, from one pass over the levels."""
     z0 = _edge(model, c)
     dz0 = 1 / (2 * z0)
-    if model.dimension == 6:
-        dlhs = -1.0
-    else:
-        dlhs = -dz0
     half = model.dimension // 2
+    total = 0.0
     drhs = 0.0
-    for w, y in zip(model.weights, _cut_positions(model, c)):
-        dy = 1 / (2 * y)
+    for w, s in zip(model.weights, model._cut_squares):
+        y = sqrt(s + c)
         base = (z0 + y) ** half
-        drhs += w * (
-            -half * (dz0 + dy) / ((z0 + y) ** (half + 1) * y) - dy / (base * y * y)
-        )
-    return dlhs - drhs / 2
+        total += w / (base * y)
+        dy = 1 / (2 * y)
+        try:
+            far = (z0 + y) ** (half + 1)
+        except OverflowError:
+            # the slope is also taken where it goes unused, at a root; a huge
+            # level adds nothing to it then, and must not end the solve
+            far = math.inf
+        drhs += w * (-half * (dz0 + dy) / (far * y) - dy / (base * y * y))
+    if model.dimension == 6:
+        lhs, dlhs = (1 - z0) * (1 + z0), -1.0
+    else:
+        lhs, dlhs = 1 - z0, -dz0
+    return lhs - total / 2, dlhs - drhs / 2
 
 
 @dataclass(frozen=True)
@@ -180,7 +188,7 @@ class SpectralSolution:
     def __post_init__(self) -> None:
         if not self.shift + 1 > 0:
             raise BranchViolation("shift at or below the branch point of the edge")
-        floor_cut = min(4 * e * e for e, _ in self.model.levels)
+        floor_cut = min(self.model._cut_squares)
         if not self.shift + floor_cut > 0:
             raise OnCut("shift puts an eigenvalue pair on the spectral cut")
 
@@ -260,16 +268,15 @@ def solve(model: SpectralModel, tol: float = 1e-12, max_iter: int = 200) -> Spec
     """
     if model.coupling == 0:
         return SpectralSolution(model, 0.0)
-    floor_cut = min(4 * e * e for e, _ in model.levels)
+    floor_cut = min(model._cut_squares)
     wall = max(-1.0, -floor_cut)
     wall_error: type[SpectralError] = OnCut if -floor_cut >= -1 else BranchViolation
     wall_margin = 1e-11 * max(1.0, abs(wall))
     c = 0.0
-    value = _implicit(model, c)
+    value, slope = _implicit(model, c)
     for _ in range(max_iter):
         if abs(value) <= tol:
             return SpectralSolution(model, c)
-        slope = _implicit_derivative(model, c)
         if slope == 0 or not math.isfinite(slope):
             raise NoConvergence("flat or invalid derivative in Newton step")
         step = -value / slope
@@ -282,7 +289,7 @@ def solve(model: SpectralModel, tol: float = 1e-12, max_iter: int = 200) -> Spec
                 raise BranchViolation("iterates pinned at the branch point of the edge")
         step = candidate - c
         c = candidate
-        value = _implicit(model, c)
+        value, slope = _implicit(model, c)
         if abs(step) <= tol * max(1.0, abs(c)) and abs(value) <= sqrt(tol):
             return SpectralSolution(model, c)
     raise NoConvergence(f"no root after {max_iter} Newton steps (|residual|={abs(value):.3e})")

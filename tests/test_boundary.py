@@ -21,7 +21,7 @@ from taulap.boundary import (
     _stored_free_energy,
 )
 from taulap.laplacian import GenusOutOfRange, genus_two_rho
-from taulap.ring import CoincidentPoints, MomentPoly, ZLaurent, ZRational
+from taulap.ring import CoincidentPoints, MomentPoly, UnknownVariable, ZLaurent, ZRational
 
 F = Fraction
 
@@ -219,3 +219,148 @@ def test_generic_moments_fixture() -> None:
     assert m[3] == F(-5, 13)
     assert m[4] == F(7, 17)
     assert m[5] == F(-11, 19)
+
+
+# -- the creation kernel against the multi-pass construction -----------------------
+#
+# The oracle builds the operator out of ring operations: one moment derivative
+# and one boundary derivative at a time, each embedded, shifted, scaled and
+# added as a whole object.
+
+
+def _moment_indices(obj: MomentPoly | ZLaurent | ZRational) -> range:
+    if isinstance(obj, ZRational):
+        support = obj.num.moment_support()
+    else:
+        support = obj.moment_support()
+    return range(0, (max(support) if support else -1) + 1)
+
+
+def _ratio_coeff(l: int) -> MomentPoly:
+    """``r_{l+1} / r_0`` as a moment polynomial."""
+    return MomentPoly.monomial((-1,) + (0,) * l + (1,))
+
+
+def multipass_create(obj: MomentPoly | ZLaurent | ZRational) -> ZLaurent | ZRational:
+    if isinstance(obj, MomentPoly):
+        acc: dict[tuple[int, ...], MomentPoly] = {}
+
+        def _add(exp: int, poly: MomentPoly) -> None:
+            prev = acc.get((exp,))
+            total = poly if prev is None else prev + poly
+            if total.is_zero:
+                acc.pop((exp,), None)
+            else:
+                acc[(exp,)] = total
+
+        for l in _moment_indices(obj):
+            dp = obj.partial(l)
+            if dp.is_zero:
+                continue
+            _add(-3, dp * _ratio_coeff(l).scale(-(3 + 2 * l)))
+            _add(-5 - 2 * l, dp.scale(3 + 2 * l))
+        out = ZLaurent(1)
+        out.terms = acc
+        return out
+    n = obj.nvars
+    positions = list(range(n))
+    rational = isinstance(obj, ZRational)
+    total = ZRational(ZLaurent.zero(n + 1)) if rational else ZLaurent.zero(n + 1)
+    for l in _moment_indices(obj):
+        d = obj.partial_moment(l)
+        if d.is_zero:
+            continue
+        wide = d.embed(positions, n + 1)
+        total = total + wide.scale(_ratio_coeff(l).scale(-(3 + 2 * l))).shift(n, -3)
+        total = total + wide.scale(3 + 2 * l).shift(n, -5 - 2 * l)
+    inv_unit = MomentPoly.unit_power(-1)
+    for i in range(n):
+        dz = obj.dz(i)
+        if dz.is_zero:
+            continue
+        total = total + dz.embed(positions, n + 1).shift(i, -1).shift(n, -3).scale(inv_unit)
+    return total.reduce() if rational else total
+
+
+def layout(obj: ZLaurent) -> list:
+    """Terms and coefficient terms in insertion order: the order float evaluation sums in."""
+    return [(key, list(coeff.terms.items())) for key, coeff in obj.terms.items()]
+
+
+def _creation_inputs():
+    """(input, factor) of every chain step of the stored correlators with 2g + B - 2 <= 6."""
+    for energy in range(1, 7):
+        for g in range(0, energy // 2 + 2):
+            b = energy + 2 - 2 * g
+            if b < 1 or (g, b) in ((0, 1), (0, 2)):
+                continue
+            if b == 1:
+                yield _stored_free_energy(g), 2 ** (4 * g)
+            else:
+                yield correlator(g, b - 1), 4 if b == 2 else 8
+
+
+def test_create_matches_multipass_oracle_on_stored_correlators() -> None:
+    for obj, factor in _creation_inputs():
+        expected = multipass_create(obj)
+        got = create(obj)
+        assert got == expected
+        assert layout(got) == layout(expected)
+        scaled = create(obj, factor)
+        assert layout(scaled) == layout(expected.scale(factor))
+
+
+def test_create_matches_multipass_oracle_on_planar_pair() -> None:
+    expected = multipass_create(planar_pair())
+    assert create(planar_pair()) == expected
+    assert create(planar_pair(), 8) == expected.scale(8) == correlator(0, 3)
+
+
+def test_create_matches_multipass_oracle_on_probes() -> None:
+    probes = [
+        MomentPoly.one(),
+        MomentPoly.unit_power(-3),
+        MomentPoly.variable(1),
+        MomentPoly({(-2, 1, 1): F(3, 7), (0, 0, 2): 1}),
+        MomentPoly({(1, 0, 0, 1): F(-2, 5)}),
+        MomentPoly.log_unit(F(-1, 24)),
+        MomentPoly({(-8, 8): 1}),
+        MomentPoly({(0, 0, 4): F(5, 3)}),
+        MomentPoly({(-3, 2, 0, 2): 1}),
+        MomentPoly({(1,): 2, (-1, 1): F(1, 3)}, log_coeff=F(-1, 24)),
+        MomentPoly({(): 2}, log_coeff=F(1, 8)),
+        ZLaurent(2, {(-3, 1): MomentPoly({(-1, 2): F(1, 2), (0, 0, 1): 3}), (2, -5): 7}),
+    ]
+    for p in probes:
+        for factor in (1, -4):
+            got = create(p, factor)
+            expected = multipass_create(p).scale(factor)
+            assert got == expected, p
+            assert layout(got) == layout(expected), p
+
+
+def test_create_reinserts_a_cancelled_term_last() -> None:
+    # The z^-3 coefficient of r0 r1 r2 r3 gets -6*5 from d/dr0 of the first
+    # monomial, +10*3 from d/dr1 of the second (they cancel) and -14 from
+    # d/dr2 of the third, which inserts it anew, after the other terms.
+    p = MomentPoly({(2, 0, 1, 1): 5, (1, 2, 0, 1): -3, (1, 1, 2): 1})
+    got = create(p)
+    assert layout(got) == layout(multipass_create(p))
+    low = list(got.terms[(-3,)].terms.items())
+    assert low[-3] == ((0, 1, 1, 1), -14)
+
+
+def test_evaluation_error_contracts() -> None:
+    stored = correlator(1, 2)
+    moments = generic_moments()
+    with pytest.raises(CoincidentPoints):
+        stored.evaluate([F(0), F(3)], moments)
+    with pytest.raises(CoincidentPoints):
+        n_point_core(1, [[F(0)], [F(3)]], moments)
+    # the pole is found before the moments are bound
+    with pytest.raises(CoincidentPoints):
+        stored.evaluate([F(2), 0], {})
+    with pytest.raises(UnknownVariable):
+        stored.evaluate([F(2), F(3)], {0: F(1)})
+    with pytest.raises(UnknownVariable):
+        n_point_core(1, [[F(2), F(5)], [F(3)]], {0: F(1)})

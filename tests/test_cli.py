@@ -247,6 +247,11 @@ def test_usage_errors_exit_64(capsys):
         ["check", "--suite", "virasoro", "--gmax", "-2"],
         ["coeffs", "--family", "R", "--mmax", "-1"],
         ["coeffs", "--family", "S", "--mmax", "-3"],
+        ["check", "--suite", "dseB", "--gmax", "1"],
+        ["check", "--suite", "dseB", "--gmax", "3"],
+        ["check", "--suite", "dseB", "--threads", "0"],
+        ["check", "--suite", "dseB", "--threads", "-2"],
+        ["check", "--suite", "oracle", "--threads", "0"],
     ):
         with pytest.raises(SystemExit) as exc:
             main(argv)

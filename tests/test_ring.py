@@ -18,6 +18,7 @@ from taulap.ring import (
     LogTerm,
     MomentPoly,
     NonDivisible,
+    NonUnitSubstitution,
     NotHomogeneous,
     UnknownVariable,
     ZLaurent,
@@ -314,6 +315,95 @@ def test_laurent_evaluate_and_bind() -> None:
     assert bound == {(-3, 0): F(5), (0, -2): F(1)}
     with pytest.raises(UnknownVariable):
         a.evaluate([F(2), F(3)], {})
+
+
+exact_values = st.one_of(
+    st.integers(min_value=-6, max_value=6),
+    st.fractions(min_value=-5, max_value=5, max_denominator=9),
+)
+
+
+@st.composite
+def exact_evaluations(draw, min_vars: int = 1):
+    """A Laurent object, exact points and exact moments.
+
+    A point is zero only where every exponent of its variable is >= 0.
+    """
+    nvars = draw(st.integers(min_value=min_vars, max_value=3))
+    zero = [draw(st.booleans()) for _ in range(nvars)]
+    zkeys = st.tuples(*[st.integers(min_value=0 if z else -4, max_value=4) for z in zero])
+    terms = draw(st.dictionaries(zkeys, polys, max_size=5))
+    points = [0 if z else draw(exact_values.filter(bool)) for z in zero]
+    moments = {0: draw(exact_values.filter(bool)), 1: draw(exact_values), 2: draw(exact_values)}
+    return ZLaurent(nvars, terms), points, moments
+
+
+def term_loop(obj: ZLaurent, points, moments) -> Fraction:
+    """Term-by-term Fraction sum: the reference for exact evaluation."""
+    total = F(0)
+    for key, coeff in obj.terms.items():
+        for mkey, c in coeff.terms.items():
+            for l, e in enumerate(mkey):
+                c *= F(moments[l]) ** e
+            for z, e in zip(points, key):
+                c *= F(z) ** e
+            total += c
+    return total
+
+
+@settings(max_examples=100, deadline=None)
+@given(exact_evaluations())
+def test_exact_evaluation_matches_term_loop(case) -> None:
+    obj, points, moments = case
+    expected = term_loop(obj, points, moments)
+    got = obj.evaluate(points, moments)
+    assert type(got) is Fraction and got == expected
+    shifted = [z + 1 if z else z for z in points]
+    if all(z or all(k[i] >= 0 for k in obj.terms) for i, z in enumerate(shifted)):
+        assert obj.evaluate_many([points, shifted], moments) == [
+            expected, term_loop(obj, shifted, moments)]
+
+
+@settings(max_examples=40, deadline=None)
+@given(exact_evaluations(min_vars=2), st.integers(min_value=1, max_value=3))
+def test_exact_rational_evaluation_matches_term_loop(case, power) -> None:
+    num, points, moments = case
+    if points[0] + points[1] == 0:
+        return
+    obj = ZRational(num, {(0, 1, 1): power})
+    expected = term_loop(num, points, moments) / F(points[0] + points[1]) ** power
+    assert obj.evaluate(points, moments) == expected
+
+
+@settings(max_examples=40, deadline=None)
+@given(exact_evaluations())
+def test_float_evaluation_sums_term_by_term(case) -> None:
+    obj, points, moments = case
+    points = [float(z) for z in points]
+    moments = {l: float(v) for l, v in moments.items()}
+    expected = None
+    for key, coeff in obj.terms.items():
+        part = coeff.substitute(moments)
+        for z, e in zip(points, key):
+            if e:
+                part = part * z**e
+        expected = part if expected is None else expected + part
+    got = obj.evaluate(points, moments)
+    assert got == (F(0) if expected is None else expected)
+
+
+def test_exact_evaluation_errors() -> None:
+    obj = zl(2, {(-1, 2): MomentPoly.variable(1), (0, 0): MomentPoly.unit_power(-1)})
+    # the pole is found before the moments are bound, even where they vanish
+    with pytest.raises(CoincidentPoints):
+        obj.evaluate([0, F(3)], {0: F(1), 1: 0})
+    with pytest.raises(CoincidentPoints):
+        obj.evaluate_many([[F(2), F(3)], [0, F(3)]], {})
+    with pytest.raises(UnknownVariable):
+        obj.evaluate([F(2), F(3)], {0: F(2)})
+    with pytest.raises(NonUnitSubstitution):
+        obj.evaluate([F(2), F(3)], {0: 0, 1: F(1)})
+    assert obj.evaluate([F(2), 0], {0: F(2), 1: F(7)}) == F(1, 2)
 
 
 def test_laurent_rejects_log_coefficients() -> None:

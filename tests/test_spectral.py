@@ -210,6 +210,14 @@ def test_solution_residual_tiny():
         assert abs(reference_implicit(model, sol.shift)) < 1e-11
 
 
+def test_huge_level_solves_at_zero_shift():
+    # the residual vanishes at c = 0 while (z0 + y)^4 overflows in the slope
+    model = SpectralModel(6, 0.1, 1.0, ((1e80, 1),))
+    sol = solve(model)
+    assert sol.shift == 0.0
+    assert sol.moments(0) == {0: 1.0}
+
+
 def test_small_coupling_first_order():
     for dimension in (0, 2, 4, 6):
         errs = []
