@@ -32,6 +32,10 @@ class NoConvergence(SpectralError):
     """The Newton iteration did not reach the requested tolerance."""
 
 
+class NoRoot(NoConvergence):
+    """The implicit shift equation provably has no root, so Newton is not run."""
+
+
 class BranchViolation(SpectralError):
     """The iteration was pushed across the square-root branch point."""
 
@@ -41,6 +45,10 @@ class OnCut(SpectralError):
 
 
 VALID_DIMENSIONS = (0, 2, 4, 6)
+
+# The linear generator builds cutoff_N + 1 levels; above this a model costs
+# tens of seconds a Newton solve and hundreds of megabytes of levels.
+MAX_CUTOFF = 100_000
 
 
 def _integral(value: object, name: str) -> int:
@@ -115,6 +123,8 @@ class SpectralModel:
                 raise InvalidModel(f"bad generator block: {exc}") from exc
             if cutoff < 0 or not mu2 > 0:
                 raise InvalidModel("generator needs cutoff_N >= 0 and mu2 > 0")
+            if cutoff > MAX_CUTOFF:
+                raise InvalidModel(f"generator cutoff_N must be at most {MAX_CUTOFF}")
             half = dimension // 2
             levels = tuple(
                 (
@@ -139,17 +149,10 @@ def _edge(model: SpectralModel, c: float) -> float:
     return sqrt(1 + c)
 
 
-def _cut_positions(model: SpectralModel, c: float) -> list[float]:
-    return [sqrt(s + c) for s in model._cut_squares]
-
-
-def _spectral_sum(model: SpectralModel, c: float, edge_power: int) -> float:
-    """``(1/2) sum_n w_n / ((z0 + y_n)**edge_power * y_n)``."""
+def _lhs(model: SpectralModel, c: float) -> float:
+    """Left side of the implicit shift equation: ``1 - z0``, or ``1 - z0^2`` in dimension 6."""
     z0 = _edge(model, c)
-    total = 0.0
-    for w, y in zip(model.weights, _cut_positions(model, c)):
-        total += w / ((z0 + y) ** edge_power * y)
-    return total / 2
+    return (1 - z0) * (1 + z0) if model.dimension == 6 else 1 - z0
 
 
 def _implicit(model: SpectralModel, c: float) -> tuple[float, float]:
@@ -161,21 +164,27 @@ def _implicit(model: SpectralModel, c: float) -> tuple[float, float]:
     drhs = 0.0
     for w, s in zip(model.weights, model._cut_squares):
         y = sqrt(s + c)
-        base = (z0 + y) ** half
+        # a huge level adds nothing to the value or the slope, and must not end
+        # the solve; the slope is also taken where it goes unused, at a root
+        try:
+            base = (z0 + y) ** half
+        except OverflowError:
+            base = math.inf
         total += w / (base * y)
         dy = 1 / (2 * y)
         try:
             far = (z0 + y) ** (half + 1)
         except OverflowError:
-            # the slope is also taken where it goes unused, at a root; a huge
-            # level adds nothing to it then, and must not end the solve
             far = math.inf
         drhs += w * (-half * (dz0 + dy) / (far * y) - dy / (base * y * y))
-    if model.dimension == 6:
-        lhs, dlhs = (1 - z0) * (1 + z0), -1.0
-    else:
-        lhs, dlhs = 1 - z0, -dz0
-    return lhs - total / 2, dlhs - drhs / 2
+    dlhs = -1.0 if model.dimension == 6 else -dz0
+    return _lhs(model, c) - total / 2, dlhs - drhs / 2
+
+
+def _wall(model: SpectralModel) -> tuple[float, type[SpectralError]]:
+    """The square-root wall below every admissible shift, and the error for pressing into it."""
+    floor_cut = min(model._cut_squares)
+    return max(-1.0, -floor_cut), OnCut if -floor_cut >= -1 else BranchViolation
 
 
 @dataclass(frozen=True)
@@ -192,6 +201,19 @@ class SpectralSolution:
         if not self.shift + floor_cut > 0:
             raise OnCut("shift puts an eigenvalue pair on the spectral cut")
 
+    @cached_property
+    def _cut_positions(self) -> tuple[float, ...]:
+        """Per-level cut position ``y_n = sqrt(4 E_n^2 + c)`` at the solved shift."""
+        return tuple(sqrt(s + self.shift) for s in self.model._cut_squares)
+
+    def _spectral_sum(self, edge_power: int) -> float:
+        """``(1/2) sum_n w_n / ((z0 + y_n)**edge_power * y_n)``."""
+        z0 = self.edge
+        total = 0.0
+        for w, y in zip(self.model.weights, self._cut_positions):
+            total += w / ((z0 + y) ** edge_power * y)
+        return total / 2
+
     @property
     def edge(self) -> float:
         return _edge(self.model, self.shift)
@@ -200,7 +222,7 @@ class SpectralSolution:
     def wave_renorm(self) -> float:
         if self.model.dimension < 6:
             return 1.0
-        inv_sqrt = self.edge + _spectral_sum(self.model, self.shift, 2)
+        inv_sqrt = self.edge + self._spectral_sum(2)
         return inv_sqrt**-2
 
     @property
@@ -209,16 +231,18 @@ class SpectralSolution:
         if self.model.dimension < 4:
             return 0.0
         z0 = self.edge
-        s1 = _spectral_sum(self.model, self.shift, 1)
+        s1 = self._spectral_sum(1)
         return z0 / sqrt(self.wave_renorm) - 1 + s1
 
     def moment(self, index: int) -> float:
         if index < 0:
             raise InvalidModel("moment index must be nonnegative")
-        z0 = _edge(self.model, self.shift)
         total = 0.0
-        for w, y in zip(self.model.weights, _cut_positions(self.model, self.shift)):
-            total += w / y ** (3 + 2 * index)
+        for w, y in zip(self.model.weights, self._cut_positions):
+            try:
+                total += w / y ** (3 + 2 * index)
+            except OverflowError:
+                pass  # w / inf: a huge level adds nothing
         base = 1 / sqrt(self.wave_renorm) if index == 0 else 0.0
         return base - total / 2
 
@@ -227,15 +251,14 @@ class SpectralSolution:
 
     def resolvent(self, z: float) -> float:
         """Planar resolvent in the shifted variable."""
-        z0 = self.edge
         total = 0.0
-        for w, y in zip(self.model.weights, _cut_positions(self.model, self.shift)):
+        for w, y in zip(self.model.weights, self._cut_positions):
             total += w / ((z + y) * y)
         return z / sqrt(self.wave_renorm) - self.mass_shift + total / 2
 
     def resolvent_derivative(self, z: float) -> float:
         total = 0.0
-        for w, y in zip(self.model.weights, _cut_positions(self.model, self.shift)):
+        for w, y in zip(self.model.weights, self._cut_positions):
             total += w / ((z + y) ** 2 * y)
         return 1 / sqrt(self.wave_renorm) - total / 2
 
@@ -258,22 +281,74 @@ class SpectralSolution:
         return _boundary.evaluate_correlator(g, groups, self.model.coupling, moments)
 
 
+# Refinement caps of the rootlessness certificate; past either it gives no
+# verdict and Newton decides.
+_CERTIFY_LEVELS = 32
+_CERTIFY_PIECES = 32
+
+
+def _rootless(model: SpectralModel, value0: float, tol: float) -> bool:
+    """True when the implicit function ``f = lhs - S`` provably has no root.
+
+    The weights are positive, so ``S`` is positive and decreasing in ``c``;
+    ``lhs`` is decreasing and 0 at ``c = 0``.  So ``f < 0`` from ``c = 0`` on,
+    every root lies in ``(wall, 0)``, and on a piece ``[a, b]`` of that range
+    ``f <= lhs(a) - S(b) = f(b) + lhs(a) - lhs(b)``.  Starting from
+    ``(wall, 0]``, where ``value0`` is ``f(0)``, the pieces whose bound is not
+    below ``-tol`` by a rounding margin are halved breadth-first; a piece
+    below it holds no point that Newton's ``|f| <= tol`` test accepts.  False
+    when a midpoint has ``f >= 0`` (a sign change) or a cap is reached (no
+    verdict).
+    """
+    pieces = [(_wall(model)[0], 0.0, value0)]
+    for _ in range(_CERTIFY_LEVELS):
+        live = []
+        for a, b, fb in pieces:
+            lhs_a = _lhs(model, a)
+            if fb + lhs_a - _lhs(model, b) < -tol - 1e-9 * (1 + abs(lhs_a) + abs(fb)):
+                continue
+            mid = (a + b) / 2
+            fmid = _implicit(model, mid)[0]
+            if not fmid < 0:
+                return False
+            live += [(a, mid, fmid), (mid, b, fb)]
+        if not live:
+            return True
+        if len(live) > _CERTIFY_PIECES:
+            return False
+        pieces = live
+    return False
+
+
 def solve(model: SpectralModel, tol: float = 1e-12, max_iter: int = 200) -> SpectralSolution:
-    """Damped Newton solve of the implicit shift equation, starting at zero.
+    """Solve the implicit shift equation, or prove that it has no root.
+
+    A rootlessness certificate (``_rootless``) runs first and raises
+    ``NoRoot``; otherwise damped Newton starts at zero (``_newton``).  The
+    certificate only gates Newton, so a solved shift does not depend on it.
+    """
+    if model.coupling == 0:
+        return SpectralSolution(model, 0.0)
+    start = _implicit(model, 0.0)
+    if _rootless(model, start[0], tol):
+        raise NoRoot("the implicit shift equation has no root: it stays negative above the wall")
+    return _newton(model, start, tol, max_iter)
+
+
+def _newton(
+    model: SpectralModel, start: tuple[float, float], tol: float, max_iter: int
+) -> SpectralSolution:
+    """Damped Newton solve from ``c = 0``, where ``start`` is ``_implicit(model, 0.0)``.
 
     Newton candidates that overshoot a square-root wall are damped to the
     midpoint between the current iterate and the wall; an iteration that keeps
     pressing into a wall therefore converges onto it geometrically and is
     reported as the corresponding domain error instead of a generic failure.
     """
-    if model.coupling == 0:
-        return SpectralSolution(model, 0.0)
-    floor_cut = min(model._cut_squares)
-    wall = max(-1.0, -floor_cut)
-    wall_error: type[SpectralError] = OnCut if -floor_cut >= -1 else BranchViolation
+    wall, wall_error = _wall(model)
     wall_margin = 1e-11 * max(1.0, abs(wall))
     c = 0.0
-    value, slope = _implicit(model, c)
+    value, slope = start
     for _ in range(max_iter):
         if abs(value) <= tol:
             return SpectralSolution(model, c)

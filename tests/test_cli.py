@@ -1,6 +1,7 @@
 """Tests for the command-line interface."""
 
 import json
+import math
 import subprocess
 import sys
 
@@ -229,6 +230,42 @@ def test_model_rejects_non_finite_and_fractional_spectra(capsys, tmp_path):
         assert err.startswith("error:")
     path.write_text(json.dumps({**MODEL4, "dimension": 4.9}))
     assert run(capsys, "model", "--file", str(path))[0] == 1
+
+
+def test_model_huge_levels_never_end_in_a_traceback(capsys, tmp_path):
+    path = tmp_path / "model.json"
+    for dimension in (0, 6):
+        for energy in (1e80, 1e120, 1e300):
+            path.write_text(json.dumps({"dimension": dimension, "lambda": 0.1, "volume": 1.0,
+                                        "eigenvalues": [{"E": energy, "mult": 1}]}))
+            code, out, err = run(capsys, "model", "--file", str(path), "--format", "json")
+            assert "Traceback" not in err
+            if code == 0:
+                assert all(math.isfinite(v) for v in json.loads(out)["moments"].values())
+            else:
+                assert code == 1
+                assert err.startswith("error:") and err.count("\n") == 1
+
+
+def test_model_without_root_exits_one(capsys, tmp_path):
+    path = tmp_path / "model.json"
+    path.write_text(json.dumps({"dimension": 0, "lambda": 5.0, "volume": 1.0,
+                                "eigenvalues": [{"E": 1.0, "mult": 1}]}))
+    code, out, err = run(capsys, "model", "--file", str(path))
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error:") and err.count("\n") == 1
+    assert "no root" in err
+
+
+def test_model_rejects_generator_cutoff_above_ceiling(capsys, tmp_path):
+    path = tmp_path / "model.json"
+    path.write_text(json.dumps({"dimension": 4, "lambda": 0.1, "volume": 1.0,
+                                "generator": {"e": "linear", "cutoff_N": 10**9, "mu2": 1.0}}))
+    code, out, err = run(capsys, "model", "--file", str(path))
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error:") and err.count("\n") == 1
 
 
 # ---------------------------------------------------------------------------

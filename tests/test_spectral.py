@@ -15,15 +15,20 @@ from math import sqrt
 
 import mpmath
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from taulap import boundary
+from taulap import boundary, spectral
 from taulap.spectral import (
     BranchViolation,
     InvalidModel,
     NoConvergence,
+    NoRoot,
     OnCut,
     SpectralModel,
     SpectralSolution,
+    _implicit,
+    _newton,
     solve,
 )
 
@@ -40,10 +45,23 @@ def reference_implicit(model: SpectralModel, c: float) -> float:
     z0 = sqrt(1 + c)
     lhs = (1 - z0) * ((1 + z0) if model.dimension == 6 else 1.0)
     total = 0.0
-    for (energy, mult), w in zip(model.levels, model.weights):
+    for energy, mult in model.levels:
+        w = 8 * model.coupling**2 * mult / model.volume
         y = sqrt(4 * energy**2 + c)
         total += w / ((z0 + y) ** (model.dimension // 2) * y)
     return lhs - total / 2
+
+
+def scan_for_sign_change(model: SpectralModel, points: int = 400) -> bool:
+    """True when ``reference_implicit`` reaches zero somewhere between the wall and 0.
+
+    The gaps from the wall shrink geometrically towards it, where the function
+    may rise steeply, and are evenly spaced beyond.
+    """
+    wall = max(-1.0, -min(4 * e * e for e, _ in model.levels))
+    gaps = {10.0 ** (-12 + 12 * k / points) for k in range(points + 1)}
+    gaps |= {k / points for k in range(1, points)}
+    return any(reference_implicit(model, wall * (1 - gap)) >= 0 for gap in gaps)
 
 
 def bisect_shift(model: SpectralModel, tol: float = 1e-14) -> float:
@@ -165,6 +183,22 @@ def test_from_dict_rejects_non_finite_values():
     with pytest.raises(InvalidModel):
         SpectralModel.from_json('{"dimension": 2, "lambda": 0.1, "volume": Infinity,'
                                 ' "eigenvalues": [{"E": 1.0, "mult": 1}]}')
+
+
+def test_generator_cutoff_ceiling(monkeypatch):
+    def generated(cutoff):
+        return SpectralModel.from_dict({"dimension": 2, "lambda": 0.1, "volume": 1.0,
+                                        "generator": {"e": "linear", "cutoff_N": cutoff,
+                                                      "mu2": 1.0}})
+
+    for cutoff in (spectral.MAX_CUTOFF + 1, 10**9, 10**30):
+        with pytest.raises(InvalidModel, match="at most"):
+            generated(cutoff)
+    # the bound itself is accepted; a small stand-in keeps the build small
+    monkeypatch.setattr(spectral, "MAX_CUTOFF", 3)
+    assert len(generated(3).levels) == 4
+    with pytest.raises(InvalidModel):
+        generated(4)
 
 
 def test_from_dict_rejects_fractional_counts():
@@ -308,9 +342,80 @@ def test_rootless_model_raises():
         solve(SpectralModel(0, 5.0, 1.0, ((1.0, 1),)))
 
 
+def test_no_root_is_a_no_convergence_certified_before_newton(monkeypatch):
+    assert issubclass(NoRoot, NoConvergence)
+
+    def no_newton(*args):
+        raise AssertionError("Newton ran on a certified rootless model")
+
+    monkeypatch.setattr(spectral, "_newton", no_newton)
+    for model in (SpectralModel(0, 5.0, 1.0, ((1.0, 1),)),
+                  SpectralModel(6, 1.0, 1.0, ((0.3, 2), (2.0, 1)))):
+        with pytest.raises(NoRoot):
+            solve(model)
+
+
 def test_branch_wall_press_raises():
+    # f(-1) = 1 - 2.56/sqrt(3) < 0 and f decreases: provably rootless, so the
+    # solve stops at the certificate; Newton alone presses into the branch wall
+    model = SpectralModel(0, 0.8, 1.0, ((1.0, 1),))
+    with pytest.raises(NoRoot):
+        solve(model)
     with pytest.raises(BranchViolation):
-        solve(SpectralModel(0, 0.8, 1.0, ((1.0, 1),)))
+        _newton(model, _implicit(model, 0.0), 1e-12, 200)
+
+
+def test_certificate_gates_newton_without_moving_the_shift(monkeypatch):
+    passes = []
+
+    def counted(model, c):
+        passes.append(c)
+        return _implicit(model, c)
+
+    for model in MODELS:
+        direct = _newton(model, _implicit(model, 0.0), 1e-12, 200)
+        assert solve(model).shift == direct.shift
+        # a sign change is found within the first few midpoints
+        passes.clear()
+        with monkeypatch.context() as patch:
+            patch.setattr(spectral, "_implicit", counted)
+            assert not spectral._rootless(model, _implicit(model, 0.0)[0], 1e-12)
+        assert 1 <= len(passes) <= 3
+
+
+def test_certificate_at_the_critical_coupling():
+    # one level at E = 1 in dimension 0: f decreases from f(-1) = 1 - w/(2 sqrt 3),
+    # so w = 2 sqrt(3) (1 - eps) puts a root just above the branch point for
+    # eps > 0 and none for eps < 0
+    for eps in (1e-3, 1e-4, -1e-4, -1e-3):
+        model = SpectralModel(0, sqrt(sqrt(3) * (1 - eps) / 4), 1.0, ((1.0, 1),))
+        if eps > 0:
+            assert scan_for_sign_change(model)
+            assert abs(reference_implicit(model, solve(model).shift)) <= 1e-6
+        else:
+            assert not scan_for_sign_change(model)
+            with pytest.raises(NoRoot):
+                solve(model)
+
+
+spectra = st.lists(
+    st.tuples(st.floats(0.05, 4.0), st.integers(1, 4)), min_size=1, max_size=3
+).map(tuple)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from((0, 2, 4, 6)), st.floats(0.01, 2.0), st.floats(0.3, 5.0), spectra)
+def test_certificate_agrees_with_root_scan(dimension, coupling, volume, spectrum):
+    model = SpectralModel(dimension, coupling, volume, spectrum)
+    tol = 1e-12
+    try:
+        sol = solve(model, tol=tol)
+    except NoRoot:
+        assert not scan_for_sign_change(model)
+    except (NoConvergence, BranchViolation, OnCut):
+        pass
+    else:
+        assert abs(reference_implicit(model, sol.shift)) <= sqrt(tol)
 
 
 def test_solution_construction_guards():
