@@ -1,4 +1,4 @@
-"""Partial Bell polynomials and the series-coefficient families built from them.
+"""Series-coefficient families built by series division.
 
 Two families of moment polynomials recur throughout the Laplacian and the
 constraint operators:
@@ -9,17 +9,15 @@ constraint operators:
   ``(sum_l r_l z^(2l) / (3+2l)) / (sum_l r_l z^(2l))``.
 
 Both are built here by series division, one multiplication by a single
-variable per earlier coefficient; their closed forms as Bell-polynomial sums
-serve as independent oracles in the tests.  ``bell`` itself is used by the
-free-energy extraction.
+variable per earlier coefficient; their closed forms as partial
+Bell-polynomial sums live in the tests, as independent oracles.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from math import comb, factorial
-from typing import Sequence
+from math import factorial
 
 from taulap.ring import (
     Key,
@@ -29,64 +27,6 @@ from taulap.ring import (
     finalize,
     mul_into,
 )
-
-
-class InsufficientArguments(RingError):
-    """A Bell polynomial was asked for with too few arguments."""
-
-
-def _partition_vectors(n: int, k: int):
-    """Yield multiplicity vectors ``(j_1, ..., j_n)`` with sum k, weighted sum n."""
-
-    def rec(remaining_n: int, remaining_k: int, part: int, acc: list[int]):
-        if remaining_k == 0:
-            if remaining_n == 0:
-                yield list(acc)
-            return
-        if part > remaining_n or remaining_n > part_max(part, remaining_k):
-            return
-        max_count = min(remaining_k, remaining_n // part)
-        for count in range(max_count + 1):
-            acc.append(count)
-            yield from rec(remaining_n - count * part, remaining_k - count, part + 1, acc)
-            acc.pop()
-
-    def part_max(part: int, remaining_k: int) -> int:
-        # crude upper bound: all remaining parts as large as possible
-        return remaining_k * n
-
-    yield from rec(n, k, 1, [])
-
-
-def bell(n: int, k: int, xs: Sequence[object]) -> object:
-    """Partial exponential Bell polynomial ``B_{n,k}(x_1, ..., x_{n-k+1})``.
-
-    Generic over any commutative ring element supporting ``+`` and ``*`` with
-    integers; returns an int for empty sums so it composes with any ring.
-    """
-    if n < 0 or k < 0:
-        raise RingError("Bell polynomial indices must be nonnegative")
-    if k == 0:
-        return 1 if n == 0 else 0
-    if n == 0 or k > n:
-        return 0
-    needed = n - k + 1
-    if len(xs) < needed:
-        raise InsufficientArguments(
-            f"B_{{{n},{k}}} needs {needed} arguments, got {len(xs)}"
-        )
-    total: object = 0
-    for counts in _partition_vectors(n, k):
-        coeff = factorial(n)
-        for i, j in enumerate(counts, start=1):
-            if j:
-                coeff //= factorial(j) * factorial(i) ** j
-        term: object = Fraction(coeff)
-        for i, j in enumerate(counts, start=1):
-            for _ in range(j):
-                term = term * xs[i - 1]
-        total = total + term
-    return total
 
 
 def _over_unit(index: int) -> MomentPoly:
@@ -147,7 +87,3 @@ def resolvent_coefficient_t(m: int) -> MomentPoly:
         scalar = Fraction(top, double_factorial(2 * k + 1) * double_factorial(2 * (m - k) - 1))
         mul_into(acc, _over_unit(k), resolvent_coefficient_t(m - k), scalar)
     return finalize(acc)
-
-
-def binomial(n: int, k: int) -> int:
-    return comb(n, k)

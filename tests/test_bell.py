@@ -1,17 +1,15 @@
 """Bell polynomials and series-coefficient families against independent oracles."""
 
 from fractions import Fraction
-from math import factorial
+from math import comb, factorial
 
 import pytest
 import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oracles import InsufficientArguments, bell
 from taulap.bell import (
-    InsufficientArguments,
-    bell,
-    binomial,
     reciprocal_coefficient,
     resolvent_coefficient,
     resolvent_coefficient_t,
@@ -54,10 +52,10 @@ def test_bell_boundary_cases() -> None:
 def test_bell_index_shift_identity(n: int, k: int, xs: list) -> None:
     """sum_j C(n,j) x_j B_{n-j,k} = (k+1) B_{n,k+1} for generic arguments."""
     if k + 1 > n:
-        left = sum(binomial(n, j) * xs[j - 1] * bell(n - j, k, xs) for j in range(1, n - k + 1)) if n - k >= 1 else 0
+        left = sum(comb(n, j) * xs[j - 1] * bell(n - j, k, xs) for j in range(1, n - k + 1)) if n - k >= 1 else 0
         assert left == 0 == (k + 1) * bell(n, k + 1, xs)
         return
-    left = sum(binomial(n, j) * xs[j - 1] * bell(n - j, k, xs) for j in range(1, n - k + 1))
+    left = sum(comb(n, j) * xs[j - 1] * bell(n - j, k, xs) for j in range(1, n - k + 1))
     assert left == (k + 1) * bell(n, k + 1, xs)
 
 

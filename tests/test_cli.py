@@ -1,13 +1,18 @@
 """Tests for the command-line interface."""
 
+import io
 import json
 import math
 import subprocess
 import sys
+from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from taulap.cli import main
+import taulap.cli
+from taulap.cli import MAX_GENUS, main
 
 MODEL4 = {
     "dimension": 4,
@@ -190,10 +195,11 @@ def test_check_dse1(capsys):
     assert code == 0
 
 
-def test_check_dseb_threaded(capsys):
-    code, out, _ = run(capsys, "check", "--suite", "dseB", "--threads", "2")
+def test_check_dseb(capsys):
+    code, out, _ = run(capsys, "check", "--suite", "dseB")
     assert code == 0
-    assert "loop equation (2, 2): ok" in out
+    for g, b in [(0, 3), (0, 4), (1, 2), (1, 3), (2, 2)]:
+        assert f"loop equation ({g}, {b}): ok" in out
 
 
 def test_check_virasoro(capsys):
@@ -219,6 +225,22 @@ def test_model_eval_rejects_malformed_points(capsys, tmp_path):
         assert code == 1
         assert out == ""
         assert err.startswith("error:") and err.count("\n") == 1
+
+
+def test_eval_outside_the_float_range_exits_one(capsys, tmp_path):
+    path = tmp_path / "model.json"
+    path.write_text(json.dumps(MODEL4))
+    # z^-5 overflows; a pole factor (z1+z2)^2 underflows to zero; a point is not finite
+    for genus, points in (("1", "[[1e-300]]"), ("0", "[[1e-200],[1e-200]]"), ("0", "[[NaN]]"),
+                          ("0", "[[1e400],[2]]")):
+        code, out, err = run(capsys, "model", "--file", str(path), "--genus", genus,
+                             "--eval", points)
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error:") and err.count("\n") == 1
+    code, out, err = run(capsys, "npoint", "--genus", "0", "--groups", "[[NaN],[1]]")
+    assert (code, out) == (1, "")
+    assert err.startswith("error:") and err.count("\n") == 1
 
 
 def test_model_rejects_non_finite_and_fractional_spectra(capsys, tmp_path):
@@ -286,14 +308,30 @@ def test_usage_errors_exit_64(capsys):
         ["coeffs", "--family", "S", "--mmax", "-3"],
         ["check", "--suite", "dseB", "--gmax", "1"],
         ["check", "--suite", "dseB", "--gmax", "3"],
-        ["check", "--suite", "dseB", "--threads", "0"],
-        ["check", "--suite", "dseB", "--threads", "-2"],
-        ["check", "--suite", "oracle", "--threads", "0"],
+        ["check", "--suite", "dseB", "--threads", "2"],
     ):
         with pytest.raises(SystemExit) as exc:
             main(argv)
         assert exc.value.code == 64
         capsys.readouterr()
+
+
+def test_gmax_ceiling_is_checked_at_parse_time(capsys, monkeypatch):
+    reached = []
+    for name in ("_cmd_fg", "_cmd_check"):
+        monkeypatch.setattr(taulap.cli, name, lambda args: reached.append(args.gmax) or 0)
+    for command in (["fg"], ["check", "--suite", "oracle"], ["check", "--suite", "virasoro"]):
+        assert main([*command, "--gmax", str(MAX_GENUS)]) == 0
+        capsys.readouterr()
+        for gmax in (MAX_GENUS + 1, 100000):
+            with pytest.raises(SystemExit) as exc:
+                main([*command, "--gmax", str(gmax)])
+            assert exc.value.code == 64
+            err = capsys.readouterr().err
+            assert [line for line in err.splitlines() if "error:" in line] == [
+                f"taulap: error: --gmax must be at most {MAX_GENUS}"
+            ]
+    assert reached == [MAX_GENUS] * 3
 
 
 def test_console_script_installed():
@@ -305,3 +343,127 @@ def test_console_script_installed():
     )
     assert proc.returncode == 0
     assert proc.stdout.strip() == "29/5760"
+
+
+# ---------------------------------------------------------------------------
+# exit-code contract over generated argument lists
+#
+# Every size that drives a computation stays small (genus <= 3, at most two
+# points a group), so each example runs in milliseconds once the caches are
+# warm. An uncaught exception is what would print a traceback, so it fails
+# the test by propagating out of ``main``.
+
+_INT = st.integers(min_value=-2, max_value=3).map(str)
+_BAD_INT = st.sampled_from(["", "x", "1.5", "--", "1e3"])
+_SMALL = _INT | _BAD_INT
+_NUMBER = st.one_of(
+    st.integers(min_value=-3, max_value=3),
+    st.sampled_from(["1/2", "-7/3", "3/0", "x", "", True, None, [1], 1e-300, 1e300, 1.5, 0.0]),
+    st.floats(allow_nan=True, allow_infinity=True),
+)
+_JUNK_JSON = st.sampled_from(["not json", "[]", "[[]]", "{}", "[1]", "null", '{"0": 1}'])
+
+
+def _groups(point: st.SearchStrategy) -> st.SearchStrategy:
+    return st.lists(st.lists(point, min_size=1, max_size=2), min_size=1, max_size=3).map(json.dumps)
+
+
+def _option(flag: str, value: st.SearchStrategy) -> st.SearchStrategy:
+    return st.one_of(st.just([]), value.map(lambda v: [flag, v]))
+
+
+def _command(name: str, *options: st.SearchStrategy) -> st.SearchStrategy:
+    return st.tuples(*options).map(lambda parts: [name] + [tok for part in parts for tok in part])
+
+
+_MODEL = st.one_of(
+    st.just(MODEL4),
+    st.fixed_dictionaries({
+        "dimension": st.sampled_from([0, 2, 4, 6, 3, 2.5, "x"]),
+        "lambda": st.sampled_from([0, 0.05, 0.3, 2.0, -1, float("nan"), "x"]),
+        "volume": st.sampled_from([1, 2.5, 0, -1, float("inf")]),
+        "eigenvalues": st.lists(
+            st.fixed_dictionaries({
+                "E": st.sampled_from([0.5, 1.0, 3.0, 1e-300, 1e300, 0, -1, "x"]),
+                "mult": st.sampled_from([1, 2, 0, 1.5, "x"]),
+            }),
+            max_size=3,
+        ),
+    }),
+    st.fixed_dictionaries({
+        "dimension": st.sampled_from([2, 4, 6, 0]),
+        "lambda": st.sampled_from([0.05, 0.3]),
+        "volume": st.sampled_from([1, 2.5]),
+        "generator": st.fixed_dictionaries({
+            "e": st.sampled_from(["linear", "cubic"]),
+            "cutoff_N": st.sampled_from([0, 3, 20, -1, 2.5, "x"]),
+            "mu2": st.sampled_from([1.0, 0.5, 0, "x"]),
+        }),
+    }),
+).map(json.dumps) | st.sampled_from(["", "not json", "[]", "{}"])
+
+_ARGV = st.one_of(
+    _command(
+        "fg",
+        _option("--gmax", st.sampled_from(["-1", "2", "3", str(MAX_GENUS + 1), "100000", "x"])),
+        _option("--convention", st.sampled_from(["t", "rho", "iz", "eynard", "bogus"])),
+        _option("--format", st.sampled_from(["text", "json", "xml"])),
+    ),
+    _command(
+        "tau",
+        _option("--indices", st.lists(st.integers(min_value=-1, max_value=5), max_size=2).map(
+            lambda ds: ",".join(map(str, ds))) | st.sampled_from(["a,b", ",", "2,,2"])),
+    ),
+    _command(
+        "coeffs",
+        _option("--family", st.sampled_from(["S", "R", "T"])),
+        _option("--mmax", _SMALL),
+    ),
+    _command(
+        "correlator",
+        _option("--genus", _SMALL),
+        _option("--boundaries", _SMALL),
+    ),
+    _command(
+        "npoint",
+        _option("--genus", st.integers(min_value=-1, max_value=2).map(str) | _BAD_INT),
+        _option("--groups", _groups(_NUMBER) | _JUNK_JSON),
+        _option("--moments", st.dictionaries(
+            st.sampled_from(["0", "1", "2", "3", "4", "-1", "a"]), _NUMBER, max_size=5
+        ).map(json.dumps) | _JUNK_JSON),
+        _option("--coupling", st.sampled_from(["1/2", "0", "-3", "2.5", "x", "inf"])),
+    ),
+    _command(
+        "model",
+        st.sampled_from([["--file", "-"], ["--file", "/nonexistent/model.json"], []]),
+        _option("--lmax", _SMALL),
+        _option("--tol", st.sampled_from(["1e-12", "1e-3", "0", "-1", "nan", "inf", "x"])),
+        _option("--eval", _groups(_NUMBER) | _JUNK_JSON),
+        _option("--genus", _SMALL),
+        _option("--format", st.sampled_from(["text", "json", "yaml"])),
+    ),
+    _command(
+        "check",
+        _option("--suite", st.sampled_from(["oracle", "dse1", "dseB", "virasoro", "bogus"])),
+        _option("--gmax", st.sampled_from(["-1", "0", "1", "2", "3", str(MAX_GENUS + 1), "x"])),
+    ),
+    st.lists(st.sampled_from(["fg", "tau", "--threads", "2", "--help", "-h", "--gmax", "bogus", ""]),
+             max_size=3),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(argv=_ARGV, stdin=_MODEL)
+def test_every_argument_list_exits_with_a_documented_code(argv, stdin):
+    out, err = io.StringIO(), io.StringIO()
+    saved, sys.stdin = sys.stdin, io.StringIO(stdin)
+    try:
+        with redirect_stdout(out), redirect_stderr(err):
+            try:
+                code = main(argv)
+            except SystemExit as exc:
+                code = exc.code
+    finally:
+        sys.stdin = saved
+    assert code in (0, 1, 2, 64), (argv, code, err.getvalue())
+    assert "Traceback" not in err.getvalue()

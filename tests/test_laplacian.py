@@ -5,13 +5,12 @@ from math import factorial
 
 import pytest
 
+from oracles import bell_route_free_energy
 from taulap.bell import resolvent_coefficient
 from taulap.laplacian import (
     DimensionMismatch,
-    ExtractionMismatch,
     GenusOutOfRange,
     SlotOverflow,
-    StablePartition,
     apply_laplacian_rho,
     apply_laplacian_t,
     free_energy,
@@ -198,13 +197,13 @@ def test_free_energy_structure() -> None:
             assert key[0] == -(2 * g - 2) - sum(key[1:])
 
 
-def test_extraction_mismatch_raises_on_corrupted_chain() -> None:
-    part = StablePartition("t")
-    part.f(3)
-    # corrupt the cached chain and ask for the next genus
-    part._u[2] = part._u[2] + MomentPoly({(-5, 0, 2): F(1, 7)})
-    with pytest.raises(ExtractionMismatch):
-        part.f(4)
+def test_extraction_matches_bell_route_oracle() -> None:
+    """The runtime log recurrence against the Bell-polynomial form of ``log Z``."""
+    for convention in ("rho", "t"):
+        part = stable_partition(convention)
+        zs = {g: part.z(g) for g in range(2, 9)}
+        for g in range(2, 9):
+            assert part.f(g) == bell_route_free_energy(g, zs), (convention, g)
 
 
 def test_genus_bounds() -> None:

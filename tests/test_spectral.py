@@ -327,6 +327,31 @@ def test_renormalisation_by_dimension():
             assert sol.mass_shift == 0.0
 
 
+def test_derived_values_are_computed_once(monkeypatch):
+    calls = []
+    spectral_sum = SpectralSolution._spectral_sum
+
+    def counted(self, edge_power):
+        calls.append(edge_power)
+        return spectral_sum(self, edge_power)
+
+    monkeypatch.setattr(SpectralSolution, "_spectral_sum", counted)
+    for model in MODELS:
+        sol = solve(model)
+        calls.clear()
+        first = (sol.edge, sol.wave_renorm, sol.mass_shift, sol.moment(0), sol.resolvent(1.3))
+        once = sorted(calls)
+        # wave_renorm sums once in dimension 6, mass_shift once from dimension 4
+        assert once == [p for p, dim in ((1, 4), (2, 6)) if model.dimension >= dim]
+        for _ in range(3):
+            again = (sol.edge, sol.wave_renorm, sol.mass_shift, sol.moment(0), sol.resolvent(1.3))
+            assert again == first
+            sol.moments(4)
+            sol.boundary_value()
+            sol.boundary_slope()
+        assert sorted(calls) == once
+
+
 def test_moment_signs_weak_coupling():
     sol = solve(SpectralModel(4, 0.1, 2.0, ((0.7, 1), (1.2, 2))))
     assert 0 < sol.moment(0) < 1
