@@ -19,14 +19,7 @@ from fractions import Fraction
 from functools import lru_cache
 from math import factorial
 
-from taulap.ring import (
-    Key,
-    MomentPoly,
-    RingError,
-    double_factorial,
-    finalize,
-    mul_into,
-)
+from taulap.ring import MomentPoly, RingError, double_factorial
 
 
 def _over_unit(index: int) -> MomentPoly:
@@ -41,11 +34,11 @@ def reciprocal_coefficient(m: int) -> MomentPoly:
         raise RingError("series index must be nonnegative")
     if m == 0:
         return MomentPoly.one()
-    acc: dict[Key, Fraction] = {}
+    out = MomentPoly.zero()
     for k in range(1, m + 1):
-        scalar = Fraction(-(factorial(m) // factorial(m - k)))
-        mul_into(acc, _over_unit(k), reciprocal_coefficient(m - k), scalar)
-    return finalize(acc)
+        scalar = -(factorial(m) // factorial(m - k))
+        out = out + (_over_unit(k) * reciprocal_coefficient(m - k)).scale(scalar)
+    return out
 
 
 @lru_cache(maxsize=None)
@@ -58,11 +51,10 @@ def resolvent_coefficient(m: int) -> MomentPoly:
         raise RingError("series index must be nonnegative")
     if m == 0:
         return MomentPoly.constant(Fraction(1, 3))
-    acc: dict[Key, Fraction] = {}
-    mul_into(acc, _over_unit(m), MomentPoly.one(), Fraction(1, 3 + 2 * m))
+    out = _over_unit(m).scale(Fraction(1, 3 + 2 * m))
     for k in range(1, m + 1):
-        mul_into(acc, _over_unit(k), resolvent_coefficient(m - k), Fraction(-1))
-    return finalize(acc)
+        out = out - _over_unit(k) * resolvent_coefficient(m - k)
+    return out
 
 
 @lru_cache(maxsize=None)
@@ -81,9 +73,8 @@ def resolvent_coefficient_t(m: int) -> MomentPoly:
     if m == 0:
         return MomentPoly.constant(Fraction(1, 3))
     top = double_factorial(2 * m - 1)
-    acc: dict[Key, Fraction] = {}
-    mul_into(acc, _over_unit(m), MomentPoly.one(), Fraction(-top, double_factorial(2 * m + 3)))
+    out = _over_unit(m).scale(Fraction(-top, double_factorial(2 * m + 3)))
     for k in range(1, m + 1):
         scalar = Fraction(top, double_factorial(2 * k + 1) * double_factorial(2 * (m - k) - 1))
-        mul_into(acc, _over_unit(k), resolvent_coefficient_t(m - k), scalar)
-    return finalize(acc)
+        out = out + (_over_unit(k) * resolvent_coefficient_t(m - k)).scale(scalar)
+    return out

@@ -36,7 +36,6 @@ from taulap.ring import (
     ZKey,
     ZLaurent,
     ZRational,
-    finalize,
 )
 
 F = Fraction
@@ -96,7 +95,7 @@ def _lowered_ratio(key: Key, l: int) -> Key:
 def _create_laurent(obj: MomentPoly | ZLaurent, factor: int, with_dz: bool = True) -> ZLaurent:
     """Creation on a polynomial or Laurent object, in integers over one denominator.
 
-    Each coefficient becomes an integer numerator over the lcm of the input's
+    Each coefficient's numerators are taken over the lcm of the input's
     denominators, with ``factor`` folded in. A term ``c r^K z^E`` emits, for
     every moment index ``l`` with ``K[l] != 0``, its derivative
     ``d = K[l] c r^K / r_l`` as ``-(3+2l) (r_{l+1}/r_0) d z^E z_new^-3`` and as
@@ -115,10 +114,9 @@ def _create_laurent(obj: MomentPoly | ZLaurent, factor: int, with_dz: bool = Tru
         items, nvars, log = [((), obj)], 0, obj.log_coeff
     else:
         items, nvars, log = list(obj.terms.items()), obj.nvars, F(0)
-    coeffs = [c for _, poly in items for c in poly.terms.values()]
-    den = lcm(*(c.denominator for c in coeffs), log.denominator)
+    den = lcm(*(poly.den for _, poly in items), log.denominator)
     rows = [
-        (zkey, [(k, c.numerator * (den // c.denominator) * factor) for k, c in poly.terms.items()])
+        (zkey, [(k, n * (den // poly.den) * factor) for k, n in poly.nums.items()])
         for zkey, poly in items
     ]
     acc: dict[ZKey, dict[Key, int]] = {}
@@ -156,7 +154,7 @@ def _create_laurent(obj: MomentPoly | ZLaurent, factor: int, with_dz: bool = Tru
                     low_block.append((_lowered_ratio(k, l), -v))
                     high_block.append((_lowered(k, l), v))
             if log and l == 0:
-                v = 3 * log.numerator * (den // log.denominator) * factor
+                v = 3 * int(log * den) * factor
                 low_block.append(((-2, 1), -v))
                 high_block.append(((-1,), v))
             if low_block:
@@ -174,10 +172,7 @@ def _create_laurent(obj: MomentPoly | ZLaurent, factor: int, with_dz: bool = Tru
                     merge(zkey[:i] + (e - 2,) + zkey[i + 1:] + (-3,),
                           [(_lowered(k or (0,), 0), e * c) for k, c in row])
     out = ZLaurent(nvars + 1)
-    for zkey, poly in acc.items():
-        coeff = finalize({k: F(v, den) for k, v in poly.items()})
-        if coeff.terms:
-            out.terms[zkey] = coeff
+    out.terms = {zkey: MomentPoly.from_numerators(poly, den) for zkey, poly in acc.items()}
     return out
 
 
@@ -237,20 +232,13 @@ def annihilate(obj: ZLaurent) -> ZLaurent | MomentPoly:
 
 
 def number_operator(p: MomentPoly) -> MomentPoly:
-    """``-sum_l r_l d/dr_l``: eigenvalue ``-(e0 + sum e_k)`` per monomial."""
-    out = MomentPoly.__new__(MomentPoly)
-    out.terms = {}
-    out.log_coeff = F(0)
-    for key, coeff in p.terms.items():
-        degree = -sum(key)
-        if degree:
-            out.terms[key] = coeff * degree
+    """``-sum_l r_l d/dr_l``: eigenvalue ``-(e0 + sum e_k)`` per monomial.
+
+    On ``c log(unit)`` it gives the constant ``-c``.
+    """
+    out = MomentPoly.from_numerators({k: -sum(k) * n for k, n in p.nums.items()}, p.den)
     if p.log_coeff:
-        const = out.terms.get((), F(0)) - p.log_coeff
-        if const:
-            out.terms[()] = const
-        else:
-            out.terms.pop((), None)
+        out = out - p.log_coeff
     return out
 
 

@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from fractions import Fraction
 from typing import Sequence
@@ -32,9 +33,16 @@ from taulap.spectral import SpectralError, SpectralModel, solve
 
 USAGE_EXIT = 64
 CHECK_EXIT = 2
-# Largest genus --gmax accepts: the chain's cost roughly triples per genus,
-# and fg --gmax 12 takes about 37 s (2 vCPUs, CPython 3.11).
+# Largest genus that --gmax, --genus and the indices of tau reach: the chain's
+# cost roughly triples per genus, and fg --gmax 12 takes about 11 s (2 vCPUs,
+# CPython 3.11).
 MAX_GENUS = 14
+# Largest coeffs --mmax: R_m and S_m have a term per partition of m, and
+# coeffs --mmax 40 takes about 8 s.
+MAX_MMAX = 40
+# Largest model --lmax: each moment is one pass over the levels, and --lmax 100
+# on a model of 100,001 levels (the generator's ceiling) takes about 5 s.
+MAX_LMAX = 100
 
 
 class _Parser(argparse.ArgumentParser):
@@ -288,8 +296,18 @@ def main(argv: Sequence[str] | None = None) -> int:
             parser.error("--gmax must be at least 1")
     if args.command in ("fg", "check") and args.gmax is not None and args.gmax > MAX_GENUS:
         parser.error(f"--gmax must be at most {MAX_GENUS}")
-    if args.command == "coeffs" and args.mmax < 0:
-        parser.error("--mmax must be nonnegative")
+    if getattr(args, "genus", 0) > MAX_GENUS:
+        parser.error(f"--genus must be at most {MAX_GENUS}")
+    if args.command == "tau" and sum(d - 1 for d in args.indices) // 3 + 1 > MAX_GENUS:
+        parser.error(f"--indices must imply a genus of at most {MAX_GENUS}")
+    if args.command == "coeffs" and not 0 <= args.mmax <= MAX_MMAX:
+        parser.error(f"--mmax must be between 0 and {MAX_MMAX}")
+    if args.command == "model":
+        if not 0 <= args.lmax <= MAX_LMAX:
+            parser.error(f"--lmax must be between 0 and {MAX_LMAX}")
+        # chained comparisons also reject nan
+        if not 0 < args.tol < math.inf:
+            parser.error("--tol must be finite and positive")
     try:
         return args.func(args)
     except (RingError, SpectralError) as exc:

@@ -11,6 +11,12 @@ and the free energies are recovered from the ``Z_g`` by the exact
 exponential-to-logarithm relation ``Z = exp(sum_g F_g)``, as the power-series
 logarithm recurrence over the genus index.
 
+The operator is applied by one kernel, ``_apply_packed``. It packs each
+monomial key into one int, with an 8-bit slot per variable, and multiplies
+the ring's integer numerators (``MomentPoly.nums`` over ``MomentPoly.den``).
+The chain's other products and the extraction use ordinary ``MomentPoly``
+arithmetic, which runs on the same numerators with tuple keys.
+
 The operator exists in two verbatim forms: one whose coefficients are
 written in the moment variables (``rho``), one written in the rescaled
 variables (``t``).  They are related by the change of variables
@@ -22,7 +28,7 @@ coefficients of ``F_g`` in the ``t`` form.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import factorial, gcd, lcm
+from math import factorial, lcm
 from typing import Callable, Sequence
 
 from taulap.bell import resolvent_coefficient, resolvent_coefficient_t
@@ -32,7 +38,6 @@ from taulap.ring import (
     RingError,
     convert,
     double_factorial,
-    finalize,
 )
 
 F = Fraction
@@ -185,9 +190,7 @@ def apply_laplacian_t(p: MomentPoly) -> MomentPoly:
 
 
 # ---------------------------------------------------------------------------
-# packed integer arithmetic: the operator kernel and the extraction products
-#
-# The packing is described in ``_apply_packed``; ``_Packed`` uses the same keys.
+# the operator kernel: packed monomial keys, integer numerators
 
 
 class SlotOverflow(RingError):
@@ -240,70 +243,6 @@ def _add_bounds(a: Bounds, b: Bounds) -> Bounds:
     return a[0] + b[0], a[1] + b[1], a[2] + b[2]
 
 
-def _to_poly(terms: dict[int, int], den: int) -> MomentPoly:
-    """Reduce numerators and denominator by their gcd once, then leave packed form."""
-    nums = {code: v for code, v in terms.items() if v}
-    common = gcd(den, *nums.values())
-    den //= common
-    return finalize({_unpack(code): F(v // common, den) for code, v in nums.items()})
-
-
-class _Packed:
-    """A log-free polynomial in packed form: the ring the extraction runs over."""
-
-    __slots__ = ("terms", "den", "bounds")
-
-    def __init__(self, terms: dict[int, int], den: int, bounds: Bounds) -> None:
-        self.terms = terms
-        self.den = den
-        self.bounds = bounds
-
-    @classmethod
-    def from_poly(cls, p: MomentPoly) -> "_Packed":
-        if p.log_coeff:
-            raise RingError("log terms have no packed form")
-        bounds = _bounds(list(p.terms))
-        _check_slots(bounds)
-        den = lcm(*(c.denominator for c in p.terms.values()))
-        terms = {_UNIT_OFFSET + _shift(k): c.numerator * (den // c.denominator)
-                 for k, c in p.terms.items()}
-        return cls(terms, den, bounds)
-
-    def to_poly(self) -> MomentPoly:
-        return _to_poly(self.terms, self.den)
-
-    def __mul__(self, other: object) -> "_Packed":
-        if isinstance(other, (int, Fraction)):
-            num, den = other.numerator, other.denominator
-            return _Packed({k: v * num for k, v in self.terms.items()},
-                           self.den * den, self.bounds)
-        if not isinstance(other, _Packed):
-            return NotImplemented
-        bounds = _add_bounds(self.bounds, other.bounds)
-        _check_slots(bounds)
-        acc: dict[int, int] = {}
-        get = acc.get
-        theirs = list(other.terms.items())
-        for ka, ca in self.terms.items():
-            base = ka - _UNIT_OFFSET
-            for kb, cb in theirs:
-                code = base + kb
-                acc[code] = get(code, 0) + ca * cb
-        return _Packed(acc, self.den * other.den, bounds)
-
-    def __add__(self, other: object) -> "_Packed":
-        if not isinstance(other, _Packed):
-            return NotImplemented
-        den = lcm(self.den, other.den)
-        mine, theirs = den // self.den, den // other.den
-        acc = {k: v * mine for k, v in self.terms.items()}
-        get = acc.get
-        for k, v in other.terms.items():
-            acc[k] = get(k, 0) + v * theirs
-        (a0, a1, a2), (b0, b1, b2) = self.bounds, other.bounds
-        return _Packed(acc, den, (min(a0, b0), max(a1, b1), max(a2, b2)))
-
-
 # Block ``(name, *indices)`` -> (denominator, [(key shift, numerator)], bounds).
 _Table = tuple[int, list[tuple[int, int]], Bounds]
 
@@ -325,10 +264,8 @@ class _OperatorTables:
         got = self._tables.get(block)
         if got is None:
             poly, scalar = self._blocks[block[0]](*block[1:])  # type: ignore[index]
-            den = lcm(*(c.denominator for c in poly.terms.values()))
-            items = [(_shift(k), scalar * c.numerator * (den // c.denominator))
-                     for k, c in poly.terms.items()]
-            got = self._tables[block] = (den, items, _bounds(list(poly.terms)))
+            items = [(_shift(k), scalar * n) for k, n in poly.nums.items()]
+            got = self._tables[block] = (poly.den, items, _bounds(list(poly.nums)))
         return got
 
 
@@ -343,20 +280,19 @@ def _apply_packed(p: MomentPoly, form: _OperatorTables) -> MomentPoly:
     checked before any product is formed: ``SlotOverflow`` is raised if an
     exponent could leave its slot, so a key never wraps silently.
 
-    Coefficients are integer numerators: ``p`` over the lcm of its
-    denominators, each block table over its own. One pass over the monomials
+    Coefficients are the ring's integer numerators: ``p`` over its
+    denominator, each block table over its own. One pass over the monomials
     of ``p`` lists, per block, the keys of the derivatives it meets and their
     integer multiplicities. Each block then multiplies its list, rescaled to
     the step's common denominator, and the sum is reduced by its gcd once.
     """
-    coeffs = list(p.terms.values())
-    if p.log_coeff:
-        coeffs.append(p.log_coeff)
-    if not coeffs:
+    if p.is_zero:
         return MomentPoly.zero()
-    bounds = _bounds(list(p.terms) + ([()] if p.log_coeff else []))
+    log = p.log_coeff
+    bounds = _bounds(list(p.nums) + ([()] if log else []))
     _check_slots(bounds)
-    den_p = lcm(*(c.denominator for c in coeffs))
+    den_p = lcm(p.den, log.denominator)
+    mult_p = den_p // p.den
     jobs: dict[tuple[object, ...], list[tuple[int, int]]] = {}
 
     def job(block: tuple[object, ...], code: int, mult: int) -> None:
@@ -366,10 +302,10 @@ def _apply_packed(p: MomentPoly, form: _OperatorTables) -> MomentPoly:
         else:
             todo.append((code, mult))
 
-    for key, c in p.terms.items():
+    for key, n in p.nums.items():
         e0 = key[0] if key else 0
         code = _UNIT_OFFSET + _shift(key)
-        num = c.numerator * (den_p // c.denominator)
+        num = n * mult_p
         if e0:
             job(("c1",), code - 1, num * e0)
             if e0 != 1:
@@ -384,9 +320,9 @@ def _apply_packed(p: MomentPoly, form: _OperatorTables) -> MomentPoly:
             for l, f, _ in slots[i + 1:]:
                 # the ordered sum over (k, l) meets every symmetric block twice
                 job(("d", k, l), dk - (1 << (_SLOT_BITS * l)), 2 * num * e * f)
-    if p.log_coeff:
+    if log:
         # the unit derivative of c log(unit) is c / unit, and its own is -c / unit^2
-        num = p.log_coeff.numerator * (den_p // p.log_coeff.denominator)
+        num = int(log * den_p)
         job(("c1",), _UNIT_OFFSET - 1, num)
         job(("c2",), _UNIT_OFFSET - 2, -num)
 
@@ -405,7 +341,8 @@ def _apply_packed(p: MomentPoly, form: _OperatorTables) -> MomentPoly:
             for shift, c in items:
                 code = base + shift
                 acc[code] = get(code, 0) + mult * c
-    return _to_poly(acc, den_p * den_ops)
+    return MomentPoly.from_numerators(
+        {_unpack(code): v for code, v in acc.items() if v}, den_p * den_ops)
 
 
 # Each form's blocks carry the scalars of its operator. In the rescaled form a
@@ -462,8 +399,7 @@ class StablePartition:
     def f(self, g: int) -> MomentPoly:
         """``F_g`` from the logarithm recurrence of ``Z = exp(sum_g F_g)``.
 
-        With ``m = g - 1``:  ``m F_{m+1} = m Z_{m+1} - sum_{k=1}^{m-1} k F_{k+1} Z_{m-k+1}``,
-        run over packed integer polynomials.
+        With ``m = g - 1``:  ``m F_{m+1} = m Z_{m+1} - sum_{k=1}^{m-1} k F_{k+1} Z_{m-k+1}``.
         """
         if g < 2:
             raise GenusOutOfRange(f"stable range starts at genus 2, got {g}")
@@ -471,11 +407,10 @@ class StablePartition:
         if cached is not None:
             return cached
         m = g - 1
-        acc = _Packed.from_poly(self.z(g)) * m
+        acc = self.z(g).scale(m)
         for k in range(1, m):
-            fk = _Packed.from_poly(self.f(k + 1)) * -k
-            acc = acc + fk * _Packed.from_poly(self.z(m - k + 1))
-        out = self._f[g] = (acc * F(1, m)).to_poly()
+            acc = acc + self.f(k + 1).scale(-k) * self.z(m - k + 1)
+        out = self._f[g] = acc.scale(F(1, m))
         return out
 
 

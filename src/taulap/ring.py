@@ -7,6 +7,14 @@ dense exponent tuple ``(e0, e1, e2, ...)`` with trailing zeros trimmed;
 for ``k >= 1``.  A polynomial may additionally carry a single ``log(unit)``
 term with a rational coefficient; that is all the genus-one free energy needs.
 
+A polynomial stores its coefficients as integer numerators over one positive
+denominator (``MomentPoly.nums`` and ``MomentPoly.den``). Arithmetic runs on
+the numerators, and each result is reduced by a single gcd;
+``MomentPoly.from_numerators`` builds a polynomial from that form directly.
+``MomentPoly.terms`` is a read-only view of the coefficients as Fractions.
+Every operation keeps the insertion order of the keys, which fixes the order
+in which float evaluation sums the terms.
+
 Four display conventions for the same ring are supported:
 
 * ``rho``    -- unit ``r0``, variables ``r1, r2, ...``;
@@ -30,7 +38,8 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import zip_longest
-from math import factorial, lcm
+from math import factorial, gcd, lcm
+from operator import add
 from typing import Callable, Iterable, Mapping, Sequence
 
 
@@ -109,11 +118,16 @@ def _trim(key: Iterable[int]) -> Key:
 
 
 def _addkey(a: Key, b: Key) -> Key:
-    if not a:
-        return b
-    if not b:
-        return a
-    return _trim(x + y for x, y in zip_longest(a, b, fillvalue=0))
+    """The key of the product of two monomials.
+
+    Keys are trimmed and their variable exponents are positive at the end, so
+    the sum needs trimming only where two unit powers cancel.
+    """
+    n = len(b)
+    if len(a) < n:
+        a, b, n = b, a, len(a)
+    out = (*map(add, a, b), *a[n:])
+    return out if out != (0,) else ()
 
 
 def monomial_weight(key: Key) -> int:
@@ -122,9 +136,15 @@ def monomial_weight(key: Key) -> int:
 
 
 class MomentPoly:
-    """Sparse exact polynomial in the unit and the moment variables."""
+    """Sparse exact polynomial in the unit and the moment variables.
 
-    __slots__ = ("terms", "log_coeff")
+    The coefficient of the monomial ``k`` is ``nums[k] / den``: integer
+    numerators over one positive denominator, reduced so that no integer
+    above 1 divides ``den`` and every numerator. Zero numerators are never
+    stored, and the dict keeps the order in which the keys first appeared.
+    """
+
+    __slots__ = ("nums", "den", "log_coeff")
 
     def __init__(
         self,
@@ -149,10 +169,33 @@ class MomentPoly:
                         clean[key] = total
                     else:
                         del clean[key]
-        self.terms = clean
+        # over the lcm of the reduced denominators the numerators share no factor with it
+        den = lcm(*(c.denominator for c in clean.values()))
+        self.nums = {k: c.numerator * (den // c.denominator) for k, c in clean.items()}
+        self.den = den
         self.log_coeff = log_coeff if type(log_coeff) is Fraction else Fraction(log_coeff)  # type: ignore[arg-type]
 
     # -- constructors ------------------------------------------------------
+
+    @classmethod
+    def from_numerators(
+        cls, nums: Mapping[Key, int], den: int = 1, log_coeff: object = _ZERO
+    ) -> "MomentPoly":
+        """``sum_k nums[k] / den * x^k + log_coeff * log(unit)``, reduced by one gcd.
+
+        Keys must be trimmed, with nonnegative variable exponents, and ``den``
+        must be positive. Zero numerators are dropped; the rest keep their order.
+        """
+        nums = {k: n for k, n in nums.items() if n}
+        common = gcd(den, *nums.values())
+        if common != 1:
+            nums = {k: n // common for k, n in nums.items()}
+            den //= common
+        out = cls.__new__(cls)
+        out.nums = nums
+        out.den = den
+        out.log_coeff = log_coeff if type(log_coeff) is Fraction else Fraction(log_coeff)  # type: ignore[arg-type]
+        return out
 
     @classmethod
     def zero(cls) -> "MomentPoly":
@@ -191,23 +234,28 @@ class MomentPoly:
     # -- structure ---------------------------------------------------------
 
     @property
+    def terms(self) -> dict[Key, Fraction]:
+        """The coefficients as Fractions, in stored order; a new dict on every access."""
+        den = self.den
+        return {k: Fraction(n, den) for k, n in self.nums.items()}
+
+    @property
     def is_zero(self) -> bool:
-        return not self.terms and not self.log_coeff
+        return not self.nums and not self.log_coeff
 
     @property
     def is_constant(self) -> bool:
-        return not self.log_coeff and all(not k for k in self.terms)
+        return not self.log_coeff and all(not k for k in self.nums)
 
     def constant_value(self) -> Fraction:
         if self.log_coeff:
             raise LogTerm("a log term is not a constant")
-        extra = [k for k in self.terms if k]
-        if extra:
+        if any(k for k in self.nums):
             raise RingError(f"not a constant polynomial: {self!r}")
-        return self.terms.get((), _ZERO)
+        return Fraction(self.nums.get((), 0), self.den)
 
     def weights(self) -> set[int]:
-        out = {monomial_weight(k) for k in self.terms}
+        out = {monomial_weight(k) for k in self.nums}
         if self.log_coeff:
             out.add(0)
         return out
@@ -224,7 +272,7 @@ class MomentPoly:
     def moment_support(self) -> set[int]:
         """Variable indices on which the polynomial genuinely depends."""
         out: set[int] = set()
-        for key in self.terms:
+        for key in self.nums:
             for l, e in enumerate(key):
                 if e:
                     out.add(l)
@@ -232,51 +280,40 @@ class MomentPoly:
             out.add(0)
         return out
 
-    def max_index(self) -> int:
-        return max((len(k) - 1 for k in self.terms if k), default=0)
-
     # -- arithmetic --------------------------------------------------------
 
     def __bool__(self) -> bool:
         return not self.is_zero
 
     def __eq__(self, other: object) -> bool:
-        if isinstance(other, MomentPoly):
-            return self.terms == other.terms and self.log_coeff == other.log_coeff
-        if isinstance(other, (int, Fraction)):
-            if self.log_coeff:
-                return False
-            return self.terms == ({(): Fraction(other)} if other else {})
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash((frozenset(self.terms.items()), self.log_coeff))
-
-    def __neg__(self) -> "MomentPoly":
-        out = MomentPoly.__new__(MomentPoly)
-        out.terms = {k: -c for k, c in self.terms.items()}
-        out.log_coeff = -self.log_coeff
-        return out
-
-    def __add__(self, other: object) -> "MomentPoly":
         other = _as_poly(other)
         if other is None:
             return NotImplemented
-        terms = dict(self.terms)
-        for key, coeff in other.terms.items():
-            prev = terms.get(key)
-            if prev is None:
-                terms[key] = coeff
+        return (self.nums == other.nums and self.den == other.den
+                and self.log_coeff == other.log_coeff)
+
+    def __hash__(self) -> int:
+        return hash((frozenset(self.nums.items()), self.den, self.log_coeff))
+
+    def __neg__(self) -> "MomentPoly":
+        return MomentPoly.from_numerators(
+            {k: -n for k, n in self.nums.items()}, self.den, -self.log_coeff)
+
+    def __add__(self, other: object) -> "MomentPoly":
+        """The sum; a key whose coefficient cancels is deleted at once."""
+        other = _as_poly(other)
+        if other is None:
+            return NotImplemented
+        den = lcm(self.den, other.den)
+        mine, theirs = den // self.den, den // other.den
+        nums = {k: n * mine for k, n in self.nums.items()}
+        for key, n in other.nums.items():
+            total = nums.get(key, 0) + n * theirs
+            if total:
+                nums[key] = total
             else:
-                total = prev + coeff
-                if total:
-                    terms[key] = total
-                else:
-                    del terms[key]
-        out = MomentPoly.__new__(MomentPoly)
-        out.terms = terms
-        out.log_coeff = self.log_coeff + other.log_coeff
-        return out
+                del nums[key]
+        return MomentPoly.from_numerators(nums, den, self.log_coeff + other.log_coeff)
 
     __radd__ = __add__
 
@@ -296,28 +333,31 @@ class MomentPoly:
         factor = factor if type(factor) is Fraction else Fraction(factor)  # type: ignore[arg-type]
         if not factor:
             return MomentPoly()
-        out = MomentPoly.__new__(MomentPoly)
-        out.terms = {k: c * factor for k, c in self.terms.items()}
-        out.log_coeff = self.log_coeff * factor
-        return out
+        num = factor.numerator
+        return MomentPoly.from_numerators(
+            {k: n * num for k, n in self.nums.items()},
+            self.den * factor.denominator, self.log_coeff * factor)
 
     def __mul__(self, other: object) -> "MomentPoly":
+        """The product; keys keep the order of first appearance, cancelled ones are dropped."""
         if isinstance(other, (int, Fraction)):
             return self.scale(other)
         if not isinstance(other, MomentPoly):
             return NotImplemented
         if other.is_constant:
-            return self.scale(other.terms.get((), _ZERO))
+            return self.scale(other.constant_value())
         if self.is_constant:
-            return other.scale(self.terms.get((), _ZERO))
+            return other.scale(self.constant_value())
         if self.log_coeff or other.log_coeff:
             raise LogProduct("cannot multiply log terms by non-constant polynomials")
-        acc: dict[Key, Fraction] = {}
-        mul_into(acc, self, other)
-        out = MomentPoly.__new__(MomentPoly)
-        out.terms = {k: c for k, c in acc.items() if c}
-        out.log_coeff = _ZERO
-        return out
+        acc: dict[Key, int] = {}
+        get = acc.get
+        theirs = list(other.nums.items())
+        for ka, na in self.nums.items():
+            for kb, nb in theirs:
+                k = _addkey(ka, kb)
+                acc[k] = get(k, 0) + na * nb
+        return MomentPoly.from_numerators(acc, self.den * other.den)
 
     def __rmul__(self, other: object) -> "MomentPoly":
         if isinstance(other, (int, Fraction)):
@@ -347,29 +387,27 @@ class MomentPoly:
             return self / other.constant_value()
         if other.log_coeff:
             raise LogTerm("cannot divide by a log term")
-        if len(other.terms) != 1:
+        if len(other.nums) != 1:
             raise NonDivisible("exact division is defined for monomial divisors only")
         if self.log_coeff:
             raise LogTerm("cannot divide a log term by a non-constant monomial")
-        (dkey, dcoeff), = other.terms.items()
-        neg = tuple(-e for e in dkey)
-        terms: dict[Key, Fraction] = {}
-        for key, coeff in self.terms.items():
-            new = _addkey(key, neg)
+        (dkey, dnum), = other.nums.items()
+        # (n / den) / (dnum / dden), with the sign of dnum moved to the numerators
+        dden = other.den if dnum > 0 else -other.den
+        nums: dict[Key, int] = {}
+        for key, n in self.nums.items():
+            new = _trim(x - y for x, y in zip_longest(key, dkey, fillvalue=0))
             if any(e < 0 for e in new[1:]):
                 raise NonDivisible(f"{key} is not divisible by {dkey}")
-            terms[new] = coeff / dcoeff
-        out = MomentPoly.__new__(MomentPoly)
-        out.terms = terms
-        out.log_coeff = _ZERO
-        return out
+            nums[new] = n * dden
+        return MomentPoly.from_numerators(nums, self.den * abs(dnum))
 
     # -- calculus ----------------------------------------------------------
 
     def partial(self, index: int) -> "MomentPoly":
         """Partial derivative with respect to variable ``index`` (0 = unit)."""
-        terms: dict[Key, Fraction] = {}
-        for key, coeff in self.terms.items():
+        nums: dict[Key, int] = {}
+        for key, n in self.nums.items():
             e = key[index] if index < len(key) else 0
             if not e:
                 continue
@@ -377,18 +415,10 @@ class MomentPoly:
                 new = (e - 1,) + key[1:]
             else:
                 new = key[:index] + (e - 1,) + key[index + 1:]
-            new = _trim(new)
-            prev = terms.get(new)
-            val = coeff * e
-            terms[new] = val if prev is None else prev + val
-        out = MomentPoly.__new__(MomentPoly)
-        out.terms = {k: c for k, c in terms.items() if c}
-        out.log_coeff = _ZERO
+            nums[_trim(new)] = n * e
+        out = MomentPoly.from_numerators(nums, self.den)
         if index == 0 and self.log_coeff:
-            key = (-1,)
-            out.terms[key] = out.terms.get(key, _ZERO) + self.log_coeff
-            if not out.terms[key]:
-                del out.terms[key]
+            out = out + MomentPoly.monomial((-1,), self.log_coeff)
         return out
 
     def substitute(self, values: Mapping[int, object]) -> object:
@@ -396,11 +426,13 @@ class MomentPoly:
 
         Values may be exact rationals or floats; the unit (index 0) must be
         nonzero whenever it occurs with a negative power, and a log term is
-        only evaluable when the unit is bound to exactly 1.
+        only evaluable when the unit is bound to exactly 1. Each term starts
+        from its Fraction coefficient and the terms are summed in stored order.
         """
         total: object = None
-        for key, coeff in self.terms.items():
-            part: object = coeff
+        den = self.den
+        for key, n in self.nums.items():
+            part: object = Fraction(n, den)
             for l, e in enumerate(key):
                 if not e:
                     continue
@@ -435,32 +467,6 @@ def _as_poly(value: object) -> MomentPoly | None:
     if isinstance(value, (int, Fraction)):
         return MomentPoly.constant(value)
     return None
-
-
-def mul_into(
-    acc: dict[Key, Fraction],
-    a: MomentPoly,
-    b: MomentPoly,
-    scalar: Fraction = _ONE,
-) -> None:
-    """Accumulate ``scalar * a * b`` into a raw terms dict (log-free operands)."""
-    if a.log_coeff or b.log_coeff:
-        raise LogProduct("cannot multiply log terms by non-constant polynomials")
-    b_items = list(b.terms.items())
-    for ka, ca in a.terms.items():
-        cs = ca * scalar
-        for kb, cb in b_items:
-            k = _addkey(ka, kb)
-            prev = acc.get(k)
-            val = cs * cb
-            acc[k] = val if prev is None else prev + val
-
-
-def finalize(acc: dict[Key, Fraction]) -> MomentPoly:
-    out = MomentPoly.__new__(MomentPoly)
-    out.terms = {k: c for k, c in acc.items() if c}
-    out.log_coeff = _ZERO
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -513,17 +519,18 @@ def convert(poly: MomentPoly, src: str, dst: str) -> MomentPoly:
     _check_convention(dst)
     if src == dst:
         return poly
-    terms: dict[Key, Fraction] = {}
-    for key, coeff in poly.terms.items():
+    factors: list[Fraction] = []
+    for key in poly.nums:
         factor = _ONE
         for l, e in enumerate(key):
             if l and e:
                 factor *= (convention_scale(dst, l) / convention_scale(src, l)) ** e
-        terms[key] = coeff * factor
-    out = MomentPoly.__new__(MomentPoly)
-    out.terms = terms
-    out.log_coeff = poly.log_coeff
-    return out
+        factors.append(factor)
+    # each numerator times its factor, all over the lcm of the factors' denominators
+    common = lcm(*(f.denominator for f in factors))
+    nums = {key: n * f.numerator * (common // f.denominator)
+            for (key, n), f in zip(poly.nums.items(), factors)}
+    return MomentPoly.from_numerators(nums, poly.den * common, poly.log_coeff)
 
 
 def _padded_sort_key(key: Key, width: int) -> tuple:
@@ -533,7 +540,7 @@ def _padded_sort_key(key: Key, width: int) -> tuple:
 
 def ordered_terms(poly: MomentPoly) -> list[tuple[Key, Fraction]]:
     """Terms in canonical order: ascending weight, then lexicographic exponents."""
-    width = max((len(k) for k in poly.terms), default=0)
+    width = max((len(k) for k in poly.nums), default=0)
     return sorted(poly.terms.items(), key=lambda kv: _padded_sort_key(kv[0], width))
 
 
@@ -898,15 +905,6 @@ class ZLaurent:
             total = part if total is None else total + part
         return _ZERO if total is None else total
 
-    def bind(self, moments: Mapping[int, object]) -> dict[ZKey, object]:
-        """Substitute moment values once, returning exponent -> scalar."""
-        out: dict[ZKey, object] = {}
-        for key, coeff in self.terms.items():
-            val = coeff.substitute(moments)
-            if val:
-                out[key] = val
-        return out
-
     def __str__(self) -> str:
         return render_z(self)
 
@@ -954,14 +952,14 @@ def _bind_exact(obj: ZLaurent, moments: Mapping[int, Fraction | int]) -> tuple[d
 
     The coefficient of ``z^k`` is ``n_k * scale``; zero coefficients are left
     out. Each moment gets one power table across all coefficients, and the
-    coefficients are taken over the lcm of their denominators.
+    numerators are taken over the lcm of the coefficients' denominators.
     """
-    den = lcm(*(c.denominator for poly in obj.terms.values() for c in poly.terms.values()))
-    width = max((len(k) for poly in obj.terms.values() for k in poly.terms), default=0)
+    den = lcm(*(poly.den for poly in obj.terms.values()))
+    width = max((len(k) for poly in obj.terms.values() for k in poly.nums), default=0)
     # every range holds 0, the exponent of the variables past the end of a key
     ranges = [[0, 0] for _ in range(width)]
     for poly in obj.terms.values():
-        for key in poly.terms:
+        for key in poly.nums:
             for r, e in zip(ranges, key):
                 if e < r[0]:
                     r[0] = e
@@ -984,8 +982,8 @@ def _bind_exact(obj: ZLaurent, moments: Mapping[int, Fraction | int]) -> tuple[d
         tails[l] = tails[l + 1] * tables[l][-lows[l]]
     out: dict[ZKey, int] = {}
     for zkey, poly in obj.terms.items():
-        rows = ((k, c.numerator * (den // c.denominator) * tails[len(k)])
-                for k, c in poly.terms.items())
+        mult = den // poly.den
+        rows = ((k, n * mult * tails[len(k)]) for k, n in poly.nums.items())
         n = _table_sum(rows, tables, lows)
         if n:
             out[zkey] = n
@@ -1016,7 +1014,7 @@ def render_z(obj: ZLaurent, convention: str = "rho") -> str:
             if e
         )
         cstr = render_str(coeff, convention)
-        if len(coeff.terms) > 1:
+        if len(coeff.nums) > 1:
             cstr = f"({cstr})"
         parts.append(f"{cstr}*{zmono}" if zmono else cstr)
     return " + ".join(parts).replace("+ -", "- ")

@@ -145,19 +145,19 @@ class SpectralModel:
         return cls.from_dict(data)
 
 
-def _edge(model: SpectralModel, c: float) -> float:
+def _edge(c: float) -> float:
     return sqrt(1 + c)
 
 
 def _lhs(model: SpectralModel, c: float) -> float:
     """Left side of the implicit shift equation: ``1 - z0``, or ``1 - z0^2`` in dimension 6."""
-    z0 = _edge(model, c)
+    z0 = _edge(c)
     return (1 - z0) * (1 + z0) if model.dimension == 6 else 1 - z0
 
 
 def _implicit(model: SpectralModel, c: float) -> tuple[float, float]:
     """The implicit shift equation and its derivative at ``c``, from one pass over the levels."""
-    z0 = _edge(model, c)
+    z0 = _edge(c)
     dz0 = 1 / (2 * z0)
     half = model.dimension // 2
     total = 0.0
@@ -216,7 +216,7 @@ class SpectralSolution:
 
     @cached_property
     def edge(self) -> float:
-        return _edge(self.model, self.shift)
+        return _edge(self.shift)
 
     @cached_property
     def wave_renorm(self) -> float:
@@ -234,17 +234,24 @@ class SpectralSolution:
         s1 = self._spectral_sum(1)
         return z0 / sqrt(self.wave_renorm) - 1 + s1
 
+    @cached_property
+    def _moments(self) -> dict[int, float]:
+        """The moments computed so far, by index."""
+        return {}
+
     def moment(self, index: int) -> float:
         if index < 0:
             raise InvalidModel("moment index must be nonnegative")
-        total = 0.0
-        for w, y in zip(self.model.weights, self._cut_positions):
-            try:
-                total += w / y ** (3 + 2 * index)
-            except OverflowError:
-                pass  # w / inf: a huge level adds nothing
-        base = 1 / sqrt(self.wave_renorm) if index == 0 else 0.0
-        return base - total / 2
+        if index not in self._moments:
+            total = 0.0
+            for w, y in zip(self.model.weights, self._cut_positions):
+                try:
+                    total += w / y ** (3 + 2 * index)
+                except OverflowError:
+                    pass  # w / inf: a huge level adds nothing
+            base = 1 / sqrt(self.wave_renorm) if index == 0 else 0.0
+            self._moments[index] = base - total / 2
+        return self._moments[index]
 
     def moments(self, lmax: int) -> dict[int, float]:
         return {l: self.moment(l) for l in range(lmax + 1)}

@@ -12,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import taulap.cli
-from taulap.cli import MAX_GENUS, main
+from taulap.cli import MAX_GENUS, MAX_LMAX, MAX_MMAX, main
 
 MODEL4 = {
     "dimension": 4,
@@ -309,6 +309,11 @@ def test_usage_errors_exit_64(capsys):
         ["check", "--suite", "dseB", "--gmax", "1"],
         ["check", "--suite", "dseB", "--gmax", "3"],
         ["check", "--suite", "dseB", "--threads", "2"],
+        ["model", "--file", "-", "--tol", "nan"],
+        ["model", "--file", "-", "--tol", "inf"],
+        ["model", "--file", "-", "--tol", "0"],
+        ["model", "--file", "-", "--tol", "-1"],
+        ["model", "--file", "-", "--lmax", "-1"],
     ):
         with pytest.raises(SystemExit) as exc:
             main(argv)
@@ -332,6 +337,38 @@ def test_gmax_ceiling_is_checked_at_parse_time(capsys, monkeypatch):
                 f"taulap: error: --gmax must be at most {MAX_GENUS}"
             ]
     assert reached == [MAX_GENUS] * 3
+
+
+def test_sizes_are_bounded_at_parse_time(capsys, monkeypatch):
+    reached = []
+    for name in ("_cmd_correlator", "_cmd_npoint", "_cmd_model", "_cmd_tau", "_cmd_coeffs"):
+        monkeypatch.setattr(taulap.cli, name, lambda args: reached.append(args.command) or 0)
+    genus = f"--genus must be at most {MAX_GENUS}"
+    # (arguments, the largest accepted value, values past it, the message)
+    cases = [
+        (["correlator", "--boundaries", "1", "--genus"], MAX_GENUS, [MAX_GENUS + 1, 30], genus),
+        (["npoint", "--groups", "[[1]]", "--genus"], MAX_GENUS, [MAX_GENUS + 1], genus),
+        (["model", "--file", "-", "--genus"], MAX_GENUS, [MAX_GENUS + 1], genus),
+        # <tau_{3g-2}> has genus g
+        (["tau", "--indices"], 3 * MAX_GENUS - 2, [3 * MAX_GENUS + 1, 46],
+         f"--indices must imply a genus of at most {MAX_GENUS}"),
+        (["coeffs", "--family", "R", "--mmax"], MAX_MMAX, [MAX_MMAX + 1, 100000],
+         f"--mmax must be between 0 and {MAX_MMAX}"),
+        (["model", "--file", "-", "--lmax"], MAX_LMAX, [MAX_LMAX + 1, -1],
+         f"--lmax must be between 0 and {MAX_LMAX}"),
+    ]
+    for argv, top, beyond, message in cases:
+        assert main([*argv, str(top)]) == 0
+        capsys.readouterr()
+        for value in beyond:
+            with pytest.raises(SystemExit) as exc:
+                main([*argv, str(value)])
+            assert exc.value.code == 64
+            err = capsys.readouterr().err
+            assert [line for line in err.splitlines() if "error:" in line] == [
+                f"taulap: error: {message}"
+            ]
+    assert reached == [argv[0] for argv, *_ in cases]
 
 
 def test_console_script_installed():

@@ -1,5 +1,6 @@
 """Laplacian chain: frozen genus tables, cross-form validation, extraction checks."""
 
+import hashlib
 from fractions import Fraction
 from math import factorial
 
@@ -160,18 +161,6 @@ def test_packed_kernel_raises_on_slot_overflow() -> None:
             apply_laplacian_t(probe)
 
 
-def test_packed_products_raise_on_slot_overflow() -> None:
-    from taulap.laplacian import _Packed
-
-    half = _Packed.from_poly(MomentPoly({(-60, 1): 1, (-64, 0, 3): F(2, 5)}))
-    assert (half * half).to_poly() == MomentPoly({(-60, 1): 1, (-64, 0, 3): F(2, 5)}) ** 2
-    with pytest.raises(SlotOverflow):
-        half * half * half
-    high = _Packed.from_poly(MomentPoly({(0, 200): 1}))
-    with pytest.raises(SlotOverflow):
-        high * high
-
-
 def test_genus_one_constant() -> None:
     g1 = genus_one()
     assert g1.log_coeff == F(-1, 24)
@@ -186,6 +175,20 @@ def _partition_count(n: int) -> int:
         for total in range(part, n + 1):
             counts[total] += counts[total - part]
     return counts[n]
+
+
+# sha256 of the repr of [list(F_g.terms.items()) for g in 2..7]. The order of
+# the terms is what float evaluation of the correlators built from F_g sums in.
+TERM_ORDER_DIGESTS = {
+    "rho": "e8856082d04c32ac8e9ffcdbb7f539290de1d364e859db163dec75033d59eb7b",
+    "t": "b32cd9887dda4c1d14a29f411651734c56203dcfda9ac490b1f5389895ee3774",
+}
+
+
+def test_free_energy_term_order_is_frozen() -> None:
+    for convention, digest in TERM_ORDER_DIGESTS.items():
+        terms = [list(free_energy(g, convention).terms.items()) for g in range(2, 8)]
+        assert hashlib.sha256(repr(terms).encode()).hexdigest() == digest, convention
 
 
 def test_free_energy_structure() -> None:

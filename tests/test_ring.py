@@ -11,6 +11,8 @@ import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oracles import RefPoly
+from taulap.boundary import correlator, generic_moments
 from taulap.ring import (
     CoincidentPoints,
     LogProduct,
@@ -26,13 +28,12 @@ from taulap.ring import (
     convert,
     convention_scale,
     double_factorial,
-    finalize,
-    mul_into,
     ordered_terms,
     render_monomial,
     render_str,
     render_terms,
     rational,
+    _bind_exact,
 )
 
 F = Fraction
@@ -126,6 +127,9 @@ def test_power_and_scale() -> None:
     assert p**0 == MomentPoly.one()
     assert p**2 == p * p
     assert p.scale(F(1, 2)) + p.scale(F(1, 2)) == p
+    # unit powers that cancel leave the empty key
+    q = MomentPoly.unit_power(-2) * (MomentPoly.variable(1) + MomentPoly.unit_power(2))
+    assert list(q.terms) == [(-2, 1), ()]
 
 
 def test_log_term_rules() -> None:
@@ -173,17 +177,75 @@ def test_weight_grading() -> None:
 def test_support_queries() -> None:
     p = genus_two_energy()
     assert p.moment_support() == {0, 1, 2, 3}
-    assert p.max_index() == 3
     assert MomentPoly.log_unit(1).moment_support() == {0}
     assert MomentPoly.constant(5).moment_support() == set()
 
 
-def test_mul_into_accumulator() -> None:
-    a = genus_two_energy()
-    b = MomentPoly.variable(2) + MomentPoly.unit_power(-1)
-    acc: dict = {}
-    mul_into(acc, a, b, F(3))
-    assert finalize(acc) == (a * b).scale(3)
+# -- the integer-numerator form against the Fraction reference ----------------
+
+def same(p: MomentPoly, ref: RefPoly) -> None:
+    """Equal coefficients in the same key order, and the same log term."""
+    assert list(p.terms.items()) == list(ref.terms.items())
+    assert p.log_coeff == ref.log_coeff
+
+
+def outcome(fn):
+    try:
+        return fn()
+    except (LogProduct, NonDivisible) as exc:
+        return type(exc)
+
+
+@st.composite
+def ring_pairs(draw):
+    """Two polynomials with log terms and negative unit powers; ``b`` cancels part of ``a``."""
+    a_terms = draw(st.dictionaries(keys, coeffs, max_size=5))
+    cancelled = draw(st.lists(st.sampled_from(sorted(a_terms)), unique=True)) if a_terms else []
+    b_terms = {k: -a_terms[k] for k in cancelled}
+    b_terms.update(draw(st.dictionaries(keys, coeffs, max_size=4)))
+    logs = st.one_of(st.just(F(0)), coeffs)
+    return MomentPoly(a_terms, draw(logs)), MomentPoly(b_terms, draw(logs))
+
+
+@settings(max_examples=150, deadline=None)
+@given(ring_pairs(), st.one_of(st.just(F(0)), coeffs), keys, coeffs)
+def test_ring_matches_fraction_reference(pair, factor, dkey, dcoeff) -> None:
+    a, b = pair
+    ra, rb = RefPoly.of(a), RefPoly.of(b)
+    same(a + b, ra + rb)
+    same(a - b, ra - rb)
+    same(a + (-a), ra + (-ra))
+    same(a.scale(factor), ra.scale(factor))
+    for index in range(4):
+        same(a.partial(index), ra.partial(index))
+    for dst in ("t", "iz", "eynard"):
+        same(convert(a, "rho", dst), ra.convert("rho", dst))
+    got, want = outcome(lambda: a * b), outcome(lambda: ra * rb)
+    if isinstance(want, RefPoly):
+        same(got, want)
+    else:
+        assert got is want
+    divisor = MomentPoly.monomial(dkey, dcoeff)
+    if not a.log_coeff:
+        got = outcome(lambda: a / divisor)
+        want = outcome(lambda: ra.divide_by_monomial(*next(iter(divisor.terms.items()))))
+        if isinstance(want, RefPoly):
+            same(got, want)
+        else:
+            assert got is want
+
+
+def test_terms_is_a_read_only_fraction_view() -> None:
+    p = MomentPoly({(-2, 1): F(2, 6), (1,): 3})
+    assert p.nums == {(-2, 1): 1, (1,): 9} and p.den == 3
+    view = p.terms
+    assert view == {(-2, 1): F(1, 3), (1,): F(3)}
+    view[(1,)] = F(5)
+    assert p.terms[(1,)] == 3
+    with pytest.raises(AttributeError):
+        p.terms = {}
+    assert MomentPoly.from_numerators({(1,): 4, (2,): 0, (3,): -6}, 8) == MomentPoly(
+        {(1,): F(1, 2), (3,): F(-3, 4)})
 
 
 def test_double_factorial_values() -> None:
@@ -311,8 +373,8 @@ def test_laurent_evaluate_and_bind() -> None:
     a = zl(2, {(-3, 0): MomentPoly.variable(1), (0, -2): 1})
     val = a.evaluate([F(2), F(3)], {1: F(5)})
     assert val == F(5) / 8 + F(1, 9)
-    bound = a.bind({1: F(5)})
-    assert bound == {(-3, 0): F(5), (0, -2): F(1)}
+    ints, scale = _bind_exact(a, {1: F(5)})
+    assert {k: n * scale for k, n in ints.items()} == {(-3, 0): F(5), (0, -2): F(1)}
     with pytest.raises(UnknownVariable):
         a.evaluate([F(2), F(3)], {})
 
@@ -375,21 +437,38 @@ def test_exact_rational_evaluation_matches_term_loop(case, power) -> None:
     assert obj.evaluate(points, moments) == expected
 
 
-@settings(max_examples=40, deadline=None)
-@given(exact_evaluations())
-def test_float_evaluation_sums_term_by_term(case) -> None:
-    obj, points, moments = case
-    points = [float(z) for z in points]
-    moments = {l: float(v) for l, v in moments.items()}
+def float_term_loop(obj: ZLaurent, points, moments) -> object:
+    """Term by term from the Fraction coefficients, in stored order: the float reference."""
     expected = None
     for key, coeff in obj.terms.items():
-        part = coeff.substitute(moments)
+        part = RefPoly.of(coeff).substitute(moments)
         for z, e in zip(points, key):
             if e:
                 part = part * z**e
         expected = part if expected is None else expected + part
-    got = obj.evaluate(points, moments)
-    assert got == (F(0) if expected is None else expected)
+    return F(0) if expected is None else expected
+
+
+def test_float_evaluation_sums_term_by_term() -> None:
+    @settings(max_examples=40, deadline=None)
+    @given(exact_evaluations())
+    def generated(case) -> None:
+        obj, points, moments = case
+        points = [float(z) for z in points]
+        moments = {l: float(v) for l, v in moments.items()}
+        assert obj.evaluate(points, moments) == float_term_loop(obj, points, moments)
+
+    generated()
+    # the stored correlators with 2g + B - 2 <= 4, bit for bit
+    moments = {l: float(v) for l, v in generic_moments().items()}
+    for g, b in [(0, 2), (0, 3), (0, 4), (0, 5), (0, 6), (1, 1), (1, 2), (1, 3), (1, 4),
+                 (2, 1), (2, 2)]:
+        stored = correlator(g, b)
+        num = stored.num if isinstance(stored, ZRational) else stored
+        points = [1.3 + 0.7 * i for i in range(b)]
+        for coeff in num.terms.values():
+            assert repr(coeff.substitute(moments)) == repr(RefPoly.of(coeff).substitute(moments))
+        assert repr(num.evaluate(points, moments)) == repr(float_term_loop(num, points, moments))
 
 
 def test_exact_evaluation_errors() -> None:

@@ -350,7 +350,12 @@ def test_derived_values_are_computed_once(monkeypatch):
             sol.boundary_value()
             sol.boundary_slope()
         assert sorted(calls) == once
-
+        # every moment was kept: with the levels gone, nothing can be summed again
+        moments = sol.moments(4)
+        value = sol.evaluate_correlator(1, [[1.7], [2.9]])
+        sol.__dict__["_cut_positions"] = None
+        assert sol.moments(4) == moments and sol.moment(2) == moments[2]
+        assert sol.evaluate_correlator(1, [[1.7], [2.9]]) == value
 
 def test_moment_signs_weak_coupling():
     sol = solve(SpectralModel(4, 0.1, 2.0, ((0.7, 1), (1.2, 2))))
