@@ -34,9 +34,14 @@ from taulap.spectral import SpectralError, SpectralModel, solve
 USAGE_EXIT = 64
 CHECK_EXIT = 2
 # Largest genus that --gmax, --genus and the indices of tau reach: the chain's
-# cost roughly triples per genus, and fg --gmax 12 takes about 11 s (2 vCPUs,
-# CPython 3.11).
+# cost roughly triples per genus; fg --gmax 12 takes about 21 s and fg --gmax 14
+# about 2.5 min (2 vCPUs, CPython 3.11).
 MAX_GENUS = 14
+# Largest correlator --boundaries, and the most groups npoint --groups and
+# model --eval may list (each group is a boundary). A correlator's cost grows
+# about fourfold per boundary: correlator --genus 0 --boundaries 10 takes about
+# 1 s, --boundaries 11 about 4 s, and --genus 1 --boundaries 10 about 14 s.
+MAX_BOUNDARIES = 10
 # Largest coeffs --mmax: R_m and S_m have a term per partition of m, and
 # coeffs --mmax 40 takes about 8 s.
 MAX_MMAX = 40
@@ -133,10 +138,9 @@ def _cmd_correlator(args: argparse.Namespace) -> int:
 
 
 def _cmd_npoint(args: argparse.Namespace) -> int:
-    groups = _parse_groups(args.groups)
     moments = _parse_moments(args.moments) if args.moments else generic_moments()
     coupling = _fraction(args.coupling)
-    value = evaluate_correlator(args.genus, groups, coupling, moments)
+    value = evaluate_correlator(args.genus, args.groups, coupling, moments)
     print(format_rational(value))
     return 0
 
@@ -152,7 +156,7 @@ def _cmd_model(args: argparse.Namespace) -> int:
             raise SpectralError(f"cannot read model file: {exc}") from exc
     points = None
     if args.eval:
-        points = [[float(v) for v in grp] for grp in _parse_groups(args.eval, "--eval")]
+        points = [[float(v) for v in grp] for grp in args.eval]
     model = SpectralModel.from_json(text)
     solution = solve(model, tol=args.tol)
     moments = solution.moments(args.lmax)
@@ -308,7 +312,16 @@ def main(argv: Sequence[str] | None = None) -> int:
         # chained comparisons also reject nan
         if not 0 < args.tol < math.inf:
             parser.error("--tol must be finite and positive")
+    if args.command == "correlator" and args.boundaries > MAX_BOUNDARIES:
+        parser.error(f"--boundaries must be at most {MAX_BOUNDARIES}")
     try:
+        if args.command == "npoint":
+            args.groups = _parse_groups(args.groups)
+        elif args.command == "model" and args.eval:
+            args.eval = _parse_groups(args.eval, "--eval")
+        for option in ("groups", "eval"):
+            if len(getattr(args, option, None) or ()) > MAX_BOUNDARIES:
+                parser.error(f"--{option} must list at most {MAX_BOUNDARIES} groups")
         return args.func(args)
     except (RingError, SpectralError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -14,6 +14,11 @@ logarithm recurrence over the genus index.
 The operator is applied by one kernel, ``_apply_packed``. It packs each
 monomial key into one int, with an 8-bit slot per variable, and multiplies
 the ring's integer numerators (``MomentPoly.nums`` over ``MomentPoly.den``).
+Each block of the operator is a short list of pieces, an integer scalar and a
+monomial shift on a table shared by every block that uses it: one packed
+table per resolvent coefficient ``R_m``, plus a few small constant
+polynomials. The tables therefore grow with the largest index ``m``, not
+with the number of blocks.
 The chain's other products and the extraction use ordinary ``MomentPoly``
 arithmetic, which runs on the same numerators with tuple keys.
 
@@ -73,54 +78,57 @@ def genus_two_t() -> MomentPoly:
 
 
 # ---------------------------------------------------------------------------
-# operator coefficients, moment form
+# operator coefficients
+#
+# Every block of the operator (``c1``, ``c2``, ``e``, ``m`` and ``d``) is a
+# short sum of pieces ``(coefficient, shift key, table)``: the coefficient
+# times the monomial ``shift key`` times a table, which is the resolvent
+# coefficient ``R_m`` of the form for an int ``m``, or one of the form's
+# constant polynomials by name (``"one"`` is 1).
+
+_Spec = tuple[Fraction, Key, int | str]
 
 
-def _c2_rho() -> MomentPoly:
-    return MomentPoly({
-        (-3, 3): F(-6, 5),
-        (-2, 1, 1): F(111, 70),
-        (-1, 0, 0, 1): F(-1, 2),
-    })
+def _key(unit: int, *variables: int) -> Key:
+    """The key of the unit to the power ``unit`` times the product of ``variables``."""
+    key = [unit] + [0] * max(variables, default=0)
+    for v in variables:
+        key[v] += 1
+    return tuple(key)
 
 
-def _c1_rho() -> MomentPoly:
-    return MomentPoly({
-        (-4, 3): F(2),
-        (-3, 1, 1): F(-1097, 280),
-        (-2, 0, 0, 1): F(41, 24),
-    })
+_RHO_CONSTANTS = {
+    "c2": MomentPoly({(-3, 3): F(-6, 5), (-2, 1, 1): F(111, 70), (-1, 0, 0, 1): F(-1, 2)}),
+    "c1": MomentPoly({(-4, 3): F(2), (-3, 1, 1): F(-1097, 280), (-2, 0, 0, 1): F(41, 24)}),
+    "m": MomentPoly({(-3, 2): F(-2, 5), (-2, 0, 1): F(2, 7)}),
+    "e": MomentPoly({(-4, 2): F(19, 60), (-3, 0, 1): F(-25, 84)}),
+}
 
 
-def _m_rho(k: int) -> MomentPoly:
-    out = MomentPoly({(-3, 2): F(-2, 5), (-2, 0, 1): F(2, 7)}) * MomentPoly.variable(k + 1)
-    out = out + resolvent_coefficient(k + 2) * MomentPoly({(-1, 1): F(-3, 2)})
-    out = out + resolvent_coefficient(k + 3).scale(F(3, 2))
-    return out
+def _m_rho(k: int) -> list[_Spec]:
+    return [(F(1), _key(0, k + 1), "m"), (F(-3, 2), (-1, 1), k + 2), (F(3, 2), (), k + 3)]
 
 
-def _d_rho(k: int, l: int) -> MomentPoly:
+def _d_rho(k: int, l: int) -> list[_Spec]:
     # The unit power of the first term is forced by the operator's scaling
     # grading (every block must raise the scaling degree by exactly two, so
     # coefficients of mixed second derivatives are degree-zero).
-    out = (
-        MomentPoly.variable(k + 1)
-        * MomentPoly.variable(l + 1)
-        * MomentPoly({(-3, 1): F(-1, 30)})
-    )
-    out = out + MomentPoly.variable(k + 1) * resolvent_coefficient(l + 2) * MomentPoly({(-1,): F(-1, 4)})
-    out = out + MomentPoly.variable(l + 1) * resolvent_coefficient(k + 2) * MomentPoly({(-1,): F(-1, 4)})
-    out = out + resolvent_coefficient(k + l + 3).scale(F(1, 4))
-    return out
+    return [
+        (F(-1, 30), _key(-3, 1, k + 1, l + 1), "one"),
+        (F(-1, 4), _key(-1, k + 1), l + 2),
+        (F(-1, 4), _key(-1, l + 1), k + 2),
+        (F(1, 4), (), k + l + 3),
+    ]
 
 
-def _e_rho(k: int) -> MomentPoly:
-    out = MomentPoly({(-4, 2): F(19, 60), (-3, 0, 1): F(-25, 84)}) * MomentPoly.variable(k + 1)
-    out = out + resolvent_coefficient(k + 2) * MomentPoly({(-2, 1): F(1, 16)})
-    out = out + resolvent_coefficient(k + 3) * MomentPoly({(-1,): F(-1, 16)})
-    out = out + MomentPoly.variable(k + 2) * MomentPoly({(-3, 1): F(-(5 + 2 * k), 30)})
-    out = out + resolvent_coefficient(k + 3) * MomentPoly({(-1,): F(-(5 + 2 * k), 2)})
-    return out
+def _e_rho(k: int) -> list[_Spec]:
+    return [
+        (F(1), _key(0, k + 1), "e"),
+        (F(1, 16), (-2, 1), k + 2),
+        (F(-1, 16), (-1,), k + 3),
+        (F(-(5 + 2 * k), 30), _key(-3, 1, k + 2), "one"),
+        (F(-(5 + 2 * k), 2), (-1,), k + 3),
+    ]
 
 
 def apply_laplacian_rho(p: MomentPoly) -> MomentPoly:
@@ -128,60 +136,42 @@ def apply_laplacian_rho(p: MomentPoly) -> MomentPoly:
     return _apply_packed(p, _RHO_TABLES)
 
 
-# ---------------------------------------------------------------------------
-# operator coefficients, rescaled form
-#
-# Slot ``j >= 1`` carries the variable ``t_{j+1}``; the unit is ``T0 = 1 - t_0``,
-# so a displayed ``d/dt_0`` is ``-partial(0)`` on stored exponents.
+# Rescaled form. Slot ``j >= 1`` carries the variable ``t_{j+1}``; the unit is
+# ``T0 = 1 - t_0``, so a displayed ``d/dt_0`` is ``-partial(0)`` on stored
+# exponents. Its tables are ``R_m^t``.
+
+_T_CONSTANTS = {
+    "c2": MomentPoly({(-3, 3): F(2, 45), (-2, 1, 1): F(37, 1050), (-1, 0, 0, 1): F(1, 210)}),
+    "c1": MomentPoly({(-4, 3): F(2, 27), (-3, 1, 1): F(1097, 12600), (-2, 0, 0, 1): F(41, 2520)}),
+    "m": MomentPoly({(-3, 2): F(2, 45), (-2, 0, 1): F(2, 105)}),
+    "e": MomentPoly({(-4, 2): F(19, 540), (-3, 0, 1): F(5, 252)}),
+}
 
 
-def _c2_t() -> MomentPoly:
-    return MomentPoly({
-        (-3, 3): F(2, 45),
-        (-2, 1, 1): F(37, 1050),
-        (-1, 0, 0, 1): F(1, 210),
-    })
-
-
-def _c1_t() -> MomentPoly:
-    return MomentPoly({
-        (-4, 3): F(2, 27),
-        (-3, 1, 1): F(1097, 12600),
-        (-2, 0, 0, 1): F(41, 2520),
-    })
-
-
-def _m_t(j: int) -> MomentPoly:
+def _m_t(j: int) -> list[_Spec]:
     # displayed label k = j + 1
-    out = MomentPoly({(-3, 2): F(2, 45), (-2, 0, 1): F(2, 105)}) * MomentPoly.variable(j + 1)
-    out = out + resolvent_coefficient_t(j + 2) * MomentPoly({(-1, 1): F(1, 2)})
-    out = out + resolvent_coefficient_t(j + 3).scale(F(3, 2 * (5 + 2 * j)))
-    return out
+    return [(F(1), _key(0, j + 1), "m"), (F(1, 2), (-1, 1), j + 2), (F(3, 2 * (5 + 2 * j)), (), j + 3)]
 
 
-def _d_t(j: int, i: int) -> MomentPoly:
+def _d_t(j: int, i: int) -> list[_Spec]:
     # unit power forced by the scaling grading, as in the moment form
-    out = (
-        MomentPoly.variable(j + 1)
-        * MomentPoly.variable(i + 1)
-        * MomentPoly({(-3, 1): F(1, 90)})
-    )
-    out = out + MomentPoly.variable(j + 1) * resolvent_coefficient_t(i + 2) * MomentPoly({(-1,): F(1, 4)})
-    out = out + MomentPoly.variable(i + 1) * resolvent_coefficient_t(j + 2) * MomentPoly({(-1,): F(1, 4)})
-    out = out + resolvent_coefficient_t(j + i + 3).scale(
-        F(double_factorial(3 + 2 * j) * double_factorial(3 + 2 * i),
-          4 * double_factorial(5 + 2 * j + 2 * i))
-    )
-    return out
+    return [
+        (F(1, 90), _key(-3, 1, j + 1, i + 1), "one"),
+        (F(1, 4), _key(-1, j + 1), i + 2),
+        (F(1, 4), _key(-1, i + 1), j + 2),
+        (F(double_factorial(3 + 2 * j) * double_factorial(3 + 2 * i),
+           4 * double_factorial(5 + 2 * j + 2 * i)), (), j + i + 3),
+    ]
 
 
-def _e_t(j: int) -> MomentPoly:
-    out = MomentPoly({(-4, 2): F(19, 540), (-3, 0, 1): F(5, 252)}) * MomentPoly.variable(j + 1)
-    out = out + resolvent_coefficient_t(j + 2) * MomentPoly({(-2, 1): F(1, 48)})
-    out = out + resolvent_coefficient_t(j + 3) * MomentPoly({(-1,): F(1, 16 * (5 + 2 * j))})
-    out = out + MomentPoly.variable(j + 2) * MomentPoly({(-3, 1): F(1, 90)})
-    out = out + resolvent_coefficient_t(j + 3) * MomentPoly({(-1,): F(1, 2)})
-    return out
+def _e_t(j: int) -> list[_Spec]:
+    return [
+        (F(1), _key(0, j + 1), "e"),
+        (F(1, 48), (-2, 1), j + 2),
+        (F(1, 16 * (5 + 2 * j)), (-1,), j + 3),
+        (F(1, 90), _key(-3, 1, j + 2), "one"),
+        (F(1, 2), (-1,), j + 3),
+    ]
 
 
 def apply_laplacian_t(p: MomentPoly) -> MomentPoly:
@@ -243,29 +233,64 @@ def _add_bounds(a: Bounds, b: Bounds) -> Bounds:
     return a[0] + b[0], a[1] + b[1], a[2] + b[2]
 
 
-# Block ``(name, *indices)`` -> (denominator, [(key shift, numerator)], bounds).
+# A shared table: (denominator, [(key shift, numerator)], bounds).
 _Table = tuple[int, list[tuple[int, int]], Bounds]
+# A block's piece: (denominator, numerator, key shift, the shared table's items).
+_Piece = tuple[int, int, int, list[tuple[int, int]]]
 
 
 class _OperatorTables:
-    """One form's operator blocks as integer tables, each built on first use.
+    """One form's operator blocks as pieces over shared integer tables.
 
     ``blocks`` maps a block name (``c1``, ``c2``, ``e``, ``m``, ``d``) to a
-    function of the block's indices returning the block and the integer
-    scalar it carries in the operator; the table holds their product, so the
-    kernel only adds products.
+    function of the block's indices returning its pieces and the integer
+    scalar the block carries in the operator. A table is ``resolvent(m)``
+    for an int ``m`` or ``constants[name]``; each is packed once, on first
+    use, and shared by every piece that names it, so the cache grows with
+    the largest index, not with the number of blocks.
     """
 
-    def __init__(self, blocks: dict[str, Callable[..., tuple[MomentPoly, int]]]) -> None:
+    def __init__(
+        self,
+        resolvent: Callable[[int], MomentPoly],
+        constants: dict[str, MomentPoly],
+        blocks: dict[str, Callable[..., tuple[list[_Spec], int]]],
+    ) -> None:
+        self._resolvent = resolvent
+        self._constants = {"one": MomentPoly.one(), **constants}
         self._blocks = blocks
-        self._tables: dict[tuple[object, ...], _Table] = {}
+        self._tables: dict[int | str, _Table] = {}
+        self._pieces: dict[tuple[object, ...], tuple[list[_Piece], Bounds]] = {}
 
-    def table(self, block: tuple[object, ...]) -> _Table:
-        got = self._tables.get(block)
+    def _table(self, name: int | str) -> _Table:
+        got = self._tables.get(name)
         if got is None:
-            poly, scalar = self._blocks[block[0]](*block[1:])  # type: ignore[index]
-            items = [(_shift(k), scalar * n) for k, n in poly.nums.items()]
-            got = self._tables[block] = (poly.den, items, _bounds(list(poly.nums)))
+            poly = self._resolvent(name) if isinstance(name, int) else self._constants[name]
+            items = [(_shift(k), n) for k, n in poly.nums.items()]
+            got = self._tables[name] = (poly.den, items, _bounds(list(poly.nums)))
+        return got
+
+    def pieces(self, block: tuple[object, ...]) -> tuple[list[_Piece], Bounds]:
+        """The block's pieces in term order, and the bounds of the keys they reach.
+
+        Pieces with the same table and shift merge into the first of them.
+        """
+        got = self._pieces.get(block)
+        if got is None:
+            spec, scalar = self._blocks[block[0]](*block[1:])  # type: ignore[index]
+            merged: dict[tuple[int | str, int], Fraction] = {}
+            reach = []
+            for coeff, key, name in spec:
+                at = (name, _shift(key))
+                merged[at] = merged.get(at, 0) + coeff * scalar
+                reach.append(_add_bounds(self._table(name)[2], _bounds([key])))
+            pieces = []
+            for (name, shift), coeff in merged.items():
+                den, items, _ = self._table(name)
+                c = coeff / den
+                pieces.append((c.denominator, c.numerator, shift, items))
+            lows, highs, tops = zip(*reach)
+            got = self._pieces[block] = (pieces, (min(lows), max(highs), max(tops)))
         return got
 
 
@@ -276,15 +301,21 @@ def _apply_packed(p: MomentPoly, form: _OperatorTables) -> MomentPoly:
     ``8 i`` to ``8 i + 7`` and holds ``e_i``, except slot 0, which holds
     ``e0 + 128``. So ``-128 <= e0 <= 127`` and ``0 <= e_k <= 255``.
     Multiplying monomials adds keys, and a derivative by variable ``k``
-    subtracts ``2^(8 k)``. The exponent bounds of ``p`` and of every block are
-    checked before any product is formed: ``SlotOverflow`` is raised if an
-    exponent could leave its slot, so a key never wraps silently.
+    subtracts ``2^(8 k)``. The exponent bounds of ``p`` and of every block
+    (each piece's table bounds plus its shift) are checked before any
+    product is formed: ``SlotOverflow`` is raised if an exponent could leave
+    its slot, so a key never wraps silently.
 
     Coefficients are the ring's integer numerators: ``p`` over its
-    denominator, each block table over its own. One pass over the monomials
-    of ``p`` lists, per block, the keys of the derivatives it meets and their
-    integer multiplicities. Each block then multiplies its list, rescaled to
-    the step's common denominator, and the sum is reduced by its gcd once.
+    denominator, each piece over its own. One pass over the monomials of
+    ``p`` lists, per block, the keys of the derivatives it meets and their
+    integer multiplicities. For each listed key the block's pieces are
+    walked in order, each adding its shift and then its shared table,
+    rescaled to the step's common denominator; the sum is reduced by its gcd
+    once. Unless a key cancels inside a block, which no block up to index
+    sum 39 does, the walk first meets the keys in the order of the block's
+    merged polynomial, so the result's key order is that of the sum of
+    blocks.
     """
     if p.is_zero:
         return MomentPoly.zero()
@@ -326,38 +357,40 @@ def _apply_packed(p: MomentPoly, form: _OperatorTables) -> MomentPoly:
         job(("c1",), _UNIT_OFFSET - 1, num)
         job(("c2",), _UNIT_OFFSET - 2, -num)
 
-    tables = {block: form.table(block) for block in jobs}
-    for _, _, block_bounds in tables.values():
+    blocks = {block: form.pieces(block) for block in jobs}
+    for _, block_bounds in blocks.values():
         # derivatives lower exponents, the unit's by at most two
         _check_slots(_add_bounds((bounds[0] - 2, *bounds[1:]), block_bounds))
-    den_ops = lcm(*(t[0] for t in tables.values()))
+    den_ops = lcm(*(piece[0] for pieces, _ in blocks.values() for piece in pieces))
     acc: dict[int, int] = {}
     get = acc.get
     for block, todo in jobs.items():
-        den, items, _ = tables[block]
-        rescale = den_ops // den
+        walk = [(num * (den_ops // den), shift, items)
+                for den, num, shift, items in blocks[block][0]]
         for base, mult in todo:
-            mult *= rescale
-            for shift, c in items:
-                code = base + shift
-                acc[code] = get(code, 0) + mult * c
+            for scale, shift, items in walk:
+                factor = scale * mult
+                start = base + shift
+                for s, c in items:
+                    code = start + s
+                    acc[code] = get(code, 0) + factor * c
     return MomentPoly.from_numerators(
         {_unpack(code): v for code, v in acc.items() if v}, den_p * den_ops)
 
 
 # Each form's blocks carry the scalars of its operator. In the rescaled form a
 # displayed d/dt_0 is -partial(0), which flips the signs of the C1 and M blocks.
-_RHO_TABLES = _OperatorTables({
-    "c1": lambda: (_c1_rho(), -1),
-    "c2": lambda: (_c2_rho(), -1),
+_RHO_TABLES = _OperatorTables(resolvent_coefficient, _RHO_CONSTANTS, {
+    "c1": lambda: ([(F(1), (), "c1")], -1),
+    "c2": lambda: ([(F(1), (), "c2")], -1),
     "e": lambda k: (_e_rho(k), -(3 + 2 * k)),
     "m": lambda k: (_m_rho(k), -(3 + 2 * k)),
     "d": lambda k, l: (_d_rho(k, l), -(3 + 2 * k) * (3 + 2 * l)),
 })
 
-_T_TABLES = _OperatorTables({
-    "c1": lambda: (_c1_t(), 1),
-    "c2": lambda: (_c2_t(), -1),
+_T_TABLES = _OperatorTables(resolvent_coefficient_t, _T_CONSTANTS, {
+    "c1": lambda: ([(F(1), (), "c1")], 1),
+    "c2": lambda: ([(F(1), (), "c2")], -1),
     "e": lambda j: (_e_t(j), -1),
     "m": lambda j: (_m_t(j), 1),
     "d": lambda j, i: (_d_t(j, i), -1),
@@ -381,20 +414,19 @@ class StablePartition:
         else:
             raise RingError("native computation supports the 'rho' and 't' forms")
         self.convention = convention
-        self._u: list[MomentPoly] = [MomentPoly.one()]
+        self._u = MomentPoly.one()  # the last u_n of the chain
+        self._z: list[MomentPoly] = []  # Z_2, Z_3, ...
         self._f: dict[int, MomentPoly] = {}
 
-    def _extend(self, n: int) -> None:
-        while len(self._u) <= n:
-            u = self._u[-1]
-            self._u.append(-self._apply(u) + self._f2 * u)
-
     def z(self, g: int) -> MomentPoly:
-        """``Z_g = u_{g-1} / (g-1)!``."""
+        """``Z_g = u_{g-1} / (g-1)!``, kept once computed."""
         if g < 2:
             raise GenusOutOfRange(f"stable range starts at genus 2, got {g}")
-        self._extend(g - 1)
-        return self._u[g - 1].scale(F(1, factorial(g - 1)))
+        while len(self._z) < g - 1:
+            u = self._u
+            self._u = -self._apply(u) + self._f2 * u
+            self._z.append(self._u.scale(F(1, factorial(len(self._z) + 1))))
+        return self._z[g - 2]
 
     def f(self, g: int) -> MomentPoly:
         """``F_g`` from the logarithm recurrence of ``Z = exp(sum_g F_g)``.

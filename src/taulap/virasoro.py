@@ -25,12 +25,6 @@ from taulap.ring import MomentPoly, RingError
 F = Fraction
 
 
-def _ratio(num_index: int, unit_power: int, scalar: Fraction | int = 1) -> MomentPoly:
-    """``scalar * rho_{num_index} * rho_0**unit_power`` for ``num_index >= 1``."""
-    key = (unit_power,) + (0,) * (num_index - 1) + (1,)
-    return MomentPoly.monomial(key, scalar)
-
-
 def raising_part(n: int, p: MomentPoly) -> MomentPoly:
     """First-order part ``A_n = sum_{j>=n} (3+2j)/2 rho_{j-n} d/d rho_j``."""
     if n < 0:
@@ -57,13 +51,15 @@ def _quadratic_one(p: MomentPoly) -> MomentPoly:
             dkl = dk.partial(l)
             if dkl.is_zero:
                 continue
-            coeff = (_ratio(k + 1, -2) * MomentPoly.variable(l + 1)).scale(
+            coeff = (MomentPoly.monomial((-2,) + (0,) * k + (1,)) * MomentPoly.variable(l + 1)).scale(
                 (3 + 2 * k) * (3 + 2 * l)
             )
             out = out + coeff * dkl
-        linear = _ratio(1, -3, F(-13, 4)) * MomentPoly.variable(k + 1) + _ratio(k + 2, -2, 5 + 2 * k)
+        linear = (MomentPoly.monomial((-3, 1), F(-13, 4)) * MomentPoly.variable(k + 1)
+                  + MomentPoly.monomial((-2,) + (0,) * (k + 1) + (1,), 5 + 2 * k))
         out = out + (linear * dk).scale(3 + 2 * k)
-    constant = _ratio(1, -4, F(49, 64)) * MomentPoly.variable(1) + _ratio(2, -3, F(-5, 8))
+    constant = (MomentPoly.monomial((-4, 1), F(49, 64)) * MomentPoly.variable(1)
+                + MomentPoly.monomial((-3, 0, 1), F(-5, 8)))
     return out + constant * p
 
 
@@ -75,13 +71,13 @@ def _quadratic_two(p: MomentPoly) -> MomentPoly:
             continue
         dk0 = dk.partial(0)
         if not dk0.is_zero:
-            out = out + (_ratio(k + 1, -1) * dk0).scale(-6 * (3 + 2 * k))
+            out = out + (MomentPoly.monomial((-1,) + (0,) * k + (1,)) * dk0).scale(-6 * (3 + 2 * k))
         if k >= 1:
-            out = out + (_ratio(k + 1, -2) * dk).scale(F(25 * (3 + 2 * k), 4))
+            out = out + (MomentPoly.monomial((-2,) + (0,) * k + (1,)) * dk).scale(F(25 * (3 + 2 * k), 4))
     d0 = p.partial(0)
     if not d0.is_zero:
-        out = out + (_ratio(1, -2) * d0).scale(F(39, 2))
-    return out + _ratio(1, -3, F(-49, 32)) * p
+        out = out + (MomentPoly.monomial((-2, 1)) * d0).scale(F(39, 2))
+    return out + MomentPoly.monomial((-3, 1), F(-49, 32)) * p
 
 
 def _quadratic_three(p: MomentPoly) -> MomentPoly:
@@ -98,10 +94,10 @@ def _quadratic_three(p: MomentPoly) -> MomentPoly:
             continue
         dk1 = dk.partial(1)
         if not dk1.is_zero:
-            out = out + (_ratio(k + 1, -1) * dk1).scale(-10 * (3 + 2 * k))
+            out = out + (MomentPoly.monomial((-1,) + (0,) * k + (1,)) * dk1).scale(-10 * (3 + 2 * k))
     d1 = p.partial(1)
     if not d1.is_zero:
-        out = out + (_ratio(1, -2) * d1).scale(F(5, 4))
+        out = out + (MomentPoly.monomial((-2, 1)) * d1).scale(F(5, 4))
     return out + MomentPoly.unit_power(-2).scale(F(105, 64)) * p
 
 
@@ -120,8 +116,9 @@ def _quadratic_high(n: int, p: MomentPoly) -> MomentPoly:
             d2 = dn2.partial(l)
             if d2.is_zero:
                 continue
-            out = out + (_ratio(l + 1, -1) * d2).scale(-2 * (3 + 2 * l) * (2 * n - 1))
-        out = out + (_ratio(1, -2) * dn2).scale(F(2 * n - 1, 4))
+            ratio = MomentPoly.monomial((-1,) + (0,) * l + (1,))
+            out = out + (ratio * d2).scale(-2 * (3 + 2 * l) * (2 * n - 1))
+        out = out + (MomentPoly.monomial((-2, 1)) * dn2).scale(F(2 * n - 1, 4))
     dn3 = p.partial(n - 3)
     if not dn3.is_zero:
         out = out + (MomentPoly.unit_power(-1) * dn3).scale(

@@ -1,9 +1,11 @@
-"""Test-side references: a Fraction-coefficient ring, partial Bell polynomials, Bell-route extraction.
+"""Test-side references: a Fraction-coefficient ring, Bell forms and the operator's blocks.
 
 Nothing here is used by the package. ``RefPoly`` is the ring the package
 stored before it kept integer numerators: one Fraction per coefficient, with
 the same key order rules. The Bell forms are the independent closed forms the
-runtime's series recurrences are compared against.
+runtime's series recurrences are compared against. ``OPERATOR_BLOCKS`` holds
+the Laplacian's blocks built in ring arithmetic, the reference for the values
+and the key order of the kernel's pieces.
 """
 
 from __future__ import annotations
@@ -13,8 +15,17 @@ from itertools import zip_longest
 from math import factorial
 from typing import Iterable, Sequence
 
-from taulap.ring import LogProduct, MomentPoly, NonDivisible, RingError, convention_scale
+from taulap.bell import resolvent_coefficient, resolvent_coefficient_t
+from taulap.ring import (
+    LogProduct,
+    MomentPoly,
+    NonDivisible,
+    RingError,
+    convention_scale,
+    double_factorial,
+)
 
+F = Fraction
 Key = tuple[int, ...]
 
 
@@ -210,3 +221,126 @@ def bell_route_free_energy(g: int, zs: dict[int, MomentPoly]) -> MomentPoly:
         sign = 1 if k % 2 else -1
         total = total + bell(n, k, xs) * Fraction(sign * factorial(k - 1), factorial(n))
     return total
+
+
+# -- the operator's blocks as MomentPoly sums ----------------------------------
+#
+# The runtime keeps each block as pieces over shared tables; these builders
+# are the blocks written out in ring arithmetic, term for term in the order
+# the operator states them, so their key order is the reference for the
+# kernel's.
+
+
+def c2_rho() -> MomentPoly:
+    return MomentPoly({
+        (-3, 3): F(-6, 5),
+        (-2, 1, 1): F(111, 70),
+        (-1, 0, 0, 1): F(-1, 2),
+    })
+
+
+def c1_rho() -> MomentPoly:
+    return MomentPoly({
+        (-4, 3): F(2),
+        (-3, 1, 1): F(-1097, 280),
+        (-2, 0, 0, 1): F(41, 24),
+    })
+
+
+def m_rho(k: int) -> MomentPoly:
+    out = MomentPoly({(-3, 2): F(-2, 5), (-2, 0, 1): F(2, 7)}) * MomentPoly.variable(k + 1)
+    out = out + resolvent_coefficient(k + 2) * MomentPoly({(-1, 1): F(-3, 2)})
+    out = out + resolvent_coefficient(k + 3).scale(F(3, 2))
+    return out
+
+
+def d_rho(k: int, l: int) -> MomentPoly:
+    # The unit power of the first term is forced by the operator's scaling
+    # grading (every block must raise the scaling degree by exactly two, so
+    # coefficients of mixed second derivatives are degree-zero).
+    out = (
+        MomentPoly.variable(k + 1)
+        * MomentPoly.variable(l + 1)
+        * MomentPoly({(-3, 1): F(-1, 30)})
+    )
+    out = out + MomentPoly.variable(k + 1) * resolvent_coefficient(l + 2) * MomentPoly({(-1,): F(-1, 4)})
+    out = out + MomentPoly.variable(l + 1) * resolvent_coefficient(k + 2) * MomentPoly({(-1,): F(-1, 4)})
+    out = out + resolvent_coefficient(k + l + 3).scale(F(1, 4))
+    return out
+
+
+def e_rho(k: int) -> MomentPoly:
+    out = MomentPoly({(-4, 2): F(19, 60), (-3, 0, 1): F(-25, 84)}) * MomentPoly.variable(k + 1)
+    out = out + resolvent_coefficient(k + 2) * MomentPoly({(-2, 1): F(1, 16)})
+    out = out + resolvent_coefficient(k + 3) * MomentPoly({(-1,): F(-1, 16)})
+    out = out + MomentPoly.variable(k + 2) * MomentPoly({(-3, 1): F(-(5 + 2 * k), 30)})
+    out = out + resolvent_coefficient(k + 3) * MomentPoly({(-1,): F(-(5 + 2 * k), 2)})
+    return out
+
+
+def c2_t() -> MomentPoly:
+    return MomentPoly({
+        (-3, 3): F(2, 45),
+        (-2, 1, 1): F(37, 1050),
+        (-1, 0, 0, 1): F(1, 210),
+    })
+
+
+def c1_t() -> MomentPoly:
+    return MomentPoly({
+        (-4, 3): F(2, 27),
+        (-3, 1, 1): F(1097, 12600),
+        (-2, 0, 0, 1): F(41, 2520),
+    })
+
+
+def m_t(j: int) -> MomentPoly:
+    # displayed label k = j + 1
+    out = MomentPoly({(-3, 2): F(2, 45), (-2, 0, 1): F(2, 105)}) * MomentPoly.variable(j + 1)
+    out = out + resolvent_coefficient_t(j + 2) * MomentPoly({(-1, 1): F(1, 2)})
+    out = out + resolvent_coefficient_t(j + 3).scale(F(3, 2 * (5 + 2 * j)))
+    return out
+
+
+def d_t(j: int, i: int) -> MomentPoly:
+    # unit power forced by the scaling grading, as in the moment form
+    out = (
+        MomentPoly.variable(j + 1)
+        * MomentPoly.variable(i + 1)
+        * MomentPoly({(-3, 1): F(1, 90)})
+    )
+    out = out + MomentPoly.variable(j + 1) * resolvent_coefficient_t(i + 2) * MomentPoly({(-1,): F(1, 4)})
+    out = out + MomentPoly.variable(i + 1) * resolvent_coefficient_t(j + 2) * MomentPoly({(-1,): F(1, 4)})
+    out = out + resolvent_coefficient_t(j + i + 3).scale(
+        F(double_factorial(3 + 2 * j) * double_factorial(3 + 2 * i),
+          4 * double_factorial(5 + 2 * j + 2 * i))
+    )
+    return out
+
+
+def e_t(j: int) -> MomentPoly:
+    out = MomentPoly({(-4, 2): F(19, 540), (-3, 0, 1): F(5, 252)}) * MomentPoly.variable(j + 1)
+    out = out + resolvent_coefficient_t(j + 2) * MomentPoly({(-2, 1): F(1, 48)})
+    out = out + resolvent_coefficient_t(j + 3) * MomentPoly({(-1,): F(1, 16 * (5 + 2 * j))})
+    out = out + MomentPoly.variable(j + 2) * MomentPoly({(-3, 1): F(1, 90)})
+    out = out + resolvent_coefficient_t(j + 3) * MomentPoly({(-1,): F(1, 2)})
+    return out
+
+
+# Block name -> the builder and the integer scalar the block carries in each form.
+OPERATOR_BLOCKS = {
+    "rho": {
+        "c1": lambda: (c1_rho(), -1),
+        "c2": lambda: (c2_rho(), -1),
+        "e": lambda k: (e_rho(k), -(3 + 2 * k)),
+        "m": lambda k: (m_rho(k), -(3 + 2 * k)),
+        "d": lambda k, l: (d_rho(k, l), -(3 + 2 * k) * (3 + 2 * l)),
+    },
+    "t": {
+        "c1": lambda: (c1_t(), 1),
+        "c2": lambda: (c2_t(), -1),
+        "e": lambda j: (e_t(j), -1),
+        "m": lambda j: (m_t(j), 1),
+        "d": lambda j, i: (d_t(j, i), -1),
+    },
+}

@@ -12,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import taulap.cli
-from taulap.cli import MAX_GENUS, MAX_LMAX, MAX_MMAX, main
+from taulap.cli import MAX_BOUNDARIES, MAX_GENUS, MAX_LMAX, MAX_MMAX, main
 
 MODEL4 = {
     "dimension": 4,
@@ -356,6 +356,14 @@ def test_sizes_are_bounded_at_parse_time(capsys, monkeypatch):
          f"--mmax must be between 0 and {MAX_MMAX}"),
         (["model", "--file", "-", "--lmax"], MAX_LMAX, [MAX_LMAX + 1, -1],
          f"--lmax must be between 0 and {MAX_LMAX}"),
+        (["correlator", "--genus", "0", "--boundaries"], MAX_BOUNDARIES, [MAX_BOUNDARIES + 1, 20],
+         f"--boundaries must be at most {MAX_BOUNDARIES}"),
+        # one group per boundary
+        (["npoint", "--genus", "0", "--groups"], json.dumps([[1]] * MAX_BOUNDARIES),
+         [json.dumps([[1]] * (MAX_BOUNDARIES + 1))],
+         f"--groups must list at most {MAX_BOUNDARIES} groups"),
+        (["model", "--file", "-", "--eval"], json.dumps([[1]] * MAX_BOUNDARIES),
+         [json.dumps([[1]] * 20)], f"--eval must list at most {MAX_BOUNDARIES} groups"),
     ]
     for argv, top, beyond, message in cases:
         assert main([*argv, str(top)]) == 0

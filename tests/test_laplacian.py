@@ -1,17 +1,22 @@
 """Laplacian chain: frozen genus tables, cross-form validation, extraction checks."""
 
 import hashlib
+import os
 from fractions import Fraction
 from math import factorial
 
 import pytest
 
-from oracles import bell_route_free_energy
+from oracles import OPERATOR_BLOCKS, bell_route_free_energy
 from taulap.bell import resolvent_coefficient
 from taulap.laplacian import (
+    _RHO_TABLES,
+    _T_TABLES,
+    _UNIT_OFFSET,
     DimensionMismatch,
     GenusOutOfRange,
     SlotOverflow,
+    _unpack,
     apply_laplacian_rho,
     apply_laplacian_t,
     free_energy,
@@ -24,6 +29,11 @@ from taulap.laplacian import (
 from taulap.ring import MomentPoly, RingError, convert, render_terms
 
 F = Fraction
+
+FORMS = {"rho": _RHO_TABLES, "t": _T_TABLES}
+
+# Checks that take minutes run only when this environment variable is set.
+slow = pytest.mark.skipif(not os.environ.get("TAULAP_SLOW"), reason="set TAULAP_SLOW=1 to run")
 
 
 GENUS3_TABLE = {
@@ -127,22 +137,71 @@ def test_native_chains_agree_across_forms() -> None:
         assert convert(stable_partition("rho").f(g), "rho", "t") == stable_partition("t").f(g)
 
 
+def _walk(form, block: tuple) -> tuple[MomentPoly, list[tuple[int, ...]]]:
+    """A block's pieces summed in the kernel's walk order, and the keys in first-touch order."""
+    acc: dict[int, Fraction] = {}
+    for den, num, shift, items in form.pieces(block)[0]:
+        for s, c in items:
+            code = _UNIT_OFFSET + shift + s
+            acc[code] = acc.get(code, 0) + F(num * c, den)
+    return MomentPoly({_unpack(code): v for code, v in acc.items()}), [_unpack(code) for code in acc]
+
+
+def _blocks(top: int):
+    """Every block the kernel can ask for whose indices sum to at most ``top``."""
+    yield ("c1",)
+    yield ("c2",)
+    for k in range(1, top + 1):
+        yield ("e", k)
+        yield ("m", k)
+    for s in range(2, top + 1):
+        for k in range(1, s // 2 + 1):
+            yield ("d", k, s - k)
+
+
+def _check_pieces_against_oracle(convention: str, top: int) -> int:
+    form, oracle = FORMS[convention], OPERATOR_BLOCKS[convention]
+    count = 0
+    for block in _blocks(top):
+        poly, scalar = oracle[block[0]](*block[1:])
+        total, keys = _walk(form, block)
+        assert total == poly.scale(scalar), (convention, block)
+        # a key touched by the walk but cancelled in the block would move the chain's key order
+        assert keys == list(poly.nums), (convention, block)
+        count += 1
+    return count
+
+
+def test_operator_pieces_match_oracle_blocks() -> None:
+    for convention in FORMS:
+        assert _check_pieces_against_oracle(convention, 15) == 88
+
+
+@slow
+@pytest.mark.parametrize("convention", sorted(FORMS))
+def test_operator_pieces_match_oracle_blocks_through_index_sum_39(convention: str) -> None:
+    """Index sums up to 39 cover every block the chain meets through ``MAX_GENUS = 14``."""
+    assert _check_pieces_against_oracle(convention, 39) == 460
+
+
 def test_operator_coefficients_scaling_degree() -> None:
     """Every block must raise the Euler degree -(e0 + sum e_k) by exactly 2."""
+    for form in FORMS.values():
 
-    def degrees(p: MomentPoly) -> set[int]:
-        return {-(sum(k)) for k in p.terms}
+        def block(*name: object) -> MomentPoly:
+            return _walk(form, name)[0]
 
-    from taulap.laplacian import _c1_rho, _c2_rho, _d_rho, _e_rho, _m_rho
+        def degrees(p: MomentPoly) -> set[int]:
+            return {-(sum(k)) for k in p.terms}
 
-    assert degrees(_c2_rho()) == {0}
-    assert degrees(_c1_rho()) == {1}
-    for k in range(1, 6):
-        assert degrees(_m_rho(k)) == {0}
-        assert degrees(_e_rho(k)) == {1}
-        for l in range(1, 6):
-            assert degrees(_d_rho(k, l)) == {0}
-            assert _d_rho(k, l) == _d_rho(l, k)
+        assert degrees(block("c2")) == {0}
+        assert degrees(block("c1")) == {1}
+        for k in range(1, 6):
+            assert degrees(block("m", k)) == {0}
+            assert degrees(block("e", k)) == {1}
+            for l in range(1, 6):
+                assert degrees(block("d", k, l)) == {0}
+                assert block("d", k, l) == block("d", l, k)
 
 
 def test_packed_kernel_raises_on_slot_overflow() -> None:
