@@ -34,14 +34,17 @@ from taulap.spectral import SpectralError, SpectralModel, solve
 USAGE_EXIT = 64
 CHECK_EXIT = 2
 # Largest genus that --gmax, --genus and the indices of tau reach: the chain's
-# cost roughly triples per genus; fg --gmax 12 takes about 21 s and fg --gmax 14
-# about 2.5 min (2 vCPUs, CPython 3.11).
+# cost roughly triples per genus; fg --gmax 12 takes about 8 s and fg --gmax 14
+# about 40 s (2 vCPUs, CPython 3.11).
 MAX_GENUS = 14
-# Largest correlator --boundaries, and the most groups npoint --groups and
-# model --eval may list (each group is a boundary). A correlator's cost grows
-# about fourfold per boundary: correlator --genus 0 --boundaries 10 takes about
-# 1 s, --boundaries 11 about 4 s, and --genus 1 --boundaries 10 about 14 s.
-MAX_BOUNDARIES = 10
+# The most boundaries a correlator may have at genus g = 0..MAX_GENUS: the largest
+# correlator --boundaries, and the most groups npoint --groups and model --eval
+# may list (each group is a boundary). A correlator's stored terms grow about
+# fourfold per boundary and its peak RSS with them. Measured on the correlator
+# command (2 vCPUs, CPython 3.11): every admitted pair peaks at 643 MB or less
+# ((11, 3); (0, 12) takes about 20 s and 397 MB), and every pair one boundary
+# further peaks at 733 MB or more ((9, 4)) or runs out of a 1.5 GB address space.
+MAX_BOUNDARIES = (12, 10, 9, 8, 7, 6, 5, 5, 4, 3, 3, 3, 2, 2, 1)
 # Largest coeffs --mmax: R_m and S_m have a term per partition of m, and
 # coeffs --mmax 40 takes about 8 s.
 MAX_MMAX = 40
@@ -312,16 +315,19 @@ def main(argv: Sequence[str] | None = None) -> int:
         # chained comparisons also reject nan
         if not 0 < args.tol < math.inf:
             parser.error("--tol must be finite and positive")
-    if args.command == "correlator" and args.boundaries > MAX_BOUNDARIES:
-        parser.error(f"--boundaries must be at most {MAX_BOUNDARIES}")
+    # a negative genus is a domain error, reported once the command runs
+    genus = getattr(args, "genus", -1)
+    most = MAX_BOUNDARIES[genus] if genus >= 0 else math.inf
+    if args.command == "correlator" and args.boundaries > most:
+        parser.error(f"--boundaries must be at most {most} at genus {genus}")
     try:
         if args.command == "npoint":
             args.groups = _parse_groups(args.groups)
         elif args.command == "model" and args.eval:
             args.eval = _parse_groups(args.eval, "--eval")
         for option in ("groups", "eval"):
-            if len(getattr(args, option, None) or ()) > MAX_BOUNDARIES:
-                parser.error(f"--{option} must list at most {MAX_BOUNDARIES} groups")
+            if len(getattr(args, option, None) or ()) > most:
+                parser.error(f"--{option} must list at most {most} groups at genus {genus}")
         return args.func(args)
     except (RingError, SpectralError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -19,6 +19,11 @@ monomial shift on a table shared by every block that uses it: one packed
 table per resolvent coefficient ``R_m``, plus a few small constant
 polynomials. The tables therefore grow with the largest index ``m``, not
 with the number of blocks.
+The kernel runs in two passes. The first adds up every scaled contribution
+that lands on the same table at the same shifted key (a row); the second
+multiplies each row's table once, walking the rows in the order of their
+first contributions. That order gives the result the key order of the
+ungrouped walk, which multiplied a table once per contribution.
 The chain's other products and the extraction use ordinary ``MomentPoly``
 arithmetic, which runs on the same numerators with tuple keys.
 
@@ -233,10 +238,10 @@ def _add_bounds(a: Bounds, b: Bounds) -> Bounds:
     return a[0] + b[0], a[1] + b[1], a[2] + b[2]
 
 
-# A shared table: (denominator, [(key shift, numerator)], bounds).
-_Table = tuple[int, list[tuple[int, int]], Bounds]
-# A block's piece: (denominator, numerator, key shift, the shared table's items).
-_Piece = tuple[int, int, int, list[tuple[int, int]]]
+# A shared table: (denominator, table index, bounds); its items are ``items[index]``.
+_Table = tuple[int, int, Bounds]
+# A block's piece: (denominator, numerator, key shift, the shared table's index).
+_Piece = tuple[int, int, int, int]
 
 
 class _OperatorTables:
@@ -246,8 +251,9 @@ class _OperatorTables:
     function of the block's indices returning its pieces and the integer
     scalar the block carries in the operator. A table is ``resolvent(m)``
     for an int ``m`` or ``constants[name]``; each is packed once, on first
-    use, and shared by every piece that names it, so the cache grows with
-    the largest index, not with the number of blocks.
+    use, into ``items`` as a list of ``(key shift, numerator)``, and shared
+    by every piece that names it by its index in ``items``. The cache grows
+    with the largest index, not with the number of blocks.
     """
 
     def __init__(
@@ -261,13 +267,18 @@ class _OperatorTables:
         self._blocks = blocks
         self._tables: dict[int | str, _Table] = {}
         self._pieces: dict[tuple[object, ...], tuple[list[_Piece], Bounds]] = {}
+        self.items: list[list[tuple[int, int]]] = []
 
     def _table(self, name: int | str) -> _Table:
         got = self._tables.get(name)
         if got is None:
+            index = len(self.items)
+            if index > _SLOT_MASK:
+                # the kernel packs a table's index into the low slot of a row key
+                raise SlotOverflow(f"more than {_SLOT_MASK + 1} shared tables")
             poly = self._resolvent(name) if isinstance(name, int) else self._constants[name]
-            items = [(_shift(k), n) for k, n in poly.nums.items()]
-            got = self._tables[name] = (poly.den, items, _bounds(list(poly.nums)))
+            self.items.append([(_shift(k), n) for k, n in poly.nums.items()])
+            got = self._tables[name] = (poly.den, index, _bounds(list(poly.nums)))
         return got
 
     def pieces(self, block: tuple[object, ...]) -> tuple[list[_Piece], Bounds]:
@@ -286,39 +297,21 @@ class _OperatorTables:
                 reach.append(_add_bounds(self._table(name)[2], _bounds([key])))
             pieces = []
             for (name, shift), coeff in merged.items():
-                den, items, _ = self._table(name)
+                den, index, _ = self._table(name)
                 c = coeff / den
-                pieces.append((c.denominator, c.numerator, shift, items))
+                pieces.append((c.denominator, c.numerator, shift, index))
             lows, highs, tops = zip(*reach)
             got = self._pieces[block] = (pieces, (min(lows), max(highs), max(tops)))
         return got
 
 
-def _apply_packed(p: MomentPoly, form: _OperatorTables) -> MomentPoly:
-    """Apply one form of the operator to ``p`` in packed integer arithmetic.
+def _rows(p: MomentPoly, form: _OperatorTables) -> tuple[dict[int, int], int]:
+    """The grouped rows of ``form`` applied to a nonzero ``p``, and their denominator.
 
-    A monomial is one int with an 8-bit slot per variable: slot ``i`` is bits
-    ``8 i`` to ``8 i + 7`` and holds ``e_i``, except slot 0, which holds
-    ``e0 + 128``. So ``-128 <= e0 <= 127`` and ``0 <= e_k <= 255``.
-    Multiplying monomials adds keys, and a derivative by variable ``k``
-    subtracts ``2^(8 k)``. The exponent bounds of ``p`` and of every block
-    (each piece's table bounds plus its shift) are checked before any
-    product is formed: ``SlotOverflow`` is raised if an exponent could leave
-    its slot, so a key never wraps silently.
-
-    Coefficients are the ring's integer numerators: ``p`` over its
-    denominator, each piece over its own. One pass over the monomials of
-    ``p`` lists, per block, the keys of the derivatives it meets and their
-    integer multiplicities. For each listed key the block's pieces are
-    walked in order, each adding its shift and then its shared table,
-    rescaled to the step's common denominator; the sum is reduced by its gcd
-    once. Unless a key cancels inside a block, which no block up to index
-    sum 39 does, the walk first meets the keys in the order of the block's
-    merged polynomial, so the result's key order is that of the sum of
-    blocks.
+    A row ``start << 8 | table index`` maps to the integer factor its table
+    is multiplied by, in the order of its first contribution; see
+    ``_apply_packed``.
     """
-    if p.is_zero:
-        return MomentPoly.zero()
     log = p.log_coeff
     bounds = _bounds(list(p.nums) + ([()] if log else []))
     _check_slots(bounds)
@@ -362,20 +355,73 @@ def _apply_packed(p: MomentPoly, form: _OperatorTables) -> MomentPoly:
         # derivatives lower exponents, the unit's by at most two
         _check_slots(_add_bounds((bounds[0] - 2, *bounds[1:]), block_bounds))
     den_ops = lcm(*(piece[0] for pieces, _ in blocks.values() for piece in pieces))
+    rows: dict[int, int] = {}
+    get = rows.get
+    for block, todo in jobs.items():
+        # (start << 8) | index == (base << 8) + ((shift << 8) + index): the index is below 256
+        walk = [(num * (den_ops // den), (shift << _SLOT_BITS) + index)
+                for den, num, shift, index in blocks[block][0]]
+        for base, mult in todo:
+            base <<= _SLOT_BITS
+            for scale, offset in walk:
+                row = base + offset
+                rows[row] = get(row, 0) + scale * mult
+    return rows, den_p * den_ops
+
+
+def _apply_packed(p: MomentPoly, form: _OperatorTables) -> MomentPoly:
+    """Apply one form of the operator to ``p`` in packed integer arithmetic.
+
+    A monomial is one int with an 8-bit slot per variable: slot ``i`` is bits
+    ``8 i`` to ``8 i + 7`` and holds ``e_i``, except slot 0, which holds
+    ``e0 + 128``. So ``-128 <= e0 <= 127`` and ``0 <= e_k <= 255``.
+    Multiplying monomials adds keys, and a derivative by variable ``k``
+    subtracts ``2^(8 k)``. The exponent bounds of ``p`` and of every block
+    (each piece's table bounds plus its shift) are checked before any
+    product is formed: ``SlotOverflow`` is raised if an exponent could leave
+    its slot, so a key never wraps silently.
+
+    Coefficients are the ring's integer numerators: ``p`` over its
+    denominator, each piece over its own, all rescaled to the step's common
+    denominator; the sum is reduced by its gcd once. One pass over the
+    monomials of ``p`` lists, per block, the keys of the derivatives it
+    meets and their integer multiplicities. The products then run in two
+    passes (the grouped sparse product of Monagan and Pearce):
+
+    1. Grouping. For each block, listed key and piece, in that order, the
+       scaled multiplicity is added to a row: the piece's table started at
+       the listed key plus the piece's shift. A row is one int,
+       ``start << 8 | table index``.
+    2. Products. The rows are walked in insertion order, each multiplying
+       its factor into every item of its table at ``start`` plus the item's
+       shift.
+
+    Each table is thus multiplied once per distinct row, not once per listed
+    key. The result's key order is that of the ungrouped walk, which takes
+    the triples ``(block, listed key, piece)`` one by one, each through its
+    table's items: that walk meets a key first at the least ``(triple
+    position, item index)`` that reaches it. A triple reaches the same keys
+    with the same item indices as its row, and a row is inserted at its
+    first triple, so rows are walked in the order of their first triples and
+    the least pair is the same in both walks. A row whose factor sums to 0
+    is still walked: it places its keys in that order, and keys whose sum is
+    0 are dropped at the end. Unless a key cancels inside a block, which no
+    block up to index sum 39 does, the walk first meets the keys in the
+    order of the block's merged polynomial, so the result's key order is
+    that of the sum of blocks.
+    """
+    if p.is_zero:
+        return MomentPoly.zero()
+    rows, den = _rows(p, form)
     acc: dict[int, int] = {}
     get = acc.get
-    for block, todo in jobs.items():
-        walk = [(num * (den_ops // den), shift, items)
-                for den, num, shift, items in blocks[block][0]]
-        for base, mult in todo:
-            for scale, shift, items in walk:
-                factor = scale * mult
-                start = base + shift
-                for s, c in items:
-                    code = start + s
-                    acc[code] = get(code, 0) + factor * c
-    return MomentPoly.from_numerators(
-        {_unpack(code): v for code, v in acc.items() if v}, den_p * den_ops)
+    tables = form.items
+    for row, factor in rows.items():
+        start = row >> _SLOT_BITS
+        for s, c in tables[row & _SLOT_MASK]:
+            code = start + s
+            acc[code] = get(code, 0) + factor * c
+    return MomentPoly.from_numerators({_unpack(code): v for code, v in acc.items() if v}, den)
 
 
 # Each form's blocks carry the scalars of its operator. In the rescaled form a

@@ -155,6 +155,21 @@ def _lhs(model: SpectralModel, c: float) -> float:
     return (1 - z0) * (1 + z0) if model.dimension == 6 else 1 - z0
 
 
+def _value(model: SpectralModel, c: float) -> float:
+    """The implicit shift equation at ``c``: ``_implicit(model, c)[0]``, without the slope."""
+    z0 = _edge(c)
+    half = model.dimension // 2
+    total = 0.0
+    for w, s in zip(model.weights, model._cut_squares):
+        y = sqrt(s + c)
+        try:
+            base = (z0 + y) ** half
+        except OverflowError:
+            base = math.inf
+        total += w / (base * y)
+    return _lhs(model, c) - total / 2
+
+
 def _implicit(model: SpectralModel, c: float) -> tuple[float, float]:
     """The implicit shift equation and its derivative at ``c``, from one pass over the levels."""
     z0 = _edge(c)
@@ -315,7 +330,7 @@ def _rootless(model: SpectralModel, value0: float, tol: float) -> bool:
             if fb + lhs_a - _lhs(model, b) < -tol - 1e-9 * (1 + abs(lhs_a) + abs(fb)):
                 continue
             mid = (a + b) / 2
-            fmid = _implicit(model, mid)[0]
+            fmid = _value(model, mid)
             if not fmid < 0:
                 return False
             live += [(a, mid, fmid), (mid, b, fb)]

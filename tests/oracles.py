@@ -5,17 +5,29 @@ stored before it kept integer numerators: one Fraction per coefficient, with
 the same key order rules. The Bell forms are the independent closed forms the
 runtime's series recurrences are compared against. ``OPERATOR_BLOCKS`` holds
 the Laplacian's blocks built in ring arithmetic, the reference for the values
-and the key order of the kernel's pieces.
+and the key order of the kernel's pieces. ``ungrouped_apply`` is the
+operator kernel before its products were grouped by row: the reference for
+the grouped kernel's numerators, denominator and key order.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from itertools import zip_longest
-from math import factorial
+from math import factorial, lcm
 from typing import Iterable, Sequence
 
 from taulap.bell import resolvent_coefficient, resolvent_coefficient_t
+from taulap.laplacian import (
+    _SLOT_BITS,
+    _UNIT_OFFSET,
+    _add_bounds,
+    _bounds,
+    _check_slots,
+    _OperatorTables,
+    _shift,
+    _unpack,
+)
 from taulap.ring import (
     LogProduct,
     MomentPoly,
@@ -344,3 +356,77 @@ OPERATOR_BLOCKS = {
         "d": lambda j, i: (d_t(j, i), -1),
     },
 }
+
+
+# -- the operator kernel without grouping ---------------------------------------
+
+
+def ungrouped_apply(p: MomentPoly, form: _OperatorTables) -> MomentPoly:
+    """The operator applied by multiplying every listed key by every piece's whole table.
+
+    This is the kernel's walk before its products were grouped by
+    ``(table, shifted key)``: for each block, each listed derivative key and
+    each piece, in that order, the piece's table is multiplied into the
+    accumulator. The grouped kernel must give the same numerators,
+    denominator and key order.
+    """
+    if p.is_zero:
+        return MomentPoly.zero()
+    log = p.log_coeff
+    bounds = _bounds(list(p.nums) + ([()] if log else []))
+    _check_slots(bounds)
+    den_p = lcm(p.den, log.denominator)
+    mult_p = den_p // p.den
+    jobs: dict[tuple[object, ...], list[tuple[int, int]]] = {}
+
+    def job(block: tuple[object, ...], code: int, mult: int) -> None:
+        todo = jobs.get(block)
+        if todo is None:
+            jobs[block] = [(code, mult)]
+        else:
+            todo.append((code, mult))
+
+    for key, n in p.nums.items():
+        e0 = key[0] if key else 0
+        code = _UNIT_OFFSET + _shift(key)
+        num = n * mult_p
+        if e0:
+            job(("c1",), code - 1, num * e0)
+            if e0 != 1:
+                job(("c2",), code - 2, num * e0 * (e0 - 1))
+        slots = [(k, e, code - (1 << (_SLOT_BITS * k))) for k, e in enumerate(key) if k and e]
+        for i, (k, e, dk) in enumerate(slots):
+            job(("e", k), dk, num * e)
+            if e0:
+                job(("m", k), dk - 1, num * e * e0)
+            if e > 1:
+                job(("d", k, k), dk - (1 << (_SLOT_BITS * k)), num * e * (e - 1))
+            for l, f, _ in slots[i + 1:]:
+                # the ordered sum over (k, l) meets every symmetric block twice
+                job(("d", k, l), dk - (1 << (_SLOT_BITS * l)), 2 * num * e * f)
+    if log:
+        # the unit derivative of c log(unit) is c / unit, and its own is -c / unit^2
+        num = int(log * den_p)
+        job(("c1",), _UNIT_OFFSET - 1, num)
+        job(("c2",), _UNIT_OFFSET - 2, -num)
+
+    blocks = {block: form.pieces(block) for block in jobs}
+    for _, block_bounds in blocks.values():
+        # derivatives lower exponents, the unit's by at most two
+        _check_slots(_add_bounds((bounds[0] - 2, *bounds[1:]), block_bounds))
+    den_ops = lcm(*(piece[0] for pieces, _ in blocks.values() for piece in pieces))
+    acc: dict[int, int] = {}
+    get = acc.get
+    for block, todo in jobs.items():
+        # pieces name their shared table by its index in ``form.items``
+        walk = [(num * (den_ops // den), shift, form.items[index])
+                for den, num, shift, index in blocks[block][0]]
+        for base, mult in todo:
+            for scale, shift, items in walk:
+                factor = scale * mult
+                start = base + shift
+                for s, c in items:
+                    code = start + s
+                    acc[code] = get(code, 0) + factor * c
+    return MomentPoly.from_numerators(
+        {_unpack(code): v for code, v in acc.items() if v}, den_p * den_ops)

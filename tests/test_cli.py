@@ -356,15 +356,22 @@ def test_sizes_are_bounded_at_parse_time(capsys, monkeypatch):
          f"--mmax must be between 0 and {MAX_MMAX}"),
         (["model", "--file", "-", "--lmax"], MAX_LMAX, [MAX_LMAX + 1, -1],
          f"--lmax must be between 0 and {MAX_LMAX}"),
-        (["correlator", "--genus", "0", "--boundaries"], MAX_BOUNDARIES, [MAX_BOUNDARIES + 1, 20],
-         f"--boundaries must be at most {MAX_BOUNDARIES}"),
-        # one group per boundary
-        (["npoint", "--genus", "0", "--groups"], json.dumps([[1]] * MAX_BOUNDARIES),
-         [json.dumps([[1]] * (MAX_BOUNDARIES + 1))],
-         f"--groups must list at most {MAX_BOUNDARIES} groups"),
-        (["model", "--file", "-", "--eval"], json.dumps([[1]] * MAX_BOUNDARIES),
-         [json.dumps([[1]] * 20)], f"--eval must list at most {MAX_BOUNDARIES} groups"),
     ]
+    # the boundary count is bounded per genus: (2, 10) and (14, 10) run out of memory
+    assert len(MAX_BOUNDARIES) == MAX_GENUS + 1
+    for g, most in enumerate(MAX_BOUNDARIES):
+        beyond = [most + 1, 10, 20] if most < 10 else [most + 1, 20]
+        cases.append((["correlator", "--genus", str(g), "--boundaries"], most, beyond,
+                      f"--boundaries must be at most {most} at genus {g}"))
+    # one group per boundary
+    for g in (0, MAX_GENUS):
+        most = MAX_BOUNDARIES[g]
+        cases += [
+            (["npoint", "--genus", str(g), "--groups"], json.dumps([[1]] * most),
+             [json.dumps([[1]] * (most + 1))], f"--groups must list at most {most} groups at genus {g}"),
+            (["model", "--file", "-", "--genus", str(g), "--eval"], json.dumps([[1]] * most),
+             [json.dumps([[1]] * 20)], f"--eval must list at most {most} groups at genus {g}"),
+        ]
     for argv, top, beyond, message in cases:
         assert main([*argv, str(top)]) == 0
         capsys.readouterr()

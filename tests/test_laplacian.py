@@ -7,7 +7,7 @@ from math import factorial
 
 import pytest
 
-from oracles import OPERATOR_BLOCKS, bell_route_free_energy
+from oracles import OPERATOR_BLOCKS, bell_route_free_energy, ungrouped_apply
 from taulap.bell import resolvent_coefficient
 from taulap.laplacian import (
     _RHO_TABLES,
@@ -16,6 +16,9 @@ from taulap.laplacian import (
     DimensionMismatch,
     GenusOutOfRange,
     SlotOverflow,
+    _apply_packed,
+    _OperatorTables,
+    _rows,
     _unpack,
     apply_laplacian_rho,
     apply_laplacian_t,
@@ -140,8 +143,8 @@ def test_native_chains_agree_across_forms() -> None:
 def _walk(form, block: tuple) -> tuple[MomentPoly, list[tuple[int, ...]]]:
     """A block's pieces summed in the kernel's walk order, and the keys in first-touch order."""
     acc: dict[int, Fraction] = {}
-    for den, num, shift, items in form.pieces(block)[0]:
-        for s, c in items:
+    for den, num, shift, index in form.pieces(block)[0]:
+        for s, c in form.items[index]:
             code = _UNIT_OFFSET + shift + s
             acc[code] = acc.get(code, 0) + F(num * c, den)
     return MomentPoly({_unpack(code): v for code, v in acc.items()}), [_unpack(code) for code in acc]
@@ -218,6 +221,68 @@ def test_packed_kernel_raises_on_slot_overflow() -> None:
             apply_laplacian_rho(probe)
         with pytest.raises(SlotOverflow):
             apply_laplacian_t(probe)
+
+
+def test_table_index_fits_its_slot() -> None:
+    """A row key keeps its table's index in one 8-bit slot; a 257th table raises."""
+    form = _OperatorTables(lambda m: MomentPoly.variable(1), {}, {})
+    for m in range(256):
+        form._table(m)
+    with pytest.raises(SlotOverflow):
+        form._table(256)
+
+
+# -- grouped products against the ungrouped walk ---------------------------------
+
+F2 = {"rho": genus_two_rho(), "t": genus_two_t()}
+
+
+def _assert_same_as_ungrouped(p: MomentPoly, convention: str) -> MomentPoly:
+    got = _apply_packed(p, FORMS[convention])
+    want = ungrouped_apply(p, FORMS[convention])
+    # numerators in key order, and the denominator
+    assert list(got.nums.items()) == list(want.nums.items()), convention
+    assert got.den == want.den, convention
+    return got
+
+
+def _check_chain_against_ungrouped(convention: str, top: int) -> None:
+    """The kernel equals the ungrouped walk on ``u_0..u_top`` of the chain."""
+    u = MomentPoly.one()
+    for _ in range(top + 1):
+        u = -_assert_same_as_ungrouped(u, convention) + F2[convention] * u
+
+
+def test_grouped_kernel_matches_ungrouped_walk() -> None:
+    for convention in FORMS:
+        _check_chain_against_ungrouped(convention, 8)
+        # a log(unit) term lists keys of its own in the c1 and c2 blocks
+        for p in (F2[convention], stable_partition(convention).f(3)):
+            _assert_same_as_ungrouped(p + MomentPoly.log_unit(F(-1, 24)), convention)
+
+
+@slow
+@pytest.mark.parametrize("convention", sorted(FORMS))
+def test_grouped_kernel_matches_ungrouped_walk_through_u_11(convention: str) -> None:
+    """``u_11`` is the last step ``fg --gmax 12`` takes."""
+    _check_chain_against_ungrouped(convention, 11)
+
+
+# r1 r2^2 and r1^2 r3 (over unit^3) reach several of the same rows, the table
+# R_3 at r2 r3 / unit^4 among them; with these coefficients their factors there
+# sum to 0.
+CANCELLING = {
+    "rho": MomentPoly({(-3, 1, 2): 1, (-3, 2, 0, 1): F(-7, 5)}),
+    "t": MomentPoly({(-3, 1, 2): 1, (-3, 2, 0, 1): -1}),
+}
+
+
+def test_grouped_kernel_keeps_the_order_of_a_cancelled_row() -> None:
+    """A row whose factor sums to 0 still places its keys where the walk first meets them."""
+    for convention, p in CANCELLING.items():
+        rows, _ = _rows(p, FORMS[convention])
+        assert 0 in rows.values(), convention
+        _assert_same_as_ungrouped(p, convention)
 
 
 def test_genus_one_constant() -> None:

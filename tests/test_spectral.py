@@ -29,6 +29,7 @@ from taulap.spectral import (
     SpectralSolution,
     _implicit,
     _newton,
+    _value,
     solve,
 )
 
@@ -400,7 +401,7 @@ def test_certificate_gates_newton_without_moving_the_shift(monkeypatch):
 
     def counted(model, c):
         passes.append(c)
-        return _implicit(model, c)
+        return _value(model, c)
 
     for model in MODELS:
         direct = _newton(model, _implicit(model, 0.0), 1e-12, 200)
@@ -408,9 +409,19 @@ def test_certificate_gates_newton_without_moving_the_shift(monkeypatch):
         # a sign change is found within the first few midpoints
         passes.clear()
         with monkeypatch.context() as patch:
-            patch.setattr(spectral, "_implicit", counted)
+            patch.setattr(spectral, "_value", counted)
             assert not spectral._rootless(model, _implicit(model, 0.0)[0], 1e-12)
         assert 1 <= len(passes) <= 3
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.floats(-0.999, 3.0))
+def test_value_pass_equals_the_value_of_implicit_bitwise(c):
+    # the certificate's value-only pass sums in the same order as _implicit;
+    # the first level of the last model overflows (z0 + y) ** 3
+    huge = SpectralModel(6, 0.3, 1.0, ((1e150, 1), (0.5, 2)))
+    for model in (*MODELS, huge):
+        assert _value(model, c) == _implicit(model, c)[0]
 
 
 def test_certificate_at_the_critical_coupling():
