@@ -24,7 +24,7 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 from itertools import product
-from math import lcm
+from math import isqrt, lcm
 from typing import Mapping, Sequence
 
 from taulap.laplacian import GenusOutOfRange, genus_one, stable_partition
@@ -56,16 +56,18 @@ def lambda_exponent(g: int, boundaries: int) -> int:
     return 4 * g + 3 * boundaries - 4 + (1 if boundaries == 1 else 0)
 
 
-def generic_moments(count: int = 12) -> dict[int, Fraction]:
-    """Fixed generic rational moment values free of accidental degeneracies."""
-    nums = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
-    dens = (7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53)
-    if count > len(nums):
-        raise RingError(f"generic moments available up to index {len(nums)}")
+def generic_moments() -> dict[int, Fraction]:
+    """Fixed generic rational moment values free of accidental degeneracies.
+
+    Index 0 is ``5/3`` and index ``l = 1..40`` is ``(-1)^l p_l / p_(l+3)``,
+    where ``p_1 = 2, p_2 = 3, ...`` are the primes (``p_43 = 191``). Index 40
+    is the largest ``3g - 3 + B`` of a correlator ``G_{g,B}`` the command
+    line admits.
+    """
+    primes = [n for n in range(2, 192) if all(n % p for p in range(2, isqrt(n) + 1))]
     out = {0: F(5, 3)}
-    for l in range(1, count + 1):
-        sign = -1 if l % 2 else 1
-        out[l] = F(sign * nums[l - 1], dens[l - 1])
+    for l in range(1, 41):
+        out[l] = F((-1) ** l * primes[l - 1], primes[l + 2])
     return out
 
 

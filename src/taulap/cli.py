@@ -23,6 +23,7 @@ from taulap.boundary import (
 from taulap.laplacian import free_energy, tau_intersection
 from taulap.ring import (
     RingError,
+    UnknownVariable,
     ZLaurent,
     format_rational,
     render_str,
@@ -46,8 +47,12 @@ MAX_GENUS = 14
 # further peaks at 733 MB or more ((9, 4)) or runs out of a 1.5 GB address space.
 MAX_BOUNDARIES = (12, 10, 9, 8, 7, 6, 5, 5, 4, 3, 3, 3, 2, 2, 1)
 # Largest coeffs --mmax: R_m and S_m have a term per partition of m, and
-# coeffs --mmax 40 takes about 8 s.
+# coeffs --mmax 40 takes about 9 s for S and 4 s for R.
 MAX_MMAX = 40
+# Most digits a number in npoint --groups, --moments and --coupling or model
+# --eval may have, counting the size of its exponent: exact arithmetic on
+# longer numbers is slow, and soon passes Python's int-to-str limit.
+MAX_LITERAL_DIGITS = 100
 # Largest model --lmax: each moment is one pass over the levels, and --lmax 100
 # on a model of 100,001 levels (the generator's ceiling) takes about 5 s.
 MAX_LMAX = 100
@@ -60,33 +65,44 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _fraction(value: object) -> Fraction:
-    if isinstance(value, bool):
-        raise RingError(f"not a number: {value!r}")
-    if isinstance(value, int):
-        return Fraction(value)
-    if isinstance(value, (float, str)):
+    if isinstance(value, float):
+        value = str(value)
+    if not isinstance(value, str):
+        raise RingError(f"cannot interpret {value!r} as a rational number")
+    # the digits the literal is written with plus the size of its decimal exponent
+    digits = sum(c.isdecimal() for c in value)
+    _, marker, exponent = value.lower().partition("e")
+    if marker and digits <= MAX_LITERAL_DIGITS:
         try:
-            return Fraction(str(value))
-        except (ValueError, ZeroDivisionError) as exc:
-            raise RingError(f"bad rational literal {value!r}: {exc}") from exc
-    raise RingError(f"cannot interpret {value!r} as a rational number")
+            digits += abs(int(exponent))
+        except ValueError:
+            pass  # not a literal; Fraction says why
+    if digits > MAX_LITERAL_DIGITS:
+        shown = value if len(value) <= 24 else value[:20] + "..."
+        raise RingError(f"number {shown!r} has more than {MAX_LITERAL_DIGITS} digits")
+    try:
+        return Fraction(value)
+    except (ValueError, ZeroDivisionError) as exc:
+        raise RingError(f"bad rational literal {value!r}: {exc}") from exc
+
+
+def _json(text: str, option: str) -> object:
+    # integers stay strings, so that _fraction bounds them before one is built
+    try:
+        return json.loads(text, parse_int=str)
+    except json.JSONDecodeError as exc:
+        raise RingError(f"{option} must be JSON: {exc}") from exc
 
 
 def _parse_groups(text: str, option: str = "--groups") -> list[list[Fraction]]:
-    try:
-        raw = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise RingError(f"{option} must be JSON: {exc}") from exc
+    raw = _json(text, option)
     if not isinstance(raw, list) or not raw or not all(isinstance(g, list) and g for g in raw):
         raise RingError(f"{option} must be a nonempty list of nonempty lists")
     return [[_fraction(v) for v in grp] for grp in raw]
 
 
 def _parse_moments(text: str) -> dict[int, Fraction]:
-    try:
-        raw = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise RingError(f"--moments must be JSON: {exc}") from exc
+    raw = _json(text, "--moments")
     if not isinstance(raw, dict):
         raise RingError("--moments must be a JSON object of index: value")
     out: dict[int, Fraction] = {}
@@ -141,7 +157,18 @@ def _cmd_correlator(args: argparse.Namespace) -> int:
 
 
 def _cmd_npoint(args: argparse.Namespace) -> int:
-    moments = _parse_moments(args.moments) if args.moments else generic_moments()
+    if args.moments:
+        moments = _parse_moments(args.moments)
+        # G_{g,B} depends on every moment index 0..3g-3+B
+        top = 3 * args.genus - 3 + len(args.groups)
+        missing = [str(l) for l in range(top + 1) if l not in moments]
+        if missing:
+            raise UnknownVariable(
+                f"--moments binds no value for index {', '.join(missing)}: "
+                f"G_({args.genus},{len(args.groups)}) uses every index 0..{top}"
+            )
+    else:
+        moments = generic_moments()
     coupling = _fraction(args.coupling)
     value = evaluate_correlator(args.genus, args.groups, coupling, moments)
     print(format_rational(value))

@@ -27,17 +27,17 @@ ungrouped walk, which multiplied a table once per contribution.
 The chain's other products and the extraction use ordinary ``MomentPoly``
 arithmetic, which runs on the same numerators with tuple keys.
 
-The operator exists in two verbatim forms: one whose coefficients are
-written in the moment variables (``rho``), one written in the rescaled
-variables (``t``).  They are related by the change of variables
-``r_l = -t_{l+1} / (2l+1)!!`` and validated against each other in the
-tests.  Intersection numbers of stable moduli spaces are the normalized
-coefficients of ``F_g`` in the ``t`` form.
+The operator is written once, in the moment variables (``rho``). The form
+in the rescaled variables (``t``) is its conjugate under the change of
+variables ``r_l = -t_{l+1} / (2l+1)!!``: its blocks, constants, ``F_2`` and
+tables are derived from the moment form's. Intersection numbers of stable
+moduli spaces are the normalized coefficients of ``F_g`` in the ``t`` form.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import partial
 from math import factorial, lcm
 from typing import Callable, Sequence
 
@@ -46,6 +46,7 @@ from taulap.ring import (
     Key,
     MomentPoly,
     RingError,
+    convention_scale,
     convert,
     double_factorial,
 )
@@ -75,11 +76,7 @@ def genus_two_rho() -> MomentPoly:
 
 
 def genus_two_t() -> MomentPoly:
-    return MomentPoly({
-        (-5, 3): F(7, 1440),
-        (-4, 1, 1): F(29, 5760),
-        (-3, 0, 0, 1): F(1, 1152),
-    })
+    return convert(genus_two_rho(), "rho", "t")
 
 
 # ---------------------------------------------------------------------------
@@ -141,46 +138,8 @@ def apply_laplacian_rho(p: MomentPoly) -> MomentPoly:
     return _apply_packed(p, _RHO_TABLES)
 
 
-# Rescaled form. Slot ``j >= 1`` carries the variable ``t_{j+1}``; the unit is
-# ``T0 = 1 - t_0``, so a displayed ``d/dt_0`` is ``-partial(0)`` on stored
-# exponents. Its tables are ``R_m^t``.
-
-_T_CONSTANTS = {
-    "c2": MomentPoly({(-3, 3): F(2, 45), (-2, 1, 1): F(37, 1050), (-1, 0, 0, 1): F(1, 210)}),
-    "c1": MomentPoly({(-4, 3): F(2, 27), (-3, 1, 1): F(1097, 12600), (-2, 0, 0, 1): F(41, 2520)}),
-    "m": MomentPoly({(-3, 2): F(2, 45), (-2, 0, 1): F(2, 105)}),
-    "e": MomentPoly({(-4, 2): F(19, 540), (-3, 0, 1): F(5, 252)}),
-}
-
-
-def _m_t(j: int) -> list[_Spec]:
-    # displayed label k = j + 1
-    return [(F(1), _key(0, j + 1), "m"), (F(1, 2), (-1, 1), j + 2), (F(3, 2 * (5 + 2 * j)), (), j + 3)]
-
-
-def _d_t(j: int, i: int) -> list[_Spec]:
-    # unit power forced by the scaling grading, as in the moment form
-    return [
-        (F(1, 90), _key(-3, 1, j + 1, i + 1), "one"),
-        (F(1, 4), _key(-1, j + 1), i + 2),
-        (F(1, 4), _key(-1, i + 1), j + 2),
-        (F(double_factorial(3 + 2 * j) * double_factorial(3 + 2 * i),
-           4 * double_factorial(5 + 2 * j + 2 * i)), (), j + i + 3),
-    ]
-
-
-def _e_t(j: int) -> list[_Spec]:
-    return [
-        (F(1), _key(0, j + 1), "e"),
-        (F(1, 48), (-2, 1), j + 2),
-        (F(1, 16 * (5 + 2 * j)), (-1,), j + 3),
-        (F(1, 90), _key(-3, 1, j + 2), "one"),
-        (F(1, 2), (-1,), j + 3),
-    ]
-
-
 def apply_laplacian_t(p: MomentPoly) -> MomentPoly:
-    """The same operator written in the rescaled variables."""
+    """The same operator in the rescaled variables, conjugated from the moment form."""
     return _apply_packed(p, _T_TABLES)
 
 
@@ -424,23 +383,58 @@ def _apply_packed(p: MomentPoly, form: _OperatorTables) -> MomentPoly:
     return MomentPoly.from_numerators({_unpack(code): v for code, v in acc.items() if v}, den)
 
 
-# Each form's blocks carry the scalars of its operator. In the rescaled form a
-# displayed d/dt_0 is -partial(0), which flips the signs of the C1 and M blocks.
-_RHO_TABLES = _OperatorTables(resolvent_coefficient, _RHO_CONSTANTS, {
+# Each block's pieces and the integer scalar the block carries in the operator.
+_RHO_BLOCKS: dict[str, Callable[..., tuple[list[_Spec], int]]] = {
     "c1": lambda: ([(F(1), (), "c1")], -1),
     "c2": lambda: ([(F(1), (), "c2")], -1),
     "e": lambda k: (_e_rho(k), -(3 + 2 * k)),
     "m": lambda k: (_m_rho(k), -(3 + 2 * k)),
     "d": lambda k, l: (_d_rho(k, l), -(3 + 2 * k) * (3 + 2 * l)),
-})
+}
 
-_T_TABLES = _OperatorTables(resolvent_coefficient_t, _T_CONSTANTS, {
-    "c1": lambda: ([(F(1), (), "c1")], 1),
-    "c2": lambda: ([(F(1), (), "c2")], -1),
-    "e": lambda j: (_e_t(j), -1),
-    "m": lambda j: (_m_t(j), 1),
-    "d": lambda j, i: (_d_t(j, i), -1),
-})
+_RHO_TABLES = _OperatorTables(resolvent_coefficient, _RHO_CONSTANTS, _RHO_BLOCKS)
+
+
+def _rescaling(key: Key) -> tuple[int, int]:
+    """``lambda(key) = prod_l s_l^(e_l)`` over the variables, not the unit, with
+    ``r_l = s_l t_{l+1}``: its numerator and denominator."""
+    up = down = 1
+    for l, e in enumerate(key):
+        if l and e:
+            s = convention_scale("t", l)
+            up *= s.numerator ** e
+            down *= s.denominator ** e
+    return up, down
+
+
+def _rescaled(block: str, *indices: int) -> tuple[list[_Spec], int]:
+    """The moment-form block conjugated by the change of variables.
+
+    The term ``a x^K`` of a ``t``-form polynomial is ``a / lambda(K) x^K`` in
+    moment variables, and the block takes ``x^K`` to ``x^(K - d)`` times its
+    pieces, ``d`` the monomial it differentiates. So a piece ``(c, shift,
+    table)`` with scalar ``s`` becomes ``c s lambda(shift) / lambda(d)`` on the
+    table in ``t``, with scalar 1, and over ``(2m-1)!!`` if the table is ``R^t_m``.
+    """
+    spec, scalar = _RHO_BLOCKS[block](*indices)
+    d_up, d_down = _rescaling(_key(0, *indices))
+    out = []
+    for coeff, shift, table in spec:
+        up, down = _rescaling(shift)
+        if isinstance(table, int):
+            down *= double_factorial(2 * table - 1)
+        c = F(coeff.numerator * scalar * up * d_down, coeff.denominator * down * d_up)
+        out.append((c, shift, table))
+    return out, 1
+
+
+# Rescaled form. Slot ``j >= 1`` carries the variable ``t_{j+1}``; the unit is
+# ``T0 = 1 - t_0``, stored as the moment form stores ``r0``.
+_T_TABLES = _OperatorTables(
+    resolvent_coefficient_t,
+    {name: convert(c, "rho", "t") for name, c in _RHO_CONSTANTS.items()},
+    {block: partial(_rescaled, block) for block in _RHO_BLOCKS},
+)
 
 
 # ---------------------------------------------------------------------------

@@ -94,8 +94,15 @@ def rational(value: object, denominator: object | None = None) -> Fraction:
 
 
 def format_rational(value: object) -> str:
-    """Render an exact rational as ``"p/q"`` (or ``"p"`` when integral)."""
-    return str(Fraction(value))  # type: ignore[arg-type]
+    """Render an exact rational as ``"p/q"`` (or ``"p"`` when integral).
+
+    ``RingError`` if a part is past Python's int-to-str limit.
+    """
+    value = Fraction(value)  # type: ignore[arg-type]
+    try:
+        return str(value)
+    except ValueError as exc:
+        raise RingError("the exact result has too many digits to print") from exc
 
 
 def double_factorial(n: int) -> int:
@@ -519,17 +526,24 @@ def convert(poly: MomentPoly, src: str, dst: str) -> MomentPoly:
     _check_convention(dst)
     if src == dst:
         return poly
-    factors: list[Fraction] = []
+    width = max(map(len, poly.nums), default=1)
+    # x^e gains prod_l (ups[l] / downs[l])^e_l: one integer ratio per variable index
+    ratios = [convention_scale(dst, l) / convention_scale(src, l) for l in range(1, width)]
+    ups = [1] + [r.numerator for r in ratios]
+    downs = [1] + [r.denominator for r in ratios]
+    factors = []
     for key in poly.nums:
-        factor = _ONE
-        for l, e in enumerate(key):
-            if l and e:
-                factor *= (convention_scale(dst, l) / convention_scale(src, l)) ** e
-        factors.append(factor)
+        up = down = 1
+        for l in range(1, len(key)):
+            e = key[l]
+            if e:
+                up *= ups[l] ** e
+                down *= downs[l] ** e
+        factors.append((up, down))
     # each numerator times its factor, all over the lcm of the factors' denominators
-    common = lcm(*(f.denominator for f in factors))
-    nums = {key: n * f.numerator * (common // f.denominator)
-            for (key, n), f in zip(poly.nums.items(), factors)}
+    common = lcm(*(down for _, down in factors))
+    nums = {key: n * up * (common // down)
+            for (key, n), (up, down) in zip(poly.nums.items(), factors)}
     return MomentPoly.from_numerators(nums, poly.den * common, poly.log_coeff)
 
 

@@ -3,9 +3,13 @@
 Nothing here is used by the package. ``RefPoly`` is the ring the package
 stored before it kept integer numerators: one Fraction per coefficient, with
 the same key order rules. The Bell forms are the independent closed forms the
-runtime's series recurrences are compared against. ``OPERATOR_BLOCKS`` holds
-the Laplacian's blocks built in ring arithmetic, the reference for the values
-and the key order of the kernel's pieces. ``ungrouped_apply`` is the
+runtime's series recurrences are compared against. The series divisions
+for ``R_m`` and ``R^t_m``, each written in its own variables, are the
+references for the runtime's ``R_m`` and for the ``R^t_m`` it derives by
+``convert``. ``OPERATOR_BLOCKS`` holds the Laplacian's blocks built in ring
+arithmetic, each form written out in its own variables: the reference for
+the values and the key order of the kernel's pieces, which the runtime
+derives for the ``t`` form from the moment form. ``ungrouped_apply`` is the
 operator kernel before its products were grouped by row: the reference for
 the grouped kernel's numerators, denominator and key order.
 """
@@ -13,11 +17,12 @@ the grouped kernel's numerators, denominator and key order.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import lru_cache
 from itertools import zip_longest
 from math import factorial, lcm
 from typing import Iterable, Sequence
 
-from taulap.bell import resolvent_coefficient, resolvent_coefficient_t
+from taulap.bell import resolvent_coefficient
 from taulap.laplacian import (
     _SLOT_BITS,
     _UNIT_OFFSET,
@@ -235,6 +240,48 @@ def bell_route_free_energy(g: int, zs: dict[int, MomentPoly]) -> MomentPoly:
     return total
 
 
+# -- R_m by series division in ring arithmetic -----------------------------------
+#
+# The runtime builds R_m in one integer accumulator and derives the rescaled
+# R^t_m from it by ``convert``. These are the divisions written out term by
+# term in ``MomentPoly`` arithmetic, each in its own variables: the references
+# for the runtime's values and key order.
+
+
+def _over_unit(index: int) -> MomentPoly:
+    return MomentPoly.monomial((-1,) + (0,) * (index - 1) + (1,))
+
+
+@lru_cache(maxsize=None)
+def resolvent_by_division(m: int) -> MomentPoly:
+    """``R_m`` from ``r0 R_m = r_m / (3+2m) - sum_k r_k R_{m-k}``, one ring sum per term."""
+    if m == 0:
+        return MomentPoly.constant(F(1, 3))
+    out = _over_unit(m).scale(F(1, 3 + 2 * m))
+    for k in range(1, m + 1):
+        out = out - _over_unit(k) * resolvent_by_division(m - k)
+    return out
+
+
+@lru_cache(maxsize=None)
+def rescaled_resolvent_by_division(m: int) -> MomentPoly:
+    """``R^t_m = (2m-1)!! R_m`` by the division written in the rescaled variables.
+
+    With ``r_l = -t_{l+1} / (2l+1)!!`` and slot ``l`` holding ``t_{l+1}``::
+
+        T0 R_m = -(2m-1)!!/(2m+3)!! t_{m+1}
+                 + sum_k (2m-1)!! / ((2k+1)!! (2m-2k-1)!!) t_{k+1} R_{m-k}
+    """
+    if m == 0:
+        return MomentPoly.constant(F(1, 3))
+    top = double_factorial(2 * m - 1)
+    out = _over_unit(m).scale(F(-top, double_factorial(2 * m + 3)))
+    for k in range(1, m + 1):
+        scalar = F(top, double_factorial(2 * k + 1) * double_factorial(2 * (m - k) - 1))
+        out = out + (_over_unit(k) * rescaled_resolvent_by_division(m - k)).scale(scalar)
+    return out
+
+
 # -- the operator's blocks as MomentPoly sums ----------------------------------
 #
 # The runtime keeps each block as pieces over shared tables; these builders
@@ -309,8 +356,8 @@ def c1_t() -> MomentPoly:
 def m_t(j: int) -> MomentPoly:
     # displayed label k = j + 1
     out = MomentPoly({(-3, 2): F(2, 45), (-2, 0, 1): F(2, 105)}) * MomentPoly.variable(j + 1)
-    out = out + resolvent_coefficient_t(j + 2) * MomentPoly({(-1, 1): F(1, 2)})
-    out = out + resolvent_coefficient_t(j + 3).scale(F(3, 2 * (5 + 2 * j)))
+    out = out + rescaled_resolvent_by_division(j + 2) * MomentPoly({(-1, 1): F(1, 2)})
+    out = out + rescaled_resolvent_by_division(j + 3).scale(F(3, 2 * (5 + 2 * j)))
     return out
 
 
@@ -321,9 +368,9 @@ def d_t(j: int, i: int) -> MomentPoly:
         * MomentPoly.variable(i + 1)
         * MomentPoly({(-3, 1): F(1, 90)})
     )
-    out = out + MomentPoly.variable(j + 1) * resolvent_coefficient_t(i + 2) * MomentPoly({(-1,): F(1, 4)})
-    out = out + MomentPoly.variable(i + 1) * resolvent_coefficient_t(j + 2) * MomentPoly({(-1,): F(1, 4)})
-    out = out + resolvent_coefficient_t(j + i + 3).scale(
+    out = out + MomentPoly.variable(j + 1) * rescaled_resolvent_by_division(i + 2) * MomentPoly({(-1,): F(1, 4)})
+    out = out + MomentPoly.variable(i + 1) * rescaled_resolvent_by_division(j + 2) * MomentPoly({(-1,): F(1, 4)})
+    out = out + rescaled_resolvent_by_division(j + i + 3).scale(
         F(double_factorial(3 + 2 * j) * double_factorial(3 + 2 * i),
           4 * double_factorial(5 + 2 * j + 2 * i))
     )
@@ -332,10 +379,10 @@ def d_t(j: int, i: int) -> MomentPoly:
 
 def e_t(j: int) -> MomentPoly:
     out = MomentPoly({(-4, 2): F(19, 540), (-3, 0, 1): F(5, 252)}) * MomentPoly.variable(j + 1)
-    out = out + resolvent_coefficient_t(j + 2) * MomentPoly({(-2, 1): F(1, 48)})
-    out = out + resolvent_coefficient_t(j + 3) * MomentPoly({(-1,): F(1, 16 * (5 + 2 * j))})
+    out = out + rescaled_resolvent_by_division(j + 2) * MomentPoly({(-2, 1): F(1, 48)})
+    out = out + rescaled_resolvent_by_division(j + 3) * MomentPoly({(-1,): F(1, 16 * (5 + 2 * j))})
     out = out + MomentPoly.variable(j + 2) * MomentPoly({(-3, 1): F(1, 90)})
-    out = out + resolvent_coefficient_t(j + 3) * MomentPoly({(-1,): F(1, 2)})
+    out = out + rescaled_resolvent_by_division(j + 3) * MomentPoly({(-1,): F(1, 2)})
     return out
 
 

@@ -8,13 +8,18 @@ import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import InsufficientArguments, bell
+from oracles import (
+    InsufficientArguments,
+    bell,
+    rescaled_resolvent_by_division,
+    resolvent_by_division,
+)
 from taulap.bell import (
     reciprocal_coefficient,
     resolvent_coefficient,
     resolvent_coefficient_t,
 )
-from taulap.ring import MomentPoly, convert, double_factorial
+from taulap.ring import MomentPoly, double_factorial
 
 F = Fraction
 
@@ -151,12 +156,21 @@ def test_resolvent_coefficients_frozen() -> None:
     })
 
 
+def _same_poly(got: MomentPoly, want: MomentPoly) -> bool:
+    """Equal numerators in the same key order over the same denominator."""
+    return list(got.nums.items()) == list(want.nums.items()) and got.den == want.den
+
+
+def test_resolvent_coefficients_match_ring_division() -> None:
+    """The integer accumulator keeps the values and key order of one ring sum per term."""
+    for m in range(31):
+        assert _same_poly(resolvent_coefficient(m), resolvent_by_division(m)), m
+
+
 def test_resolvent_display_form_matches_converted_form() -> None:
-    for m in range(7):
-        expected = convert(resolvent_coefficient(m), "rho", "t").scale(
-            double_factorial(2 * m - 1)
-        )
-        assert resolvent_coefficient_t(m) == expected
+    """``(2m-1)!! convert(R_m)`` against the division written in the rescaled variables."""
+    for m in range(31):
+        assert _same_poly(resolvent_coefficient_t(m), rescaled_resolvent_by_division(m)), m
 
 
 def test_resolvent_weights() -> None:

@@ -212,13 +212,28 @@ def test_coupling_bookkeeping_in_grouped_evaluation() -> None:
 
 
 def test_generic_moments_fixture() -> None:
-    m = generic_moments(5)
+    m = generic_moments()
     assert m[0] == F(5, 3)
     assert m[1] == F(-2, 7)
     assert m[2] == F(3, 11)
     assert m[3] == F(-5, 13)
     assert m[4] == F(7, 17)
     assert m[5] == F(-11, 19)
+    # indices 0..12 keep their values; the default reaches index 40
+    old = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37), (7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47)
+    full = generic_moments()
+    assert [full[l] for l in range(1, 13)] == [F((-1) ** l * n, d) for l, n, d in zip(range(1, 13), *old)]
+    assert sorted(full) == list(range(41))
+    assert full[40] == F(173, 191)
+
+
+def test_correlators_use_every_moment_index_through_3g_3_plus_b() -> None:
+    """``G_{g,B}`` depends on the moment indices ``0..3g-3+B`` and no others."""
+    for g in range(4):
+        for b in range(1, 6):
+            if (g, b) in ((0, 1), (0, 2)):
+                continue  # no correlator, and the planar pair, which has no moments
+            assert correlator(g, b).moment_support() == set(range(3 * g - 2 + b)), (g, b)
 
 
 # -- the creation kernel against the multi-pass construction -----------------------

@@ -6,13 +6,15 @@ import math
 import subprocess
 import sys
 from contextlib import redirect_stderr, redirect_stdout
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import taulap.cli
-from taulap.cli import MAX_BOUNDARIES, MAX_GENUS, MAX_LMAX, MAX_MMAX, main
+from taulap.boundary import evaluate_correlator, generic_moments
+from taulap.cli import MAX_BOUNDARIES, MAX_GENUS, MAX_LITERAL_DIGITS, MAX_LMAX, MAX_MMAX, main
 
 MODEL4 = {
     "dimension": 4,
@@ -137,6 +139,64 @@ def test_npoint_rejects_bad_groups(capsys):
     assert "JSON" in err
     code, _, err = run(capsys, "npoint", "--genus", "0", "--groups", "[[]]")
     assert code == 1
+
+
+def test_npoint_default_moments_reach_every_admitted_correlator(capsys):
+    # G_{g,B} uses the moment indices 0..3g-3+B; the largest pair the command line admits
+    assert max(3 * g - 3 + b for g, b in enumerate(MAX_BOUNDARIES)) == 40
+    assert sorted(generic_moments()) == list(range(41))
+    code, out, err = run(capsys, "npoint", "--genus", "5", "--groups", '[["3/2"]]')
+    assert (code, err) == (0, "")
+    assert Fraction(out.strip()) == evaluate_correlator(5, [[Fraction(3, 2)]], Fraction(1, 2))
+
+
+def test_npoint_moments_must_bind_every_index_before_the_build(capsys, monkeypatch):
+    reached = []
+    monkeypatch.setattr(taulap.cli, "evaluate_correlator", lambda *args: reached.append(args) or 0)
+    argv = ["npoint", "--genus", "3", "--groups", '[["3/2"]]', "--moments"]
+    code, _, err = run(capsys, *argv, '{"0": "2", "1": "3", "7": "1"}')
+    assert code == 1
+    assert err.splitlines() == [
+        "error: --moments binds no value for index 2, 3, 4, 5, 6: G_(3,1) uses every index 0..7"
+    ]
+    assert not reached
+    code, _, _ = run(capsys, *argv, json.dumps({str(l): l + 1 for l in range(8)}))
+    assert code == 0 and len(reached) == 1
+
+
+def test_long_literals_are_rejected_before_any_int_is_built(capsys, monkeypatch):
+    reached = []
+    monkeypatch.setattr(taulap.cli, "evaluate_correlator", lambda *args: reached.append(args) or 0)
+    npoint = ["npoint", "--genus", "1"]
+    for argv in (
+        [*npoint, "--groups", '[["1e2000"]]'],
+        [*npoint, "--groups", '[["3/2"]]', "--moments", '{"0": "1e3000", "1": "1"}'],
+        [*npoint, "--groups", '[["1e300000"]]'],
+        # a JSON integer past Python's int-from-string limit
+        [*npoint, "--groups", "[[" + "1" * 5000 + "]]"],
+        [*npoint, "--groups", "[[1e300]]"],
+        [*npoint, "--groups", '[["1"]]', "--coupling", "1/" + "3" * (MAX_LITERAL_DIGITS + 1)],
+        ["model", "--file", "-", "--eval", '[["1e2000"]]'],
+    ):
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (1, ""), argv
+        lines = err.splitlines()
+        assert len(lines) == 1 and f"more than {MAX_LITERAL_DIGITS} digits" in lines[0], argv
+    assert not reached
+    # the digits a literal is written with plus the size of its exponent
+    for value in ("1" * MAX_LITERAL_DIGITS, "1e97", "-12.5e-95", "7/" + "9" * (MAX_LITERAL_DIGITS - 1)):
+        assert run(capsys, *npoint, "--groups", json.dumps([[value]]))[0] == 0, value
+    for value in ("1" * (MAX_LITERAL_DIGITS + 1), "1e98", "-12.5e-96"):
+        assert run(capsys, *npoint, "--groups", json.dumps([[value]]))[0] == 1, value
+
+
+def test_an_exact_result_too_long_to_print_exits_one(capsys):
+    big = "9" * 99
+    moments = {"0": "1/" + big, **{str(l): "1" for l in range(1, 17)}}
+    code, out, err = run(capsys, "npoint", "--genus", "6", "--groups", json.dumps([[big]]),
+                         "--moments", json.dumps(moments))
+    assert (code, out) == (1, "")
+    assert err.splitlines() == ["error: the exact result has too many digits to print"]
 
 
 # ---------------------------------------------------------------------------
@@ -411,6 +471,8 @@ _SMALL = _INT | _BAD_INT
 _NUMBER = st.one_of(
     st.integers(min_value=-3, max_value=3),
     st.sampled_from(["1/2", "-7/3", "3/0", "x", "", True, None, [1], 1e-300, 1e300, 1.5, 0.0]),
+    # exponent literals on both sides of MAX_LITERAL_DIGITS
+    st.sampled_from(["2.5e-3", "-1E5", "1e97", "1e98", "1e2000", "1e300000", "1e-2000", "1e"]),
     st.floats(allow_nan=True, allow_infinity=True),
 )
 _JUNK_JSON = st.sampled_from(["not json", "[]", "[[]]", "{}", "[1]", "null", '{"0": 1}'])
