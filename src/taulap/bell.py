@@ -20,26 +20,48 @@ from fractions import Fraction
 from functools import lru_cache
 from math import factorial, lcm
 
-from taulap.ring import Key, MomentPoly, RingError, _addkey, convert, double_factorial
+from taulap.ring import (
+    Key,
+    MomentPoly,
+    RingError,
+    _addkey,
+    _over_unit,
+    convert,
+    double_factorial,
+)
 
 
-def _over_unit(index: int) -> Key:
-    """The key of ``v_index / unit`` for a variable index ``>= 1``."""
-    return (-1,) + (0,) * (index - 1) + (1,)
+def _divided(acc: dict[Key, int], den: int, lower: list[MomentPoly], weights: list[int]) -> MomentPoly:
+    """``acc / den + sum_{k=1..m} weights[k-1] (r_k/r0) lower[m-k]``, with ``m = len(lower)``.
+
+    The terms are summed into ``acc`` as integers over ``den``, a multiple of
+    every denominator in ``lower``.
+    """
+    m = len(lower)
+    get = acc.get
+    for k in range(1, m + 1):
+        shift = _over_unit(k)
+        r = lower[m - k]
+        mult = weights[k - 1] * (den // r.den)
+        for key, n in r.nums.items():
+            key = _addkey(key, shift)
+            acc[key] = get(key, 0) + n * mult
+    return MomentPoly.from_numerators(acc, den)
 
 
 @lru_cache(maxsize=None)
 def reciprocal_coefficient(m: int) -> MomentPoly:
-    """``S_m``, from the series division ``r0 S_m = -sum_k m!/(m-k)! r_k S_{m-k}``."""
+    """``S_m``, from the series division ``r0 S_m = -sum_k m!/(m-k)! r_k S_{m-k}``.
+
+    Its terms, ``k = 1..m``, are summed as integers over one lcm.
+    """
     if m < 0:
         raise RingError("series index must be nonnegative")
     if m == 0:
         return MomentPoly.one()
-    out = MomentPoly.zero()
-    for k in range(1, m + 1):
-        scalar = -(factorial(m) // factorial(m - k))
-        out = out + (MomentPoly.monomial(_over_unit(k)) * reciprocal_coefficient(m - k)).scale(scalar)
-    return out
+    lower = [reciprocal_coefficient(j) for j in range(m)]
+    weights = [-(factorial(m) // factorial(m - k)) for k in range(1, m + 1)]
+    return _divided({}, lcm(*(s.den for s in lower)), lower, weights)
 
 
 @lru_cache(maxsize=None)
@@ -55,16 +77,7 @@ def resolvent_coefficient(m: int) -> MomentPoly:
         return MomentPoly.constant(Fraction(1, 3))
     lower = [resolvent_coefficient(j) for j in range(m)]
     den = lcm(3 + 2 * m, *(r.den for r in lower))
-    acc = {_over_unit(m): den // (3 + 2 * m)}
-    get = acc.get
-    for k in range(1, m + 1):
-        shift = _over_unit(k)
-        r = lower[m - k]
-        mult = den // r.den
-        for key, n in r.nums.items():
-            key = _addkey(key, shift)
-            acc[key] = get(key, 0) - n * mult
-    return MomentPoly.from_numerators(acc, den)
+    return _divided({_over_unit(m): den // (3 + 2 * m)}, den, lower, [-1] * m)
 
 
 def resolvent_coefficient_t(m: int) -> MomentPoly:

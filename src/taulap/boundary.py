@@ -36,6 +36,7 @@ from taulap.ring import (
     ZKey,
     ZLaurent,
     ZRational,
+    _lowered,
 )
 
 F = Fraction
@@ -73,17 +74,6 @@ def generic_moments() -> dict[int, Fraction]:
 
 # ---------------------------------------------------------------------------
 # operators
-
-
-def _lowered(key: Key, l: int) -> Key:
-    """``key`` with ``e_l`` lowered by one, trailing zeros trimmed."""
-    e = key[l] - 1
-    if e or l + 1 < len(key):
-        return key[:l] + (e,) + key[l + 1:]
-    key = key[:l]
-    while key and not key[-1]:
-        key = key[:-1]
-    return key
 
 
 def _lowered_ratio(key: Key, l: int) -> Key:

@@ -8,6 +8,11 @@ Two cross-validations of the boundary-correlator chain live here:
 * symbolic residuals of the loop equations (one-boundary and multi-boundary),
   which must vanish identically when evaluated on the stored correlators.
 
+The one-boundary kernels (the residue inversion, the coincident pair and the
+quadratic right-hand side) take every coefficient as integer numerators over
+one common denominator and sum their terms into one accumulator per ``z``
+exponent, so no intermediate polynomial is built.
+
 The multi-boundary residual is composed symbolically as a single rational
 object, so its vanishing is checked exactly: its numerator must have no terms,
 which is a symbolic zero in the moments and the boundary variables alike.
@@ -15,12 +20,10 @@ which is a symbolic zero in the moments and the boundary variables alike.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from functools import lru_cache
-from math import factorial
-from typing import Mapping, Sequence
+from math import lcm
+from typing import Callable, Mapping, Sequence
 
-from taulap.bell import reciprocal_coefficient
 from taulap.boundary import (
     correlator,
     diagonal,
@@ -29,13 +32,18 @@ from taulap.boundary import (
 )
 from taulap.laplacian import GenusOutOfRange
 from taulap.ring import (
+    Key,
     MomentPoly,
     RingError,
     ZLaurent,
     ZRational,
+    _addkey,
+    _lowered,
+    _over_unit,
 )
 
-F = Fraction
+# integer numerators per ``z`` exponent of a one-variable object
+Columns = dict[int, dict[Key, int]]
 
 
 class OddInput(RingError):
@@ -46,36 +54,73 @@ class UnboundedInput(RingError):
     """The residue inversion needs nonpositive exponents."""
 
 
+def _columns(obj: ZLaurent) -> tuple[list[tuple[int, dict[Key, int], int]], int]:
+    """``(exponent, numerators, multiplier)`` rows of a one-variable object and their lcm.
+
+    The coefficient at ``z**exponent`` is ``multiplier * numerators / lcm``.
+    """
+    den = lcm(*(c.den for c in obj.terms.values()))
+    return [(e, c.nums, den // c.den) for (e,), c in obj.terms.items()], den
+
+
+def _laurent(cols: Columns, den: int, shift: int = 0) -> ZLaurent:
+    """``z**shift`` times the object whose numerators over ``den`` are ``cols``."""
+    terms = {}
+    for e, nums in cols.items():
+        poly = MomentPoly.from_numerators(nums, den)
+        if poly.nums:
+            terms[(e + shift,)] = poly
+    out = ZLaurent(1)
+    out.terms = terms
+    return out
+
+
+def _divide(cols: Columns, den: int, shift: int = 0) -> ZLaurent:
+    """``z**shift`` times the residue inversion of the object given by ``cols`` over ``den``.
+
+    With the input ``sum_k c_k z**(-2k)``, the output coefficient of
+    ``z**-(2m+2)`` is ``-g_m / r0``, where ``g_m = sum_j c_{m+j} S_j/j!``
+    (``S_j`` the reciprocal-series coefficients). ``S_j/j!`` is the ``tau^j``
+    coefficient of ``1 / (1 + sum_{l>=1} (r_l/r0) tau^l)``, so the ``g_m``
+    solve ``g_m = c_m - sum_{l>=1} (r_l/r0) g_{m+l}``; they are taken from the
+    top exponent down, each ``g_{m+l}`` multiplied by the single monomial
+    ``r_l/r0``.
+    """
+    for e in cols:
+        if e % 2:
+            raise OddInput(f"exponent {e} is odd")
+        if e > 0:
+            raise UnboundedInput(f"exponent {e} is positive")
+    top = max((-e // 2 for e in cols), default=-1)
+    done: list[dict[Key, int]] = []  # g_{top}, g_{top-1}, ..., g_{m+1}
+    out: Columns = {}
+    for m in range(top, -1, -1):
+        acc = dict(cols.get(-2 * m, ()))
+        get = acc.get
+        for l, higher in enumerate(reversed(done), 1):
+            unit = _over_unit(l)
+            for key, n in higher.items():
+                key = _addkey(key, unit)
+                acc[key] = get(key, 0) - n
+        g = {key: n for key, n in acc.items() if n}
+        done.append(g)
+        out[-2 * m - 2] = {_addkey(key, (-1,)): -n for key, n in g.items()}
+    return _laurent(out, den, shift)
+
+
 def residue_invert(obj: ZLaurent) -> ZLaurent:
     """Inverse of the kernel operator on one-variable even Laurent input.
 
     ``z**(-2k)`` maps to ``-(1/r0) sum_{j=0..k} S_j/j! z**-(2k-2j+2)`` where
     ``S_j`` are the reciprocal-series coefficients; the defining property
-    ``z^2 K(z^{-1} residue_invert(f)) = -f`` is exercised in the tests.
+    ``z^2 K(z^{-1} residue_invert(f)) = -f`` is exercised in the tests. The
+    sum is evaluated by series division (see ``_divide``), which never builds
+    an ``S_j``; the keys come in a different order from the sum's.
     """
     if obj.nvars != 1:
         raise RingError("residue inversion acts on one-variable objects")
-    out = ZLaurent(1)
-    terms: dict[tuple[int, ...], MomentPoly] = {}
-    inv_unit = MomentPoly.unit_power(-1)
-    for (e,), coeff in obj.terms.items():
-        if e % 2:
-            raise OddInput(f"exponent {e} is odd")
-        if e > 0:
-            raise UnboundedInput(f"exponent {e} is positive")
-        k = -e // 2
-        for j in range(k + 1):
-            piece = coeff * reciprocal_coefficient(j) * inv_unit
-            piece = piece.scale(F(-1, factorial(j)))
-            key = (-(2 * (k - j) + 2),)
-            prev = terms.get(key)
-            total = piece if prev is None else prev + piece
-            if total.is_zero:
-                terms.pop(key, None)
-            else:
-                terms[key] = total
-    out.terms = terms
-    return out
+    rows, den = _columns(obj)
+    return _divide({e: {k: n * mult for k, n in nums.items()} for e, nums, mult in rows}, den)
 
 
 # ---------------------------------------------------------------------------
@@ -83,18 +128,31 @@ def residue_invert(obj: ZLaurent) -> ZLaurent:
 
 
 def _coincident_pair(stored: ZLaurent) -> ZLaurent:
-    """Coincident-point image of the boundary creation acting on a one-variable object."""
-    out = ZLaurent.zero(1)
-    support = stored.moment_support()
-    for l in range(0, (max(support) if support else -1) + 1):
-        d = stored.partial_moment(l)
-        if d.is_zero:
-            continue
-        ratio = MomentPoly.monomial((-1,) + (0,) * l + (1,), -(3 + 2 * l))
-        out = out + d.scale(ratio).shift(0, -3)
-        out = out + d.scale(3 + 2 * l).shift(0, -5 - 2 * l)
-    out = out + stored.dz(0).shift(0, -4).scale(MomentPoly.unit_power(-1))
-    return out
+    """Coincident-point image of the boundary creation acting on a one-variable object.
+
+    A term ``c r^K z^e`` emits, for every moment index ``l`` with
+    ``K[l] != 0`` and ``d = K[l] c r^K / r_l``, ``-(3+2l) (r_{l+1}/r_0) d z^(e-3)``
+    and ``(3+2l) d z^(e-5-2l)``, and its ``z`` derivative ``e c (r^K/r_0) z^(e-5)``.
+    """
+    rows, den = _columns(stored)
+    acc: Columns = {}
+
+    def emit(e: int, key: Key, v: int) -> None:
+        col = acc.setdefault(e, {})
+        col[key] = col.get(key, 0) + v
+
+    for e, nums, mult in rows:
+        for key, n in nums.items():
+            n *= mult
+            for l, k_l in enumerate(key):
+                if k_l:
+                    v = (3 + 2 * l) * k_l * n
+                    lowered = _lowered(key, l)
+                    emit(e - 3, _addkey(lowered, _over_unit(l + 1)), -v)
+                    emit(e - 5 - 2 * l, lowered, v)
+            if e:
+                emit(e - 5, _addkey(key, (-1,)), e * n)
+    return _laurent(acc, den)
 
 
 @lru_cache(maxsize=None)
@@ -105,32 +163,76 @@ def pair_diagonal(g: int) -> ZLaurent:
     return _coincident_pair(one_point(g)).scale(4)
 
 
+def _quadratic_sum(
+    g: int, series: Callable[[int], ZLaurent], extra: Sequence[tuple[int, ZLaurent]]
+) -> tuple[Columns, int]:
+    """``sum_{h=1}^{g-1} series(h) series(g-h) + sum w * obj`` over ``(w, obj)`` in ``extra``.
+
+    The result is integer numerators per ``z`` exponent over one
+    denominator. Each unordered pair ``{h, g-h}`` is multiplied once, with
+    weight 2 (1 when ``h = g-h``).
+    """
+    pairs = [(2 - (2 * h == g), _columns(series(h)), _columns(series(g - h)))
+             for h in range(1, g // 2 + 1)]
+    singles = [(w, _columns(obj)) for w, obj in extra]
+    den = lcm(*(da * db for _, (_, da), (_, db) in pairs), *(d for _, (_, d) in singles))
+    acc: Columns = {}
+    for w, (rows, d) in singles:
+        scale = w * (den // d)
+        for e, nums, mult in rows:
+            col = acc.setdefault(e, {})
+            get = col.get
+            f = scale * mult
+            for key, n in nums.items():
+                col[key] = get(key, 0) + f * n
+    for w, (rows_a, da), (rows_b, db) in pairs:
+        scale = w * (den // (da * db))
+        for ea, nums_a, ma in rows_a:
+            for eb, nums_b, mb in rows_b:
+                col = acc.setdefault(ea + eb, {})
+                get = col.get
+                f = scale * ma * mb
+                items_b = list(nums_b.items())
+                for ka, na in nums_a.items():
+                    fa = f * na
+                    for kb, nb in items_b:
+                        key = _addkey(ka, kb)
+                        col[key] = get(key, 0) + fa * nb
+    return acc, den
+
+
 @lru_cache(maxsize=None)
 def one_point(g: int) -> ZLaurent:
-    """One-boundary correlator of genus ``g`` from the quadratic residue recursion."""
+    """One-boundary correlator of genus ``g`` from the quadratic residue recursion.
+
+    ``G_{g,1} = z**-1 / 2 * residue_invert(z**2 * rhs)`` with
+    ``rhs = 4 pair_diagonal(g-1) + sum_h G_{h,1} G_{g-h,1}``; the right-hand
+    side is summed in one integer accumulator. Only ``==`` and ``is_zero``
+    read the result, so its key order is free.
+    """
     if g < 1:
         raise GenusOutOfRange("the residue recursion starts at genus 1")
-    rhs = pair_diagonal(g - 1).scale(4)
-    for h in range(1, g):
-        rhs = rhs + one_point(h) * one_point(g - h)
-    inverted = residue_invert(rhs.shift(0, 2))
-    return inverted.shift(0, -1).scale(F(1, 2))
+    rhs, den = _quadratic_sum(g, one_point, [(4, pair_diagonal(g - 1))])
+    return _divide({e + 2: nums for e, nums in rhs.items()}, 2 * den, -1)
 
 
 def one_point_residual(g: int) -> ZLaurent:
-    """Loop-equation residual on the stored one-boundary correlator; zero iff valid."""
+    """Loop-equation residual on the stored one-boundary correlator; zero iff valid.
+
+    ``K G_{g,1} + (1/2) sum_h G_{h,1} G_{g-h,1} + 2 diagonal(g-1)``, summed
+    as twice itself in one integer accumulator; its key order is free.
+    """
     if g < 1:
         raise GenusOutOfRange("the one-boundary residual starts at genus 1")
-    out = kernel_op(correlator(g, 1), 0)
-    for h in range(1, g):
-        out = out + (correlator(h, 1) * correlator(g - h, 1)).scale(F(1, 2))
     diag = diagonal(g - 1)
     if isinstance(diag, ZRational):
         reduced = diag.reduce()
         if not isinstance(reduced, ZLaurent):
             raise RingError("coincident planar pair should be a Laurent object")
         diag = reduced
-    return out + diag.scale(2)
+    kernel = kernel_op(correlator(g, 1), 0)
+    total, den = _quadratic_sum(g, lambda h: correlator(h, 1), [(2, kernel), (4, diag)])
+    return _laurent(total, 2 * den)
 
 
 # ---------------------------------------------------------------------------

@@ -137,6 +137,22 @@ def _addkey(a: Key, b: Key) -> Key:
     return out if out != (0,) else ()
 
 
+def _lowered(key: Key, l: int) -> Key:
+    """``key`` with ``e_l`` lowered by one, trailing zeros trimmed."""
+    e = key[l] - 1
+    if e or l + 1 < len(key):
+        return key[:l] + (e,) + key[l + 1:]
+    key = key[:l]
+    while key and not key[-1]:
+        key = key[:-1]
+    return key
+
+
+def _over_unit(index: int) -> Key:
+    """The key of ``v_index / unit`` for a variable index ``>= 1``."""
+    return (-1,) + (0,) * (index - 1) + (1,)
+
+
 def monomial_weight(key: Key) -> int:
     """Weight of an exponent key: ``sum_{k>=1} k * e_k`` (the unit counts zero)."""
     return sum(l * e for l, e in enumerate(key) if l)

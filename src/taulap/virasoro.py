@@ -11,135 +11,196 @@ and the constraint holds iff every graded residual
 vanishes identically as a moment polynomial.  The first-order parts satisfy
 the Witt bracket ``[A_m, A_n] = (m - n) A_{m+n}`` on arbitrary arguments,
 which is exposed for testing via :func:`witt_defect`.
+
+Both parts are tables of pieces ``s/64 * x^S * D``: an integer scalar ``s``
+over 64, a shift monomial ``x^S`` and a derivative ``D`` that is
+``d_k``, ``d_k d_l`` or the identity (``k, l`` range over every index the
+argument uses; ``r_0`` is the unit and ``[a, b, ...]`` stands for
+``r_a r_b ...``)::
+
+    A_n   d_j (j >= n):     32(3+2j) [j-n]
+    B_1   d_k d_l:          64(3+2k)(3+2l) [k+1, l+1]/r0^2
+          d_k:              -208(3+2k) [1, k+1]/r0^3,  64(3+2k)(5+2k) [k+2]/r0^2
+          1:                49 [1, 1]/r0^4,  -40 [2]/r0^3
+    B_2   d_0 d_k:          -384(3+2k) [k+1]/r0
+          d_k (k >= 1):     400(3+2k) [k+1]/r0^2
+          d_0:              1248 [1]/r0^2
+          1:                -98 [1]/r0^3
+    B_3   d_0 d_0:          576
+          d_1 d_k:          -640(3+2k) [k+1]/r0
+          d_0:              -1968/r0
+          d_1:              80 [1]/r0^2
+          1:                105/r0^2
+    B_n   d_l d_(n-3-l):    64(3+2l)(2n-2l-3)       (n >= 4, l = 0..n-3)
+          d_(n-2) d_l:      -128(3+2l)(2n-1) [l+1]/r0
+          d_(n-2):          16(2n-1) [1]/r0^2
+          d_(n-3):          -16(2n-3)(16n-7)/r0
+
+``B_0`` is zero. One emitter applies a table to a polynomial monomial by
+monomial, as integer numerators over one denominator: ``d_k`` of
+``c x^K`` is ``K_k c x^(K-e_k)``, ``d_k d_l`` is ``K_k (K_l - [k=l]) c
+x^(K-e_k-e_l)``, and a log term follows ``d_0 (c log r0) = c/r0``. A
+piece with no derivative cannot multiply a log term (``LogProduct``).
+The emitter's key order differs from that of a sum of ring products; only
+``==`` and ``is_zero`` read its results.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
+from math import lcm
 
 from taulap.laplacian import stable_partition
-from taulap.ring import MomentPoly, RingError
+from taulap.ring import Key, LogProduct, MomentPoly, RingError, _addkey, _lowered, _trim
 
-F = Fraction
+# a table of pieces, each a shift key mapped to its scalar over 64: the d_k
+# pieces by k, the d_k d_l pieces by k and then l >= k, and those with no
+# derivative
+Pieces = dict[Key, int]
+Table = tuple[dict[int, Pieces], dict[int, dict[int, Pieces]], Pieces]
+
+
+def _shift(unit: int = 0, *raised: int) -> Key:
+    """The key of ``r0^unit`` times the product of ``r_l`` over ``raised``."""
+    key = [unit] + [0] * max(raised, default=0)
+    for l in raised:
+        key[l] += 1
+    return _trim(key)
+
+
+@lru_cache(maxsize=None)
+def _table(part: str, n: int, width: int) -> Table:
+    """``64 A_n`` (part ``"A"``) or ``64 B_n`` (part ``"B"``) on keys shorter than ``width``.
+
+    Pieces on the same derivative and shift merge.
+    """
+    first: dict[int, Pieces] = {}
+    second: dict[int, dict[int, Pieces]] = {}
+    zero: Pieces = {}
+
+    def put(pieces: Pieces, scalar: int, shift: tuple[int, ...]) -> None:
+        key = _shift(*shift)
+        pieces[key] = pieces.get(key, 0) + scalar
+
+    def d(k: int, scalar: int, *shift: int) -> None:
+        if k < width:
+            put(first.setdefault(k, {}), scalar, shift)
+
+    def dd(k: int, l: int, scalar: int, *shift: int) -> None:
+        if max(k, l) < width:
+            put(second.setdefault(min(k, l), {}).setdefault(max(k, l), {}), scalar, shift)
+
+    if part == "A":
+        for j in range(n, width):
+            d(j, 32 * (3 + 2 * j), 0, j - n)
+    elif n == 1:
+        for k in range(width):
+            for l in range(width):
+                dd(k, l, 64 * (3 + 2 * k) * (3 + 2 * l), -2, k + 1, l + 1)
+            d(k, -208 * (3 + 2 * k), -3, 1, k + 1)
+            d(k, 64 * (3 + 2 * k) * (5 + 2 * k), -2, k + 2)
+        put(zero, 49, (-4, 1, 1))
+        put(zero, -40, (-3, 2))
+    elif n == 2:
+        for k in range(width):
+            dd(0, k, -384 * (3 + 2 * k), -1, k + 1)
+            if k >= 1:
+                d(k, 400 * (3 + 2 * k), -2, k + 1)
+        d(0, 1248, -2, 1)
+        put(zero, -98, (-3, 1))
+    elif n == 3:
+        dd(0, 0, 576)
+        d(0, -1968, -1)
+        for k in range(width):
+            dd(k, 1, -640 * (3 + 2 * k), -1, k + 1)
+        d(1, 80, -2, 1)
+        put(zero, 105, (-2,))
+    elif n >= 4:
+        for l in range(min(n - 2, width)):
+            dd(l, n - 3 - l, 64 * (3 + 2 * l) * (2 * n - 2 * l - 3))
+        for l in range(width):
+            dd(n - 2, l, -128 * (3 + 2 * l) * (2 * n - 1), -1, l + 1)
+        d(n - 2, 16 * (2 * n - 1), -2, 1)
+        d(n - 3, -16 * (2 * n - 3) * (16 * n - 7), -1)
+    return first, second, zero
+
+
+def _width(*polys: MomentPoly) -> int:
+    """One more than the largest variable index the polynomials use (the unit counts)."""
+    return max((len(k) for p in polys for k in p.nums), default=0) or int(
+        any(p.log_coeff for p in polys))
+
+
+def _emit(acc: dict[Key, int], table: Table, p: MomentPoly, mult: int, den: int) -> None:
+    """Add to ``acc`` the numerators over ``den`` of ``mult`` times the table applied to ``p``."""
+    first, second, zero = table
+    get = acc.get
+    scale = mult * (den // p.den)
+    for key, n in p.nums.items():
+        n *= scale
+        slots = [(k, e) for k, e in enumerate(key) if e]
+        for i, (k, e) in enumerate(slots):
+            lowered = None
+            pieces = first.get(k)
+            if pieces:
+                lowered = _lowered(key, k)
+                v = e * n
+                for shift, s in pieces.items():
+                    out = _addkey(lowered, shift)
+                    acc[out] = get(out, 0) + s * v
+            row = second.get(k)
+            if row is None:
+                continue
+            for l, f in slots[i:]:
+                pieces = row.get(l)
+                if not pieces:
+                    continue
+                w = e * (f - 1) if l == k else e * f
+                if not w:
+                    continue
+                if lowered is None:
+                    lowered = _lowered(key, k)
+                twice = _lowered(lowered, l)
+                v = w * n
+                for shift, s in pieces.items():
+                    out = _addkey(twice, shift)
+                    acc[out] = get(out, 0) + s * v
+        for shift, s in zero.items():
+            out = _addkey(key, shift)
+            acc[out] = get(out, 0) + s * n
+    if p.log_coeff:
+        # every table with a d_0 d_0 piece (B_1, B_2, B_3) has pieces with no
+        # derivative, so a log term only meets the d_0 pieces: d_0 (c log r0) = c / r0
+        if zero:
+            raise LogProduct("cannot multiply log terms by non-constant polynomials")
+        n = int(p.log_coeff * den) * mult
+        for shift, s in first.get(0, {}).items():
+            out = _addkey((-1,), shift)
+            acc[out] = get(out, 0) + s * n
+
+
+def _apply(terms: list[tuple[int, Table, MomentPoly]], over: int = 1) -> MomentPoly:
+    """``sum mult * op(p) / over`` over ``(mult, table of 64 op, p)``, in one integer accumulator."""
+    den = lcm(*(p.den for _, _, p in terms), *(p.log_coeff.denominator for _, _, p in terms))
+    acc: dict[Key, int] = {}
+    for mult, table, p in terms:
+        _emit(acc, table, p, mult, den)
+    return MomentPoly.from_numerators(acc, 64 * over * den)
 
 
 def raising_part(n: int, p: MomentPoly) -> MomentPoly:
     """First-order part ``A_n = sum_{j>=n} (3+2j)/2 rho_{j-n} d/d rho_j``."""
     if n < 0:
         raise RingError("constraint label must be nonnegative")
-    out = MomentPoly.zero()
-    for j in sorted(p.moment_support()):
-        if j < n:
-            continue
-        d = p.partial(j)
-        if d.is_zero:
-            continue
-        out = out + (MomentPoly.variable(j - n) * d).scale(F(3 + 2 * j, 2))
-    return out
-
-
-def _quadratic_one(p: MomentPoly) -> MomentPoly:
-    out = MomentPoly.zero()
-    support = sorted(p.moment_support())
-    for k in support:
-        dk = p.partial(k)
-        if dk.is_zero:
-            continue
-        for l in sorted(dk.moment_support() | {0}):
-            dkl = dk.partial(l)
-            if dkl.is_zero:
-                continue
-            coeff = (MomentPoly.monomial((-2,) + (0,) * k + (1,)) * MomentPoly.variable(l + 1)).scale(
-                (3 + 2 * k) * (3 + 2 * l)
-            )
-            out = out + coeff * dkl
-        linear = (MomentPoly.monomial((-3, 1), F(-13, 4)) * MomentPoly.variable(k + 1)
-                  + MomentPoly.monomial((-2,) + (0,) * (k + 1) + (1,), 5 + 2 * k))
-        out = out + (linear * dk).scale(3 + 2 * k)
-    constant = (MomentPoly.monomial((-4, 1), F(49, 64)) * MomentPoly.variable(1)
-                + MomentPoly.monomial((-3, 0, 1), F(-5, 8)))
-    return out + constant * p
-
-
-def _quadratic_two(p: MomentPoly) -> MomentPoly:
-    out = MomentPoly.zero()
-    for k in sorted(p.moment_support()):
-        dk = p.partial(k)
-        if dk.is_zero:
-            continue
-        dk0 = dk.partial(0)
-        if not dk0.is_zero:
-            out = out + (MomentPoly.monomial((-1,) + (0,) * k + (1,)) * dk0).scale(-6 * (3 + 2 * k))
-        if k >= 1:
-            out = out + (MomentPoly.monomial((-2,) + (0,) * k + (1,)) * dk).scale(F(25 * (3 + 2 * k), 4))
-    d0 = p.partial(0)
-    if not d0.is_zero:
-        out = out + (MomentPoly.monomial((-2, 1)) * d0).scale(F(39, 2))
-    return out + MomentPoly.monomial((-3, 1), F(-49, 32)) * p
-
-
-def _quadratic_three(p: MomentPoly) -> MomentPoly:
-    out = MomentPoly.zero()
-    d0 = p.partial(0)
-    if not d0.is_zero:
-        d00 = d0.partial(0)
-        if not d00.is_zero:
-            out = out + d00.scale(9)
-        out = out + (MomentPoly.unit_power(-1) * d0).scale(F(-123, 4))
-    for k in sorted(p.moment_support()):
-        dk = p.partial(k)
-        if dk.is_zero:
-            continue
-        dk1 = dk.partial(1)
-        if not dk1.is_zero:
-            out = out + (MomentPoly.monomial((-1,) + (0,) * k + (1,)) * dk1).scale(-10 * (3 + 2 * k))
-    d1 = p.partial(1)
-    if not d1.is_zero:
-        out = out + (MomentPoly.monomial((-2, 1)) * d1).scale(F(5, 4))
-    return out + MomentPoly.unit_power(-2).scale(F(105, 64)) * p
-
-
-def _quadratic_high(n: int, p: MomentPoly) -> MomentPoly:
-    out = MomentPoly.zero()
-    for l in range(0, n - 2):
-        dl = p.partial(l)
-        if dl.is_zero:
-            continue
-        d2 = dl.partial(n - 3 - l)
-        if not d2.is_zero:
-            out = out + d2.scale((3 + 2 * l) * (2 * n - 2 * l - 3))
-    dn2 = p.partial(n - 2)
-    if not dn2.is_zero:
-        for l in sorted(dn2.moment_support() | {0}):
-            d2 = dn2.partial(l)
-            if d2.is_zero:
-                continue
-            ratio = MomentPoly.monomial((-1,) + (0,) * l + (1,))
-            out = out + (ratio * d2).scale(-2 * (3 + 2 * l) * (2 * n - 1))
-        out = out + (MomentPoly.monomial((-2, 1)) * dn2).scale(F(2 * n - 1, 4))
-    dn3 = p.partial(n - 3)
-    if not dn3.is_zero:
-        out = out + (MomentPoly.unit_power(-1) * dn3).scale(
-            F(-(2 * n - 3) * (16 * n - 7), 4)
-        )
-    return out
+    return _apply([(1, _table("A", n, _width(p)), p)])
 
 
 def quadratic_part(n: int, p: MomentPoly) -> MomentPoly:
     """Grade-raising part ``B_n`` of the constraint operator."""
     if n < 0:
         raise RingError("constraint label must be nonnegative")
-    if n == 0:
-        return MomentPoly.zero()
-    if n == 1:
-        return _quadratic_one(p)
-    if n == 2:
-        return _quadratic_two(p)
-    if n == 3:
-        return _quadratic_three(p)
-    return _quadratic_high(n, p)
+    return _apply([(1, _table("B", n, _width(p)), p)])
 
 
 def scaling_constraint(p: MomentPoly) -> MomentPoly:
@@ -184,13 +245,22 @@ def stable_series(gmax: int) -> GradedSeries:
 
 
 def constraint_residuals(n: int, series: GradedSeries) -> dict[int, MomentPoly]:
-    """Graded residuals ``r_k`` of constraint ``n`` on the series."""
+    """Graded residuals ``r_k`` of constraint ``n`` on the series.
+
+    ``r_k = (4 A_n(c_k) + B_n(c_{k-1})) / 4``, both parts emitted into one
+    accumulator; the key order of each residual is free.
+    """
+    if n < 0:
+        raise RingError("constraint label must be nonnegative")
+    width = _width(*series.orders)
+    raising = _table("A", n, width)
+    quadratic = _table("B", n, width)
     out: dict[int, MomentPoly] = {}
     for k in range(series.max_order + 1):
-        r = raising_part(n, series.order(k))
+        terms = [(4, raising, series.order(k))]
         if k >= 1:
-            r = r + quadratic_part(n, series.order(k - 1)).scale(F(1, 4))
-        out[k] = r
+            terms.append((1, quadratic, series.order(k - 1)))
+        out[k] = _apply(terms, 4)
     return out
 
 

@@ -11,7 +11,11 @@ arithmetic, each form written out in its own variables: the reference for
 the values and the key order of the kernel's pieces, which the runtime
 derives for the ``t`` form from the moment form. ``ungrouped_apply`` is the
 operator kernel before its products were grouped by row: the reference for
-the grouped kernel's numerators, denominator and key order.
+the grouped kernel's numerators, denominator and key order. The validation
+operators written as sums of ring products (the residue inversion through
+the reciprocal-series coefficients ``S_j``, the one-boundary recursion and
+the constraint operators' parts ``A_n`` and ``B_n``) are the references for
+the runtime's one-accumulator kernels.
 """
 
 from __future__ import annotations
@@ -38,6 +42,7 @@ from taulap.ring import (
     MomentPoly,
     NonDivisible,
     RingError,
+    ZLaurent,
     convention_scale,
     double_factorial,
 )
@@ -477,3 +482,189 @@ def ungrouped_apply(p: MomentPoly, form: _OperatorTables) -> MomentPoly:
                     acc[code] = get(code, 0) + factor * c
     return MomentPoly.from_numerators(
         {_unpack(code): v for code, v in acc.items() if v}, den_p * den_ops)
+
+
+# -- the validation operators as sums of ring products ---------------------------
+#
+# The runtime's residue inversion, one-boundary recursion and constraint
+# operators sum integer numerators into one accumulator. These are the same
+# operators written piece by piece in ``MomentPoly`` and ``ZLaurent``
+# arithmetic: the references for their values.
+
+
+@lru_cache(maxsize=None)
+def reciprocal_by_division(m: int) -> MomentPoly:
+    """``S_m`` from ``r0 S_m = -sum_k m!/(m-k)! r_k S_{m-k}``, one ring sum per term."""
+    if m == 0:
+        return MomentPoly.one()
+    out = MomentPoly.zero()
+    for k in range(1, m + 1):
+        scalar = -(factorial(m) // factorial(m - k))
+        out = out + (_over_unit(k) * reciprocal_by_division(m - k)).scale(scalar)
+    return out
+
+
+def residue_invert_by_reciprocals(obj: ZLaurent) -> ZLaurent:
+    """``z**(-2k)`` to ``-(1/r0) sum_{j=0..k} S_j/j! z**-(2k-2j+2)``, term by term."""
+    out = ZLaurent(1)
+    inv_unit = MomentPoly.unit_power(-1)
+    for (e,), coeff in obj.terms.items():
+        k = -e // 2
+        for j in range(k + 1):
+            piece = (coeff * reciprocal_by_division(j) * inv_unit).scale(F(-1, factorial(j)))
+            out = out + ZLaurent(1, {(-(2 * (k - j) + 2),): piece})
+    return out
+
+
+def _coincident_pair_by_sums(stored: ZLaurent) -> ZLaurent:
+    out = ZLaurent.zero(1)
+    support = stored.moment_support()
+    for l in range(0, (max(support) if support else -1) + 1):
+        d = stored.partial_moment(l)
+        if d.is_zero:
+            continue
+        ratio = MomentPoly.monomial((-1,) + (0,) * l + (1,), -(3 + 2 * l))
+        out = out + d.scale(ratio).shift(0, -3)
+        out = out + d.scale(3 + 2 * l).shift(0, -5 - 2 * l)
+    out = out + stored.dz(0).shift(0, -4).scale(MomentPoly.unit_power(-1))
+    return out
+
+
+@lru_cache(maxsize=None)
+def pair_diagonal_by_sums(g: int) -> ZLaurent:
+    if g == 0:
+        return ZLaurent(1, {(-4,): 1})
+    return _coincident_pair_by_sums(one_point_by_sums(g)).scale(4)
+
+
+@lru_cache(maxsize=None)
+def one_point_by_sums(g: int) -> ZLaurent:
+    """``G_{g,1}`` by the residue recursion, with the right-hand side a ``ZLaurent`` sum."""
+    rhs = pair_diagonal_by_sums(g - 1).scale(4)
+    for h in range(1, g):
+        rhs = rhs + one_point_by_sums(h) * one_point_by_sums(g - h)
+    return residue_invert_by_reciprocals(rhs.shift(0, 2)).shift(0, -1).scale(F(1, 2))
+
+
+def raising_part_by_sums(n: int, p: MomentPoly) -> MomentPoly:
+    """``A_n = sum_{j>=n} (3+2j)/2 rho_{j-n} d/d rho_j``, one ring product per index."""
+    out = MomentPoly.zero()
+    for j in sorted(p.moment_support()):
+        if j < n:
+            continue
+        d = p.partial(j)
+        if d.is_zero:
+            continue
+        out = out + (MomentPoly.variable(j - n) * d).scale(F(3 + 2 * j, 2))
+    return out
+
+
+def _quadratic_one(p: MomentPoly) -> MomentPoly:
+    out = MomentPoly.zero()
+    support = sorted(p.moment_support())
+    for k in support:
+        dk = p.partial(k)
+        if dk.is_zero:
+            continue
+        for l in sorted(dk.moment_support() | {0}):
+            dkl = dk.partial(l)
+            if dkl.is_zero:
+                continue
+            coeff = (MomentPoly.monomial((-2,) + (0,) * k + (1,)) * MomentPoly.variable(l + 1)).scale(
+                (3 + 2 * k) * (3 + 2 * l)
+            )
+            out = out + coeff * dkl
+        linear = (MomentPoly.monomial((-3, 1), F(-13, 4)) * MomentPoly.variable(k + 1)
+                  + MomentPoly.monomial((-2,) + (0,) * (k + 1) + (1,), 5 + 2 * k))
+        out = out + (linear * dk).scale(3 + 2 * k)
+    constant = (MomentPoly.monomial((-4, 1), F(49, 64)) * MomentPoly.variable(1)
+                + MomentPoly.monomial((-3, 0, 1), F(-5, 8)))
+    return out + constant * p
+
+
+def _quadratic_two(p: MomentPoly) -> MomentPoly:
+    out = MomentPoly.zero()
+    for k in sorted(p.moment_support()):
+        dk = p.partial(k)
+        if dk.is_zero:
+            continue
+        dk0 = dk.partial(0)
+        if not dk0.is_zero:
+            out = out + (MomentPoly.monomial((-1,) + (0,) * k + (1,)) * dk0).scale(-6 * (3 + 2 * k))
+        if k >= 1:
+            out = out + (MomentPoly.monomial((-2,) + (0,) * k + (1,)) * dk).scale(F(25 * (3 + 2 * k), 4))
+    d0 = p.partial(0)
+    if not d0.is_zero:
+        out = out + (MomentPoly.monomial((-2, 1)) * d0).scale(F(39, 2))
+    return out + MomentPoly.monomial((-3, 1), F(-49, 32)) * p
+
+
+def _quadratic_three(p: MomentPoly) -> MomentPoly:
+    out = MomentPoly.zero()
+    d0 = p.partial(0)
+    if not d0.is_zero:
+        d00 = d0.partial(0)
+        if not d00.is_zero:
+            out = out + d00.scale(9)
+        out = out + (MomentPoly.unit_power(-1) * d0).scale(F(-123, 4))
+    for k in sorted(p.moment_support()):
+        dk = p.partial(k)
+        if dk.is_zero:
+            continue
+        dk1 = dk.partial(1)
+        if not dk1.is_zero:
+            out = out + (MomentPoly.monomial((-1,) + (0,) * k + (1,)) * dk1).scale(-10 * (3 + 2 * k))
+    d1 = p.partial(1)
+    if not d1.is_zero:
+        out = out + (MomentPoly.monomial((-2, 1)) * d1).scale(F(5, 4))
+    return out + MomentPoly.unit_power(-2).scale(F(105, 64)) * p
+
+
+def _quadratic_high(n: int, p: MomentPoly) -> MomentPoly:
+    out = MomentPoly.zero()
+    for l in range(0, n - 2):
+        dl = p.partial(l)
+        if dl.is_zero:
+            continue
+        d2 = dl.partial(n - 3 - l)
+        if not d2.is_zero:
+            out = out + d2.scale((3 + 2 * l) * (2 * n - 2 * l - 3))
+    dn2 = p.partial(n - 2)
+    if not dn2.is_zero:
+        for l in sorted(dn2.moment_support() | {0}):
+            d2 = dn2.partial(l)
+            if d2.is_zero:
+                continue
+            ratio = MomentPoly.monomial((-1,) + (0,) * l + (1,))
+            out = out + (ratio * d2).scale(-2 * (3 + 2 * l) * (2 * n - 1))
+        out = out + (MomentPoly.monomial((-2, 1)) * dn2).scale(F(2 * n - 1, 4))
+    dn3 = p.partial(n - 3)
+    if not dn3.is_zero:
+        out = out + (MomentPoly.unit_power(-1) * dn3).scale(
+            F(-(2 * n - 3) * (16 * n - 7), 4)
+        )
+    return out
+
+
+def quadratic_part_by_sums(n: int, p: MomentPoly) -> MomentPoly:
+    """``B_n`` as a sum of ring products over the derivatives of ``p``."""
+    if n == 0:
+        return MomentPoly.zero()
+    if n == 1:
+        return _quadratic_one(p)
+    if n == 2:
+        return _quadratic_two(p)
+    if n == 3:
+        return _quadratic_three(p)
+    return _quadratic_high(n, p)
+
+
+def constraint_residuals_by_sums(n: int, orders: Sequence[MomentPoly]) -> dict[int, MomentPoly]:
+    """``r_k = A_n(c_k) + (1/4) B_n(c_{k-1})`` for every order ``c_k``."""
+    out: dict[int, MomentPoly] = {}
+    for k, c in enumerate(orders):
+        r = raising_part_by_sums(n, c)
+        if k >= 1:
+            r = r + quadratic_part_by_sums(n, orders[k - 1]).scale(F(1, 4))
+        out[k] = r
+    return out

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from oracles import (
     InsufficientArguments,
     bell,
+    reciprocal_by_division,
     rescaled_resolvent_by_division,
     resolvent_by_division,
 )
@@ -165,6 +166,12 @@ def test_resolvent_coefficients_match_ring_division() -> None:
     """The integer accumulator keeps the values and key order of one ring sum per term."""
     for m in range(31):
         assert _same_poly(resolvent_coefficient(m), resolvent_by_division(m)), m
+
+
+def test_reciprocal_coefficients_match_ring_division() -> None:
+    """The integer accumulator keeps the values and key order of one ring sum per term."""
+    for m in range(26):
+        assert _same_poly(reciprocal_coefficient(m), reciprocal_by_division(m)), m
 
 
 def test_resolvent_display_form_matches_converted_form() -> None:

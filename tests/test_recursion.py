@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oracles import one_point_by_sums, pair_diagonal_by_sums, residue_invert_by_reciprocals
 from taulap import recursion
 from taulap.boundary import correlator, diagonal, generic_moments, kernel_op
 from taulap.laplacian import GenusOutOfRange
@@ -70,6 +71,33 @@ def test_residue_invert_round_trip(data):
     assert round_trip.terms == source.scale(-1).terms
 
 
+_MOMENT_COEFFS = st.dictionaries(
+    st.tuples(
+        st.integers(min_value=-3, max_value=3),
+        st.integers(min_value=0, max_value=2),
+        st.integers(min_value=0, max_value=2),
+        st.integers(min_value=0, max_value=1),
+    ),
+    st.fractions(min_value=-5, max_value=5, max_denominator=12).filter(bool),
+    min_size=1,
+    max_size=3,
+).map(MomentPoly)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.dictionaries(
+        st.integers(min_value=-6, max_value=0).map(lambda k: (2 * k,)),
+        _MOMENT_COEFFS,
+        max_size=4,
+    )
+)
+def test_residue_invert_matches_reciprocal_sum(data):
+    """Series division gives the sum over the reciprocal-series coefficients, denominators included."""
+    source = ZLaurent(1, dict(data))
+    assert residue_invert(source) == residue_invert_by_reciprocals(source)
+
+
 def test_residue_invert_round_trip_with_moment_coefficients():
     coeff = MomentPoly.monomial((-1, 2), F(3, 7)) + MomentPoly.unit_power(2)
     source = ZLaurent(1, {(-4,): coeff, (0,): MomentPoly.variable(2)})
@@ -82,8 +110,15 @@ def test_residue_invert_round_trip_with_moment_coefficients():
 
 
 def test_one_point_matches_creation_chain():
-    for g in range(1, 6):
-        assert one_point(g).terms == correlator(g, 1).terms
+    for g in range(1, 9):
+        assert one_point(g) == correlator(g, 1), g
+
+
+def test_one_point_matches_ring_sum_recursion():
+    """The one-accumulator recursion equals the ``ZLaurent``-sum recursion, denominators included."""
+    for g in range(1, 8):
+        assert one_point(g) == one_point_by_sums(g), g
+        assert pair_diagonal(g) == pair_diagonal_by_sums(g), g
 
 
 def test_one_point_genus_bound():
@@ -105,8 +140,27 @@ def test_pair_diagonal_matches_boundary_route():
 
 
 def test_one_point_residual_vanishes_symbolically():
-    for g in range(1, 5):
+    for g in range(1, 7):
         assert not one_point_residual(g).terms
+
+
+def test_one_point_residual_matches_ring_sums_on_corrupted_input(monkeypatch):
+    """On a corrupted ``G_{2,1}`` the accumulated residual equals the ``ZLaurent`` sum, and is nonzero."""
+    bad = correlator(2, 1) + ZLaurent(1, {(-9,): MomentPoly.monomial((-3, 0, 1), F(2, 7))})
+
+    def corrupted(g, b):
+        return bad if (g, b) == (2, 1) else correlator(g, b)
+
+    monkeypatch.setattr(recursion, "correlator", corrupted)
+    for g in range(2, 6):
+        diag = diagonal(g - 1)
+        if isinstance(diag, ZRational):
+            diag = diag.reduce()
+        want = kernel_op(corrupted(g, 1), 0) + diag.scale(2)
+        for h in range(1, g):
+            want = want + (corrupted(h, 1) * corrupted(g - h, 1)).scale(F(1, 2))
+        got = one_point_residual(g)
+        assert got == want and got.terms, g
 
 
 def test_one_point_residual_genus_bound():

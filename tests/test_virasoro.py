@@ -6,8 +6,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oracles import constraint_residuals_by_sums, quadratic_part_by_sums, raising_part_by_sums
 from taulap.laplacian import free_energy, stable_partition
-from taulap.ring import MomentPoly, RingError
+from taulap.ring import LogProduct, MomentPoly, RingError
 from taulap.virasoro import (
     GradedSeries,
     constraint_residuals,
@@ -76,7 +77,7 @@ def test_first_order_balances_quadratic_constant():
 
 
 def test_all_constraints_vanish_on_stable_series():
-    series = stable_series(5)
+    series = stable_series(7)
     for n in range(0, 18):
         assert constraint_satisfied(n, series), f"constraint {n} violated"
 
@@ -86,6 +87,77 @@ def test_residual_grading_structure():
     residuals = constraint_residuals(2, series)
     assert sorted(residuals) == [0, 1, 2]
     assert all(r.is_zero for r in residuals.values())
+
+
+LABELS = range(18)
+
+
+def test_parts_match_ring_sums_on_stable_series():
+    """Both parts equal the ring-product sums on every order, for every label."""
+    series = stable_series(8)
+    for n in LABELS:
+        for c in series.orders:
+            assert raising_part(n, c) == raising_part_by_sums(n, c), n
+            assert quadratic_part(n, c) == quadratic_part_by_sums(n, c), n
+        assert constraint_residuals(n, series) == constraint_residuals_by_sums(n, series.orders), n
+
+
+def _perturbed(series: GradedSeries) -> GradedSeries:
+    noisy = list(series.orders)
+    noisy[1] = noisy[1] + MomentPoly.monomial((-5, 3), F(1, 7))
+    noisy[2] = noisy[2] + MomentPoly({(-2, 0, 1, 1): F(-3, 5), (1,): 2})
+    noisy[4] = noisy[4] + MomentPoly.monomial((0, 0, 0, 0, 0, 2), F(1, 3))
+    # every label's raising part sees r_17
+    noisy[3] = noisy[3] + MomentPoly.monomial((-2,) + (0,) * 16 + (1,), F(-5, 2))
+    return GradedSeries(tuple(noisy))
+
+
+def test_residuals_match_ring_sums_on_perturbed_series():
+    """The nonzero residuals of a perturbed series equal the ring-product sums, label by label."""
+    bad = _perturbed(stable_series(8))
+    violated = 0
+    for n in LABELS:
+        got = constraint_residuals(n, bad)
+        assert got == constraint_residuals_by_sums(n, bad.orders), n
+        violated += any(not r.is_zero for r in got.values())
+    assert violated == len(LABELS)
+
+
+_PROBE_TERMS = st.dictionaries(
+    st.tuples(
+        st.integers(min_value=-4, max_value=3),
+        st.integers(min_value=0, max_value=3),
+        st.integers(min_value=0, max_value=2),
+        st.integers(min_value=0, max_value=2),
+        st.integers(min_value=0, max_value=1),
+    ),
+    st.fractions(min_value=-4, max_value=4, max_denominator=9).filter(bool),
+    max_size=5,
+)
+
+
+@settings(max_examples=40, deadline=None)
+@given(_PROBE_TERMS, st.fractions(min_value=-3, max_value=3, max_denominator=5))
+def test_parts_match_ring_sums_on_probes(terms, log):
+    """Probes with negative unit powers and a log term; a log times a zero-order piece raises."""
+    probe = MomentPoly(terms, log)
+    for n in range(12):
+        assert raising_part(n, probe) == raising_part_by_sums(n, probe), n
+        if log and n in (1, 2, 3):
+            with pytest.raises(LogProduct):
+                quadratic_part_by_sums(n, probe)
+            with pytest.raises(LogProduct):
+                quadratic_part(n, probe)
+        else:
+            assert quadratic_part(n, probe) == quadratic_part_by_sums(n, probe), n
+
+
+def test_log_term_differentiates_to_the_inverse_unit():
+    """``d_0 (c log r0) = c/r0``: ``A_0`` sends it to ``3c/2`` and ``B_4`` ignores it."""
+    probe = MomentPoly.log_unit(F(2, 3))
+    assert raising_part(0, probe) == MomentPoly.constant(1)
+    assert raising_part(1, probe).is_zero
+    assert quadratic_part(4, probe + MomentPoly.variable(1, 2)) == quadratic_part(4, MomentPoly.variable(1, 2))
 
 
 def test_perturbed_series_violates_constraints():
