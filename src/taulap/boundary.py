@@ -12,10 +12,18 @@ the boundary creation operator and validated by its adjoint pair:
 * ``kernel_op``   -- the multiplication-side kernel entering the loop
   equations.
 
+A correlator is symmetric in its boundary variables, so the chain runs on
+orbits (monomial symmetric functions, Macdonald, *Symmetric Functions and
+Hall Polynomials*): ``_orbits`` keeps one coefficient per sorted ``z`` key,
+and exact and float evaluation (``n_point_core``) read the orbits directly.
+``correlator`` writes every key out for the consumers that need the full
+form (printing, the loop-equation residuals), with one shared coefficient
+object per orbit.
+
 Stored objects are unit-normalized: the physical correlator carries an
 overall coupling power ``lambda ** lambda_exponent(g, B)`` on top of the
 stored one, and boundary chains absorb fixed powers of two recorded in
-``correlator`` (``2^{4g}`` into the one-boundary object, ``2^2`` for the
+``_orbits`` (``2^{4g}`` into the one-boundary object, ``2^2`` for the
 first created boundary, ``2^3`` for each further one).
 """
 
@@ -36,7 +44,10 @@ from taulap.ring import (
     ZKey,
     ZLaurent,
     ZRational,
+    _bind_exact,
+    _is_exact,
     _lowered,
+    _power_tables,
 )
 
 F = Fraction
@@ -99,7 +110,9 @@ def _create_laurent(obj: MomentPoly | ZLaurent, factor: int, with_dz: bool = Tru
     every input term, then its ``z_new^(-5-2l)`` block), then boundary variable
     by boundary variable, into one accumulator; a coefficient or a whole
     ``z`` key that cancels is removed at once. That fixes the insertion order
-    of the result, and so the order in which float evaluation sums it.
+    of the result. The seeds ``G_{g,1}`` and ``G_{0,3}`` of the orbit chain
+    keep it; later steps run in ``_create_orbits``, and float evaluation
+    sums by orbits (``_orbit_values``), not in this order.
     ``with_dz=False`` leaves out the derivative terms.
     """
     if isinstance(obj, MomentPoly):
@@ -289,16 +302,122 @@ def _stored_free_energy(g: int) -> MomentPoly:
     return stable_partition("rho").f(g)
 
 
+def _orbit_key(key: ZKey) -> ZKey:
+    """``key`` itself when it is sorted and its parts are odd and at most -3.
+
+    Every correlator of the chain but the planar pair has only such keys, and
+    the orbit step rests on it: a part ``-(5+2l)`` comes from the high block
+    of index ``l`` alone, and no ``dz`` term lands on ``(-3, .., -3)``, since
+    no part is ``-1``. Anything else raises ``RingError``.
+    """
+    if any(e > -3 or not e % 2 for e in key) or list(key) != sorted(key):
+        raise RingError(f"{key} is not a sorted key of odd exponents at most -3")
+    return key
+
+
+def _create_orbits(orbits: Mapping[ZKey, MomentPoly], factor: int) -> dict[ZKey, MomentPoly]:
+    """``create`` on a symmetric correlator given by its orbits, times ``factor``.
+
+    The result is symmetric too, so the coefficient of an output orbit ``mu``
+    is the coefficient of any one arrangement of it. If ``mu`` has a part
+    below -3, the arrangement taken puts the new variable on the largest such
+    part ``e = -(5+2l)``; only the high block of index ``l`` lands there, and
+    the coefficient is ``factor (3+2l) d/dr_l G_{mu - e}``. Otherwise ``mu``
+    is ``(-3, .., -3)``, and only the low blocks of ``G_{(-3, .., -3)}`` land
+    on it. Each output orbit thus comes from one input orbit, in integers
+    over that orbit's denominator.
+
+    The output orbits come in a fixed order: ``(-3, .., -3)`` first, then,
+    input orbit by input orbit, those that add a part ``-(5+2l)`` to it, for
+    ascending ``l``.
+    """
+    width = max((len(k) for poly in orbits.values() for k in poly.nums), default=0)
+    out: dict[ZKey, MomentPoly] = {}
+    for key, poly in orbits.items():
+        if _orbit_key(key)[0] == -3:
+            acc: dict[Key, int] = {}
+            for l in range(width):
+                scale = -(3 + 2 * l) * factor
+                for k, n in poly.nums.items():
+                    if l < len(k) and k[l]:
+                        low = _lowered_ratio(k, l)
+                        acc[low] = acc.get(low, 0) + scale * k[l] * n
+            flat = MomentPoly.from_numerators(acc, poly.den)
+            if flat.nums:
+                out[key + (-3,)] = flat
+    for key, poly in orbits.items():
+        # the new part must be the largest part below -3 of the output orbit
+        below = [e for e in key if e < -3]
+        top = width if not below else min(width, (-below[-1] - 3) // 2)
+        for l in range(top):
+            scale = (3 + 2 * l) * factor
+            nums = {_lowered(k, l): scale * k[l] * n
+                    for k, n in poly.nums.items() if l < len(k) and k[l]}
+            if nums:
+                out[tuple(sorted(key + (-5 - 2 * l,)))] = MomentPoly.from_numerators(nums, poly.den)
+    return out
+
+
+@lru_cache(maxsize=None)
+def _orbits(g: int, boundaries: int) -> dict[ZKey, MomentPoly]:
+    """``G_{g,B}`` by orbits: each sorted ``z`` key with its coefficient.
+
+    ``G_{g,1}`` and ``G_{0,3}`` come from ``create``; every further boundary
+    from ``_create_orbits``. The planar pair ``G_{0,2}`` is no chain of
+    orbits; ``correlator`` stores it as it is.
+    """
+    if g < 0 or boundaries < 1 or (g == 0 and boundaries < 3):
+        raise GenusOutOfRange(f"no stable correlator with labels ({g}, {boundaries})")
+    if boundaries == 1:
+        seed = create(_stored_free_energy(g), 2 ** (4 * g))
+    elif g == 0 and boundaries == 3:
+        seed = create(planar_pair(), 8)
+    else:
+        return _create_orbits(_orbits(g, boundaries - 1), 4 if boundaries == 2 else 8)
+    return {_orbit_key(key): poly for key, poly in seed.terms.items()}
+
+
+def _arrangements(key: ZKey) -> list[ZKey]:
+    """The distinct permutations of a sorted key, in ascending lexicographic order.
+
+    Those that start with the part ``e`` are ``e`` followed by the
+    arrangements of the other parts; one multiset of other parts recurs under
+    several first parts, so its arrangements are listed once and reused.
+    """
+    memo: dict[ZKey, list[ZKey]] = {}
+
+    def walk(rest: ZKey) -> list[ZKey]:
+        if len(rest) < 2:
+            return [rest]
+        got = memo.get(rest)
+        if got is None:
+            got = memo[rest] = []
+            for j, e in enumerate(rest):
+                if not j or rest[j - 1] != e:
+                    got += [(e,) + tail for tail in walk(rest[:j] + rest[j + 1:])]
+        return got
+
+    return walk(key)
+
+
 @lru_cache(maxsize=None)
 def correlator(g: int, boundaries: int) -> ZLaurent | ZRational:
-    """Stored correlator with ``g`` handles and ``boundaries`` boundaries."""
-    if g < 0 or boundaries < 1 or (g == 0 and boundaries == 1):
-        raise GenusOutOfRange(f"no stable correlator with labels ({g}, {boundaries})")
+    """Stored correlator with ``g`` handles and ``boundaries`` boundaries.
+
+    Every ``z`` key is written out: each distinct arrangement of an orbit key
+    of ``_orbits`` maps to that orbit's one coefficient object, which is
+    shared, never copied. Keys come orbit by orbit in the order of
+    ``_orbits``, and within an orbit in ascending lexicographic order. The
+    planar pair ``G_{0,2}`` is the rational ``planar_pair()``.
+    """
     if g == 0 and boundaries == 2:
         return planar_pair()
-    if boundaries == 1:
-        return create(_stored_free_energy(g), 2 ** (4 * g))
-    return create(correlator(g, boundaries - 1), 4 if boundaries == 2 else 8)
+    orbits = _orbits(g, boundaries)
+    out = ZLaurent(boundaries)
+    out.terms = {
+        arrangement: poly for key, poly in orbits.items() for arrangement in _arrangements(key)
+    }
+    return out
 
 
 def diagonal(g: int) -> ZLaurent | ZRational:
@@ -321,22 +440,110 @@ def _check_group(points: Sequence[object]) -> None:
                 )
 
 
+def _sub_orbits(keys: Sequence[ZKey]) -> list[list[list[tuple[int, int]]]]:
+    """The steps of a dynamic programme over the variables and the parts left.
+
+    A state of level ``i`` is a sorted multiset of ``i`` parts that lies in
+    some key; the states of the last level are ``keys``, in their order.
+    ``steps[i][s]`` lists the pairs ``(e, t)``: state ``s`` of level ``i``
+    with the part ``e`` added is state ``t`` of level ``i + 1``. Each
+    distinct arrangement of a key is one path from the empty state to it.
+    """
+    steps: list[list[list[tuple[int, int]]]] = []
+    level = list(keys)
+    for _ in range(len(level[0])):
+        below: dict[ZKey, int] = {}
+        step: list[list[tuple[int, int]]] = []
+        for t, key in enumerate(level):
+            for j, e in enumerate(key):
+                if j and key[j - 1] == e:
+                    continue
+                sub = key[:j] + key[j + 1:]
+                s = below.get(sub)
+                if s is None:
+                    s = below[sub] = len(step)
+                    step.append([])
+                step[s].append((e, t))
+        steps.append(step)
+        level = list(below)
+    steps.reverse()
+    return steps
+
+
+def _orbit_values(
+    orbits: Mapping[ZKey, MomentPoly],
+    nvars: int,
+    point_sets: Sequence[Sequence[object]],
+    moments: Mapping[int, object],
+) -> list[object]:
+    """``sum_mu c_mu m_mu(z)`` at each point tuple, ``m_mu`` the monomial symmetric function.
+
+    Every part is negative, so a zero point is a pole; that is checked before
+    the moments are bound. With exact points and moments each coefficient is
+    bound once, in integers (``_bind_exact``), and each value is one integer
+    sum over the points' integer power tables (``_power_tables``). Otherwise
+    the coefficients are substituted once and the same sum runs in floats.
+    The sum is the dynamic programme of ``_sub_orbits``, run from the last
+    variable to the first: a state's value is the sum, over the keys that
+    contain it, of the coefficient times every arrangement of the parts left
+    on the variables left.
+    """
+    if any(not z for points in point_sets for z in points):
+        raise CoincidentPoints("evaluation at z = 0 hits a pole")
+    exact = _is_exact(moments.values()) and all(_is_exact(p) for p in point_sets)
+    if exact:
+        stored = ZLaurent(nvars)
+        stored.terms = dict(orbits)
+        ints, scale = _bind_exact(stored, moments)
+        keys, coeffs = list(ints), list(ints.values())
+    else:
+        keys = list(orbits)
+        coeffs = [poly.substitute(moments) for poly in orbits.values()]
+    if not keys:
+        return [F(0) for _ in point_sets]
+    steps = _sub_orbits(keys)
+    needed = sorted({e for key in keys for e in key})
+    lo, hi = needed[0], needed[-1]
+    values: list[object] = []
+    for points in point_sets:
+        if exact:
+            tables, _, factor = _power_tables([(lo, hi)] * nvars, points)
+            rows = [{e: table[e - lo] for e in needed} for table in tables]
+        else:
+            rows = [{e: z**e for e in needed} for z in points]
+        level = coeffs
+        for row, step in zip(reversed(rows), reversed(steps)):
+            level = [sum(row[e] * level[t] for e, t in pairs) for pairs in step]
+        values.append(scale * factor * level[0] if exact else level[0])
+    return values
+
+
 def n_point_core(
     g: int,
     groups: Sequence[Sequence[object]],
     moments: Mapping[int, object],
 ) -> object:
-    """Grouped n-point evaluation of the stored correlator (unit coupling)."""
+    """Grouped n-point evaluation of the stored correlator (unit coupling).
+
+    A group of points stands for one boundary: the value sums, over every
+    choice of one point ``z_k`` per group, the correlator at the chosen points
+    times ``2 / (z_k^2 - z_l^2)`` for each other point ``z_l`` of the group.
+    The correlator is read by its orbits (``_orbit_values``) and never
+    written out; the planar pair is evaluated as stored.
+    """
     B = len(groups)
-    stored = correlator(g, B)
+    planar = (g, B) == (0, 2)
+    stored = correlator(0, 2) if planar else _orbits(g, B)
     for grp in groups:
         if not grp:
             raise RingError("every boundary group needs at least one point")
         _check_group(grp)
     choices = list(product(*[range(len(grp)) for grp in groups]))
-    values = stored.evaluate_many(
-        [[groups[b][choice[b]] for b in range(B)] for choice in choices], moments
-    )
+    point_sets = [[groups[b][choice[b]] for b in range(B)] for choice in choices]
+    if planar:
+        values = stored.evaluate_many(point_sets, moments)
+    else:
+        values = _orbit_values(stored, B, point_sets, moments)
     total: object = None
     for choice, value in zip(choices, values):
         weight: object = F(1)

@@ -40,12 +40,13 @@ CHECK_EXIT = 2
 MAX_GENUS = 14
 # The most boundaries a correlator may have at genus g = 0..MAX_GENUS: the largest
 # correlator --boundaries, and the most groups npoint --groups and model --eval
-# may list (each group is a boundary). A correlator's stored terms grow about
-# fourfold per boundary and its peak RSS with them. Measured on the correlator
-# command (2 vCPUs, CPython 3.11): every admitted pair peaks at 643 MB or less
-# ((11, 3); (0, 12) takes about 20 s and 397 MB), and every pair one boundary
-# further peaks at 733 MB or more ((9, 4)) or runs out of a 1.5 GB address space.
-MAX_BOUNDARIES = (12, 10, 9, 8, 7, 6, 5, 5, 4, 3, 3, 3, 2, 2, 1)
+# may list (each group is a boundary). A correlator's written-out keys grow
+# about fourfold per boundary and its peak RSS with them. Measured on the
+# correlator command (2 vCPUs, CPython 3.11): every admitted pair peaks at 643 MB
+# or less ((5, 7) 642 MB; (0, 12) takes about 4 s and 210 MB, (1, 11) about 9 s
+# and 452 MB), and every pair one boundary further peaks at 679 MB or more
+# ((8, 5)) or runs out of a 1.5 GB address space ((1, 12)).
+MAX_BOUNDARIES = (12, 11, 9, 8, 7, 7, 6, 5, 4, 4, 3, 3, 2, 2, 1)
 # Largest coeffs --mmax: R_m and S_m have a term per partition of m, and
 # coeffs --mmax 40 takes about 9 s for S and 4 s for R.
 MAX_MMAX = 40

@@ -1036,6 +1036,8 @@ def render_z(obj: ZLaurent, convention: str = "rho") -> str:
     if not obj.terms:
         return "0"
     parts = []
+    # keys may share one coefficient object; each such object is rendered once
+    rendered: dict[int, str] = {}
     for key in sorted(obj.terms, reverse=True):
         coeff = obj.terms[key]
         zmono = "*".join(
@@ -1043,9 +1045,12 @@ def render_z(obj: ZLaurent, convention: str = "rho") -> str:
             for i, e in enumerate(key)
             if e
         )
-        cstr = render_str(coeff, convention)
-        if len(coeff.nums) > 1:
-            cstr = f"({cstr})"
+        cstr = rendered.get(id(coeff))
+        if cstr is None:
+            cstr = render_str(coeff, convention)
+            if len(coeff.nums) > 1:
+                cstr = f"({cstr})"
+            rendered[id(coeff)] = cstr
         parts.append(f"{cstr}*{zmono}" if zmono else cstr)
     return " + ".join(parts).replace("+ -", "- ")
 

@@ -296,9 +296,8 @@ class SpectralSolution:
         self, g: int, groups: Sequence[Sequence[float]], lmax: int | None = None
     ) -> float:
         if lmax is None:
-            stored = _boundary.correlator(g, len(groups))
-            laurent = stored if not hasattr(stored, "num") else stored.num
-            lmax = max(laurent.moment_support(), default=0)
+            # G_{g,B} depends on the moment indices 0..3g-3+B
+            lmax = max(3 * g - 3 + len(groups), 0)
         moments = self.moments(lmax)
         return _boundary.evaluate_correlator(g, groups, self.model.coupling, moments)
 

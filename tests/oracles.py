@@ -15,7 +15,11 @@ the grouped kernel's numerators, denominator and key order. The validation
 operators written as sums of ring products (the residue inversion through
 the reciprocal-series coefficients ``S_j``, the one-boundary recursion and
 the constraint operators' parts ``A_n`` and ``B_n``) are the references for
-the runtime's one-accumulator kernels.
+the runtime's one-accumulator kernels. ``correlator_by_create`` is the
+correlator chain in full form, one public ``create`` per boundary with every
+``z`` key built on its own, and ``grouped_by_full_form`` evaluates it term by
+term with the grouped weights: the references for the chain and the
+evaluation on orbits.
 """
 
 from __future__ import annotations
@@ -23,10 +27,12 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 from itertools import zip_longest
+from itertools import product
 from math import factorial, lcm
-from typing import Iterable, Sequence
+from typing import Iterable, Mapping, Sequence
 
 from taulap.bell import resolvent_coefficient
+from taulap.boundary import _stored_free_energy, create, planar_pair
 from taulap.laplacian import (
     _SLOT_BITS,
     _UNIT_OFFSET,
@@ -43,6 +49,7 @@ from taulap.ring import (
     NonDivisible,
     RingError,
     ZLaurent,
+    ZRational,
     convention_scale,
     double_factorial,
 )
@@ -668,3 +675,37 @@ def constraint_residuals_by_sums(n: int, orders: Sequence[MomentPoly]) -> dict[i
             r = r + quadratic_part_by_sums(n, orders[k - 1]).scale(F(1, 4))
         out[k] = r
     return out
+
+
+# ---------------------------------------------------------------------------
+# the correlator chain in full form
+
+
+@lru_cache(maxsize=None)
+def correlator_by_create(g: int, boundaries: int) -> ZLaurent | ZRational:
+    """``G_{g,B}`` by one public ``create`` per boundary, every ``z`` key on its own."""
+    if g == 0 and boundaries == 2:
+        return planar_pair()
+    if boundaries == 1:
+        return create(_stored_free_energy(g), 2 ** (4 * g))
+    return create(correlator_by_create(g, boundaries - 1), 4 if boundaries == 2 else 8)
+
+
+def grouped_by_full_form(
+    g: int, groups: Sequence[Sequence[object]], moments: Mapping[int, object]
+) -> object:
+    """The grouped n-point value, term by term on the full form (unit coupling)."""
+    B = len(groups)
+    choices = list(product(*[range(len(grp)) for grp in groups]))
+    values = correlator_by_create(g, B).evaluate_many(
+        [[groups[b][choice[b]] for b in range(B)] for choice in choices], moments
+    )
+    total: object = 0
+    for choice, value in zip(choices, values):
+        for b, grp in enumerate(groups):
+            zk = grp[choice[b]]
+            for li, zl in enumerate(grp):
+                if li != choice[b]:
+                    value = value * 2 / (zk * zk - zl * zl)
+        total = total + value
+    return total

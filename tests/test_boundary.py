@@ -1,11 +1,21 @@
 """Boundary operators: creation/annihilation algebra, chains, evaluation."""
 
+import random
 from fractions import Fraction
+from itertools import permutations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from oracles import correlator_by_create, grouped_by_full_form
 from taulap.boundary import (
+    OutOfFloatRange,
     UnsupportedExponent,
+    _arrangements,
+    _create_orbits,
+    _orbit_values,
+    _orbits,
     annihilate,
     correlator,
     create,
@@ -21,7 +31,15 @@ from taulap.boundary import (
     _stored_free_energy,
 )
 from taulap.laplacian import GenusOutOfRange, genus_two_rho
-from taulap.ring import CoincidentPoints, MomentPoly, UnknownVariable, ZLaurent, ZRational
+from taulap.ring import (
+    CoincidentPoints,
+    MomentPoly,
+    RingError,
+    UnknownVariable,
+    ZLaurent,
+    ZRational,
+    render_z,
+)
 
 F = Fraction
 
@@ -302,17 +320,22 @@ def layout(obj: ZLaurent) -> list:
     return [(key, list(coeff.terms.items())) for key, coeff in obj.terms.items()]
 
 
-def _creation_inputs():
-    """(input, factor) of every chain step of the stored correlators with 2g + B - 2 <= 6."""
-    for energy in range(1, 7):
+def _chain_pairs(top: int = 8):
+    """Every stored ``(g, B)`` but the planar pair with ``2g + B - 2 <= top``."""
+    for energy in range(1, top + 1):
         for g in range(0, energy // 2 + 2):
             b = energy + 2 - 2 * g
-            if b < 1 or (g, b) in ((0, 1), (0, 2)):
-                continue
-            if b == 1:
-                yield _stored_free_energy(g), 2 ** (4 * g)
-            else:
-                yield correlator(g, b - 1), 4 if b == 2 else 8
+            if b >= 1 and (g, b) not in ((0, 1), (0, 2)):
+                yield g, b
+
+
+def _creation_inputs():
+    """(input, factor) of every chain step of the stored correlators with 2g + B - 2 <= 6."""
+    for g, b in _chain_pairs(6):
+        if b == 1:
+            yield _stored_free_energy(g), 2 ** (4 * g)
+        else:
+            yield correlator(g, b - 1), 4 if b == 2 else 8
 
 
 def test_create_matches_multipass_oracle_on_stored_correlators() -> None:
@@ -379,3 +402,125 @@ def test_evaluation_error_contracts() -> None:
         stored.evaluate([F(2), F(3)], {0: F(1)})
     with pytest.raises(UnknownVariable):
         n_point_core(1, [[F(2), F(5)], [F(3)]], {0: F(1)})
+
+
+# -- the chain and its evaluation on orbits against the full form ------------------
+#
+# The full form is one public ``create`` per boundary, every z key built on its
+# own (``correlator_by_create``), evaluated term by term with the grouped weights
+# (``grouped_by_full_form``).
+
+
+def test_correlator_matches_the_full_form_chain() -> None:
+    pairs = list(_chain_pairs())
+    assert len(pairs) == 28
+    for g, b in pairs:
+        got, expected = correlator(g, b), correlator_by_create(g, b)
+        assert got == expected, (g, b)
+        assert sorted(got.terms) == sorted(expected.terms), (g, b)
+
+
+def test_correlator_writes_out_orbits_in_a_fixed_order_with_shared_coefficients() -> None:
+    for g, b in [(0, 6), (1, 4), (2, 3), (3, 2)]:
+        orbits = _orbits(g, b)
+        stored = correlator(g, b)
+        order = [arr for key in orbits for arr in sorted(set(permutations(key)))]
+        assert list(stored.terms) == order
+        for key, poly in orbits.items():
+            assert all(stored.terms[arr] is poly for arr in _arrangements(key))
+        assert len({id(c) for c in stored.terms.values()}) == len(orbits)
+
+
+def test_arrangements_are_the_distinct_permutations_in_order() -> None:
+    for key in [(-3,), (-5, -3), (-3, -3, -3), (-7, -5, -5, -3, -3), (-9, -7, -5, -3)]:
+        assert _arrangements(key) == sorted(set(permutations(key)))
+
+
+def test_orbit_step_rejects_a_key_off_the_chain() -> None:
+    one = MomentPoly({(-1, 1): 1})
+    for key in [(-3, -4), (-1, -3), (-3, -5), (-3, 3)]:
+        with pytest.raises(RingError):
+            _create_orbits({key: one}, 8)
+    assert _create_orbits({(-5, -3): one}, 8)
+
+
+def test_shared_coefficients_survive_their_consumers() -> None:
+    stored = correlator(1, 4)
+    snapshot = {key: (dict(poly.nums), poly.den, poly.log_coeff)
+                for key, poly in _orbits(1, 4).items()}
+    number_operator_z(stored)
+    annihilate(stored)
+    create(stored, 8)
+    kernel_op(stored, 2)
+    stored.identify(0, 1).partial_moment(0)
+    (stored + stored - stored.scale(F(1, 3))).dz(1)
+    -stored
+    render_z(stored)
+    stored.evaluate([F(2), F(3), F(5), F(7)], generic_moments())
+    stored.evaluate([2.0, 3.0, 5.0, 7.0], {k: float(v) for k, v in generic_moments().items()})
+    assert snapshot == {key: (dict(poly.nums), poly.den, poly.log_coeff)
+                        for key, poly in _orbits(1, 4).items()}
+
+
+# group sizes of the exact evaluations the correlators benchmark times
+_WORKLOAD_SHAPES = {(0, 10): (1,) * 10, (1, 7): (2, 2, 1, 1, 1, 1, 1), (2, 5): (2, 2, 1, 1, 1)}
+
+
+def _distinct_points(rng: random.Random, size: int) -> list[Fraction]:
+    points: list[Fraction] = []
+    while len(points) < size:
+        z = F(rng.randint(100, 127), rng.randint(24, 31))
+        if z not in points:
+            points.append(z)
+    return points
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_exact_orbit_values_match_the_full_form_on_workload_shapes(seed: int) -> None:
+    rng = random.Random(seed)
+    moments = generic_moments()
+    for (g, b), shape in _WORKLOAD_SHAPES.items():
+        groups = [_distinct_points(rng, size) for size in shape]
+        assert n_point_core(g, groups, moments) == grouped_by_full_form(g, groups, moments)
+
+
+_POINTS = st.fractions(min_value=-9, max_value=9, max_denominator=12)
+
+
+@given(st.sampled_from([(0, 3), (0, 4), (0, 5), (1, 1), (1, 2), (1, 3), (2, 1), (2, 2), (3, 1)]),
+       st.data())
+@settings(max_examples=60, deadline=None)
+def test_exact_orbit_values_match_the_full_form_on_any_points(pair, data) -> None:
+    g, b = pair
+    groups = [data.draw(st.lists(_POINTS, min_size=1, max_size=3)) for _ in range(b)]
+    moments = generic_moments()
+    squares = [[z * z for z in grp] for grp in groups]
+    if any(0 in sq or len(set(sq)) < len(sq) for sq in squares):
+        with pytest.raises(CoincidentPoints):
+            n_point_core(g, groups, moments)
+        return
+    assert n_point_core(g, groups, moments) == grouped_by_full_form(g, groups, moments)
+
+
+def test_float_orbit_values_match_the_term_by_term_sum() -> None:
+    rng = random.Random(7)
+    moments = {k: float(v) for k, v in generic_moments().items()}
+    for g, b in [(0, 3), (0, 6), (1, 1), (1, 4), (2, 2), (2, 3), (3, 1), (3, 2)]:
+        stored = correlator(g, b)
+        for _ in range(10):
+            points = [rng.choice((-1, 1)) * rng.uniform(0.3, 3.0) for _ in range(b)]
+            got = _orbit_values(_orbits(g, b), b, [points], moments)[0]
+            assert got == pytest.approx(stored._sum_terms(points, moments), rel=1e-12)
+
+
+def test_float_evaluation_error_contracts() -> None:
+    moments = {k: float(v) for k, v in generic_moments().items()}
+    with pytest.raises(CoincidentPoints):
+        n_point_core(1, [[0.0], [3.0]], moments)
+    # the pole is found before the moments are bound
+    with pytest.raises(CoincidentPoints):
+        n_point_core(1, [[2.0], [0.0]], {})
+    with pytest.raises(UnknownVariable):
+        n_point_core(1, [[2.0], [3.0]], {0: 1.0})
+    with pytest.raises(OutOfFloatRange):
+        evaluate_correlator(2, [[1e-200]], 0.5, moments)

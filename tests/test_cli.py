@@ -417,7 +417,7 @@ def test_sizes_are_bounded_at_parse_time(capsys, monkeypatch):
         (["model", "--file", "-", "--lmax"], MAX_LMAX, [MAX_LMAX + 1, -1],
          f"--lmax must be between 0 and {MAX_LMAX}"),
     ]
-    # the boundary count is bounded per genus: (2, 10) and (14, 10) run out of memory
+    # the boundary count is bounded per genus: (1, 12) and (14, 10) run out of memory
     assert len(MAX_BOUNDARIES) == MAX_GENUS + 1
     for g, most in enumerate(MAX_BOUNDARIES):
         beyond = [most + 1, 10, 20] if most < 10 else [most + 1, 20]
