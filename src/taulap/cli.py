@@ -35,8 +35,8 @@ from taulap.spectral import SpectralError, SpectralModel, solve
 USAGE_EXIT = 64
 CHECK_EXIT = 2
 # Largest genus that --gmax, --genus and the indices of tau reach: the chain's
-# cost roughly triples per genus; fg --gmax 12 takes about 8 s and fg --gmax 14
-# about 40 s (2 vCPUs, CPython 3.11).
+# cost roughly triples per genus; fg --gmax 12 takes about 3.5 s and fg --gmax 14
+# about 21 s (2 vCPUs, CPython 3.11).
 MAX_GENUS = 14
 # The most boundaries a correlator may have at genus g = 0..MAX_GENUS: the largest
 # correlator --boundaries, and the most groups npoint --groups and model --eval
@@ -261,8 +261,11 @@ def _cmd_check(args: argparse.Namespace) -> int:
 
 
 def _indices(text: str) -> list[int]:
+    parts = text.split(",")
+    if not all(part.strip() for part in parts):
+        raise argparse.ArgumentTypeError(f"empty entry in index list {text!r}")
     try:
-        return [int(part) for part in text.split(",") if part.strip()]
+        return [int(part) for part in parts]
     except ValueError as exc:
         raise argparse.ArgumentTypeError(f"bad index list {text!r}") from exc
 

@@ -12,8 +12,9 @@ exponential-to-logarithm relation ``Z = exp(sum_g F_g)``, as the power-series
 logarithm recurrence over the genus index.
 
 The operator is applied by one kernel, ``_apply_packed``. It packs each
-monomial key into one int, with an 8-bit slot per variable, and multiplies
-the ring's integer numerators (``MomentPoly.nums`` over ``MomentPoly.den``).
+monomial key into one int, with an 8-bit slot per variable (``ring._shift``),
+and multiplies the ring's integer numerators (``MomentPoly.nums`` over
+``MomentPoly.den``).
 Each block of the operator is a short list of pieces, an integer scalar and a
 monomial shift on a table shared by every block that uses it: one packed
 table per resolvent coefficient ``R_m``, plus a few small constant
@@ -24,8 +25,11 @@ that lands on the same table at the same shifted key (a row); the second
 multiplies each row's table once, walking the rows in the order of their
 first contributions. That order gives the result the key order of the
 ungrouped walk, which multiplied a table once per contribution.
-The chain's other products and the extraction use ordinary ``MomentPoly``
-arithmetic, which runs on the same numerators with tuple keys.
+The extraction runs on the same packed keys: each ``Z_g`` and ``F_g`` is
+packed once, and the logarithm recurrence sums its products as integers over
+one lcm, keeping the key order of the ring's sum. The chain's other products
+use ordinary ``MomentPoly`` arithmetic, which runs on the same numerators
+with tuple keys.
 
 The operator is written once, in the moment variables (``rho``). The form
 in the rescaled variables (``t``) is its conjugate under the change of
@@ -38,14 +42,20 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import partial
-from math import factorial, lcm
+from math import factorial, gcd, lcm
 from typing import Callable, Sequence
 
 from taulap.bell import resolvent_coefficient, resolvent_coefficient_t
 from taulap.ring import (
+    _SLOT_BITS,
+    _SLOT_MASK,
+    _UNIT_OFFSET,
     Key,
     MomentPoly,
     RingError,
+    SlotOverflow,
+    _shift,
+    _unpack,
     convention_scale,
     convert,
     double_factorial,
@@ -147,33 +157,6 @@ def apply_laplacian_t(p: MomentPoly) -> MomentPoly:
 # the operator kernel: packed monomial keys, integer numerators
 
 
-class SlotOverflow(RingError):
-    """An exponent does not fit its slot in the packed representation."""
-
-
-_SLOT_BITS = 8  # one byte per slot: keys convert with int.from_bytes / to_bytes
-_SLOT_MASK = (1 << _SLOT_BITS) - 1
-_UNIT_OFFSET = 1 << (_SLOT_BITS - 1)
-
-
-def _shift(key: Key) -> int:
-    """``sum_i e_i 2^(8 i)``: what multiplying by the monomial adds to a packed key.
-
-    The caller has checked the bounds of ``key``.
-    """
-    if not key:
-        return 0
-    return key[0] + (int.from_bytes(bytes(key[1:]), "little") << _SLOT_BITS)
-
-
-def _unpack(code: int) -> Key:
-    e0 = (code & _SLOT_MASK) - _UNIT_OFFSET
-    rest = code >> _SLOT_BITS
-    if not rest:
-        return (e0,) if e0 else ()
-    return (e0, *rest.to_bytes((rest.bit_length() + 7) // 8, "little"))
-
-
 # (least unit exponent, largest unit exponent, largest variable exponent)
 Bounds = tuple[int, int, int]
 
@@ -195,6 +178,17 @@ def _check_slots(bounds: Bounds) -> None:
 
 def _add_bounds(a: Bounds, b: Bounds) -> Bounds:
     return a[0] + b[0], a[1] + b[1], a[2] + b[2]
+
+
+# A polynomial packed as a factor: (denominator, [(key shift, numerator)], bounds).
+_Factor = tuple[int, list[tuple[int, int]], Bounds]
+
+
+def _factor(p: MomentPoly) -> _Factor:
+    """``p`` with its keys as shifts, after checking that they fit the slots."""
+    bounds = _bounds(list(p.nums))
+    _check_slots(bounds)
+    return p.den, [(_shift(k), n) for k, n in p.nums.items()], bounds
 
 
 # A shared table: (denominator, table index, bounds); its items are ``items[index]``.
@@ -236,8 +230,9 @@ class _OperatorTables:
                 # the kernel packs a table's index into the low slot of a row key
                 raise SlotOverflow(f"more than {_SLOT_MASK + 1} shared tables")
             poly = self._resolvent(name) if isinstance(name, int) else self._constants[name]
-            self.items.append([(_shift(k), n) for k, n in poly.nums.items()])
-            got = self._tables[name] = (poly.den, index, _bounds(list(poly.nums)))
+            den, items, bounds = _factor(poly)
+            self.items.append(items)
+            got = self._tables[name] = (den, index, bounds)
         return got
 
     def pieces(self, block: tuple[object, ...]) -> tuple[list[_Piece], Bounds]:
@@ -392,7 +387,9 @@ _RHO_BLOCKS: dict[str, Callable[..., tuple[list[_Spec], int]]] = {
     "d": lambda k, l: (_d_rho(k, l), -(3 + 2 * k) * (3 + 2 * l)),
 }
 
-_RHO_TABLES = _OperatorTables(resolvent_coefficient, _RHO_CONSTANTS, _RHO_BLOCKS)
+# The tables look their resolvent up as a module global on each build, so a
+# wrapper put in its place (benchmarks/layertrace.py) sees every build.
+_RHO_TABLES = _OperatorTables(lambda m: resolvent_coefficient(m), _RHO_CONSTANTS, _RHO_BLOCKS)
 
 
 def _rescaling(key: Key) -> tuple[int, int]:
@@ -431,7 +428,7 @@ def _rescaled(block: str, *indices: int) -> tuple[list[_Spec], int]:
 # Rescaled form. Slot ``j >= 1`` carries the variable ``t_{j+1}``; the unit is
 # ``T0 = 1 - t_0``, stored as the moment form stores ``r0``.
 _T_TABLES = _OperatorTables(
-    resolvent_coefficient_t,
+    lambda m: resolvent_coefficient_t(m),
     {name: convert(c, "rho", "t") for name, c in _RHO_CONSTANTS.items()},
     {block: partial(_rescaled, block) for block in _RHO_BLOCKS},
 )
@@ -457,6 +454,10 @@ class StablePartition:
         self._u = MomentPoly.one()  # the last u_n of the chain
         self._z: list[MomentPoly] = []  # Z_2, Z_3, ...
         self._f: dict[int, MomentPoly] = {}
+        # Z_g and F_g packed for the extraction, each once: Z_g's keys as
+        # shifts, F_g's as packed keys, so a product of the two is packed
+        self._z_packed: dict[int, _Factor] = {}
+        self._f_packed: dict[int, _Factor] = {}
 
     def z(self, g: int) -> MomentPoly:
         """``Z_g = u_{g-1} / (g-1)!``, kept once computed."""
@@ -468,10 +469,28 @@ class StablePartition:
             self._z.append(self._u.scale(F(1, factorial(len(self._z) + 1))))
         return self._z[g - 2]
 
+    def _z_factor(self, g: int) -> _Factor:
+        got = self._z_packed.get(g)
+        if got is None:
+            got = self._z_packed[g] = _factor(self.z(g))
+        return got
+
+    def _f_factor(self, g: int) -> _Factor:
+        self.f(g)
+        return self._f_packed[g]
+
     def f(self, g: int) -> MomentPoly:
         """``F_g`` from the logarithm recurrence of ``Z = exp(sum_g F_g)``.
 
         With ``m = g - 1``:  ``m F_{m+1} = m Z_{m+1} - sum_{k=1}^{m-1} k F_{k+1} Z_{m-k+1}``.
+
+        The recurrence runs on packed keys with integer numerators over one
+        lcm, and keeps the key order of the ring's sum: each product is summed
+        into its own dict and its zeros dropped, then it is added term by term
+        to the accumulator, where a key whose total cancels is deleted (and
+        re-enters at the end if a later product reaches it). The bounds of
+        each product are checked before it is formed, so ``SlotOverflow`` is
+        raised before a key could wrap.
         """
         if g < 2:
             raise GenusOutOfRange(f"stable range starts at genus 2, got {g}")
@@ -479,10 +498,35 @@ class StablePartition:
         if cached is not None:
             return cached
         m = g - 1
-        acc = self.z(g).scale(m)
-        for k in range(1, m):
-            acc = acc + self.f(k + 1).scale(-k) * self.z(m - k + 1)
-        out = self._f[g] = acc.scale(F(1, m))
+        z_den, z_items, _ = self._z_factor(g)
+        pairs = [(self._f_factor(k + 1), self._z_factor(m - k + 1)) for k in range(1, m)]
+        den = lcm(z_den, *(a[0] * b[0] for a, b in pairs))
+        mult = m * (den // z_den)
+        acc = {_UNIT_OFFSET + shift: n * mult for shift, n in z_items}
+        get = acc.get
+        for k, ((a_den, a_items, a_bounds), (b_den, b_items, b_bounds)) in enumerate(pairs, 1):
+            _check_slots(_add_bounds(a_bounds, b_bounds))
+            product: dict[int, int] = {}
+            put = product.get
+            for code_a, na in a_items:
+                for shift, nb in b_items:
+                    code = code_a + shift
+                    product[code] = put(code, 0) + na * nb
+            mult = -k * (den // (a_den * b_den))
+            for code, n in product.items():
+                if n:
+                    total = get(code, 0) + n * mult
+                    if total:
+                        acc[code] = total
+                    else:
+                        del acc[code]
+        den *= m
+        common = gcd(den, *acc.values())
+        packed = [(code, n // common) for code, n in acc.items()]
+        keys = [_unpack(code) for code, _ in packed]
+        self._f_packed[g] = (den // common, packed, _bounds(keys))
+        out = self._f[g] = MomentPoly.from_numerators(
+            dict(zip(keys, (n for _, n in packed))), den // common)
         return out
 
 

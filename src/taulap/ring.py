@@ -40,7 +40,7 @@ from fractions import Fraction
 from itertools import zip_longest
 from math import factorial, gcd, lcm
 from operator import add
-from typing import Callable, Iterable, Mapping, Sequence
+from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 
 class RingError(ValueError):
@@ -98,7 +98,8 @@ def format_rational(value: object) -> str:
 
     ``RingError`` if a part is past Python's int-to-str limit.
     """
-    value = Fraction(value)  # type: ignore[arg-type]
+    if type(value) is not Fraction:
+        value = Fraction(value)  # type: ignore[arg-type]
     try:
         return str(value)
     except ValueError as exc:
@@ -151,6 +152,41 @@ def _lowered(key: Key, l: int) -> Key:
 def _over_unit(index: int) -> Key:
     """The key of ``v_index / unit`` for a variable index ``>= 1``."""
     return (-1,) + (0,) * (index - 1) + (1,)
+
+
+# Packed keys: a monomial as one int with an 8-bit slot per variable. Slot
+# ``i`` is bits ``8 i`` to ``8 i + 7`` and holds ``e_i``, except slot 0, which
+# holds ``e0 + 128``; so ``-128 <= e0 <= 127`` and ``0 <= e_k <= 255``.
+# Multiplying monomials adds their ``_shift``s, and a packed key is
+# ``_UNIT_OFFSET`` plus the ``_shift`` of its exponents.
+
+
+class SlotOverflow(RingError):
+    """An exponent does not fit its slot in the packed representation."""
+
+
+_SLOT_BITS = 8  # one byte per slot: keys convert with int.from_bytes / to_bytes
+_SLOT_MASK = (1 << _SLOT_BITS) - 1
+_UNIT_OFFSET = 1 << (_SLOT_BITS - 1)
+
+
+def _shift(key: Key) -> int:
+    """``sum_i e_i 2^(8 i)``: what multiplying by the monomial adds to a packed key.
+
+    The caller has checked the bounds of ``key``.
+    """
+    if not key:
+        return 0
+    return key[0] + (int.from_bytes(bytes(key[1:]), "little") << _SLOT_BITS)
+
+
+def _unpack(code: int) -> Key:
+    """The trimmed key of a packed key."""
+    e0 = (code & _SLOT_MASK) - _UNIT_OFFSET
+    rest = code >> _SLOT_BITS
+    if not rest:
+        return (e0,) if e0 else ()
+    return (e0, *rest.to_bytes((rest.bit_length() + 7) // 8, "little"))
 
 
 def monomial_weight(key: Key) -> int:
@@ -518,17 +554,16 @@ def convention_scale(convention: str, index: int) -> Fraction:
     return Fraction(-1, double_factorial(2 * index + 1))
 
 
+# The symbol of variable ``l``: a prefix and ``a l + b``, as (prefix, a, b).
+_VARIABLE_SYMBOL = {"rho": ("r", 1, 0), "t": ("t", 1, 1), "iz": ("I", 1, 1), "eynard": ("t", 2, 3)}
+
+
 def variable_symbol(convention: str, index: int) -> str:
     _check_convention(convention)
     if index < 1:
         raise RingError("variable symbols apply to indices >= 1")
-    if convention == "rho":
-        return f"r{index}"
-    if convention == "t":
-        return f"t{index + 1}"
-    if convention == "iz":
-        return f"I{index + 1}"
-    return f"t{2 * index + 3}"
+    prefix, a, b = _VARIABLE_SYMBOL[convention]
+    return f"{prefix}{a * index + b}"
 
 
 def unit_symbol(convention: str) -> str:
@@ -568,18 +603,24 @@ def _padded_sort_key(key: Key, width: int) -> tuple:
     return (monomial_weight(key), padded)
 
 
+def _ordered_nums(poly: MomentPoly) -> list[tuple[Key, int]]:
+    width = max(map(len, poly.nums), default=0)
+    return sorted(poly.nums.items(), key=lambda kv: _padded_sort_key(kv[0], width))
+
+
 def ordered_terms(poly: MomentPoly) -> list[tuple[Key, Fraction]]:
     """Terms in canonical order: ascending weight, then lexicographic exponents."""
-    width = max((len(k) for k in poly.nums), default=0)
-    return sorted(poly.terms.items(), key=lambda kv: _padded_sort_key(kv[0], width))
+    den = poly.den
+    return [(key, Fraction(n, den)) for key, n in _ordered_nums(poly)]
 
 
 def render_monomial(key: Key, convention: str = "rho") -> str:
     _check_convention(convention)
     key = _trim(key)
     e0 = key[0] if key else 0
+    prefix, a, b = _VARIABLE_SYMBOL[convention]
     var_parts = [
-        variable_symbol(convention, l) + (f"^{e}" if e != 1 else "")
+        f"{prefix}{a * l + b}" + (f"^{e}" if e != 1 else "")
         for l, e in enumerate(key)
         if l and e
     ]
@@ -605,38 +646,53 @@ def render_terms(
 
     With ``normalized=True`` each value is multiplied by the product of the
     factorials of the variable exponents, the normalization in which the
-    values of single-variable monomials are intersection numbers.
+    values of single-variable monomials are intersection numbers. The
+    product is taken on the integer numerator, and each value becomes one
+    ``Fraction`` over the polynomial's denominator.
     """
     out: list[tuple[str, str]] = []
     if poly.log_coeff:
         out.append((f"log({unit_symbol(convention)})", format_rational(poly.log_coeff)))
-    for key, coeff in ordered_terms(poly):
-        value = coeff
+    den = poly.den
+    for key, n in _ordered_nums(poly):
         if normalized:
-            for l, e in enumerate(key):
-                if l and e:
-                    value *= factorial(e)
-        out.append((render_monomial(key, convention), format_rational(value)))
+            for e in key[1:]:
+                if e > 1:
+                    n *= factorial(e)
+        out.append((render_monomial(key, convention), format_rational(Fraction(n, den))))
     return out
 
 
-def render_str(poly: MomentPoly, convention: str = "rho") -> str:
-    parts = []
+def _joined(parts: Iterable[tuple[bool, str]]) -> str:
+    """The signed sum of ``(negative, text without its sign)`` parts: ``a - b + c``, or ``0``."""
+    pieces: list[str] = []
+    for negative, text in parts:
+        if pieces:
+            pieces.append(" - " if negative else " + ")
+        elif negative:
+            pieces.append("-")
+        pieces.append(text)
+    return "".join(pieces) if pieces else "0"
+
+
+def _signed_terms(poly: MomentPoly, convention: str) -> Iterator[tuple[bool, str]]:
     if poly.log_coeff:
-        parts.append(f"{format_rational(poly.log_coeff)}*log({unit_symbol(convention)})")
-    for key, coeff in ordered_terms(poly):
+        c = poly.log_coeff
+        yield c < 0, f"{format_rational(abs(c))}*log({unit_symbol(convention)})"
+    den = poly.den
+    for key, n in _ordered_nums(poly):
         mono = render_monomial(key, convention)
+        value = format_rational(Fraction(abs(n), den))
         if mono == "1":
-            parts.append(format_rational(coeff))
-        elif coeff == 1:
-            parts.append(mono)
-        elif coeff == -1:
-            parts.append(f"-{mono}")
+            yield n < 0, value
+        elif value == "1":
+            yield n < 0, mono
         else:
-            parts.append(f"{format_rational(coeff)}*{mono}")
-    if not parts:
-        return "0"
-    return " + ".join(parts).replace("+ -", "- ")
+            yield n < 0, f"{value}*{mono}"
+
+
+def render_str(poly: MomentPoly, convention: str = "rho") -> str:
+    return _joined(_signed_terms(poly, convention))
 
 
 # ---------------------------------------------------------------------------
@@ -1033,26 +1089,31 @@ def _sum_exact(ints: Mapping[ZKey, int], scale: Fraction, points: Sequence[Fract
 
 
 def render_z(obj: ZLaurent, convention: str = "rho") -> str:
-    if not obj.terms:
-        return "0"
-    parts = []
     # keys may share one coefficient object; each such object is rendered once
-    rendered: dict[int, str] = {}
-    for key in sorted(obj.terms, reverse=True):
-        coeff = obj.terms[key]
-        zmono = "*".join(
-            f"z{i + 1}" + (f"^{e}" if e != 1 else "")
-            for i, e in enumerate(key)
-            if e
-        )
-        cstr = rendered.get(id(coeff))
-        if cstr is None:
-            cstr = render_str(coeff, convention)
-            if len(coeff.nums) > 1:
-                cstr = f"({cstr})"
-            rendered[id(coeff)] = cstr
-        parts.append(f"{cstr}*{zmono}" if zmono else cstr)
-    return " + ".join(parts).replace("+ -", "- ")
+    rendered: dict[int, tuple[bool, str]] = {}
+
+    def parts() -> Iterator[tuple[bool, str]]:
+        for key in sorted(obj.terms, reverse=True):
+            coeff = obj.terms[key]
+            zmono = "*".join(
+                f"z{i + 1}" + (f"^{e}" if e != 1 else "")
+                for i, e in enumerate(key)
+                if e
+            )
+            signed = rendered.get(id(coeff))
+            if signed is None:
+                cstr = render_str(coeff, convention)
+                if len(coeff.nums) > 1:
+                    signed = (False, f"({cstr})")
+                elif cstr.startswith("-"):
+                    signed = (True, cstr[1:])
+                else:
+                    signed = (False, cstr)
+                rendered[id(coeff)] = signed
+            negative, cstr = signed
+            yield negative, f"{cstr}*{zmono}" if zmono else cstr
+
+    return _joined(parts())
 
 
 # ---------------------------------------------------------------------------

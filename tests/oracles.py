@@ -11,7 +11,10 @@ arithmetic, each form written out in its own variables: the reference for
 the values and the key order of the kernel's pieces, which the runtime
 derives for the ``t`` form from the moment form. ``ungrouped_apply`` is the
 operator kernel before its products were grouped by row: the reference for
-the grouped kernel's numerators, denominator and key order. The validation
+the grouped kernel's numerators, denominator and key order.
+``ring_free_energies`` is the logarithm recurrence that extracts ``F_g`` from
+the ``Z_g``, one ``MomentPoly`` product and sum per term: the reference for
+the packed extraction's numerators, denominator and key order. The validation
 operators written as sums of ring products (the residue inversion through
 the reciprocal-series coefficients ``S_j``, the one-boundary recursion and
 the constraint operators' parts ``A_n`` and ``B_n``) are the references for
@@ -34,22 +37,22 @@ from typing import Iterable, Mapping, Sequence
 from taulap.bell import resolvent_coefficient
 from taulap.boundary import _stored_free_energy, create, planar_pair
 from taulap.laplacian import (
-    _SLOT_BITS,
-    _UNIT_OFFSET,
     _add_bounds,
     _bounds,
     _check_slots,
     _OperatorTables,
-    _shift,
-    _unpack,
 )
 from taulap.ring import (
+    _SLOT_BITS,
+    _UNIT_OFFSET,
     LogProduct,
     MomentPoly,
     NonDivisible,
     RingError,
     ZLaurent,
     ZRational,
+    _shift,
+    _unpack,
     convention_scale,
     double_factorial,
 )
@@ -292,6 +295,25 @@ def rescaled_resolvent_by_division(m: int) -> MomentPoly:
         scalar = F(top, double_factorial(2 * k + 1) * double_factorial(2 * (m - k) - 1))
         out = out + (_over_unit(k) * rescaled_resolvent_by_division(m - k)).scale(scalar)
     return out
+
+
+# -- F_g by the logarithm recurrence in ring arithmetic ----------------------------
+
+
+def ring_free_energies(zs: Mapping[int, MomentPoly], gmax: int) -> dict[int, MomentPoly]:
+    """``F_2..F_gmax`` from ``m F_{m+1} = m Z_{m+1} - sum_k k F_{k+1} Z_{m-k+1}``.
+
+    One ``MomentPoly`` sum and product per term: the reference for the
+    values and the key order of the runtime's packed extraction.
+    """
+    fs: dict[int, MomentPoly] = {}
+    for g in range(2, gmax + 1):
+        m = g - 1
+        acc = zs[g].scale(m)
+        for k in range(1, m):
+            acc = acc + fs[k + 1].scale(-k) * zs[m - k + 1]
+        fs[g] = acc.scale(F(1, m))
+    return fs
 
 
 # -- the operator's blocks as MomentPoly sums ----------------------------------

@@ -381,6 +381,18 @@ def test_usage_errors_exit_64(capsys):
         capsys.readouterr()
 
 
+@pytest.mark.parametrize("text", ["2,,2", ",", ""])
+def test_empty_index_entry_is_a_usage_error(capsys, text):
+    """An empty entry is not skipped: ``2,,2`` is not ``2,2``, and ``,`` is not ``[]``."""
+    with pytest.raises(SystemExit) as exc:
+        main(["tau", "--indices", text])
+    assert exc.value.code == 64
+    err = capsys.readouterr().err
+    assert [line for line in err.splitlines() if "error:" in line] == [
+        f"taulap tau: error: argument --indices: empty entry in index list {text!r}"
+    ]
+
+
 def test_gmax_ceiling_is_checked_at_parse_time(capsys, monkeypatch):
     reached = []
     for name in ("_cmd_fg", "_cmd_check"):

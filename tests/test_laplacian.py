@@ -7,19 +7,17 @@ from math import factorial
 
 import pytest
 
-from oracles import OPERATOR_BLOCKS, bell_route_free_energy, ungrouped_apply
+from oracles import OPERATOR_BLOCKS, bell_route_free_energy, ring_free_energies, ungrouped_apply
 from taulap.bell import resolvent_coefficient
 from taulap.laplacian import (
     _RHO_TABLES,
     _T_TABLES,
-    _UNIT_OFFSET,
     DimensionMismatch,
     GenusOutOfRange,
-    SlotOverflow,
+    StablePartition,
     _apply_packed,
     _OperatorTables,
     _rows,
-    _unpack,
     apply_laplacian_rho,
     apply_laplacian_t,
     free_energy,
@@ -29,7 +27,7 @@ from taulap.laplacian import (
     stable_partition,
     tau_intersection,
 )
-from taulap.ring import MomentPoly, RingError, convert, render_terms
+from taulap.ring import _UNIT_OFFSET, MomentPoly, RingError, SlotOverflow, _unpack, convert, render_terms
 
 F = Fraction
 
@@ -341,6 +339,52 @@ def test_extraction_matches_bell_route_oracle() -> None:
         zs = {g: part.z(g) for g in range(2, 9)}
         for g in range(2, 9):
             assert part.f(g) == bell_route_free_energy(g, zs), (convention, g)
+
+
+def test_packed_extraction_matches_ring_recurrence() -> None:
+    """Numerators, denominator and key order of every ``F_g`` against ring arithmetic."""
+    for convention in ("rho", "t"):
+        part = stable_partition(convention)
+        want = ring_free_energies({g: part.z(g) for g in range(2, 10)}, 9)
+        for g in range(2, 10):
+            got = part.f(g)
+            assert list(got.nums.items()) == list(want[g].nums.items()), (convention, g)
+            assert (got.den, got.log_coeff) == (want[g].den, want[g].log_coeff), (convention, g)
+
+
+def _with_z(zs: list[MomentPoly]) -> StablePartition:
+    part = StablePartition("rho")
+    part._z = zs  # Z_2, Z_3, ... in place of the chain's
+    return part
+
+
+def test_packed_extraction_keeps_the_order_of_a_cancelled_key() -> None:
+    """A key that cancels in the sum is deleted and re-enters at the end."""
+    # 3 F_4 = 3 Z_4 - F_2 Z_3 - 2 F_3 Z_2; F_2 Z_3 cancels the first key of
+    # 3 Z_4, r0^-1 r1 r2, and F_3 Z_2 puts it back, now last
+    zs = [MomentPoly({(-1, 1): 1}), MomentPoly({(0, 0, 1): 1, (-2, 2): 1}),
+          MomentPoly({(-1, 1, 1): F(1, 3), (-1, 0, 0, 1): 1})]
+    part = _with_z(zs)
+    want = ring_free_energies({g: z for g, z in enumerate(zs, 2)}, 4)
+    for g in (2, 3, 4):
+        assert list(part.f(g).nums.items()) == list(want[g].nums.items()), g
+        assert part.f(g).den == want[g].den, g
+    assert list(want[4].nums) == [(-1, 0, 0, 1), (-3, 3), (-1, 1, 1)]
+
+
+def test_packed_extraction_raises_on_slot_overflow() -> None:
+    """Each product's exponent bounds are checked before it is formed; a key never wraps."""
+    # F_2 Z_2 reaches r0^-128, the least unit power a slot holds
+    f3 = _with_z([MomentPoly({(-64, 1): 1})] * 2).f(3)
+    assert f3 == MomentPoly({(-64, 1): 1, (-128, 2): F(-1, 2)})
+    for zs in (
+        [MomentPoly({(-65, 1): 1}), MomentPoly({(-64, 1): 1})],  # F_2 Z_2 needs r0^-130
+        [MomentPoly({(0, 128): 1}), MomentPoly({(0, 128): 1})],  # F_2 Z_2 needs r1^256
+        [MomentPoly({(-129, 1): 1})],  # Z_2 does not fit a slot at all
+    ):
+        part = _with_z(zs)
+        with pytest.raises(SlotOverflow):
+            part.f(len(zs) + 1)
 
 
 def test_genus_bounds() -> None:

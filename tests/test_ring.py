@@ -5,6 +5,7 @@ and conversion are checked against frozen genus-two fixtures.
 """
 
 from fractions import Fraction
+from math import factorial
 
 import pytest
 import sympy
@@ -32,7 +33,9 @@ from taulap.ring import (
     render_monomial,
     render_str,
     render_terms,
+    render_z,
     rational,
+    unit_symbol,
     _bind_exact,
 )
 
@@ -327,6 +330,94 @@ def test_string_rendering() -> None:
     assert render_str(lg, "t") == "-1/24*log(T0)"
     assert render_str(MomentPoly.zero()) == "0"
     assert rational("7/240") == F(7, 240)
+
+
+# The renderings by the Fraction of each term, written out: the references for
+# the integer rendering and for the signs folded into the joins.
+
+def reference_terms(p: MomentPoly, convention: str, normalized: bool) -> list[tuple[str, str]]:
+    out = []
+    if p.log_coeff:
+        out.append((f"log({unit_symbol(convention)})", str(p.log_coeff)))
+    width = max((len(k) for k in p.terms), default=0)
+    for key in sorted(p.terms, key=lambda k: (sum(l * e for l, e in enumerate(k) if l),
+                                              k + (0,) * (width - len(k)))):
+        value = p.terms[key]
+        if normalized:
+            for e in key[1:]:
+                value *= factorial(e)
+        out.append((render_monomial(key, convention), str(value)))
+    return out
+
+
+def reference_str(p: MomentPoly, convention: str) -> str:
+    parts = []
+    if p.log_coeff:
+        parts.append(f"{p.log_coeff}*log({unit_symbol(convention)})")
+    for key, coeff in ordered_terms(p):
+        mono = render_monomial(key, convention)
+        if mono == "1":
+            parts.append(str(coeff))
+        elif coeff == 1:
+            parts.append(mono)
+        elif coeff == -1:
+            parts.append(f"-{mono}")
+        else:
+            parts.append(f"{coeff}*{mono}")
+    return " + ".join(parts).replace("+ -", "- ") if parts else "0"
+
+
+def reference_z(obj: ZLaurent) -> str:
+    parts = []
+    for key in sorted(obj.terms, reverse=True):
+        coeff = obj.terms[key]
+        zmono = "*".join(f"z{i + 1}" + (f"^{e}" if e != 1 else "") for i, e in enumerate(key) if e)
+        cstr = reference_str(coeff, "rho")
+        if len(coeff.nums) > 1:
+            cstr = f"({cstr})"
+        parts.append(f"{cstr}*{zmono}" if zmono else cstr)
+    return " + ".join(parts).replace("+ -", "- ") if parts else "0"
+
+
+render_keys = st.tuples(
+    st.integers(min_value=-6, max_value=6),
+    st.integers(min_value=0, max_value=4),
+    st.integers(min_value=0, max_value=3),
+    st.integers(min_value=0, max_value=5),
+)
+render_polys = st.builds(
+    MomentPoly,
+    st.dictionaries(render_keys, st.fractions(min_value=-50, max_value=50, max_denominator=720),
+                    max_size=8),
+    st.sampled_from([0, 0, F(-1, 24), F(7, 3)]),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(p=render_polys, convention=st.sampled_from(["rho", "t", "iz", "eynard"]),
+       normalized=st.booleans())
+def test_render_terms_matches_fraction_reference(p, convention, normalized) -> None:
+    assert render_terms(p, convention, normalized) == reference_terms(p, convention, normalized)
+
+
+@settings(max_examples=200, deadline=None)
+@given(p=render_polys, convention=st.sampled_from(["rho", "t", "iz", "eynard"]))
+def test_render_str_matches_joined_and_replaced(p, convention) -> None:
+    assert render_str(p, convention) == reference_str(p, convention)
+
+
+def test_render_z_matches_joined_and_replaced() -> None:
+    assert render_z(correlator(1, 3)) == reference_z(correlator(1, 3))
+    # single-term coefficients of either sign first and later, and a sum
+    mixed = zl(2, {
+        (-3, 0): MomentPoly({(-1, 1): -2}),
+        (0, -5): MomentPoly({(2,): F(1, 3)}),
+        (-1, -1): MomentPoly({(): -1}),
+        (1, 0): MomentPoly({(-2, 2): 1, (-1, 0, 1): -1}),
+        (0, 0): MomentPoly({(-1, 1): F(-1, 2)}),
+    })
+    assert render_z(mixed) == reference_z(mixed)
+    assert render_z(zl(1, {})) == "0"
 
 
 # -- boundary-variable Laurent objects -----------------------------------------
