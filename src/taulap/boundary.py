@@ -33,7 +33,7 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import product
 from math import isqrt, lcm
-from typing import Mapping, Sequence
+from typing import Iterator, Mapping, Sequence
 
 from taulap.laplacian import GenusOutOfRange, genus_one, stable_partition
 from taulap.ring import (
@@ -377,27 +377,61 @@ def _orbits(g: int, boundaries: int) -> dict[ZKey, MomentPoly]:
     return {_orbit_key(key): poly for key, poly in seed.terms.items()}
 
 
+def _firsts(key: ZKey) -> Iterator[tuple[int, ZKey]]:
+    """``(e, key less one e)`` for each distinct part ``e`` of a sorted key, ascending."""
+    for j, e in enumerate(key):
+        if not j or key[j - 1] != e:
+            yield e, key[:j] + key[j + 1:]
+
+
+class _Arranger:
+    """The distinct permutations of sorted keys, with one memo shared by every key.
+
+    The arrangements of a sorted multiset that start with the part ``e`` are
+    ``e`` followed by the arrangements of the other parts. One multiset of
+    other parts recurs under several first parts, and under several keys of
+    one correlator, so ``walk`` lists its arrangements once, in ascending
+    lexicographic order, and keeps them for every later key.
+    """
+
+    def __init__(self) -> None:
+        self.memo: dict[ZKey, list[ZKey]] = {}
+
+    def walk(self, rest: ZKey) -> list[ZKey]:
+        if len(rest) < 2:
+            return [rest]
+        got = self.memo.get(rest)
+        if got is None:
+            got = self.memo[rest] = []
+            for e, other in _firsts(rest):
+                got.extend(map((e,).__add__, self.walk(other)))
+        return got
+
+    def blocks(self, key: ZKey) -> Iterator[tuple[ZKey, list[ZKey]]]:
+        """``(head, tails)`` for each distinct two-part prefix ``head`` of ``key``, ascending.
+
+        The arrangements of ``key`` that start with ``head`` are ``head +
+        tail`` for each ``tail`` in ``tails``, in order. The two top levels
+        are never stored in the memo. A key of fewer than three parts is one
+        block with the empty head.
+        """
+        if len(key) < 3:
+            yield (), self.walk(key)
+            return
+        for e, rest in _firsts(key):
+            for f, tail in _firsts(rest):
+                yield (e, f), self.walk(tail)
+
+
 def _arrangements(key: ZKey) -> list[ZKey]:
     """The distinct permutations of a sorted key, in ascending lexicographic order.
 
-    Those that start with the part ``e`` are ``e`` followed by the
-    arrangements of the other parts; one multiset of other parts recurs under
-    several first parts, so its arrangements are listed once and reused.
+    The one-key view of ``_Arranger``: its blocks, joined.
     """
-    memo: dict[ZKey, list[ZKey]] = {}
-
-    def walk(rest: ZKey) -> list[ZKey]:
-        if len(rest) < 2:
-            return [rest]
-        got = memo.get(rest)
-        if got is None:
-            got = memo[rest] = []
-            for j, e in enumerate(rest):
-                if not j or rest[j - 1] != e:
-                    got += [(e,) + tail for tail in walk(rest[:j] + rest[j + 1:])]
-        return got
-
-    return walk(key)
+    out: list[ZKey] = []
+    for head, tails in _Arranger().blocks(key):
+        out.extend(map(head.__add__, tails))
+    return out
 
 
 @lru_cache(maxsize=None)
@@ -407,16 +441,20 @@ def correlator(g: int, boundaries: int) -> ZLaurent | ZRational:
     Every ``z`` key is written out: each distinct arrangement of an orbit key
     of ``_orbits`` maps to that orbit's one coefficient object, which is
     shared, never copied. Keys come orbit by orbit in the order of
-    ``_orbits``, and within an orbit in ascending lexicographic order. The
-    planar pair ``G_{0,2}`` is the rational ``planar_pair()``.
+    ``_orbits``, and within an orbit in ascending lexicographic order. One
+    ``_Arranger`` serves every orbit, and each orbit is written out in blocks,
+    one per distinct prefix of two parts, each block inserted as one dict.
+    The planar pair ``G_{0,2}`` is the rational ``planar_pair()``.
     """
     if g == 0 and boundaries == 2:
         return planar_pair()
-    orbits = _orbits(g, boundaries)
+    arranger = _Arranger()
+    terms: dict[ZKey, MomentPoly] = {}
+    for key, poly in _orbits(g, boundaries).items():
+        for head, tails in arranger.blocks(key):
+            terms.update(dict.fromkeys(map(head.__add__, tails), poly))
     out = ZLaurent(boundaries)
-    out.terms = {
-        arrangement: poly for key, poly in orbits.items() for arrangement in _arrangements(key)
-    }
+    out.terms = terms
     return out
 
 

@@ -558,14 +558,6 @@ def convention_scale(convention: str, index: int) -> Fraction:
 _VARIABLE_SYMBOL = {"rho": ("r", 1, 0), "t": ("t", 1, 1), "iz": ("I", 1, 1), "eynard": ("t", 2, 3)}
 
 
-def variable_symbol(convention: str, index: int) -> str:
-    _check_convention(convention)
-    if index < 1:
-        raise RingError("variable symbols apply to indices >= 1")
-    prefix, a, b = _VARIABLE_SYMBOL[convention]
-    return f"{prefix}{a * index + b}"
-
-
 def unit_symbol(convention: str) -> str:
     _check_convention(convention)
     return _UNIT_SYMBOL[convention]
@@ -1089,17 +1081,22 @@ def _sum_exact(ints: Mapping[ZKey, int], scale: Fraction, points: Sequence[Fract
 
 
 def render_z(obj: ZLaurent, convention: str = "rho") -> str:
-    # keys may share one coefficient object; each such object is rendered once
+    # keys may share one coefficient object; each such object is rendered once,
+    # and each part ``z{i+1}^{e}`` of a key is built once, keyed by ``(i, e)``
     rendered: dict[int, tuple[bool, str]] = {}
+    names: dict[tuple[int, int], str] = {}
 
     def parts() -> Iterator[tuple[bool, str]]:
         for key in sorted(obj.terms, reverse=True):
             coeff = obj.terms[key]
-            zmono = "*".join(
-                f"z{i + 1}" + (f"^{e}" if e != 1 else "")
-                for i, e in enumerate(key)
-                if e
-            )
+            zparts = []
+            for i, e in enumerate(key):
+                if e:
+                    name = names.get((i, e))
+                    if name is None:
+                        name = names[i, e] = f"z{i + 1}" + (f"^{e}" if e != 1 else "")
+                    zparts.append(name)
+            zmono = "*".join(zparts)
             signed = rendered.get(id(coeff))
             if signed is None:
                 cstr = render_str(coeff, convention)

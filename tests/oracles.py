@@ -22,7 +22,11 @@ the runtime's one-accumulator kernels. ``correlator_by_create`` is the
 correlator chain in full form, one public ``create`` per boundary with every
 ``z`` key built on its own, and ``grouped_by_full_form`` evaluates it term by
 term with the grouped weights: the references for the chain and the
-evaluation on orbits.
+evaluation on orbits. ``arrangements_by_orbit`` walks one orbit's
+arrangements with a memo of its own and ``correlator_keys_by_orbit`` lists
+the written-out keys orbit by orbit with it: the references for the shared
+arranger's key order. ``render_z_by_key`` joins every key's ``z`` parts on
+its own: the reference for ``render_z``'s bytes.
 """
 
 from __future__ import annotations
@@ -35,7 +39,7 @@ from math import factorial, lcm
 from typing import Iterable, Mapping, Sequence
 
 from taulap.bell import resolvent_coefficient
-from taulap.boundary import _stored_free_energy, create, planar_pair
+from taulap.boundary import _orbits, _stored_free_energy, create, planar_pair
 from taulap.laplacian import (
     _add_bounds,
     _bounds,
@@ -49,12 +53,15 @@ from taulap.ring import (
     MomentPoly,
     NonDivisible,
     RingError,
+    ZKey,
     ZLaurent,
     ZRational,
+    _joined,
     _shift,
     _unpack,
     convention_scale,
     double_factorial,
+    render_str,
 )
 
 F = Fraction
@@ -731,3 +738,58 @@ def grouped_by_full_form(
                     value = value * 2 / (zk * zk - zl * zl)
         total = total + value
     return total
+
+
+# ---------------------------------------------------------------------------
+# the written-out correlator and its rendering, key by key
+
+
+def arrangements_by_orbit(key: ZKey) -> list[ZKey]:
+    """The distinct permutations of a sorted key, ascending, with one memo per key."""
+    memo: dict[ZKey, list[ZKey]] = {}
+
+    def walk(rest: ZKey) -> list[ZKey]:
+        if len(rest) < 2:
+            return [rest]
+        got = memo.get(rest)
+        if got is None:
+            got = memo[rest] = []
+            for j, e in enumerate(rest):
+                if not j or rest[j - 1] != e:
+                    got += [(e,) + tail for tail in walk(rest[:j] + rest[j + 1:])]
+        return got
+
+    return walk(key)
+
+
+def correlator_keys_by_orbit(g: int, boundaries: int) -> list[ZKey]:
+    """Every ``z`` key of ``G_{g,B}``: orbit by orbit, each orbit's arrangements ascending."""
+    return [arr for key in _orbits(g, boundaries) for arr in arrangements_by_orbit(key)]
+
+
+def render_z_by_key(obj: ZLaurent, convention: str = "rho") -> str:
+    """``render_z`` with every key's ``z`` parts built and joined on their own."""
+    rendered: dict[int, tuple[bool, str]] = {}
+
+    def parts():
+        for key in sorted(obj.terms, reverse=True):
+            coeff = obj.terms[key]
+            zmono = "*".join(
+                f"z{i + 1}" + (f"^{e}" if e != 1 else "")
+                for i, e in enumerate(key)
+                if e
+            )
+            signed = rendered.get(id(coeff))
+            if signed is None:
+                cstr = render_str(coeff, convention)
+                if len(coeff.nums) > 1:
+                    signed = (False, f"({cstr})")
+                elif cstr.startswith("-"):
+                    signed = (True, cstr[1:])
+                else:
+                    signed = (False, cstr)
+                rendered[id(coeff)] = signed
+            negative, cstr = signed
+            yield negative, f"{cstr}*{zmono}" if zmono else cstr
+
+    return _joined(parts())

@@ -8,7 +8,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import correlator_by_create, grouped_by_full_form
+from oracles import (
+    arrangements_by_orbit,
+    correlator_by_create,
+    correlator_keys_by_orbit,
+    grouped_by_full_form,
+    render_z_by_key,
+)
 from taulap.boundary import (
     OutOfFloatRange,
     UnsupportedExponent,
@@ -30,6 +36,7 @@ from taulap.boundary import (
     planar_pair,
     _stored_free_energy,
 )
+from taulap.cli import MAX_BOUNDARIES
 from taulap.laplacian import GenusOutOfRange, genus_two_rho
 from taulap.ring import (
     CoincidentPoints,
@@ -434,6 +441,34 @@ def test_correlator_writes_out_orbits_in_a_fixed_order_with_shared_coefficients(
 def test_arrangements_are_the_distinct_permutations_in_order() -> None:
     for key in [(-3,), (-5, -3), (-3, -3, -3), (-7, -5, -5, -3, -3), (-9, -7, -5, -3)]:
         assert _arrangements(key) == sorted(set(permutations(key)))
+
+
+# every stored pair the command line admits with 2g + B - 2 <= 8; the
+# correlators benchmark's shapes are among them
+_WRITE_OUT_PAIRS = [(g, b) for g, b in _chain_pairs() if b <= MAX_BOUNDARIES[g]]
+
+
+def test_correlator_keys_match_the_per_orbit_walk() -> None:
+    assert len(_WRITE_OUT_PAIRS) == 28
+    assert {(0, 10), (1, 7), (2, 5)} <= set(_WRITE_OUT_PAIRS)
+    for g, b in _WRITE_OUT_PAIRS:
+        stored = correlator(g, b)
+        assert list(stored.terms) == correlator_keys_by_orbit(g, b), (g, b)
+        for key, poly in _orbits(g, b).items():
+            assert all(stored.terms[arr] is poly for arr in arrangements_by_orbit(key)), (g, b)
+
+
+def test_correlator_renders_as_the_per_key_join() -> None:
+    for g, b in _WRITE_OUT_PAIRS:
+        stored = correlator(g, b)
+        assert render_z(stored) == render_z_by_key(stored), (g, b)
+
+
+@settings(max_examples=200, deadline=None)
+@given(key=st.lists(st.sampled_from(range(-13, -2, 2)), min_size=1, max_size=7).map(sorted))
+def test_arrangements_of_any_sorted_key_are_its_distinct_permutations(key) -> None:
+    key = tuple(key)
+    assert _arrangements(key) == sorted(set(permutations(key)))
 
 
 def test_orbit_step_rejects_a_key_off_the_chain() -> None:

@@ -12,7 +12,7 @@ import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import RefPoly
+from oracles import RefPoly, render_z_by_key
 from taulap.boundary import correlator, generic_moments
 from taulap.ring import (
     CoincidentPoints,
@@ -418,6 +418,26 @@ def test_render_z_matches_joined_and_replaced() -> None:
     })
     assert render_z(mixed) == reference_z(mixed)
     assert render_z(zl(1, {})) == "0"
+
+
+# coefficient objects of either sign, one term or several; each is shared by
+# every key that draws it
+_SHARED_COEFFS = [
+    MomentPoly({(-1, 1): -2}),
+    MomentPoly({(2,): F(1, 3)}),
+    MomentPoly({(-2, 2): 1, (-1, 0, 1): -1}),
+    MomentPoly({(): -1}),
+]
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data(), nvars=st.integers(min_value=1, max_value=4),
+       convention=st.sampled_from(["rho", "t", "iz", "eynard"]))
+def test_render_z_matches_the_per_key_join(data, nvars, convention) -> None:
+    # exponent 1 prints bare, exponent 0 is left out, and either sign prints as is
+    keys = st.tuples(*[st.integers(min_value=-7, max_value=3)] * nvars)
+    obj = zl(nvars, data.draw(st.dictionaries(keys, st.sampled_from(_SHARED_COEFFS), max_size=12)))
+    assert render_z(obj, convention) == render_z_by_key(obj, convention)
 
 
 # -- boundary-variable Laurent objects -----------------------------------------
