@@ -1,5 +1,6 @@
 """Boundary operators: creation/annihilation algebra, chains, evaluation."""
 
+import hashlib
 import random
 from fractions import Fraction
 from itertools import permutations
@@ -436,6 +437,57 @@ def test_correlator_writes_out_orbits_in_a_fixed_order_with_shared_coefficients(
         for key, poly in orbits.items():
             assert all(stored.terms[arr] is poly for arr in _arrangements(key))
         assert len({id(c) for c in stored.terms.values()}) == len(orbits)
+
+
+# The orbits of every chain pair with 2g + B - 2 <= 8 and of G_{g,1} through
+# genus 10, in insertion order: the order exact binding and float evaluation
+# sum in. sha256 of repr([(key, list(p.nums.items()), p.den), ...]) per pair.
+_ORBIT_LAYOUTS = {
+    (0, 3): "86c9a3e8e66757546e53caef410cf827c87b59bdc034b4daad8ab9593e62a82c",
+    (1, 1): "6e511fd4f9e4a1294dbf5b18f0f988d2ad346a084e76532b49b2798fd2747b44",
+    (0, 4): "a2ec296afbd02ccabee66adc4543199401218f3bea6f9fcacad90dfb462c0448",
+    (1, 2): "e23dd27371cb81eba2a1c85c5c097bc4fd4c555c89a7ac9fdcdbc1bc41ec4c97",
+    (0, 5): "f4f97860e56007c2a6d45490d340dee78a700838713c284d198152a9685390d7",
+    (1, 3): "3c35a3cbf33925100221ab8496042cefbd66dc0cc07e5cb4c459992566c861e2",
+    (2, 1): "d406c5fec7a51caa3df6ff8039884db632606698e704332bcd47faead29bddc5",
+    (0, 6): "a01fa8dffd494599048d4797152bfc6cbb01192cf68ffe3995a6f63f7ca6f643",
+    (1, 4): "11f39008713926d03a4a943598d6db67901b78df3f72821bd3b9e6ac0c138fa7",
+    (2, 2): "dd5e72c740a03054bdadbd252444e6806459695da307e78b22b669d8a2bc9371",
+    (0, 7): "1a4596bbf22a6e85aec3aa59ac07e263235cd6fdb115dff824cf9c5009eec0bc",
+    (1, 5): "b6a4cd1c907ee8f7848ce50e745dcb378347e35478a617131584a341edd31d39",
+    (2, 3): "af285ab68d68ad94760636bc64554a930fa04815da4d48aa0981fc049793dd2d",
+    (3, 1): "cb95bbb9a08451fe7630a065f0ed595852d3c2a8d999ca8c2a5d062b6bc11658",
+    (0, 8): "d4e79a2aedeb0c936dc4e5838c1ca49cf1d4966ce9b08445a759115d720e6506",
+    (1, 6): "f1767e921cff8993a3c34da5053a21faafe69c0f5ab9a6c38b749a01c9a0ffb8",
+    (2, 4): "563047e47e67f9e4f2c346f982a49f4a94e159619a41210a3d5dd4de62115973",
+    (3, 2): "235596098d5d79f6046ccede5379f6b3de9a55dcf514f96db733e1174edb90ad",
+    (0, 9): "b760755d5e0848d9bb5e0e3084f76c45994a236b5dd8cbb07ea067095a0ab1a0",
+    (1, 7): "58858ed3b822593391ed18b11e55e06ba37ddfc0b0aed69280d3599b604fcf40",
+    (2, 5): "aaf3b212cfc54983a988fd239b1b6cef02026d1511ad3a02dfb235a664cf5d47",
+    (3, 3): "27ead901b23a9e9bcb163270f3e5e2f73d36f6419c0eade110ab650994105950",
+    (4, 1): "d07808c1fde80870e2aac896f8b1817a4c8b13c3ba50bf41ee207fe7cb4745a2",
+    (0, 10): "d9f305cf8b2af79aaced1f05bf2ac490e526d8fb85be1704b92a3d1f3c339dfb",
+    (1, 8): "f4f69a0f6f011e00a939b067a5fcb54f2f82ea7d63803444d17aa53aa7527446",
+    (2, 6): "9981ce2c4f7b6f90a1892bb0a0cc79ab8e2e730da72b60d28402e3d2d227b922",
+    (3, 4): "8cae43aa873ede13f67a505498a2b605b0bc1e766962dd82ebfe8f689391af08",
+    (4, 2): "b41c5b3166117ac24c343f84206aee259f7c5da9e8516b52efde7b43eac94a93",
+    (5, 1): "6f232d89dd9abb3f7cb23ea90bf5f9b802e4b5ea723236cae6e909889227a241",
+    (6, 1): "1e30ee39b9462e561822f26fdb89d92594271182f7723e29611a2cccb47b5b91",
+    (7, 1): "c1590a89cc03c8b86bb06edf02c41b8e645beaa52ac311ee29828f3685e27560",
+    (8, 1): "24dd4e1e89cd09fbe46b56a97b0f57869d395fe0038501794f94c11ef52c64e4",
+    (9, 1): "55d84dd0b82cd4d5a9c672099d0220c0489bc834f7b793c5a4a7ce1910792bde",
+    (10, 1): "b139efc03b5e387626ec154c3ed45df78003ea6fc3ec7a4baf26e696ffcb6a3c",
+}
+
+
+def test_orbit_layouts_are_frozen() -> None:
+    pairs = list(_chain_pairs()) + [(g, 1) for g in range(5, 11)]
+    assert len(pairs) == 34 and set(pairs) == set(_ORBIT_LAYOUTS)
+    got = {}
+    for g, b in pairs:
+        layout = [(key, list(p.nums.items()), p.den) for key, p in _orbits(g, b).items()]
+        got[(g, b)] = hashlib.sha256(repr(layout).encode()).hexdigest()
+    assert got == _ORBIT_LAYOUTS
 
 
 def test_arrangements_are_the_distinct_permutations_in_order() -> None:
