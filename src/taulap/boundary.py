@@ -1,20 +1,21 @@
 """Boundary correlators built from the free energies by creation operators.
 
-A correlator with ``B`` boundaries is stored as a Laurent object in
-``z_1 .. z_B`` with moment-polynomial coefficients (a rational object with
-``(z_i + z_j)`` poles for the planar two-boundary case).  Chains are built by
-the boundary creation operator and validated by its adjoint pair:
+A correlator with ``B`` boundaries is a Laurent object in ``z_1 .. z_B`` with
+moment-polynomial coefficients (a rational object with a ``(z_1 + z_2)``
+pole for the planar pair). Chains are built by the boundary creation
+operator:
 
-* ``create``      -- appends a boundary variable (the adjoint raising map);
-* ``annihilate``  -- removes the last boundary variable (lowering map);
-* ``number_operator`` -- their composition; correlators are eigenvectors
-  with eigenvalue ``2g + B - 2``;
+* ``create``      -- the one-boundary correlator of a free energy (the
+  creation step from no boundary);
+* ``number_operator`` -- the grading; correlators are eigenvectors with
+  eigenvalue ``2g + B - 2``;
 * ``kernel_op``   -- the multiplication-side kernel entering the loop
   equations.
 
-A correlator is symmetric in its boundary variables, so the chain runs on
-orbits (monomial symmetric functions, Macdonald, *Symmetric Functions and
-Hall Polynomials*): ``_orbits`` keeps one coefficient per sorted ``z`` key,
+A correlator is symmetric in its boundary variables, so creation and
+evaluation run on orbits only (monomial symmetric functions, Macdonald,
+*Symmetric Functions and Hall Polynomials*): ``_orbits`` keeps one
+coefficient per sorted ``z`` key, every creation step is ``_create_orbits``,
 and exact and float evaluation (``n_point_core``) read the orbits directly.
 ``correlator`` writes every key out for the consumers that need the full
 form (printing, the loop-equation residuals), with one shared coefficient
@@ -95,147 +96,6 @@ def _lowered_ratio(key: Key, l: int) -> Key:
     return (key[0] - 1,) + key[1:l] + (key[l] - 1, raised) + key[l + 2:]
 
 
-def _create_laurent(obj: MomentPoly | ZLaurent, factor: int, with_dz: bool = True) -> ZLaurent:
-    """Creation on a polynomial or Laurent object, in integers over one denominator.
-
-    Each coefficient's numerators are taken over the lcm of the input's
-    denominators, with ``factor`` folded in. A term ``c r^K z^E`` emits, for
-    every moment index ``l`` with ``K[l] != 0``, its derivative
-    ``d = K[l] c r^K / r_l`` as ``-(3+2l) (r_{l+1}/r_0) d z^E z_new^-3`` and as
-    ``(3+2l) d z^E z_new^(-5-2l)``, and, for every ``E[i] != 0``, the ``z_i``
-    derivative term ``E[i] c (r^K / r_0) z^E z_i^-2 z_new^-3``. A genus-one
-    ``c log r_0`` differentiates to ``c / r_0``.
-
-    Terms are emitted moment index by moment index (the ``z_new^-3`` block of
-    every input term, then its ``z_new^(-5-2l)`` block), then boundary variable
-    by boundary variable, into one accumulator; a coefficient or a whole
-    ``z`` key that cancels is removed at once. That fixes the insertion order
-    of the result. The seeds ``G_{g,1}`` and ``G_{0,3}`` of the orbit chain
-    keep it; later steps run in ``_create_orbits``, and float evaluation
-    sums by orbits (``_orbit_values``), not in this order.
-    ``with_dz=False`` leaves out the derivative terms.
-    """
-    if isinstance(obj, MomentPoly):
-        items, nvars, log = [((), obj)], 0, obj.log_coeff
-    else:
-        items, nvars, log = list(obj.terms.items()), obj.nvars, F(0)
-    den = lcm(*(poly.den for _, poly in items), log.denominator)
-    rows = [
-        (zkey, [(k, n * (den // poly.den) * factor) for k, n in poly.nums.items()])
-        for zkey, poly in items
-    ]
-    acc: dict[ZKey, dict[Key, int]] = {}
-
-    def merge(zkey: ZKey, block: list[tuple[Key, int]]) -> None:
-        poly = acc.get(zkey)
-        if poly is None:
-            acc[zkey] = dict(block)
-            return
-        for k, v in block:
-            prev = poly.get(k)
-            if prev is None:
-                poly[k] = v
-            elif prev + v:
-                poly[k] = prev + v
-            else:
-                del poly[k]
-        if not poly:
-            del acc[zkey]
-
-    width = max((len(k) for _, row in rows for k, _ in row), default=0)
-    if log:
-        width = max(width, 1)
-    for l in range(width):
-        scale = 3 + 2 * l
-        pole = (-5 - 2 * l,)
-        low: list[tuple[ZKey, list[tuple[Key, int]]]] = []
-        high: list[tuple[ZKey, list[tuple[Key, int]]]] = []
-        for zkey, row in rows:
-            low_block = []
-            high_block = []
-            for k, c in row:
-                if l < len(k) and k[l]:
-                    v = scale * k[l] * c
-                    low_block.append((_lowered_ratio(k, l), -v))
-                    high_block.append((_lowered(k, l), v))
-            if log and l == 0:
-                v = 3 * int(log * den) * factor
-                low_block.append(((-2, 1), -v))
-                high_block.append(((-1,), v))
-            if low_block:
-                low.append((zkey + (-3,), low_block))
-                high.append((zkey + pole, high_block))
-        for zkey, block in low:
-            merge(zkey, block)
-        for zkey, block in high:
-            merge(zkey, block)
-    if with_dz:
-        for i in range(nvars):
-            for zkey, row in rows:
-                e = zkey[i]
-                if e:
-                    merge(zkey[:i] + (e - 2,) + zkey[i + 1:] + (-3,),
-                          [(_lowered(k or (0,), 0), e * c) for k, c in row])
-    out = ZLaurent(nvars + 1)
-    out.terms = {zkey: MomentPoly.from_numerators(poly, den) for zkey, poly in acc.items()}
-    return out
-
-
-def create(obj: MomentPoly | ZLaurent | ZRational, factor: int = 1) -> ZLaurent | ZRational:
-    """Boundary creation: one more variable, appended as the last slot.
-
-    The result is multiplied by the integer ``factor``; ``correlator`` passes
-    the power of two of each chain step here.
-    """
-    if not isinstance(obj, ZRational):
-        return _create_laurent(obj, factor)
-    # the rational (planar) input: quotient-rule derivative terms
-    n = obj.nvars
-    positions = list(range(n))
-    total = ZRational(_create_laurent(obj.num, factor, with_dz=False), obj.den)
-    unit = MomentPoly({(-1,): factor})
-    for i in range(n):
-        dz = obj.dz(i)
-        if not dz.num.is_zero:
-            total = total + dz.embed(positions, n + 1).shift(i, -1).shift(n, -3).scale(unit)
-    return total.reduce()
-
-
-def annihilate(obj: ZLaurent) -> ZLaurent | MomentPoly:
-    """Boundary removal acting on the last variable.
-
-    Picks out the ``z**(-5-2l)`` coefficients; ``z**-3`` never contributes.
-    """
-    if not isinstance(obj, ZLaurent):
-        raise RingError("boundary removal is defined on Laurent correlators")
-    var = obj.nvars - 1
-    if obj.nvars == 1:
-        out_poly = MomentPoly.zero()
-        for key, coeff in obj.terms.items():
-            e = key[0]
-            if e <= -5 and e % 2:
-                l = (-e - 5) // 2
-                out_poly = out_poly + coeff * MomentPoly.variable(l).scale(F(-1, 3 + 2 * l))
-        return out_poly
-    out = ZLaurent(obj.nvars - 1)
-    terms: dict[tuple[int, ...], MomentPoly] = {}
-    for key, coeff in obj.terms.items():
-        e = key[var]
-        if e > -5 or e % 2 == 0:
-            continue
-        l = (-e - 5) // 2
-        rest = key[:var]
-        piece = coeff * MomentPoly.variable(l).scale(F(-1, 3 + 2 * l))
-        prev = terms.get(rest)
-        total = piece if prev is None else prev + piece
-        if total.is_zero:
-            terms.pop(rest, None)
-        else:
-            terms[rest] = total
-    out.terms = terms
-    return out
-
-
 def number_operator(p: MomentPoly) -> MomentPoly:
     """``-sum_l r_l d/dr_l``: eigenvalue ``-(e0 + sum e_k)`` per monomial.
 
@@ -296,6 +156,14 @@ def planar_pair() -> ZRational:
     return ZRational(ZLaurent(2, {(-1, -1): 4}), {(0, 1, 1): 2})
 
 
+def _planar_triple() -> dict[ZKey, MomentPoly]:
+    """``G_{0,3} = -32 / (r0 z1^3 z2^3 z3^3)`` by its one orbit.
+
+    It is 8 times the creation image of the planar pair.
+    """
+    return {(-3, -3, -3): MomentPoly.from_numerators({(-1,): -32})}
+
+
 def _stored_free_energy(g: int) -> MomentPoly:
     if g == 1:
         return genus_one()
@@ -315,8 +183,24 @@ def _orbit_key(key: ZKey) -> ZKey:
     return key
 
 
+def _over_log(poly: MomentPoly, factor: int) -> tuple[int, int, int]:
+    """``(den, mult, c)``: ``factor * poly`` over ``den``.
+
+    Its numerators are ``mult * poly.nums``, and ``c`` is its log coefficient.
+    """
+    den = lcm(poly.den, poly.log_coeff.denominator)
+    return den, den // poly.den * factor, int(poly.log_coeff * den) * factor
+
+
 def _create_orbits(orbits: Mapping[ZKey, MomentPoly], factor: int) -> dict[ZKey, MomentPoly]:
-    """``create`` on a symmetric correlator given by its orbits, times ``factor``.
+    """Boundary creation on a symmetric correlator given by its orbits, times ``factor``.
+
+    Creation appends a variable ``z_new``. A term ``c r^K`` emits, for every
+    moment index ``l`` with ``K[l] != 0``, its derivative ``d = K[l] c r^K /
+    r_l`` as ``-(3+2l) (r_{l+1}/r_0) d z_new^-3`` (the low block of ``l``) and
+    as ``(3+2l) d z_new^(-5-2l)`` (the high block); a genus-one ``c log r_0``
+    enters at ``l = 0`` as ``d = c / r_0``. Each ``z_i`` derivative adds
+    ``E[i] c (r^K / r_0) z^E z_i^-2 z_new^-3``.
 
     The result is symmetric too, so the coefficient of an output orbit ``mu``
     is the coefficient of any one arrangement of it. If ``mu`` has a part
@@ -325,36 +209,60 @@ def _create_orbits(orbits: Mapping[ZKey, MomentPoly], factor: int) -> dict[ZKey,
     the coefficient is ``factor (3+2l) d/dr_l G_{mu - e}``. Otherwise ``mu``
     is ``(-3, .., -3)``, and only the low blocks of ``G_{(-3, .., -3)}`` land
     on it. Each output orbit thus comes from one input orbit, in integers
-    over that orbit's denominator.
+    over that orbit's denominator. From the empty orbit ``{(): F_g}`` this is
+    the one-boundary correlator of ``F_g``.
 
     The output orbits come in a fixed order: ``(-3, .., -3)`` first, then,
     input orbit by input orbit, those that add a part ``-(5+2l)`` to it, for
-    ascending ``l``.
+    ascending ``l``. The low blocks are added index by index, and a term that
+    cancels is deleted at once, so a term that comes back lands last.
     """
     width = max((len(k) for poly in orbits.values() for k in poly.nums), default=0)
+    if any(poly.log_coeff for poly in orbits.values()):
+        width = max(width, 1)
     out: dict[ZKey, MomentPoly] = {}
     for key, poly in orbits.items():
-        if _orbit_key(key)[0] == -3:
+        if set(_orbit_key(key)) <= {-3}:
+            den, mult, log = _over_log(poly, factor)
             acc: dict[Key, int] = {}
             for l in range(width):
-                scale = -(3 + 2 * l) * factor
-                for k, n in poly.nums.items():
-                    if l < len(k) and k[l]:
-                        low = _lowered_ratio(k, l)
-                        acc[low] = acc.get(low, 0) + scale * k[l] * n
-            flat = MomentPoly.from_numerators(acc, poly.den)
-            if flat.nums:
-                out[key + (-3,)] = flat
+                scale = -(3 + 2 * l) * mult
+                pieces = [(_lowered_ratio(k, l), scale * k[l] * n)
+                          for k, n in poly.nums.items() if l < len(k) and k[l]]
+                if log and not l:
+                    pieces.append(((-2, 1), -3 * log))
+                for low, v in pieces:
+                    v += acc.get(low, 0)
+                    if v:
+                        acc[low] = v
+                    else:
+                        del acc[low]
+            if acc:
+                out[key + (-3,)] = MomentPoly.from_numerators(acc, den)
     for key, poly in orbits.items():
+        den, mult, log = _over_log(poly, factor)
         # the new part must be the largest part below -3 of the output orbit
         below = [e for e in key if e < -3]
         top = width if not below else min(width, (-below[-1] - 3) // 2)
         for l in range(top):
-            scale = (3 + 2 * l) * factor
+            scale = (3 + 2 * l) * mult
             nums = {_lowered(k, l): scale * k[l] * n
                     for k, n in poly.nums.items() if l < len(k) and k[l]}
+            if log and not l:
+                nums[(-1,)] = 3 * log
             if nums:
-                out[tuple(sorted(key + (-5 - 2 * l,)))] = MomentPoly.from_numerators(nums, poly.den)
+                out[tuple(sorted(key + (-5 - 2 * l,)))] = MomentPoly.from_numerators(nums, den)
+    return out
+
+
+def create(p: MomentPoly, factor: int = 1) -> ZLaurent:
+    """The one-boundary correlator of ``p``, times the integer ``factor``.
+
+    The creation step from no boundary (``_create_orbits`` on the empty
+    orbit); ``_orbits`` passes ``F_g`` and ``2^{4g}`` here.
+    """
+    out = ZLaurent(1)
+    out.terms = _create_orbits({(): p}, factor)
     return out
 
 
@@ -362,19 +270,17 @@ def _create_orbits(orbits: Mapping[ZKey, MomentPoly], factor: int) -> dict[ZKey,
 def _orbits(g: int, boundaries: int) -> dict[ZKey, MomentPoly]:
     """``G_{g,B}`` by orbits: each sorted ``z`` key with its coefficient.
 
-    ``G_{g,1}`` and ``G_{0,3}`` come from ``create``; every further boundary
-    from ``_create_orbits``. The planar pair ``G_{0,2}`` is no chain of
-    orbits; ``correlator`` stores it as it is.
+    ``G_{g,1}`` comes from ``create`` and ``G_{0,3}`` is ``_planar_triple``;
+    every further boundary comes from ``_create_orbits``. The planar pair
+    ``G_{0,2}`` is no chain of orbits; ``correlator`` stores it as it is.
     """
     if g < 0 or boundaries < 1 or (g == 0 and boundaries < 3):
         raise GenusOutOfRange(f"no stable correlator with labels ({g}, {boundaries})")
     if boundaries == 1:
-        seed = create(_stored_free_energy(g), 2 ** (4 * g))
-    elif g == 0 and boundaries == 3:
-        seed = create(planar_pair(), 8)
-    else:
-        return _create_orbits(_orbits(g, boundaries - 1), 4 if boundaries == 2 else 8)
-    return {_orbit_key(key): poly for key, poly in seed.terms.items()}
+        return create(_stored_free_energy(g), 2 ** (4 * g)).terms
+    if g == 0 and boundaries == 3:
+        return _planar_triple()
+    return _create_orbits(_orbits(g, boundaries - 1), 4 if boundaries == 2 else 8)
 
 
 def _firsts(key: ZKey) -> Iterator[tuple[int, ZKey]]:
@@ -530,9 +436,7 @@ def _orbit_values(
         raise CoincidentPoints("evaluation at z = 0 hits a pole")
     exact = _is_exact(moments.values()) and all(_is_exact(p) for p in point_sets)
     if exact:
-        stored = ZLaurent(nvars)
-        stored.terms = dict(orbits)
-        ints, scale = _bind_exact(stored, moments)
+        ints, scale = _bind_exact(orbits, moments)
         keys, coeffs = list(ints), list(ints.values())
     else:
         keys = list(orbits)
@@ -567,21 +471,25 @@ def n_point_core(
     choice of one point ``z_k`` per group, the correlator at the chosen points
     times ``2 / (z_k^2 - z_l^2)`` for each other point ``z_l`` of the group.
     The correlator is read by its orbits (``_orbit_values``) and never
-    written out; the planar pair is evaluated as stored.
+    written out; the planar pair is read by its numerator's one orbit
+    ``(-1, -1)`` and divided by ``(z1 + z2)^2``.
     """
     B = len(groups)
     planar = (g, B) == (0, 2)
-    stored = correlator(0, 2) if planar else _orbits(g, B)
+    orbits = planar_pair().num.terms if planar else _orbits(g, B)
     for grp in groups:
         if not grp:
             raise RingError("every boundary group needs at least one point")
         _check_group(grp)
     choices = list(product(*[range(len(grp)) for grp in groups]))
     point_sets = [[groups[b][choice[b]] for b in range(B)] for choice in choices]
+    values = _orbit_values(orbits, B, point_sets, moments)
     if planar:
-        values = stored.evaluate_many(point_sets, moments)
-    else:
-        values = _orbit_values(stored, B, point_sets, moments)
+        for i, points in enumerate(point_sets):
+            base = points[0] + points[1]
+            if not base:
+                raise CoincidentPoints("evaluation point makes (z1 + z2) vanish")
+            values[i] = values[i] / base**2
     total: object = None
     for choice, value in zip(choices, values):
         weight: object = F(1)

@@ -22,12 +22,11 @@ from __future__ import annotations
 
 from functools import lru_cache
 from math import lcm
-from typing import Callable, Mapping, Sequence
+from typing import Callable, Sequence
 
 from taulap.boundary import (
     correlator,
     diagonal,
-    generic_moments,
     kernel_op,
 )
 from taulap.laplacian import GenusOutOfRange
@@ -312,19 +311,6 @@ def dse_residual(g: int, boundaries: int) -> ZRational:
         total = part if total is None else total + part
     assert total is not None
     return total
-
-
-def dse_residual_values(
-    g: int,
-    boundaries: int,
-    points: Sequence[Sequence[object]],
-    moments: Mapping[int, object] | None = None,
-) -> list[object]:
-    """Evaluate the residual at explicit points (should be all zeros)."""
-    if moments is None:
-        moments = generic_moments()
-    res = dse_residual(g, boundaries)
-    return [res.evaluate(list(pt), moments) for pt in points]
 
 
 def dse_certify(g: int, boundaries: int) -> bool:

@@ -600,12 +600,6 @@ def _ordered_nums(poly: MomentPoly) -> list[tuple[Key, int]]:
     return sorted(poly.nums.items(), key=lambda kv: _padded_sort_key(kv[0], width))
 
 
-def ordered_terms(poly: MomentPoly) -> list[tuple[Key, Fraction]]:
-    """Terms in canonical order: ascending weight, then lexicographic exponents."""
-    den = poly.den
-    return [(key, Fraction(n, den)) for key, n in _ordered_nums(poly)]
-
-
 def render_monomial(key: Key, convention: str = "rho") -> str:
     _check_convention(convention)
     key = _trim(key)
@@ -941,48 +935,6 @@ class ZLaurent:
         out.terms = terms
         return out
 
-    def permute(self, positions: Sequence[int]) -> "ZLaurent":
-        """Relabel variables: old variable ``k`` becomes ``z_{positions[k]}``."""
-        return self.embed(positions, self.nvars)
-
-    def evaluate(self, points: Sequence[object], moments: Mapping[int, object]) -> object:
-        """Evaluate at numeric boundary points and numeric moment values."""
-        return self.evaluate_many([points], moments)[0]
-
-    def evaluate_many(
-        self, point_sets: Sequence[Sequence[object]], moments: Mapping[int, object]
-    ) -> list[object]:
-        """Values at several point tuples.
-
-        With exact points and moments (ints and Fractions) the moments are
-        bound once, in integers (``_bind_exact``), and each value is summed as
-        one integer (``_sum_exact``). Otherwise each tuple is summed term by
-        term, in the order of ``terms``.
-        """
-        for points in point_sets:
-            if len(points) != self.nvars:
-                raise RingError(f"expected {self.nvars} points, got {len(points)}")
-        if not (_is_exact(moments.values()) and all(_is_exact(p) for p in point_sets)):
-            return [self._sum_terms(points, moments) for points in point_sets]
-        for points in point_sets:
-            zeros = [i for i, z in enumerate(points) if not z]
-            if zeros and any(key[i] < 0 for key in self.terms for i in zeros):
-                raise CoincidentPoints("evaluation at z = 0 hits a pole")
-        ints, scale = _bind_exact(self, moments)
-        return [_sum_exact(ints, scale, points) for points in point_sets]
-
-    def _sum_terms(self, points: Sequence[object], moments: Mapping[int, object]) -> object:
-        total: object = None
-        for key, coeff in self.terms.items():
-            part = coeff.substitute(moments)
-            for z, e in zip(points, key):
-                if e:
-                    if e < 0 and not z:
-                        raise CoincidentPoints("evaluation at z = 0 hits a pole")
-                    part = part * z**e
-            total = part if total is None else total + part
-        return _ZERO if total is None else total
-
     def __str__(self) -> str:
         return render_z(self)
 
@@ -1015,28 +967,20 @@ def _power_tables(
     return tables, lows, scale
 
 
-def _table_sum(rows: Iterable[tuple[Key, int]], tables: list[list[int]], lows: list[int]) -> int:
-    """``sum n prod_i tables[i][key_i - lows[i]]`` over the ``(key, n)`` rows."""
-    total = 0
-    for key, n in rows:
-        for table, e, lo in zip(tables, key, lows):
-            n *= table[e - lo]
-        total += n
-    return total
-
-
-def _bind_exact(obj: ZLaurent, moments: Mapping[int, Fraction | int]) -> tuple[dict[ZKey, int], Fraction]:
+def _bind_exact(
+    terms: Mapping[ZKey, MomentPoly], moments: Mapping[int, Fraction | int]
+) -> tuple[dict[ZKey, int], Fraction]:
     """Coefficients at exact moment values, as integers ``n_k`` and one common scale.
 
     The coefficient of ``z^k`` is ``n_k * scale``; zero coefficients are left
     out. Each moment gets one power table across all coefficients, and the
     numerators are taken over the lcm of the coefficients' denominators.
     """
-    den = lcm(*(poly.den for poly in obj.terms.values()))
-    width = max((len(k) for poly in obj.terms.values() for k in poly.nums), default=0)
+    den = lcm(*(poly.den for poly in terms.values()))
+    width = max((len(k) for poly in terms.values() for k in poly.nums), default=0)
     # every range holds 0, the exponent of the variables past the end of a key
     ranges = [[0, 0] for _ in range(width)]
-    for poly in obj.terms.values():
+    for poly in terms.values():
         for key in poly.nums:
             for r, e in zip(ranges, key):
                 if e < r[0]:
@@ -1059,25 +1003,17 @@ def _bind_exact(obj: ZLaurent, moments: Mapping[int, Fraction | int]) -> tuple[d
     for l in range(width - 1, -1, -1):
         tails[l] = tails[l + 1] * tables[l][-lows[l]]
     out: dict[ZKey, int] = {}
-    for zkey, poly in obj.terms.items():
+    for zkey, poly in terms.items():
         mult = den // poly.den
-        rows = ((k, n * mult * tails[len(k)]) for k, n in poly.nums.items())
-        n = _table_sum(rows, tables, lows)
-        if n:
-            out[zkey] = n
+        total = 0
+        for key, n in poly.nums.items():
+            n *= mult * tails[len(key)]
+            for table, e, lo in zip(tables, key, lows):
+                n *= table[e - lo]
+            total += n
+        if total:
+            out[zkey] = total
     return out, scale / den
-
-
-def _sum_exact(ints: Mapping[ZKey, int], scale: Fraction, points: Sequence[Fraction | int]) -> Fraction:
-    """``scale * sum_k ints[k] prod_i z_i^k_i`` at exact points, summed as one integer.
-
-    A zero point must not meet a negative exponent.
-    """
-    if not ints:
-        return _ZERO
-    ranges = [(min(column), max(column)) for column in zip(*ints)]
-    tables, lows, factor = _power_tables(ranges, points)
-    return scale * factor * _table_sum(ints.items(), tables, lows)
 
 
 def render_z(obj: ZLaurent, convention: str = "rho") -> str:
@@ -1330,25 +1266,6 @@ class ZRational:
         if not den:
             return num
         return ZRational(num, den)
-
-    def evaluate(self, points: Sequence[object], moments: Mapping[int, object]) -> object:
-        return self.evaluate_many([points], moments)[0]
-
-    def evaluate_many(
-        self, point_sets: Sequence[Sequence[object]], moments: Mapping[int, object]
-    ) -> list[object]:
-        """Values at several point tuples; the numerator binds the moments once."""
-        out = []
-        for points, value in zip(point_sets, self.num.evaluate_many(point_sets, moments)):
-            for (i, j, sign), power in self.den.items():
-                base = points[i] + sign * points[j]
-                if not base:
-                    raise CoincidentPoints(
-                        f"evaluation point makes (z{i + 1} {'+' if sign == 1 else '-'} z{j + 1}) vanish"
-                    )
-                value = value / base**power
-            out.append(value)
-        return out
 
     def __str__(self) -> str:
         den = "*".join(

@@ -18,11 +18,13 @@ the packed extraction's numerators, denominator and key order. The validation
 operators written as sums of ring products (the residue inversion through
 the reciprocal-series coefficients ``S_j``, the one-boundary recursion and
 the constraint operators' parts ``A_n`` and ``B_n``) are the references for
-the runtime's one-accumulator kernels. ``correlator_by_create`` is the
-correlator chain in full form, one public ``create`` per boundary with every
-``z`` key built on its own, and ``grouped_by_full_form`` evaluates it term by
-term with the grouped weights: the references for the chain and the
-evaluation on orbits. ``arrangements_by_orbit`` walks one orbit's
+the runtime's one-accumulator kernels. ``multipass_create`` is boundary
+creation in ring arithmetic and ``annihilate`` its lowering map, the pair
+whose composition is the grading. ``correlator_by_create`` is the correlator
+chain in full form, one ``multipass_create`` per boundary with every ``z``
+key built on its own; ``full_form_values`` evaluates a full-form object term
+by term and ``grouped_by_full_form`` adds the grouped weights: the references
+for the chain and the evaluation on orbits. ``arrangements_by_orbit`` walks one orbit's
 arrangements with a memo of its own and ``correlator_keys_by_orbit`` lists
 the written-out keys orbit by orbit with it: the references for the shared
 arranger's key order. ``render_z_by_key`` joins every key's ``z`` parts on
@@ -39,7 +41,7 @@ from math import factorial, lcm
 from typing import Iterable, Mapping, Sequence
 
 from taulap.bell import resolvent_coefficient
-from taulap.boundary import _orbits, _stored_free_energy, create, planar_pair
+from taulap.boundary import _orbits, _stored_free_energy, planar_pair
 from taulap.laplacian import (
     _add_bounds,
     _bounds,
@@ -49,6 +51,7 @@ from taulap.laplacian import (
 from taulap.ring import (
     _SLOT_BITS,
     _UNIT_OFFSET,
+    CoincidentPoints,
     LogProduct,
     MomentPoly,
     NonDivisible,
@@ -56,7 +59,10 @@ from taulap.ring import (
     ZKey,
     ZLaurent,
     ZRational,
+    _bind_exact,
+    _is_exact,
     _joined,
+    _power_tables,
     _shift,
     _unpack,
     convention_scale,
@@ -708,16 +714,167 @@ def constraint_residuals_by_sums(n: int, orders: Sequence[MomentPoly]) -> dict[i
 
 # ---------------------------------------------------------------------------
 # the correlator chain in full form
+#
+# The creation operator built out of ring operations: one moment derivative and
+# one boundary derivative at a time, each embedded, shifted, scaled and added as
+# a whole object, on every z key of its input.
+
+
+def _moment_indices(obj: MomentPoly | ZLaurent | ZRational) -> range:
+    if isinstance(obj, ZRational):
+        support = obj.num.moment_support()
+    else:
+        support = obj.moment_support()
+    return range(0, (max(support) if support else -1) + 1)
+
+
+def _ratio_coeff(l: int) -> MomentPoly:
+    """``r_{l+1} / r_0`` as a moment polynomial."""
+    return MomentPoly.monomial((-1,) + (0,) * l + (1,))
+
+
+def multipass_create(obj: MomentPoly | ZLaurent | ZRational) -> ZLaurent | ZRational:
+    """Boundary creation, one more variable appended as the last slot, in ring arithmetic."""
+    if isinstance(obj, MomentPoly):
+        acc: dict[tuple[int, ...], MomentPoly] = {}
+
+        def _add(exp: int, poly: MomentPoly) -> None:
+            prev = acc.get((exp,))
+            total = poly if prev is None else prev + poly
+            if total.is_zero:
+                acc.pop((exp,), None)
+            else:
+                acc[(exp,)] = total
+
+        for l in _moment_indices(obj):
+            dp = obj.partial(l)
+            if dp.is_zero:
+                continue
+            _add(-3, dp * _ratio_coeff(l).scale(-(3 + 2 * l)))
+            _add(-5 - 2 * l, dp.scale(3 + 2 * l))
+        out = ZLaurent(1)
+        out.terms = acc
+        return out
+    # the z_new^-3 part is summed in the input's variables, then placed once
+    n = obj.nvars
+    positions = list(range(n))
+    rational = isinstance(obj, ZRational)
+    zero = ZRational(ZLaurent.zero(n)) if rational else ZLaurent.zero(n)
+    low, euler = zero, zero
+    highs = []
+    for l in _moment_indices(obj):
+        d = obj.partial_moment(l)
+        if d.is_zero:
+            continue
+        low = low + d.scale(_ratio_coeff(l).scale(-(3 + 2 * l)))
+        highs.append(d.scale(3 + 2 * l).embed(positions, n + 1).shift(n, -5 - 2 * l))
+    for i in range(n):
+        dz = obj.dz(i)
+        if not dz.is_zero:
+            euler = euler + dz.shift(i, -1)  # sum_i z_i^-1 dG/dz_i
+    low = low + euler.scale(MomentPoly.unit_power(-1))
+    total = low.embed(positions, n + 1).shift(n, -3)
+    for high in highs:
+        total = total + high
+    return total.reduce() if rational else total
+
+
+def annihilate(obj: ZLaurent) -> ZLaurent | MomentPoly:
+    """Boundary removal acting on the last variable (the lowering map).
+
+    Picks out the ``z**(-5-2l)`` coefficients; ``z**-3`` never contributes.
+    """
+    if not isinstance(obj, ZLaurent):
+        raise RingError("boundary removal is defined on Laurent correlators")
+    var = obj.nvars - 1
+    terms: dict[ZKey, MomentPoly] = {}
+    for key, coeff in obj.terms.items():
+        e = key[var]
+        if e > -5 or e % 2 == 0:
+            continue
+        piece = coeff * MomentPoly.variable((-e - 5) // 2).scale(Fraction(-1, -e - 2))
+        prev = terms.get(key[:var])
+        total = piece if prev is None else prev + piece
+        if total.is_zero:
+            terms.pop(key[:var], None)
+        else:
+            terms[key[:var]] = total
+    if obj.nvars == 1:
+        return terms.get((), MomentPoly.zero())
+    out = ZLaurent(obj.nvars - 1)
+    out.terms = terms
+    return out
 
 
 @lru_cache(maxsize=None)
 def correlator_by_create(g: int, boundaries: int) -> ZLaurent | ZRational:
-    """``G_{g,B}`` by one public ``create`` per boundary, every ``z`` key on its own."""
+    """``G_{g,B}`` by one ``multipass_create`` per boundary, every ``z`` key on its own."""
     if g == 0 and boundaries == 2:
         return planar_pair()
     if boundaries == 1:
-        return create(_stored_free_energy(g), 2 ** (4 * g))
-    return create(correlator_by_create(g, boundaries - 1), 4 if boundaries == 2 else 8)
+        return multipass_create(_stored_free_energy(g)).scale(2 ** (4 * g))
+    step = 4 if boundaries == 2 else 8
+    return multipass_create(correlator_by_create(g, boundaries - 1)).scale(step)
+
+
+def full_form_values(
+    obj: ZLaurent | ZRational, point_sets: Sequence[Sequence[object]], moments: Mapping[int, object]
+) -> list[object]:
+    """A full-form object's values at several point tuples, term by term.
+
+    A zero point under a negative exponent is a pole, found before the
+    moments are bound. With exact points and moments the coefficients are
+    bound once, in integers (``_bind_exact``), and each value is one integer
+    sum over the points' power tables (``_power_tables``); otherwise each
+    coefficient is substituted and the terms are summed in floats, in the
+    order of ``terms``. A rational object divides its numerator's value by
+    each pair factor; a factor that vanishes is a pole.
+    """
+    rational = isinstance(obj, ZRational)
+    num = obj.num if rational else obj
+    for points in point_sets:
+        if len(points) != num.nvars:
+            raise RingError(f"expected {num.nvars} points, got {len(points)}")
+        if any(e < 0 and not z for key in num.terms for z, e in zip(points, key)):
+            raise CoincidentPoints("evaluation at z = 0 hits a pole")
+    exact = _is_exact(moments.values()) and all(_is_exact(points) for points in point_sets)
+    if exact:
+        ints, scale = _bind_exact(num.terms, moments)
+        ranges = [(min(column), max(column)) for column in zip(*ints)]
+    values: list[object] = []
+    for points in point_sets:
+        value: object = Fraction(0)
+        if exact:
+            tables, lows, factor = _power_tables(ranges, points)
+            total = 0
+            for key, n in ints.items():
+                for table, e, lo in zip(tables, key, lows):
+                    n *= table[e - lo]
+                total += n
+            value = scale * factor * total
+        else:
+            for i, (key, coeff) in enumerate(num.terms.items()):
+                part = coeff.substitute(moments)
+                for z, e in zip(points, key):
+                    if e:
+                        part = part * z**e
+                value = part if not i else value + part
+        for (i, j, sign), power in obj.den.items() if rational else ():
+            base = points[i] + sign * points[j]
+            if not base:
+                raise CoincidentPoints(
+                    f"evaluation point makes (z{i + 1} {'+' if sign == 1 else '-'} z{j + 1}) vanish"
+                )
+            value = value / base**power
+        values.append(value)
+    return values
+
+
+def evaluate_full(
+    obj: ZLaurent | ZRational, points: Sequence[object], moments: Mapping[int, object]
+) -> object:
+    """A full-form object's value at one point tuple (``full_form_values``)."""
+    return full_form_values(obj, [points], moments)[0]
 
 
 def grouped_by_full_form(
@@ -726,8 +883,9 @@ def grouped_by_full_form(
     """The grouped n-point value, term by term on the full form (unit coupling)."""
     B = len(groups)
     choices = list(product(*[range(len(grp)) for grp in groups]))
-    values = correlator_by_create(g, B).evaluate_many(
-        [[groups[b][choice[b]] for b in range(B)] for choice in choices], moments
+    values = full_form_values(
+        correlator_by_create(g, B), [[groups[b][choice[b]] for b in range(B)] for choice in choices],
+        moments,
     )
     total: object = 0
     for choice, value in zip(choices, values):

@@ -10,10 +10,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import (
+    annihilate,
     arrangements_by_orbit,
     correlator_by_create,
     correlator_keys_by_orbit,
+    evaluate_full,
     grouped_by_full_form,
+    multipass_create,
     render_z_by_key,
 )
 from taulap.boundary import (
@@ -23,7 +26,6 @@ from taulap.boundary import (
     _create_orbits,
     _orbit_values,
     _orbits,
-    annihilate,
     correlator,
     create,
     diagonal,
@@ -55,8 +57,8 @@ F = Fraction
 # -- frozen low-order objects ---------------------------------------------------
 
 def test_planar_pair_evaluation() -> None:
-    seed = planar_pair()
-    assert seed.evaluate([F(1), F(3)], {}) == F(4, 1 * 3 * 16)
+    assert n_point_core(0, [[F(1)], [F(3)]], {}) == F(4, 1 * 3 * 16)
+    assert evaluate_full(planar_pair(), [F(1), F(3)], {}) == F(4, 1 * 3 * 16)
 
 
 def test_one_boundary_genus_one_frozen() -> None:
@@ -67,7 +69,7 @@ def test_one_boundary_genus_one_frozen() -> None:
 
 
 def test_three_boundary_planar_frozen() -> None:
-    created = create(planar_pair())
+    created = multipass_create(planar_pair())
     assert isinstance(created, ZLaurent)
     assert created == ZLaurent(3, {(-3, -3, -3): MomentPoly({(-1,): -4})})
     assert correlator(0, 3) == ZLaurent(3, {(-3, -3, -3): MomentPoly({(-1,): -32})})
@@ -111,22 +113,21 @@ def test_adjoint_pair_composition_on_polynomials() -> None:
 def test_adjoint_pair_composition_on_correlators() -> None:
     for g, B in [(1, 1), (0, 3), (1, 2), (2, 1), (0, 4)]:
         stored = correlator(g, B)
-        assert annihilate(create(stored)) == number_operator_z(stored)
+        assert annihilate(multipass_create(stored)) == number_operator_z(stored)
 
 
 def test_creation_commutes() -> None:
     for base in (correlator(1, 1), correlator(0, 3)):
-        twice = create(create(base))
-        assert twice == twice.permute(
-            list(range(base.nvars)) + [base.nvars + 1, base.nvars]
-        )
+        twice = multipass_create(multipass_create(base))
+        swap = list(range(base.nvars)) + [base.nvars + 1, base.nvars]
+        assert twice == twice.embed(swap, base.nvars + 2)
 
 
 def test_number_operator_eigenvalue() -> None:
     for g, B in [(0, 2), (0, 3), (0, 4), (0, 5), (1, 1), (1, 2), (1, 3), (2, 1), (2, 2), (3, 1)]:
         stored = correlator(g, B)
         if isinstance(stored, ZRational):
-            stored = create(stored).scale(8)  # rational case covered via its child
+            stored = multipass_create(stored).scale(8)  # rational case covered via its child
             assert number_operator_z(stored) == stored.scale(2 * g + (B + 1) - 2)
             continue
         assert number_operator_z(stored) == stored.scale(2 * g + B - 2)
@@ -145,8 +146,8 @@ def test_boundary_removal_factors() -> None:
         if isinstance(lower, ZRational):
             # compare pointwise against the rational object
             pts = [F(2), F(5)]
-            assert removed.evaluate(pts, generic_moments()) == (
-                lower.evaluate(pts, generic_moments()) * expected_factor
+            assert evaluate_full(removed, pts, generic_moments()) == (
+                evaluate_full(lower, pts, generic_moments()) * expected_factor
             )
         else:
             assert removed == lower.scale(expected_factor)
@@ -207,7 +208,7 @@ def test_grouped_evaluation_reduces_to_plain() -> None:
     moments = generic_moments()
     pts = [F(2), F(3), F(5)]
     grouped = n_point_core(0, [[pts[0]], [pts[1]], [pts[2]]], moments)
-    plain = correlator(0, 3).evaluate(pts, moments)
+    plain = evaluate_full(correlator(0, 3), pts, moments)
     assert grouped == plain
 
 
@@ -215,8 +216,8 @@ def test_grouped_evaluation_two_points_one_boundary() -> None:
     moments = generic_moments()
     stored = correlator(1, 1)
     za, zb = F(2), F(3)
-    expected = stored.evaluate([za], moments) * 2 / (za**2 - zb**2) + stored.evaluate(
-        [zb], moments
+    expected = evaluate_full(stored, [za], moments) * 2 / (za**2 - zb**2) + evaluate_full(
+        stored, [zb], moments
     ) * 2 / (zb**2 - za**2)
     assert n_point_core(1, [[za, zb]], moments) == expected
     # symmetric under relabeling within the group
@@ -264,63 +265,9 @@ def test_correlators_use_every_moment_index_through_3g_3_plus_b() -> None:
 
 # -- the creation kernel against the multi-pass construction -----------------------
 #
-# The oracle builds the operator out of ring operations: one moment derivative
-# and one boundary derivative at a time, each embedded, shifted, scaled and
-# added as a whole object.
-
-
-def _moment_indices(obj: MomentPoly | ZLaurent | ZRational) -> range:
-    if isinstance(obj, ZRational):
-        support = obj.num.moment_support()
-    else:
-        support = obj.moment_support()
-    return range(0, (max(support) if support else -1) + 1)
-
-
-def _ratio_coeff(l: int) -> MomentPoly:
-    """``r_{l+1} / r_0`` as a moment polynomial."""
-    return MomentPoly.monomial((-1,) + (0,) * l + (1,))
-
-
-def multipass_create(obj: MomentPoly | ZLaurent | ZRational) -> ZLaurent | ZRational:
-    if isinstance(obj, MomentPoly):
-        acc: dict[tuple[int, ...], MomentPoly] = {}
-
-        def _add(exp: int, poly: MomentPoly) -> None:
-            prev = acc.get((exp,))
-            total = poly if prev is None else prev + poly
-            if total.is_zero:
-                acc.pop((exp,), None)
-            else:
-                acc[(exp,)] = total
-
-        for l in _moment_indices(obj):
-            dp = obj.partial(l)
-            if dp.is_zero:
-                continue
-            _add(-3, dp * _ratio_coeff(l).scale(-(3 + 2 * l)))
-            _add(-5 - 2 * l, dp.scale(3 + 2 * l))
-        out = ZLaurent(1)
-        out.terms = acc
-        return out
-    n = obj.nvars
-    positions = list(range(n))
-    rational = isinstance(obj, ZRational)
-    total = ZRational(ZLaurent.zero(n + 1)) if rational else ZLaurent.zero(n + 1)
-    for l in _moment_indices(obj):
-        d = obj.partial_moment(l)
-        if d.is_zero:
-            continue
-        wide = d.embed(positions, n + 1)
-        total = total + wide.scale(_ratio_coeff(l).scale(-(3 + 2 * l))).shift(n, -3)
-        total = total + wide.scale(3 + 2 * l).shift(n, -5 - 2 * l)
-    inv_unit = MomentPoly.unit_power(-1)
-    for i in range(n):
-        dz = obj.dz(i)
-        if dz.is_zero:
-            continue
-        total = total + dz.embed(positions, n + 1).shift(i, -1).shift(n, -3).scale(inv_unit)
-    return total.reduce() if rational else total
+# The oracle (``multipass_create``) builds the operator out of ring operations:
+# one moment derivative and one boundary derivative at a time, each embedded,
+# shifted, scaled and added as a whole object.
 
 
 def layout(obj: ZLaurent) -> list:
@@ -337,29 +284,25 @@ def _chain_pairs(top: int = 8):
                 yield g, b
 
 
-def _creation_inputs():
-    """(input, factor) of every chain step of the stored correlators with 2g + B - 2 <= 6."""
+def test_create_matches_multipass_oracle_on_stored_correlators() -> None:
+    # every chain step of the stored correlators with 2g + B - 2 <= 6: ``create``
+    # on the free energy, term for term; the orbit step on the correlator below
     for g, b in _chain_pairs(6):
         if b == 1:
-            yield _stored_free_energy(g), 2 ** (4 * g)
+            p, factor = _stored_free_energy(g), 2 ** (4 * g)
+            expected = multipass_create(p)
+            assert layout(create(p)) == layout(expected)
+            assert layout(create(p, factor)) == layout(expected.scale(factor))
         else:
-            yield correlator(g, b - 1), 4 if b == 2 else 8
-
-
-def test_create_matches_multipass_oracle_on_stored_correlators() -> None:
-    for obj, factor in _creation_inputs():
-        expected = multipass_create(obj)
-        got = create(obj)
-        assert got == expected
-        assert layout(got) == layout(expected)
-        scaled = create(obj, factor)
-        assert layout(scaled) == layout(expected.scale(factor))
+            expected = multipass_create(correlator(g, b - 1)).scale(4 if b == 2 else 8)
+            assert correlator(g, b) == expected, (g, b)
 
 
 def test_create_matches_multipass_oracle_on_planar_pair() -> None:
-    expected = multipass_create(planar_pair())
-    assert create(planar_pair()) == expected
-    assert create(planar_pair(), 8) == expected.scale(8) == correlator(0, 3)
+    # G_{0,3} is a literal seed: 8 times the creation image of the planar pair
+    expected = multipass_create(planar_pair()).scale(8)
+    assert correlator(0, 3) == expected
+    assert layout(correlator(0, 3)) == layout(expected)
 
 
 def test_create_matches_multipass_oracle_on_probes() -> None:
@@ -375,7 +318,6 @@ def test_create_matches_multipass_oracle_on_probes() -> None:
         MomentPoly({(-3, 2, 0, 2): 1}),
         MomentPoly({(1,): 2, (-1, 1): F(1, 3)}, log_coeff=F(-1, 24)),
         MomentPoly({(): 2}, log_coeff=F(1, 8)),
-        ZLaurent(2, {(-3, 1): MomentPoly({(-1, 2): F(1, 2), (0, 0, 1): 3}), (2, -5): 7}),
     ]
     for p in probes:
         for factor in (1, -4):
@@ -397,26 +339,33 @@ def test_create_reinserts_a_cancelled_term_last() -> None:
 
 
 def test_evaluation_error_contracts() -> None:
-    stored = correlator(1, 2)
     moments = generic_moments()
-    with pytest.raises(CoincidentPoints):
-        stored.evaluate([F(0), F(3)], moments)
     with pytest.raises(CoincidentPoints):
         n_point_core(1, [[F(0)], [F(3)]], moments)
     # the pole is found before the moments are bound
     with pytest.raises(CoincidentPoints):
-        stored.evaluate([F(2), 0], {})
+        n_point_core(1, [[F(2)], [0]], {})
     with pytest.raises(UnknownVariable):
-        stored.evaluate([F(2), F(3)], {0: F(1)})
+        n_point_core(1, [[F(2)], [F(3)]], {0: F(1)})
     with pytest.raises(UnknownVariable):
         n_point_core(1, [[F(2), F(5)], [F(3)]], {0: F(1)})
 
 
+def test_planar_pair_error_contracts() -> None:
+    with pytest.raises(CoincidentPoints, match=r"\(z1 \+ z2\) vanish"):
+        n_point_core(0, [[1], [-1]], {})
+    with pytest.raises(CoincidentPoints, match=r"\(z1 \+ z2\) vanish"):
+        n_point_core(0, [[2.0], [-2.0]], {})
+    floats = {k: float(v) for k, v in generic_moments().items()}
+    with pytest.raises(OutOfFloatRange):
+        evaluate_correlator(0, [[1e-200], [1e-200]], 0.5, floats)
+
+
 # -- the chain and its evaluation on orbits against the full form ------------------
 #
-# The full form is one public ``create`` per boundary, every z key built on its
-# own (``correlator_by_create``), evaluated term by term with the grouped weights
-# (``grouped_by_full_form``).
+# The full form is one ring-arithmetic creation per boundary, every z key built on
+# its own (``correlator_by_create``), evaluated term by term with the grouped
+# weights (``grouped_by_full_form``).
 
 
 def test_correlator_matches_the_full_form_chain() -> None:
@@ -536,15 +485,14 @@ def test_shared_coefficients_survive_their_consumers() -> None:
     snapshot = {key: (dict(poly.nums), poly.den, poly.log_coeff)
                 for key, poly in _orbits(1, 4).items()}
     number_operator_z(stored)
-    annihilate(stored)
-    create(stored, 8)
     kernel_op(stored, 2)
     stored.identify(0, 1).partial_moment(0)
     (stored + stored - stored.scale(F(1, 3))).dz(1)
     -stored
     render_z(stored)
-    stored.evaluate([F(2), F(3), F(5), F(7)], generic_moments())
-    stored.evaluate([2.0, 3.0, 5.0, 7.0], {k: float(v) for k, v in generic_moments().items()})
+    n_point_core(1, [[F(2)], [F(3), F(4)], [F(5)], [F(7)]], generic_moments())
+    n_point_core(1, [[2.0], [3.0, 4.0], [5.0], [7.0]],
+                 {k: float(v) for k, v in generic_moments().items()})
     assert snapshot == {key: (dict(poly.nums), poly.den, poly.log_coeff)
                         for key, poly in _orbits(1, 4).items()}
 
@@ -597,7 +545,7 @@ def test_float_orbit_values_match_the_term_by_term_sum() -> None:
         for _ in range(10):
             points = [rng.choice((-1, 1)) * rng.uniform(0.3, 3.0) for _ in range(b)]
             got = _orbit_values(_orbits(g, b), b, [points], moments)[0]
-            assert got == pytest.approx(stored._sum_terms(points, moments), rel=1e-12)
+            assert got == pytest.approx(evaluate_full(stored, points, moments), rel=1e-12)
 
 
 def test_float_evaluation_error_contracts() -> None:

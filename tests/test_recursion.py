@@ -6,7 +6,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import one_point_by_sums, pair_diagonal_by_sums, residue_invert_by_reciprocals
+from oracles import (
+    evaluate_full,
+    one_point_by_sums,
+    pair_diagonal_by_sums,
+    residue_invert_by_reciprocals,
+)
 from taulap import recursion
 from taulap.boundary import correlator, diagonal, generic_moments, kernel_op
 from taulap.laplacian import GenusOutOfRange
@@ -15,7 +20,6 @@ from taulap.recursion import (
     UnboundedInput,
     dse_certify,
     dse_residual,
-    dse_residual_values,
     dse_terms,
     one_point,
     one_point_residual,
@@ -193,7 +197,7 @@ def test_dse_invalid_labels():
 def test_dse_planar_three_boundary_values():
     pts = [F(1), F(2), F(3)]
     moments = generic_moments()
-    values = {name: part.evaluate(pts, moments) for name, part in dse_terms(0, 3).items()}
+    values = {name: evaluate_full(part, pts, moments) for name, part in dse_terms(0, 3).items()}
     assert values["kernel"] == F(-4, 27)
     assert values["split"] == F(1, 27)
     assert values["reflection"] == F(1, 9)
@@ -203,7 +207,7 @@ def test_dse_planar_three_boundary_values():
 def test_dse_pieces_nonzero_but_sum_vanishes():
     pts = [F(2), F(3)]
     moments = generic_moments()
-    values = [part.evaluate(pts, moments) for part in dse_terms(2, 2).values()]
+    values = [evaluate_full(part, pts, moments) for part in dse_terms(2, 2).values()]
     assert all(value != 0 for value in values)
     assert sum(values) == 0
 
@@ -213,19 +217,13 @@ def test_dse_residual_symbolically_zero():
         assert not dse_residual(g, b).num.terms
 
 
-def test_dse_residual_values_zero():
-    points = [[F(1), F(2), F(3)], [F(5, 2), F(7, 3), F(11, 5)]]
-    assert dse_residual_values(0, 3, points) == [0, 0]
-    assert dse_residual_values(1, 2, [[F(3), F(4)]]) == [0]
-
-
 def test_dse_pieces_reject_coincident_squares():
     reflection = dse_terms(0, 3)["reflection"]
     moments = generic_moments()
     with pytest.raises(CoincidentPoints):
-        reflection.evaluate([F(3), F(3), F(2)], moments)
+        evaluate_full(reflection, [F(3), F(3), F(2)], moments)
     with pytest.raises(CoincidentPoints):
-        reflection.evaluate([F(3), F(-3), F(2)], moments)
+        evaluate_full(reflection, [F(3), F(-3), F(2)], moments)
 
 
 def test_dse_certify_all_pairs():
