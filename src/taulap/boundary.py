@@ -16,10 +16,10 @@ A correlator is symmetric in its boundary variables, so creation and
 evaluation run on orbits only (monomial symmetric functions, Macdonald,
 *Symmetric Functions and Hall Polynomials*): ``_orbits`` keeps one
 coefficient per sorted ``z`` key, every creation step is ``_create_orbits``,
-and exact and float evaluation (``n_point_core``) read the orbits directly.
-``correlator`` writes every key out for the consumers that need the full
-form (printing, the loop-equation residuals), with one shared coefficient
-object per orbit.
+and exact and float evaluation (``n_point_core``) and the coincident-point
+pair (``diagonal``) read the orbits directly. ``correlator`` writes every key
+out for the consumers that need the full form (printing, the multi-boundary
+loop-equation residual), with one shared coefficient object per orbit.
 
 Stored objects are unit-normalized: the physical correlator carries an
 overall coupling power ``lambda ** lambda_exponent(g, B)`` on top of the
@@ -364,10 +364,25 @@ def correlator(g: int, boundaries: int) -> ZLaurent | ZRational:
     return out
 
 
-def diagonal(g: int) -> ZLaurent | ZRational:
-    """Two-boundary correlator at coincident points, one variable left."""
-    pair = correlator(g, 2)
-    return pair.identify(0, 1)
+def diagonal(g: int) -> ZLaurent:
+    """``G_{g,2}`` at coincident points ``z_1 = z_2 = z``, read off its orbits.
+
+    The orbit ``(a, b)`` with coefficient ``c`` is ``c (z_1^a z_2^b + z_1^b
+    z_2^a)``, one term when ``a == b``; so it adds ``c`` at ``z^(a+b)``, twice
+    when ``a != b``, in the order of the orbits. A sum that cancels is
+    dropped. The planar pair ``4 / (z_1 z_2 (z_1 + z_2)^2)`` is ``z^-4`` there.
+    """
+    if g == 0:
+        return ZLaurent(1, {(-4,): 1})
+    terms: dict[ZKey, MomentPoly] = {}
+    for (a, b), poly in _orbits(g, 2).items():
+        if a != b:
+            poly = poly.scale(2)
+        prev = terms.get((a + b,))
+        terms[(a + b,)] = poly if prev is None else prev + poly
+    out = ZLaurent(1)
+    out.terms = {k: c for k, c in terms.items() if not c.is_zero}
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -399,10 +414,7 @@ def _sub_orbits(keys: Sequence[ZKey]) -> list[list[list[tuple[int, int]]]]:
         below: dict[ZKey, int] = {}
         step: list[list[tuple[int, int]]] = []
         for t, key in enumerate(level):
-            for j, e in enumerate(key):
-                if j and key[j - 1] == e:
-                    continue
-                sub = key[:j] + key[j + 1:]
+            for e, sub in _firsts(key):
                 s = below.get(sub)
                 if s is None:
                     s = below[sub] = len(step)

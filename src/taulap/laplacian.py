@@ -559,9 +559,13 @@ def tau_intersection(indices: Sequence[int]) -> Fraction:
     ds = list(indices)
     if not ds:
         raise DimensionMismatch("at least one index is required")
-    if any(d < 2 for d in ds):
+    negative = [str(d) for d in ds if d < 0]
+    if negative:
+        raise DimensionMismatch(f"indices must be nonnegative, got {', '.join(negative)}")
+    low = [str(d) for d in ds if d < 2]
+    if low:
         raise DimensionMismatch(
-            "indices 0 and 1 are outside the stable-range table computed here"
+            f"indices 0 and 1 are outside the stable-range table computed here, got {', '.join(low)}"
         )
     total = sum(d - 1 for d in ds)
     if total % 3:

@@ -223,14 +223,9 @@ def one_point_residual(g: int) -> ZLaurent:
     """
     if g < 1:
         raise GenusOutOfRange("the one-boundary residual starts at genus 1")
-    diag = diagonal(g - 1)
-    if isinstance(diag, ZRational):
-        reduced = diag.reduce()
-        if not isinstance(reduced, ZLaurent):
-            raise RingError("coincident planar pair should be a Laurent object")
-        diag = reduced
     kernel = kernel_op(correlator(g, 1), 0)
-    total, den = _quadratic_sum(g, lambda h: correlator(h, 1), [(2, kernel), (4, diag)])
+    total, den = _quadratic_sum(
+        g, lambda h: correlator(h, 1), [(2, kernel), (4, diagonal(g - 1))])
     return _laurent(total, 2 * den)
 
 

@@ -31,13 +31,15 @@ coefficients; the exponent keys are shared by all conventions.
 Boundary-variable objects are Laurent polynomials in ``z_1 .. z_B`` whose
 coefficients are moment polynomials (:class:`ZLaurent`), and rational
 functions whose denominators are products of ``(z_i + z_j)`` or
-``(z_i - z_j)`` factors (:class:`ZRational`).
+``(z_i - z_j)`` factors (:class:`ZRational`). A ``ZRational`` serves the
+planar pair and the multi-boundary loop-equation residual; it is never
+reduced at runtime, and cancelling its factors is left to the tests'
+references.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import zip_longest
 from math import factorial, gcd, lcm
 from operator import add
 from typing import Callable, Iterable, Iterator, Mapping, Sequence
@@ -422,44 +424,6 @@ class MomentPoly:
         if isinstance(other, (int, Fraction)):
             return self.scale(other)
         return NotImplemented
-
-    def __pow__(self, power: int) -> "MomentPoly":
-        if not isinstance(power, int) or power < 0:
-            raise RingError("polynomial powers must be nonnegative integers")
-        if power == 0:
-            return MomentPoly.one()
-        if self.log_coeff and power > 1:
-            raise LogProduct("cannot square a log term")
-        out = self
-        for _ in range(power - 1):
-            out = out * self
-        return out
-
-    def __truediv__(self, other: object) -> "MomentPoly":
-        if isinstance(other, (int, Fraction)):
-            if not other:
-                raise ZeroDivisionError("division of polynomial by zero")
-            return self.scale(Fraction(1, 1) / Fraction(other))
-        if not isinstance(other, MomentPoly):
-            return NotImplemented
-        if other.is_constant:
-            return self / other.constant_value()
-        if other.log_coeff:
-            raise LogTerm("cannot divide by a log term")
-        if len(other.nums) != 1:
-            raise NonDivisible("exact division is defined for monomial divisors only")
-        if self.log_coeff:
-            raise LogTerm("cannot divide a log term by a non-constant monomial")
-        (dkey, dnum), = other.nums.items()
-        # (n / den) / (dnum / dden), with the sign of dnum moved to the numerators
-        dden = other.den if dnum > 0 else -other.den
-        nums: dict[Key, int] = {}
-        for key, n in self.nums.items():
-            new = _trim(x - y for x, y in zip_longest(key, dkey, fillvalue=0))
-            if any(e < 0 for e in new[1:]):
-                raise NonDivisible(f"{key} is not divisible by {dkey}")
-            nums[new] = n * dden
-        return MomentPoly.from_numerators(nums, self.den * abs(dnum))
 
     # -- calculus ----------------------------------------------------------
 
@@ -865,42 +829,6 @@ class ZLaurent:
             out |= coeff.moment_support()
         return out
 
-    def collect(self, var: int) -> dict[int, "ZLaurent"]:
-        """Group terms by the exponent of ``z_var``; values drop that variable."""
-        if self.nvars < 2:
-            raise RingError("collect needs at least two variables; use terms directly")
-        out: dict[int, ZLaurent] = {}
-        for key, coeff in self.terms.items():
-            e = key[var]
-            rest = key[:var] + key[var + 1:]
-            bucket = out.get(e)
-            if bucket is None:
-                bucket = ZLaurent(self.nvars - 1)
-                out[e] = bucket
-            prev = bucket.terms.get(rest)
-            bucket.terms[rest] = coeff if prev is None else prev + coeff
-        for e in list(out):
-            out[e].terms = {k: c for k, c in out[e].terms.items() if not c.is_zero}
-            if not out[e].terms:
-                del out[e]
-        return out
-
-    def extract(self, var: int, exponent: int) -> "ZLaurent":
-        """Coefficient of ``z_var ** exponent`` as an object in the other variables."""
-        if self.nvars < 2:
-            raise RingError("extract needs at least two variables")
-        out = ZLaurent(self.nvars - 1)
-        terms: dict[ZKey, MomentPoly] = {}
-        for key, coeff in self.terms.items():
-            if key[var] != exponent:
-                continue
-            rest = key[:var] + key[var + 1:]
-            prev = terms.get(rest)
-            val = coeff if prev is None else prev + coeff
-            terms[rest] = val
-        out.terms = {k: c for k, c in terms.items() if not c.is_zero}
-        return out
-
     def identify(self, var: int, target: int) -> "ZLaurent":
         """Substitute ``z_var := z_target`` and drop the slot of ``z_var``."""
         if var == target:
@@ -1178,9 +1106,6 @@ class ZRational:
     def partial_moment(self, index: int) -> "ZRational":
         return ZRational(self.num.partial_moment(index), dict(self.den))
 
-    def map_coefficients(self, fn: Callable[[MomentPoly], MomentPoly]) -> "ZRational":
-        return ZRational(self.num.map_coefficients(fn), dict(self.den))
-
     def dz(self, var: int) -> "ZRational":
         """Derivative in ``z_var`` (quotient rule; denominator powers grow by one)."""
         touching = [(f, m) for f, m in self.den.items() if var in (f[0], f[1])]
@@ -1200,43 +1125,6 @@ class ZRational:
             out = out + piece
         return ZRational(out, den)
 
-    def identify(self, var: int, target: int) -> "ZRational":
-        """Substitute ``z_var := z_target`` and drop the slot of ``z_var``."""
-        if var == target:
-            raise RingError("identify needs two distinct variables")
-        num = self.num
-        extra_shift = 0
-        scale = _ONE
-        den_new: dict[FactorKey, int] = {}
-        for (i, j, sign), power in self.den.items():
-            if {i, j} == {var, target}:
-                if sign == -1:
-                    raise CoincidentPoints("identification hits a (z_i - z_j) pole")
-                # (z + z) = 2 z
-                extra_shift += power
-                scale /= Fraction(2) ** power
-                continue
-            a = target if i == var else i
-            b = target if j == var else j
-            key, flip = _factor_key(a, b, sign)
-            if flip < 0 and power % 2:
-                scale = -scale
-            den_new[key] = den_new.get(key, 0) + power
-        merged = num.identify(var, target)
-        new_target = target if target < var else target - 1
-        if extra_shift:
-            merged = merged.shift(new_target, -extra_shift)
-        merged = merged.scale(scale)
-        remapped: dict[FactorKey, int] = {}
-        for (i, j, sign), power in den_new.items():
-            a = i if i < var else i - 1
-            b = j if j < var else j - 1
-            key, flip = _factor_key(a, b, sign)
-            if flip < 0 and power % 2:
-                merged = -merged
-            remapped[key] = remapped.get(key, 0) + power
-        return ZRational(merged, remapped)
-
     def embed(self, positions: Sequence[int], nvars: int) -> "ZRational":
         num = self.num.embed(positions, nvars)
         den: dict[FactorKey, int] = {}
@@ -1249,24 +1137,6 @@ class ZRational:
         out.den = den
         return out
 
-    def reduce(self) -> "ZLaurent | ZRational":
-        """Cancel denominator factors that divide the numerator exactly."""
-        num = self.num
-        den: dict[FactorKey, int] = {}
-        for factor, power in self.den.items():
-            remaining = power
-            while remaining:
-                quotient = _synthetic_divide(num, factor)
-                if quotient is None:
-                    break
-                num = quotient
-                remaining -= 1
-            if remaining:
-                den[factor] = remaining
-        if not den:
-            return num
-        return ZRational(num, den)
-
     def __str__(self) -> str:
         den = "*".join(
             f"(z{i + 1}{'+' if s == 1 else '-'}z{j + 1})" + (f"^{m}" if m != 1 else "")
@@ -1276,38 +1146,3 @@ class ZRational:
 
     def __repr__(self) -> str:
         return f"ZRational({self})"
-
-
-def _synthetic_divide(num: ZLaurent, factor: FactorKey) -> ZLaurent | None:
-    """Exact quotient ``num / (z_i + sign*z_j)`` or ``None`` when not divisible."""
-    i, j, sign = factor
-    if num.is_zero:
-        return num
-    if num.nvars == 1:
-        raise RingError("pair factors need at least two variables")
-    by_exp = num.collect(i)
-    lo = min(by_exp)
-    hi = max(by_exp)
-    # view as a polynomial of degree (hi - lo) in z_i; divide by (z_i - root),
-    # root = -sign * z_j, which multiplies by z_j in the coefficient ring
-    jj = j if j < i else j - 1  # slot of z_j once z_i is removed
-    width = num.nvars - 1
-    zero = ZLaurent.zero(width)
-    quotient: dict[int, ZLaurent] = {}
-    carry = zero
-    for e in range(hi, lo, -1):
-        carry = by_exp.get(e, zero) + carry
-        quotient[e - 1] = carry
-        # multiply by root for the next column: -sign * z_j
-        carry = carry.shift(jj, 1).scale(Fraction(-sign))
-    remainder = by_exp.get(lo, zero) + carry
-    if not remainder.is_zero:
-        return None
-    out = ZLaurent(num.nvars)
-    terms: dict[ZKey, MomentPoly] = {}
-    for e, part in quotient.items():
-        for rest, coeff in part.terms.items():
-            key = rest[:i] + (e,) + rest[i:]
-            terms[key] = coeff
-    out.terms = terms
-    return out

@@ -20,7 +20,10 @@ the reciprocal-series coefficients ``S_j``, the one-boundary recursion and
 the constraint operators' parts ``A_n`` and ``B_n``) are the references for
 the runtime's one-accumulator kernels. ``multipass_create`` is boundary
 creation in ring arithmetic and ``annihilate`` its lowering map, the pair
-whose composition is the grading. ``correlator_by_create`` is the correlator
+whose composition is the grading; ``reduce`` cancels the pair factors that
+divide a rational object's numerator (by ``_synthetic_divide`` on the
+``collect``ed columns), which turns the created planar pair into
+``G_{0,3}/8``. ``correlator_by_create`` is the correlator
 chain in full form, one ``multipass_create`` per boundary with every ``z``
 key built on its own; ``full_form_values`` evaluates a full-form object term
 by term and ``grouped_by_full_form`` adds the grouped weights: the references
@@ -52,9 +55,9 @@ from taulap.ring import (
     _SLOT_BITS,
     _UNIT_OFFSET,
     CoincidentPoints,
+    FactorKey,
     LogProduct,
     MomentPoly,
-    NonDivisible,
     RingError,
     ZKey,
     ZLaurent,
@@ -146,16 +149,6 @@ class RefPoly:
                 prev = acc.get(k)
                 acc[k] = ca * cb if prev is None else prev + ca * cb
         return RefPoly({k: c for k, c in acc.items() if c})
-
-    def divide_by_monomial(self, key: Key, coeff: Fraction) -> "RefPoly":
-        neg = tuple(-e for e in key)
-        terms: dict[Key, Fraction] = {}
-        for k, c in self.terms.items():
-            new = _addkey(k, neg)
-            if any(e < 0 for e in new[1:]):
-                raise NonDivisible(f"{k} is not divisible by {key}")
-            terms[new] = c / coeff
-        return RefPoly(terms)
 
     def partial(self, index: int) -> "RefPoly":
         terms: dict[Key, Fraction] = {}
@@ -733,6 +726,79 @@ def _ratio_coeff(l: int) -> MomentPoly:
     return MomentPoly.monomial((-1,) + (0,) * l + (1,))
 
 
+def collect(obj: ZLaurent, var: int) -> dict[int, ZLaurent]:
+    """Group the terms of ``obj`` by the exponent of ``z_var``; values drop that variable."""
+    if obj.nvars < 2:
+        raise RingError("collect needs at least two variables; use terms directly")
+    out: dict[int, ZLaurent] = {}
+    for key, coeff in obj.terms.items():
+        e = key[var]
+        rest = key[:var] + key[var + 1:]
+        bucket = out.get(e)
+        if bucket is None:
+            bucket = ZLaurent(obj.nvars - 1)
+            out[e] = bucket
+        prev = bucket.terms.get(rest)
+        bucket.terms[rest] = coeff if prev is None else prev + coeff
+    for e in list(out):
+        out[e].terms = {k: c for k, c in out[e].terms.items() if not c.is_zero}
+        if not out[e].terms:
+            del out[e]
+    return out
+
+
+def _synthetic_divide(num: ZLaurent, factor: FactorKey) -> ZLaurent | None:
+    """Exact quotient ``num / (z_i + sign*z_j)`` or ``None`` when not divisible."""
+    i, j, sign = factor
+    if num.is_zero:
+        return num
+    if num.nvars == 1:
+        raise RingError("pair factors need at least two variables")
+    by_exp = collect(num, i)
+    lo = min(by_exp)
+    hi = max(by_exp)
+    # view as a polynomial of degree (hi - lo) in z_i; divide by (z_i - root),
+    # root = -sign * z_j, which multiplies by z_j in the coefficient ring
+    jj = j if j < i else j - 1  # slot of z_j once z_i is removed
+    zero = ZLaurent.zero(num.nvars - 1)
+    quotient: dict[int, ZLaurent] = {}
+    carry = zero
+    for e in range(hi, lo, -1):
+        carry = by_exp.get(e, zero) + carry
+        quotient[e - 1] = carry
+        # multiply by root for the next column: -sign * z_j
+        carry = carry.shift(jj, 1).scale(Fraction(-sign))
+    remainder = by_exp.get(lo, zero) + carry
+    if not remainder.is_zero:
+        return None
+    out = ZLaurent(num.nvars)
+    terms: dict[ZKey, MomentPoly] = {}
+    for e, part in quotient.items():
+        for rest, coeff in part.terms.items():
+            terms[rest[:i] + (e,) + rest[i:]] = coeff
+    out.terms = terms
+    return out
+
+
+def reduce(obj: ZRational) -> ZLaurent | ZRational:
+    """Cancel the denominator factors of ``obj`` that divide its numerator exactly."""
+    num = obj.num
+    den: dict[FactorKey, int] = {}
+    for factor, power in obj.den.items():
+        remaining = power
+        while remaining:
+            quotient = _synthetic_divide(num, factor)
+            if quotient is None:
+                break
+            num = quotient
+            remaining -= 1
+        if remaining:
+            den[factor] = remaining
+    if not den:
+        return num
+    return ZRational(num, den)
+
+
 def multipass_create(obj: MomentPoly | ZLaurent | ZRational) -> ZLaurent | ZRational:
     """Boundary creation, one more variable appended as the last slot, in ring arithmetic."""
     if isinstance(obj, MomentPoly):
@@ -776,7 +842,7 @@ def multipass_create(obj: MomentPoly | ZLaurent | ZRational) -> ZLaurent | ZRati
     total = low.embed(positions, n + 1).shift(n, -3)
     for high in highs:
         total = total + high
-    return total.reduce() if rational else total
+    return reduce(total) if rational else total
 
 
 def annihilate(obj: ZLaurent) -> ZLaurent | MomentPoly:

@@ -19,6 +19,7 @@ from oracles import (
     multipass_create,
     render_z_by_key,
 )
+from taulap import boundary
 from taulap.boundary import (
     OutOfFloatRange,
     UnsupportedExponent,
@@ -95,6 +96,17 @@ def test_kernel_rules() -> None:
 
 def test_diagonal_planar() -> None:
     assert diagonal(0) == ZLaurent(1, {(-4,): 1})
+    # 4 / (z1 z2 (z1 + z2)^2) at z1 = z2 = z is z^-4
+    for z in (F(1), F(-3, 2), F(7, 5)):
+        assert evaluate_full(diagonal(0), [z], {}) == evaluate_full(planar_pair(), [z, z], {})
+
+
+def test_diagonal_never_writes_the_pair_out(monkeypatch) -> None:
+    def refuse(g, boundaries):
+        raise AssertionError("diagonal wrote a correlator out")
+
+    monkeypatch.setattr(boundary, "correlator", refuse)
+    assert diagonal(5) == correlator(5, 2).identify(0, 1)
 
 
 # -- operator algebra ------------------------------------------------------------

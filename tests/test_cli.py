@@ -81,6 +81,14 @@ def test_tau_domain_error(capsys):
     assert "error:" in err
 
 
+def test_tau_error_names_the_offending_indices(capsys):
+    code, _, err = run(capsys, "tau", "--indices", "2,-3")
+    assert (code, err.strip()) == (1, "error: indices must be nonnegative, got -3")
+    code, _, err = run(capsys, "tau", "--indices", "0,2,3")
+    assert code == 1
+    assert err.strip().endswith("outside the stable-range table computed here, got 0")
+
+
 def test_coeffs(capsys):
     code, out, _ = run(capsys, "coeffs", "--family", "S", "--mmax", "2")
     assert code == 0

@@ -131,12 +131,15 @@ def test_one_point_genus_bound():
 
 
 def test_pair_diagonal_matches_boundary_route():
-    for g in range(0, 4):
-        local = pair_diagonal(g)
+    """The orbit-read diagonal equals the recursion's, and ``G_{g,2}`` written out and identified."""
+    for g in range(0, 8):
         other = diagonal(g)
-        if isinstance(other, ZRational):
-            other = other.reduce()
-        assert local.terms == other.terms
+        assert isinstance(other, ZLaurent)
+        assert pair_diagonal(g).terms == other.terms, g
+        if g:
+            written = correlator(g, 2).identify(0, 1)
+            assert other.terms == written.terms, g
+            assert list(other.terms) == list(written.terms), g
 
 
 # ---------------------------------------------------------------------------
@@ -157,10 +160,7 @@ def test_one_point_residual_matches_ring_sums_on_corrupted_input(monkeypatch):
 
     monkeypatch.setattr(recursion, "correlator", corrupted)
     for g in range(2, 6):
-        diag = diagonal(g - 1)
-        if isinstance(diag, ZRational):
-            diag = diag.reduce()
-        want = kernel_op(corrupted(g, 1), 0) + diag.scale(2)
+        want = kernel_op(corrupted(g, 1), 0) + diagonal(g - 1).scale(2)
         for h in range(1, g):
             want = want + (corrupted(h, 1) * corrupted(g - h, 1)).scale(F(1, 2))
         got = one_point_residual(g)

