@@ -2,11 +2,7 @@
 
 from taulap.ring import (
     CoincidentPoints,
-    LogProduct,
-    LogSubstitution,
-    LogTerm,
     MomentPoly,
-    NonDivisible,
     NonUnitSubstitution,
     NotHomogeneous,
     Rational,
@@ -20,11 +16,7 @@ from taulap.ring import (
 
 __all__ = [
     "CoincidentPoints",
-    "LogProduct",
-    "LogSubstitution",
-    "LogTerm",
     "MomentPoly",
-    "NonDivisible",
     "NonUnitSubstitution",
     "NotHomogeneous",
     "Rational",

@@ -2,7 +2,9 @@
 
 A correlator with ``B`` boundaries is a Laurent object in ``z_1 .. z_B`` with
 moment-polynomial coefficients (a rational object with a ``(z_1 + z_2)``
-pole for the planar pair). Chains are built by the boundary creation
+pole for the planar pair). Chains grow from two literal seeds, ``G_{0,3}``
+and ``G_{1,1}`` (the initial data of topological recursion), and from the
+one-boundary correlators of ``F_g`` for ``g >= 2``, by the boundary creation
 operator:
 
 * ``create``      -- the one-boundary correlator of a free energy (the
@@ -33,10 +35,10 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 from itertools import product
-from math import isqrt, lcm
+from math import isqrt
 from typing import Iterator, Mapping, Sequence
 
-from taulap.laplacian import GenusOutOfRange, genus_one, stable_partition
+from taulap.laplacian import GenusOutOfRange, stable_partition
 from taulap.ring import (
     CoincidentPoints,
     Key,
@@ -97,14 +99,8 @@ def _lowered_ratio(key: Key, l: int) -> Key:
 
 
 def number_operator(p: MomentPoly) -> MomentPoly:
-    """``-sum_l r_l d/dr_l``: eigenvalue ``-(e0 + sum e_k)`` per monomial.
-
-    On ``c log(unit)`` it gives the constant ``-c``.
-    """
-    out = MomentPoly.from_numerators({k: -sum(k) * n for k, n in p.nums.items()}, p.den)
-    if p.log_coeff:
-        out = out - p.log_coeff
-    return out
+    """``-sum_l r_l d/dr_l``: eigenvalue ``-(e0 + sum e_k)`` per monomial."""
+    return MomentPoly.from_numerators({k: -sum(k) * n for k, n in p.nums.items()}, p.den)
 
 
 def number_operator_z(obj: ZLaurent) -> ZLaurent:
@@ -164,10 +160,13 @@ def _planar_triple() -> dict[ZKey, MomentPoly]:
     return {(-3, -3, -3): MomentPoly.from_numerators({(-1,): -32})}
 
 
-def _stored_free_energy(g: int) -> MomentPoly:
-    if g == 1:
-        return genus_one()
-    return stable_partition("rho").f(g)
+def _genus_one_point() -> dict[ZKey, MomentPoly]:
+    """``G_{1,1} = 2 r1 / (r0^2 z^3) - 2 / (r0 z^5)`` by its two orbits.
+
+    It is 16 times the creation image of ``F_1 = -log(r0) / 24``.
+    """
+    return {(-3,): MomentPoly.from_numerators({(-2, 1): 2}),
+            (-5,): MomentPoly.from_numerators({(-1,): -2})}
 
 
 def _orbit_key(key: ZKey) -> ZKey:
@@ -183,23 +182,13 @@ def _orbit_key(key: ZKey) -> ZKey:
     return key
 
 
-def _over_log(poly: MomentPoly, factor: int) -> tuple[int, int, int]:
-    """``(den, mult, c)``: ``factor * poly`` over ``den``.
-
-    Its numerators are ``mult * poly.nums``, and ``c`` is its log coefficient.
-    """
-    den = lcm(poly.den, poly.log_coeff.denominator)
-    return den, den // poly.den * factor, int(poly.log_coeff * den) * factor
-
-
 def _create_orbits(orbits: Mapping[ZKey, MomentPoly], factor: int) -> dict[ZKey, MomentPoly]:
     """Boundary creation on a symmetric correlator given by its orbits, times ``factor``.
 
     Creation appends a variable ``z_new``. A term ``c r^K`` emits, for every
     moment index ``l`` with ``K[l] != 0``, its derivative ``d = K[l] c r^K /
     r_l`` as ``-(3+2l) (r_{l+1}/r_0) d z_new^-3`` (the low block of ``l``) and
-    as ``(3+2l) d z_new^(-5-2l)`` (the high block); a genus-one ``c log r_0``
-    enters at ``l = 0`` as ``d = c / r_0``. Each ``z_i`` derivative adds
+    as ``(3+2l) d z_new^(-5-2l)`` (the high block). Each ``z_i`` derivative adds
     ``E[i] c (r^K / r_0) z^E z_i^-2 z_new^-3``.
 
     The result is symmetric too, so the coefficient of an output orbit ``mu``
@@ -218,40 +207,33 @@ def _create_orbits(orbits: Mapping[ZKey, MomentPoly], factor: int) -> dict[ZKey,
     cancels is deleted at once, so a term that comes back lands last.
     """
     width = max((len(k) for poly in orbits.values() for k in poly.nums), default=0)
-    if any(poly.log_coeff for poly in orbits.values()):
-        width = max(width, 1)
     out: dict[ZKey, MomentPoly] = {}
     for key, poly in orbits.items():
         if set(_orbit_key(key)) <= {-3}:
-            den, mult, log = _over_log(poly, factor)
             acc: dict[Key, int] = {}
             for l in range(width):
-                scale = -(3 + 2 * l) * mult
-                pieces = [(_lowered_ratio(k, l), scale * k[l] * n)
-                          for k, n in poly.nums.items() if l < len(k) and k[l]]
-                if log and not l:
-                    pieces.append(((-2, 1), -3 * log))
-                for low, v in pieces:
-                    v += acc.get(low, 0)
-                    if v:
-                        acc[low] = v
-                    else:
-                        del acc[low]
+                scale = -(3 + 2 * l) * factor
+                for k, n in poly.nums.items():
+                    if l < len(k) and k[l]:
+                        low = _lowered_ratio(k, l)
+                        v = acc.get(low, 0) + scale * k[l] * n
+                        if v:
+                            acc[low] = v
+                        else:
+                            del acc[low]
             if acc:
-                out[key + (-3,)] = MomentPoly.from_numerators(acc, den)
+                out[key + (-3,)] = MomentPoly.from_numerators(acc, poly.den)
     for key, poly in orbits.items():
-        den, mult, log = _over_log(poly, factor)
         # the new part must be the largest part below -3 of the output orbit
         below = [e for e in key if e < -3]
         top = width if not below else min(width, (-below[-1] - 3) // 2)
         for l in range(top):
-            scale = (3 + 2 * l) * mult
+            scale = (3 + 2 * l) * factor
             nums = {_lowered(k, l): scale * k[l] * n
                     for k, n in poly.nums.items() if l < len(k) and k[l]}
-            if log and not l:
-                nums[(-1,)] = 3 * log
             if nums:
-                out[tuple(sorted(key + (-5 - 2 * l,)))] = MomentPoly.from_numerators(nums, den)
+                out[tuple(sorted(key + (-5 - 2 * l,)))] = MomentPoly.from_numerators(
+                    nums, poly.den)
     return out
 
 
@@ -259,7 +241,7 @@ def create(p: MomentPoly, factor: int = 1) -> ZLaurent:
     """The one-boundary correlator of ``p``, times the integer ``factor``.
 
     The creation step from no boundary (``_create_orbits`` on the empty
-    orbit); ``_orbits`` passes ``F_g`` and ``2^{4g}`` here.
+    orbit); ``_orbits`` passes ``F_g`` and ``2^{4g}`` here for ``g >= 2``.
     """
     out = ZLaurent(1)
     out.terms = _create_orbits({(): p}, factor)
@@ -270,15 +252,18 @@ def create(p: MomentPoly, factor: int = 1) -> ZLaurent:
 def _orbits(g: int, boundaries: int) -> dict[ZKey, MomentPoly]:
     """``G_{g,B}`` by orbits: each sorted ``z`` key with its coefficient.
 
-    ``G_{g,1}`` comes from ``create`` and ``G_{0,3}`` is ``_planar_triple``;
-    every further boundary comes from ``_create_orbits``. The planar pair
+    The seeds are the literal ``G_{0,3}`` (``_planar_triple``) and ``G_{1,1}``
+    (``_genus_one_point``); ``G_{g,1}`` for ``g >= 2`` comes from ``create``,
+    and every further boundary from ``_create_orbits``. The planar pair
     ``G_{0,2}`` is no chain of orbits; ``correlator`` stores it as it is.
     """
     if g < 0 or boundaries < 1 or (g == 0 and boundaries < 3):
         raise GenusOutOfRange(f"no stable correlator with labels ({g}, {boundaries})")
+    if (g, boundaries) == (1, 1):
+        return _genus_one_point()
     if boundaries == 1:
-        return create(_stored_free_energy(g), 2 ** (4 * g)).terms
-    if g == 0 and boundaries == 3:
+        return create(stable_partition("rho").f(g), 2 ** (4 * g)).terms
+    if (g, boundaries) == (0, 3):
         return _planar_triple()
     return _create_orbits(_orbits(g, boundaries - 1), 4 if boundaries == 2 else 8)
 

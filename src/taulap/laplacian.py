@@ -1,7 +1,8 @@
 """Genus generating functions from an explicit second-order moment operator.
 
 The stable partition function is an exponential of free energies
-``F_g`` (one per genus ``g >= 2``) and equals
+``F_g`` (one per genus ``g >= 2``; the genus-one ``-log(unit) / 24`` never
+enters, so the ring has no log term) and equals
 ``exp(-Delta + F_2) 1`` for an explicit Laplacian ``Delta`` acting on
 moment polynomials.  Expanding the exponential order by order gives
 
@@ -70,11 +71,6 @@ class GenusOutOfRange(RingError):
 
 class DimensionMismatch(RingError):
     """Intersection-number indices violate the dimension constraint."""
-
-
-def genus_one() -> MomentPoly:
-    """``F_1 = -log(unit) / 24`` (the same in every convention)."""
-    return MomentPoly.log_unit(F(-1, 24))
 
 
 def genus_two_rho() -> MomentPoly:
@@ -266,11 +262,8 @@ def _rows(p: MomentPoly, form: _OperatorTables) -> tuple[dict[int, int], int]:
     is multiplied by, in the order of its first contribution; see
     ``_apply_packed``.
     """
-    log = p.log_coeff
-    bounds = _bounds(list(p.nums) + ([()] if log else []))
+    bounds = _bounds(list(p.nums))
     _check_slots(bounds)
-    den_p = lcm(p.den, log.denominator)
-    mult_p = den_p // p.den
     jobs: dict[tuple[object, ...], list[tuple[int, int]]] = {}
 
     def job(block: tuple[object, ...], code: int, mult: int) -> None:
@@ -283,26 +276,20 @@ def _rows(p: MomentPoly, form: _OperatorTables) -> tuple[dict[int, int], int]:
     for key, n in p.nums.items():
         e0 = key[0] if key else 0
         code = _UNIT_OFFSET + _shift(key)
-        num = n * mult_p
         if e0:
-            job(("c1",), code - 1, num * e0)
+            job(("c1",), code - 1, n * e0)
             if e0 != 1:
-                job(("c2",), code - 2, num * e0 * (e0 - 1))
+                job(("c2",), code - 2, n * e0 * (e0 - 1))
         slots = [(k, e, code - (1 << (_SLOT_BITS * k))) for k, e in enumerate(key) if k and e]
         for i, (k, e, dk) in enumerate(slots):
-            job(("e", k), dk, num * e)
+            job(("e", k), dk, n * e)
             if e0:
-                job(("m", k), dk - 1, num * e * e0)
+                job(("m", k), dk - 1, n * e * e0)
             if e > 1:
-                job(("d", k, k), dk - (1 << (_SLOT_BITS * k)), num * e * (e - 1))
+                job(("d", k, k), dk - (1 << (_SLOT_BITS * k)), n * e * (e - 1))
             for l, f, _ in slots[i + 1:]:
                 # the ordered sum over (k, l) meets every symmetric block twice
-                job(("d", k, l), dk - (1 << (_SLOT_BITS * l)), 2 * num * e * f)
-    if log:
-        # the unit derivative of c log(unit) is c / unit, and its own is -c / unit^2
-        num = int(log * den_p)
-        job(("c1",), _UNIT_OFFSET - 1, num)
-        job(("c2",), _UNIT_OFFSET - 2, -num)
+                job(("d", k, l), dk - (1 << (_SLOT_BITS * l)), 2 * n * e * f)
 
     blocks = {block: form.pieces(block) for block in jobs}
     for _, block_bounds in blocks.values():
@@ -320,7 +307,7 @@ def _rows(p: MomentPoly, form: _OperatorTables) -> tuple[dict[int, int], int]:
             for scale, offset in walk:
                 row = base + offset
                 rows[row] = get(row, 0) + scale * mult
-    return rows, den_p * den_ops
+    return rows, p.den * den_ops
 
 
 def _apply_packed(p: MomentPoly, form: _OperatorTables) -> MomentPoly:

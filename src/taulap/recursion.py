@@ -306,8 +306,3 @@ def dse_residual(g: int, boundaries: int) -> ZRational:
         total = part if total is None else total + part
     assert total is not None
     return total
-
-
-def dse_certify(g: int, boundaries: int) -> bool:
-    """Whether the multi-boundary residual vanishes identically (a symbolic zero)."""
-    return dse_residual(g, boundaries).is_zero

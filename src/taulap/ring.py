@@ -4,8 +4,8 @@ The coefficient ring is generated by one invertible unit (index 0) and
 countably many ordinary moment variables (index 1, 2, ...).  A monomial is a
 dense exponent tuple ``(e0, e1, e2, ...)`` with trailing zeros trimmed;
 ``e0`` may be any integer because the unit is invertible, while ``e_k >= 0``
-for ``k >= 1``.  A polynomial may additionally carry a single ``log(unit)``
-term with a rational coefficient; that is all the genus-one free energy needs.
+for ``k >= 1``. There is no log term: the chain's free energies start at
+genus two, and the genus-one correlator is a literal seed in ``boundary``.
 
 A polynomial stores its coefficients as integer numerators over one positive
 denominator (``MomentPoly.nums`` and ``MomentPoly.den``). Arithmetic runs on
@@ -49,28 +49,12 @@ class RingError(ValueError):
     """Base class for arithmetic domain errors raised by this package."""
 
 
-class NonDivisible(RingError):
-    """Exact division was requested but the divisor does not divide."""
-
-
-class LogProduct(RingError):
-    """A product would require powers or products of log terms."""
-
-
-class LogTerm(RingError):
-    """The operation does not support polynomials with a log term."""
-
-
 class NotHomogeneous(RingError):
     """A single weight was requested from a mixed-weight polynomial."""
 
 
 class NonUnitSubstitution(RingError):
     """The unit variable was bound to a non-invertible value."""
-
-
-class LogSubstitution(RingError):
-    """A log term cannot be evaluated at this unit value."""
 
 
 class UnknownVariable(RingError):
@@ -205,13 +189,9 @@ class MomentPoly:
     stored, and the dict keeps the order in which the keys first appeared.
     """
 
-    __slots__ = ("nums", "den", "log_coeff")
+    __slots__ = ("nums", "den")
 
-    def __init__(
-        self,
-        terms: Mapping[Key, object] | None = None,
-        log_coeff: object = 0,
-    ) -> None:
+    def __init__(self, terms: Mapping[Key, object] | None = None) -> None:
         clean: dict[Key, Fraction] = {}
         if terms:
             for raw_key, raw_coeff in terms.items():
@@ -234,15 +214,12 @@ class MomentPoly:
         den = lcm(*(c.denominator for c in clean.values()))
         self.nums = {k: c.numerator * (den // c.denominator) for k, c in clean.items()}
         self.den = den
-        self.log_coeff = log_coeff if type(log_coeff) is Fraction else Fraction(log_coeff)  # type: ignore[arg-type]
 
     # -- constructors ------------------------------------------------------
 
     @classmethod
-    def from_numerators(
-        cls, nums: Mapping[Key, int], den: int = 1, log_coeff: object = _ZERO
-    ) -> "MomentPoly":
-        """``sum_k nums[k] / den * x^k + log_coeff * log(unit)``, reduced by one gcd.
+    def from_numerators(cls, nums: Mapping[Key, int], den: int = 1) -> "MomentPoly":
+        """``sum_k nums[k] / den * x^k``, reduced by one gcd.
 
         Keys must be trimmed, with nonnegative variable exponents, and ``den``
         must be positive. Zero numerators are dropped; the rest keep their order.
@@ -255,7 +232,6 @@ class MomentPoly:
         out = cls.__new__(cls)
         out.nums = nums
         out.den = den
-        out.log_coeff = log_coeff if type(log_coeff) is Fraction else Fraction(log_coeff)  # type: ignore[arg-type]
         return out
 
     @classmethod
@@ -287,11 +263,6 @@ class MomentPoly:
         """The unit raised to any (possibly negative) integer power."""
         return cls({(power,): 1})
 
-    @classmethod
-    def log_unit(cls, coeff: object = 1) -> "MomentPoly":
-        """``coeff * log(unit)``."""
-        return cls(None, log_coeff=coeff)
-
     # -- structure ---------------------------------------------------------
 
     @property
@@ -302,24 +273,19 @@ class MomentPoly:
 
     @property
     def is_zero(self) -> bool:
-        return not self.nums and not self.log_coeff
+        return not self.nums
 
     @property
     def is_constant(self) -> bool:
-        return not self.log_coeff and all(not k for k in self.nums)
+        return all(not k for k in self.nums)
 
     def constant_value(self) -> Fraction:
-        if self.log_coeff:
-            raise LogTerm("a log term is not a constant")
         if any(k for k in self.nums):
             raise RingError(f"not a constant polynomial: {self!r}")
         return Fraction(self.nums.get((), 0), self.den)
 
     def weights(self) -> set[int]:
-        out = {monomial_weight(k) for k in self.nums}
-        if self.log_coeff:
-            out.add(0)
-        return out
+        return {monomial_weight(k) for k in self.nums}
 
     def weight(self) -> int:
         """The common weight of all terms; ``NotHomogeneous`` if they differ."""
@@ -337,8 +303,6 @@ class MomentPoly:
             for l, e in enumerate(key):
                 if e:
                     out.add(l)
-        if self.log_coeff:
-            out.add(0)
         return out
 
     # -- arithmetic --------------------------------------------------------
@@ -350,15 +314,14 @@ class MomentPoly:
         other = _as_poly(other)
         if other is None:
             return NotImplemented
-        return (self.nums == other.nums and self.den == other.den
-                and self.log_coeff == other.log_coeff)
+        return self.nums == other.nums and self.den == other.den
 
     def __hash__(self) -> int:
-        return hash((frozenset(self.nums.items()), self.den, self.log_coeff))
+        return hash((frozenset(self.nums.items()), self.den))
 
     def __neg__(self) -> "MomentPoly":
         return MomentPoly.from_numerators(
-            {k: -n for k, n in self.nums.items()}, self.den, -self.log_coeff)
+            {k: -n for k, n in self.nums.items()}, self.den)
 
     def __add__(self, other: object) -> "MomentPoly":
         """The sum; a key whose coefficient cancels is deleted at once."""
@@ -374,7 +337,7 @@ class MomentPoly:
                 nums[key] = total
             else:
                 del nums[key]
-        return MomentPoly.from_numerators(nums, den, self.log_coeff + other.log_coeff)
+        return MomentPoly.from_numerators(nums, den)
 
     __radd__ = __add__
 
@@ -397,7 +360,7 @@ class MomentPoly:
         num = factor.numerator
         return MomentPoly.from_numerators(
             {k: n * num for k, n in self.nums.items()},
-            self.den * factor.denominator, self.log_coeff * factor)
+            self.den * factor.denominator)
 
     def __mul__(self, other: object) -> "MomentPoly":
         """The product; keys keep the order of first appearance, cancelled ones are dropped."""
@@ -409,8 +372,6 @@ class MomentPoly:
             return self.scale(other.constant_value())
         if self.is_constant:
             return other.scale(self.constant_value())
-        if self.log_coeff or other.log_coeff:
-            raise LogProduct("cannot multiply log terms by non-constant polynomials")
         acc: dict[Key, int] = {}
         get = acc.get
         theirs = list(other.nums.items())
@@ -439,17 +400,13 @@ class MomentPoly:
             else:
                 new = key[:index] + (e - 1,) + key[index + 1:]
             nums[_trim(new)] = n * e
-        out = MomentPoly.from_numerators(nums, self.den)
-        if index == 0 and self.log_coeff:
-            out = out + MomentPoly.monomial((-1,), self.log_coeff)
-        return out
+        return MomentPoly.from_numerators(nums, self.den)
 
     def substitute(self, values: Mapping[int, object]) -> object:
         """Evaluate at numeric moment values (index -> value).
 
         Values may be exact rationals or floats; the unit (index 0) must be
-        nonzero whenever it occurs with a negative power, and a log term is
-        only evaluable when the unit is bound to exactly 1. Each term starts
+        nonzero whenever it occurs with a negative power. Each term starts
         from its Fraction coefficient and the terms are summed in stored order.
         """
         total: object = None
@@ -466,11 +423,6 @@ class MomentPoly:
                     raise NonUnitSubstitution("the unit must be bound to a nonzero value")
                 part = part * base**e
             total = part if total is None else total + part
-        if self.log_coeff:
-            if 0 not in values:
-                raise UnknownVariable("no value bound for the unit")
-            if values[0] != 1:
-                raise LogSubstitution("log terms evaluate only at unit value 1")
         if total is None:
             return _ZERO
         return total
@@ -551,7 +503,7 @@ def convert(poly: MomentPoly, src: str, dst: str) -> MomentPoly:
     common = lcm(*(down for _, down in factors))
     nums = {key: n * up * (common // down)
             for (key, n), (up, down) in zip(poly.nums.items(), factors)}
-    return MomentPoly.from_numerators(nums, poly.den * common, poly.log_coeff)
+    return MomentPoly.from_numerators(nums, poly.den * common)
 
 
 def _padded_sort_key(key: Key, width: int) -> tuple:
@@ -601,8 +553,6 @@ def render_terms(
     ``Fraction`` over the polynomial's denominator.
     """
     out: list[tuple[str, str]] = []
-    if poly.log_coeff:
-        out.append((f"log({unit_symbol(convention)})", format_rational(poly.log_coeff)))
     den = poly.den
     for key, n in _ordered_nums(poly):
         if normalized:
@@ -626,9 +576,6 @@ def _joined(parts: Iterable[tuple[bool, str]]) -> str:
 
 
 def _signed_terms(poly: MomentPoly, convention: str) -> Iterator[tuple[bool, str]]:
-    if poly.log_coeff:
-        c = poly.log_coeff
-        yield c < 0, f"{format_rational(abs(c))}*log({unit_symbol(convention)})"
     den = poly.den
     for key, n in _ordered_nums(poly):
         mono = render_monomial(key, convention)
@@ -671,8 +618,6 @@ class ZLaurent:
                 if len(key) != nvars:
                     raise RingError(f"exponent key {key} does not have {nvars} entries")
                 coeff = raw_coeff if isinstance(raw_coeff, MomentPoly) else MomentPoly.constant(raw_coeff)  # type: ignore[arg-type]
-                if coeff.log_coeff:
-                    raise LogTerm("boundary-variable coefficients must be log-free")
                 if coeff.is_zero:
                     continue
                 prev = clean.get(key)
@@ -746,8 +691,6 @@ class ZLaurent:
         """Multiply every coefficient by a moment polynomial or scalar."""
         if not isinstance(factor, MomentPoly):
             factor = MomentPoly.constant(factor)
-        if factor.log_coeff:
-            raise LogTerm("boundary-variable coefficients must be log-free")
         out = ZLaurent(self.nvars)
         if factor.is_zero:
             return out

@@ -39,10 +39,9 @@ argument uses; ``r_0`` is the unit and ``[a, b, ...]`` stands for
 ``B_0`` is zero. One emitter applies a table to a polynomial monomial by
 monomial, as integer numerators over one denominator: ``d_k`` of
 ``c x^K`` is ``K_k c x^(K-e_k)``, ``d_k d_l`` is ``K_k (K_l - [k=l]) c
-x^(K-e_k-e_l)``, and a log term follows ``d_0 (c log r0) = c/r0``. A
-piece with no derivative cannot multiply a log term (``LogProduct``).
-The emitter's key order differs from that of a sum of ring products; only
-``==`` and ``is_zero`` read its results.
+x^(K-e_k-e_l)``; the series has no genus-one term, so there is no log term
+to differentiate. The emitter's key order differs from that of a sum of ring
+products; only ``==`` and ``is_zero`` read its results.
 """
 
 from __future__ import annotations
@@ -52,7 +51,7 @@ from functools import lru_cache
 from math import lcm
 
 from taulap.laplacian import stable_partition
-from taulap.ring import Key, LogProduct, MomentPoly, RingError, _addkey, _lowered, _trim
+from taulap.ring import Key, MomentPoly, RingError, _addkey, _lowered, _trim
 
 # a table of pieces, each a shift key mapped to its scalar over 64: the d_k
 # pieces by k, the d_k d_l pieces by k and then l >= k, and those with no
@@ -128,8 +127,7 @@ def _table(part: str, n: int, width: int) -> Table:
 
 def _width(*polys: MomentPoly) -> int:
     """One more than the largest variable index the polynomials use (the unit counts)."""
-    return max((len(k) for p in polys for k in p.nums), default=0) or int(
-        any(p.log_coeff for p in polys))
+    return max((len(k) for p in polys for k in p.nums), default=0)
 
 
 def _emit(acc: dict[Key, int], table: Table, p: MomentPoly, mult: int, den: int) -> None:
@@ -169,20 +167,11 @@ def _emit(acc: dict[Key, int], table: Table, p: MomentPoly, mult: int, den: int)
         for shift, s in zero.items():
             out = _addkey(key, shift)
             acc[out] = get(out, 0) + s * n
-    if p.log_coeff:
-        # every table with a d_0 d_0 piece (B_1, B_2, B_3) has pieces with no
-        # derivative, so a log term only meets the d_0 pieces: d_0 (c log r0) = c / r0
-        if zero:
-            raise LogProduct("cannot multiply log terms by non-constant polynomials")
-        n = int(p.log_coeff * den) * mult
-        for shift, s in first.get(0, {}).items():
-            out = _addkey((-1,), shift)
-            acc[out] = get(out, 0) + s * n
 
 
 def _apply(terms: list[tuple[int, Table, MomentPoly]], over: int = 1) -> MomentPoly:
     """``sum mult * op(p) / over`` over ``(mult, table of 64 op, p)``, in one integer accumulator."""
-    den = lcm(*(p.den for _, _, p in terms), *(p.log_coeff.denominator for _, _, p in terms))
+    den = lcm(*(p.den for _, _, p in terms))
     acc: dict[Key, int] = {}
     for mult, table, p in terms:
         _emit(acc, table, p, mult, den)

@@ -23,7 +23,10 @@ creation in ring arithmetic and ``annihilate`` its lowering map, the pair
 whose composition is the grading; ``reduce`` cancels the pair factors that
 divide a rational object's numerator (by ``_synthetic_divide`` on the
 ``collect``ed columns), which turns the created planar pair into
-``G_{0,3}/8``. ``correlator_by_create`` is the correlator
+``G_{0,3}/8``. ``create_from_gradient`` is the one-boundary creation of a
+free energy given by its gradient, which is how ``genus_one_gradient``
+gives ``F_1 = -log(r0) / 24`` in a ring without a log term; 16 times its
+image is ``G_{1,1}``. ``correlator_by_create`` is the correlator
 chain in full form, one ``multipass_create`` per boundary with every ``z``
 key built on its own; ``full_form_values`` evaluates a full-form object term
 by term and ``grouped_by_full_form`` adds the grouped weights: the references
@@ -44,19 +47,19 @@ from math import factorial, lcm
 from typing import Iterable, Mapping, Sequence
 
 from taulap.bell import resolvent_coefficient
-from taulap.boundary import _orbits, _stored_free_energy, planar_pair
+from taulap.boundary import _orbits, planar_pair
 from taulap.laplacian import (
     _add_bounds,
     _bounds,
     _check_slots,
     _OperatorTables,
+    stable_partition,
 )
 from taulap.ring import (
     _SLOT_BITS,
     _UNIT_OFFSET,
     CoincidentPoints,
     FactorKey,
-    LogProduct,
     MomentPoly,
     RingError,
     ZKey,
@@ -94,23 +97,22 @@ def _addkey(a: Key, b: Key) -> Key:
 
 
 class RefPoly:
-    """``terms`` (key -> nonzero Fraction, in insertion order) plus ``log_coeff * log(unit)``."""
+    """``terms``: key -> nonzero Fraction, in insertion order."""
 
-    __slots__ = ("terms", "log_coeff")
+    __slots__ = ("terms",)
 
-    def __init__(self, terms: dict[Key, Fraction], log_coeff: Fraction = Fraction(0)) -> None:
+    def __init__(self, terms: dict[Key, Fraction]) -> None:
         self.terms = terms
-        self.log_coeff = log_coeff
 
     @classmethod
     def of(cls, p: MomentPoly) -> "RefPoly":
-        return cls(p.terms, p.log_coeff)
+        return cls(p.terms)
 
     def _is_constant(self) -> bool:
-        return not self.log_coeff and all(not k for k in self.terms)
+        return all(not k for k in self.terms)
 
     def __neg__(self) -> "RefPoly":
-        return RefPoly({k: -c for k, c in self.terms.items()}, -self.log_coeff)
+        return RefPoly({k: -c for k, c in self.terms.items()})
 
     def __add__(self, other: "RefPoly") -> "RefPoly":
         terms = dict(self.terms)
@@ -124,7 +126,7 @@ class RefPoly:
                     terms[key] = total
                 else:
                     del terms[key]
-        return RefPoly(terms, self.log_coeff + other.log_coeff)
+        return RefPoly(terms)
 
     def __sub__(self, other: "RefPoly") -> "RefPoly":
         return self + (-other)
@@ -133,15 +135,13 @@ class RefPoly:
         factor = Fraction(factor)  # type: ignore[arg-type]
         if not factor:
             return RefPoly({})
-        return RefPoly({k: c * factor for k, c in self.terms.items()}, self.log_coeff * factor)
+        return RefPoly({k: c * factor for k, c in self.terms.items()})
 
     def __mul__(self, other: "RefPoly") -> "RefPoly":
         if other._is_constant():
             return self.scale(other.terms.get((), Fraction(0)))
         if self._is_constant():
             return other.scale(self.terms.get((), Fraction(0)))
-        if self.log_coeff or other.log_coeff:
-            raise LogProduct("cannot multiply log terms by non-constant polynomials")
         acc: dict[Key, Fraction] = {}
         for ka, ca in self.terms.items():
             for kb, cb in other.terms.items():
@@ -159,13 +159,7 @@ class RefPoly:
             new = _trim(key[:index] + (e - 1,) + key[index + 1:])
             prev = terms.get(new)
             terms[new] = coeff * e if prev is None else prev + coeff * e
-        out = RefPoly({k: c for k, c in terms.items() if c})
-        if index == 0 and self.log_coeff:
-            key = (-1,)
-            out.terms[key] = out.terms.get(key, Fraction(0)) + self.log_coeff
-            if not out.terms[key]:
-                del out.terms[key]
-        return out
+        return RefPoly({k: c for k, c in terms.items() if c})
 
     def convert(self, src: str, dst: str) -> "RefPoly":
         if src == dst:
@@ -177,7 +171,7 @@ class RefPoly:
                 if l and e:
                     factor *= (convention_scale(dst, l) / convention_scale(src, l)) ** e
             terms[key] = coeff * factor
-        return RefPoly(terms, self.log_coeff)
+        return RefPoly(terms)
 
     def substitute(self, values: dict[int, object]) -> object:
         """Term by term from each Fraction coefficient, summed in insertion order."""
@@ -459,11 +453,8 @@ def ungrouped_apply(p: MomentPoly, form: _OperatorTables) -> MomentPoly:
     """
     if p.is_zero:
         return MomentPoly.zero()
-    log = p.log_coeff
-    bounds = _bounds(list(p.nums) + ([()] if log else []))
+    bounds = _bounds(list(p.nums))
     _check_slots(bounds)
-    den_p = lcm(p.den, log.denominator)
-    mult_p = den_p // p.den
     jobs: dict[tuple[object, ...], list[tuple[int, int]]] = {}
 
     def job(block: tuple[object, ...], code: int, mult: int) -> None:
@@ -476,26 +467,20 @@ def ungrouped_apply(p: MomentPoly, form: _OperatorTables) -> MomentPoly:
     for key, n in p.nums.items():
         e0 = key[0] if key else 0
         code = _UNIT_OFFSET + _shift(key)
-        num = n * mult_p
         if e0:
-            job(("c1",), code - 1, num * e0)
+            job(("c1",), code - 1, n * e0)
             if e0 != 1:
-                job(("c2",), code - 2, num * e0 * (e0 - 1))
+                job(("c2",), code - 2, n * e0 * (e0 - 1))
         slots = [(k, e, code - (1 << (_SLOT_BITS * k))) for k, e in enumerate(key) if k and e]
         for i, (k, e, dk) in enumerate(slots):
-            job(("e", k), dk, num * e)
+            job(("e", k), dk, n * e)
             if e0:
-                job(("m", k), dk - 1, num * e * e0)
+                job(("m", k), dk - 1, n * e * e0)
             if e > 1:
-                job(("d", k, k), dk - (1 << (_SLOT_BITS * k)), num * e * (e - 1))
+                job(("d", k, k), dk - (1 << (_SLOT_BITS * k)), n * e * (e - 1))
             for l, f, _ in slots[i + 1:]:
                 # the ordered sum over (k, l) meets every symmetric block twice
-                job(("d", k, l), dk - (1 << (_SLOT_BITS * l)), 2 * num * e * f)
-    if log:
-        # the unit derivative of c log(unit) is c / unit, and its own is -c / unit^2
-        num = int(log * den_p)
-        job(("c1",), _UNIT_OFFSET - 1, num)
-        job(("c2",), _UNIT_OFFSET - 2, -num)
+                job(("d", k, l), dk - (1 << (_SLOT_BITS * l)), 2 * n * e * f)
 
     blocks = {block: form.pieces(block) for block in jobs}
     for _, block_bounds in blocks.values():
@@ -516,7 +501,7 @@ def ungrouped_apply(p: MomentPoly, form: _OperatorTables) -> MomentPoly:
                     code = start + s
                     acc[code] = get(code, 0) + factor * c
     return MomentPoly.from_numerators(
-        {_unpack(code): v for code, v in acc.items() if v}, den_p * den_ops)
+        {_unpack(code): v for code, v in acc.items() if v}, p.den * den_ops)
 
 
 # -- the validation operators as sums of ring products ---------------------------
@@ -799,28 +784,44 @@ def reduce(obj: ZRational) -> ZLaurent | ZRational:
     return ZRational(num, den)
 
 
+def create_from_gradient(gradient: Mapping[int, MomentPoly]) -> ZLaurent:
+    """The one-boundary creation image of a free energy given by its gradient.
+
+    ``gradient[l]`` is ``dF/dr_l``; each nonzero one adds ``-(3+2l) (r_{l+1} /
+    r_0) dF/dr_l z^-3`` and ``(3+2l) dF/dr_l z^(-5-2l)``, for ascending ``l``.
+    The gradient, not ``F`` itself, is what the genus-one energy ``-log(r0) /
+    24`` gives in a ring without a log term: ``{0: -1 / (24 r0)}``.
+    """
+    acc: dict[tuple[int, ...], MomentPoly] = {}
+
+    def _add(exp: int, poly: MomentPoly) -> None:
+        prev = acc.get((exp,))
+        total = poly if prev is None else prev + poly
+        if total.is_zero:
+            acc.pop((exp,), None)
+        else:
+            acc[(exp,)] = total
+
+    for l in sorted(gradient):
+        dp = gradient[l]
+        if dp.is_zero:
+            continue
+        _add(-3, dp * _ratio_coeff(l).scale(-(3 + 2 * l)))
+        _add(-5 - 2 * l, dp.scale(3 + 2 * l))
+    out = ZLaurent(1)
+    out.terms = acc
+    return out
+
+
+def genus_one_gradient() -> dict[int, MomentPoly]:
+    """``dF_1/dr_l`` for ``F_1 = -log(r0) / 24``: only ``l = 0``, ``-1 / (24 r0)``."""
+    return {0: MomentPoly.monomial((-1,), Fraction(-1, 24))}
+
+
 def multipass_create(obj: MomentPoly | ZLaurent | ZRational) -> ZLaurent | ZRational:
     """Boundary creation, one more variable appended as the last slot, in ring arithmetic."""
     if isinstance(obj, MomentPoly):
-        acc: dict[tuple[int, ...], MomentPoly] = {}
-
-        def _add(exp: int, poly: MomentPoly) -> None:
-            prev = acc.get((exp,))
-            total = poly if prev is None else prev + poly
-            if total.is_zero:
-                acc.pop((exp,), None)
-            else:
-                acc[(exp,)] = total
-
-        for l in _moment_indices(obj):
-            dp = obj.partial(l)
-            if dp.is_zero:
-                continue
-            _add(-3, dp * _ratio_coeff(l).scale(-(3 + 2 * l)))
-            _add(-5 - 2 * l, dp.scale(3 + 2 * l))
-        out = ZLaurent(1)
-        out.terms = acc
-        return out
+        return create_from_gradient({l: obj.partial(l) for l in _moment_indices(obj)})
     # the z_new^-3 part is summed in the input's variables, then placed once
     n = obj.nvars
     positions = list(range(n))
@@ -877,8 +878,10 @@ def correlator_by_create(g: int, boundaries: int) -> ZLaurent | ZRational:
     """``G_{g,B}`` by one ``multipass_create`` per boundary, every ``z`` key on its own."""
     if g == 0 and boundaries == 2:
         return planar_pair()
+    if (g, boundaries) == (1, 1):
+        return create_from_gradient(genus_one_gradient()).scale(16)
     if boundaries == 1:
-        return multipass_create(_stored_free_energy(g)).scale(2 ** (4 * g))
+        return multipass_create(stable_partition("rho").f(g)).scale(2 ** (4 * g))
     step = 4 if boundaries == 2 else 8
     return multipass_create(correlator_by_create(g, boundaries - 1)).scale(step)
 

@@ -14,7 +14,9 @@ from oracles import (
     arrangements_by_orbit,
     correlator_by_create,
     correlator_keys_by_orbit,
+    create_from_gradient,
     evaluate_full,
+    genus_one_gradient,
     grouped_by_full_form,
     multipass_create,
     render_z_by_key,
@@ -25,8 +27,10 @@ from taulap.boundary import (
     UnsupportedExponent,
     _arrangements,
     _create_orbits,
+    _genus_one_point,
     _orbit_values,
     _orbits,
+    _planar_triple,
     correlator,
     create,
     diagonal,
@@ -38,10 +42,9 @@ from taulap.boundary import (
     number_operator,
     number_operator_z,
     planar_pair,
-    _stored_free_energy,
 )
 from taulap.cli import MAX_BOUNDARIES
-from taulap.laplacian import GenusOutOfRange, genus_two_rho
+from taulap.laplacian import GenusOutOfRange, genus_two_rho, stable_partition
 from taulap.ring import (
     CoincidentPoints,
     MomentPoly,
@@ -115,11 +118,12 @@ def test_adjoint_pair_composition_on_polynomials() -> None:
     probes = [
         genus_two_rho(),
         MomentPoly({(-2, 1, 1): F(3, 7), (0, 0, 2): 1, (1, 0, 0, 0, 1): F(-2, 5)}),
-        MomentPoly.log_unit(F(-1, 24)),
         MomentPoly({(-8, 8): 1}),  # weight 8
     ]
     for p in probes:
         assert annihilate(create(p)) == number_operator(p)
+    # F_1 = -log(r0) / 24 by its gradient: -r0 dF_1/dr0 = 1/24
+    assert annihilate(create_from_gradient(genus_one_gradient())) == MomentPoly.constant(F(1, 24))
 
 
 def test_adjoint_pair_composition_on_correlators() -> None:
@@ -145,10 +149,6 @@ def test_number_operator_eigenvalue() -> None:
         assert number_operator_z(stored) == stored.scale(2 * g + B - 2)
 
 
-def test_number_operator_on_log() -> None:
-    assert number_operator(MomentPoly.log_unit(F(5))) == MomentPoly.constant(-5)
-
-
 def test_boundary_removal_factors() -> None:
     # removing the last of B boundaries: factor 2^(3 - delta_{B,2}) (2g + B - 3)
     for g, B in [(1, 2), (1, 3), (2, 2), (0, 4), (2, 3), (0, 3)]:
@@ -166,9 +166,11 @@ def test_boundary_removal_factors() -> None:
 
 
 def test_one_boundary_removal_gives_number_image() -> None:
-    for g in (1, 2, 3):
+    # the number operator on F_1 = -log(r0) / 24 is the constant 1/24
+    assert annihilate(correlator(1, 1)) == MomentPoly.constant(F(16, 24))
+    for g in (2, 3):
         lhs = annihilate(correlator(g, 1))
-        rhs = number_operator(_stored_free_energy(g)).scale(2 ** (4 * g))
+        rhs = number_operator(stable_partition("rho").f(g)).scale(2 ** (4 * g))
         assert lhs == rhs
 
 
@@ -287,6 +289,11 @@ def layout(obj: ZLaurent) -> list:
     return [(key, list(coeff.terms.items())) for key, coeff in obj.terms.items()]
 
 
+def numerators(orbits: dict) -> list:
+    """Each orbit's key with its coefficient's numerators in order and its denominator."""
+    return [(key, list(poly.nums.items()), poly.den) for key, poly in orbits.items()]
+
+
 def _chain_pairs(top: int = 8):
     """Every stored ``(g, B)`` but the planar pair with ``2g + B - 2 <= top``."""
     for energy in range(1, top + 1):
@@ -300,8 +307,10 @@ def test_create_matches_multipass_oracle_on_stored_correlators() -> None:
     # every chain step of the stored correlators with 2g + B - 2 <= 6: ``create``
     # on the free energy, term for term; the orbit step on the correlator below
     for g, b in _chain_pairs(6):
+        if (g, b) == (1, 1):
+            continue  # the literal seed; see test_genus_one_seed_is_the_created_genus_one_energy
         if b == 1:
-            p, factor = _stored_free_energy(g), 2 ** (4 * g)
+            p, factor = stable_partition("rho").f(g), 2 ** (4 * g)
             expected = multipass_create(p)
             assert layout(create(p)) == layout(expected)
             assert layout(create(p, factor)) == layout(expected.scale(factor))
@@ -315,6 +324,15 @@ def test_create_matches_multipass_oracle_on_planar_pair() -> None:
     expected = multipass_create(planar_pair()).scale(8)
     assert correlator(0, 3) == expected
     assert layout(correlator(0, 3)) == layout(expected)
+    assert numerators(_planar_triple()) == numerators(expected.terms)
+
+
+def test_genus_one_seed_is_the_created_genus_one_energy() -> None:
+    # G_{1,1} is a literal seed: 16 times the creation image of F_1 = -log(r0) / 24,
+    # which the ring, having no log term, gives by its gradient dF_1/dr0 = -1 / (24 r0)
+    expected = create_from_gradient(genus_one_gradient()).scale(16)
+    assert numerators(_genus_one_point()) == numerators(expected.terms)
+    assert numerators(_orbits(1, 1)) == numerators(expected.terms)
 
 
 def test_create_matches_multipass_oracle_on_probes() -> None:
@@ -324,12 +342,10 @@ def test_create_matches_multipass_oracle_on_probes() -> None:
         MomentPoly.variable(1),
         MomentPoly({(-2, 1, 1): F(3, 7), (0, 0, 2): 1}),
         MomentPoly({(1, 0, 0, 1): F(-2, 5)}),
-        MomentPoly.log_unit(F(-1, 24)),
         MomentPoly({(-8, 8): 1}),
         MomentPoly({(0, 0, 4): F(5, 3)}),
         MomentPoly({(-3, 2, 0, 2): 1}),
-        MomentPoly({(1,): 2, (-1, 1): F(1, 3)}, log_coeff=F(-1, 24)),
-        MomentPoly({(): 2}, log_coeff=F(1, 8)),
+        MomentPoly({(1,): 2, (-1, 1): F(1, 3)}),
     ]
     for p in probes:
         for factor in (1, -4):
@@ -494,8 +510,7 @@ def test_orbit_step_rejects_a_key_off_the_chain() -> None:
 
 def test_shared_coefficients_survive_their_consumers() -> None:
     stored = correlator(1, 4)
-    snapshot = {key: (dict(poly.nums), poly.den, poly.log_coeff)
-                for key, poly in _orbits(1, 4).items()}
+    snapshot = {key: (dict(poly.nums), poly.den) for key, poly in _orbits(1, 4).items()}
     number_operator_z(stored)
     kernel_op(stored, 2)
     stored.identify(0, 1).partial_moment(0)
@@ -505,8 +520,7 @@ def test_shared_coefficients_survive_their_consumers() -> None:
     n_point_core(1, [[F(2)], [F(3), F(4)], [F(5)], [F(7)]], generic_moments())
     n_point_core(1, [[2.0], [3.0, 4.0], [5.0], [7.0]],
                  {k: float(v) for k, v in generic_moments().items()})
-    assert snapshot == {key: (dict(poly.nums), poly.den, poly.log_coeff)
-                        for key, poly in _orbits(1, 4).items()}
+    assert snapshot == {key: (dict(poly.nums), poly.den) for key, poly in _orbits(1, 4).items()}
 
 
 # group sizes of the exact evaluations the correlators benchmark times

@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 import taulap.cli
 from taulap.boundary import evaluate_correlator, generic_moments
 from taulap.cli import MAX_BOUNDARIES, MAX_GENUS, MAX_LITERAL_DIGITS, MAX_LMAX, MAX_MMAX, main
+from taulap.ring import ZLaurent, ZRational
 
 MODEL4 = {
     "dimension": 4,
@@ -279,10 +280,17 @@ def test_check_virasoro(capsys):
 def test_check_failure_exits_two(capsys, monkeypatch):
     import taulap.recursion
 
-    monkeypatch.setattr(taulap.recursion, "dse_certify", lambda *a, **k: False)
-    code, _, err = run(capsys, "check", "--suite", "dseB")
+    # a residual that no longer cancels at (0, 3) is reported, and the suite fails
+    res = taulap.recursion.dse_residual(0, 3)
+    corrupted = res + ZRational(ZLaurent(3, {(-3, -3, -3): Fraction(1, 5)}))
+    real = taulap.recursion.dse_residual
+    monkeypatch.setattr(taulap.recursion, "dse_residual",
+                        lambda g, b: corrupted if (g, b) == (0, 3) else real(g, b))
+    code, out, err = run(capsys, "check", "--suite", "dseB")
     assert code == 2
-    assert "FAILED" in err
+    assert "loop equation (0, 3): NONZERO" in out
+    assert "loop equation (0, 4): ok" in out
+    assert "FAILED: dseB (0,3)" in err
 
 
 def test_model_eval_rejects_malformed_points(capsys, tmp_path):
@@ -475,6 +483,22 @@ def test_console_script_installed():
     )
     assert proc.returncode == 0
     assert proc.stdout.strip() == "29/5760"
+
+
+def test_closed_output_pipe_exits_one_quietly():
+    # the reader leaves after 10 bytes of about 420 kB, far more than a pipe buffers
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "taulap.cli", "correlator", "--genus", "0", "--boundaries", "9"],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+    )
+    head = proc.stdout.read(10)
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait(timeout=60) == 1
+    assert len(head) == 10
+    assert err == b""
 
 
 # ---------------------------------------------------------------------------

@@ -21,7 +21,6 @@ from taulap.laplacian import (
     apply_laplacian_rho,
     apply_laplacian_t,
     free_energy,
-    genus_one,
     genus_two_rho,
     genus_two_t,
     stable_partition,
@@ -134,7 +133,6 @@ def test_rescaled_form_agrees_with_moment_form() -> None:
         genus_two_t(),
         MomentPoly.variable(1),
         MomentPoly({(-4, 2, 1): F(3, 7), (-2, 0, 0, 2): F(-1, 5)}),
-        MomentPoly.log_unit(F(-1, 24)),
         stable_partition("t").f(3),
     ]
     for p in probes:
@@ -264,9 +262,6 @@ def _check_chain_against_ungrouped(convention: str, top: int) -> None:
 def test_grouped_kernel_matches_ungrouped_walk() -> None:
     for convention in FORMS:
         _check_chain_against_ungrouped(convention, 8)
-        # a log(unit) term lists keys of its own in the c1 and c2 blocks
-        for p in (F2[convention], stable_partition(convention).f(3)):
-            _assert_same_as_ungrouped(p + MomentPoly.log_unit(F(-1, 24)), convention)
 
 
 @slow
@@ -291,12 +286,6 @@ def test_grouped_kernel_keeps_the_order_of_a_cancelled_row() -> None:
         rows, _ = _rows(p, FORMS[convention])
         assert 0 in rows.values(), convention
         _assert_same_as_ungrouped(p, convention)
-
-
-def test_genus_one_constant() -> None:
-    g1 = genus_one()
-    assert g1.log_coeff == F(-1, 24)
-    assert not g1.terms
 
 
 # -- structure of the free energies ----------------------------------------------
@@ -349,7 +338,7 @@ def test_packed_extraction_matches_ring_recurrence() -> None:
         for g in range(2, 10):
             got = part.f(g)
             assert list(got.nums.items()) == list(want[g].nums.items()), (convention, g)
-            assert (got.den, got.log_coeff) == (want[g].den, want[g].log_coeff), (convention, g)
+            assert got.den == want[g].den, (convention, g)
 
 
 def _with_z(zs: list[MomentPoly]) -> StablePartition:

@@ -18,7 +18,6 @@ from taulap.laplacian import GenusOutOfRange
 from taulap.recursion import (
     OddInput,
     UnboundedInput,
-    dse_certify,
     dse_residual,
     dse_terms,
     one_point,
@@ -226,13 +225,6 @@ def test_dse_pieces_reject_coincident_squares():
         evaluate_full(reflection, [F(3), F(-3), F(2)], moments)
 
 
-def test_dse_certify_all_pairs():
+def test_dse_residual_vanishes_on_all_pairs():
     for g, b in DSE_PAIRS:
-        assert dse_certify(g, b)
-
-
-def test_dse_certify_detects_corruption(monkeypatch):
-    res = dse_residual(0, 3)
-    corrupted = res + ZRational(ZLaurent(3, {(-3, -3, -3): F(1, 5)}))
-    monkeypatch.setattr(recursion, "dse_residual", lambda g, b: corrupted)
-    assert not dse_certify(0, 3)
+        assert dse_residual(g, b).is_zero

@@ -16,9 +16,6 @@ from oracles import RefPoly, collect, evaluate_full, reduce, render_z_by_key
 from taulap.boundary import correlator, generic_moments
 from taulap.ring import (
     CoincidentPoints,
-    LogProduct,
-    LogSubstitution,
-    LogTerm,
     MomentPoly,
     NonUnitSubstitution,
     NotHomogeneous,
@@ -33,7 +30,6 @@ from taulap.ring import (
     render_terms,
     render_z,
     rational,
-    unit_symbol,
     _bind_exact,
     _ordered_nums,
 )
@@ -65,8 +61,6 @@ def to_sympy(p: MomentPoly):
             if e:
                 term *= _SYMS[l] ** e
         expr += term
-    if p.log_coeff:
-        expr += sympy.Rational(p.log_coeff.numerator, p.log_coeff.denominator) * sympy.log(_SYMS[0])
     return sympy.expand(expr)
 
 
@@ -115,18 +109,6 @@ def test_power_and_scale() -> None:
     assert list(q.terms) == [(-2, 1), ()]
 
 
-def test_log_term_rules() -> None:
-    lg = MomentPoly.log_unit(F(-1, 24))
-    assert lg + lg == MomentPoly.log_unit(F(-1, 12))
-    assert lg * 2 == MomentPoly.log_unit(F(-1, 12))
-    assert lg * MomentPoly.constant(3) == MomentPoly.log_unit(F(-1, 8))
-    with pytest.raises(LogProduct):
-        lg * MomentPoly.variable(1)
-    # d/d(unit) log(unit) = 1/unit
-    assert lg.partial(0) == MomentPoly.unit_power(-1).scale(F(-1, 24))
-    assert lg.partial(1).is_zero
-
-
 def test_substitution() -> None:
     p = genus_two_energy()
     value = p.substitute({0: F(2), 1: F(1, 3), 2: F(-1), 3: F(5)})
@@ -138,10 +120,6 @@ def test_substitution() -> None:
     assert value == expected
     with pytest.raises(UnknownVariable):
         p.substitute({0: F(2), 1: F(1, 3)})
-    lg = MomentPoly.log_unit(1) + MomentPoly.variable(1)
-    assert lg.substitute({0: 1, 1: F(7)}) == F(7)
-    with pytest.raises(LogSubstitution):
-        lg.substitute({0: F(2), 1: F(7)})
 
 
 def test_weight_grading() -> None:
@@ -152,40 +130,29 @@ def test_weight_grading() -> None:
     with pytest.raises(NotHomogeneous):
         mixed.weight()
     assert MomentPoly.zero().weight() == 0
-    assert MomentPoly.log_unit(1).weight() == 0
 
 
 def test_support_queries() -> None:
     p = genus_two_energy()
     assert p.moment_support() == {0, 1, 2, 3}
-    assert MomentPoly.log_unit(1).moment_support() == {0}
     assert MomentPoly.constant(5).moment_support() == set()
 
 
 # -- the integer-numerator form against the Fraction reference ----------------
 
 def same(p: MomentPoly, ref: RefPoly) -> None:
-    """Equal coefficients in the same key order, and the same log term."""
+    """Equal coefficients in the same key order."""
     assert list(p.terms.items()) == list(ref.terms.items())
-    assert p.log_coeff == ref.log_coeff
-
-
-def outcome(fn):
-    try:
-        return fn()
-    except LogProduct as exc:
-        return type(exc)
 
 
 @st.composite
 def ring_pairs(draw):
-    """Two polynomials with log terms and negative unit powers; ``b`` cancels part of ``a``."""
+    """Two polynomials with negative unit powers; ``b`` cancels part of ``a``."""
     a_terms = draw(st.dictionaries(keys, coeffs, max_size=5))
     cancelled = draw(st.lists(st.sampled_from(sorted(a_terms)), unique=True)) if a_terms else []
     b_terms = {k: -a_terms[k] for k in cancelled}
     b_terms.update(draw(st.dictionaries(keys, coeffs, max_size=4)))
-    logs = st.one_of(st.just(F(0)), coeffs)
-    return MomentPoly(a_terms, draw(logs)), MomentPoly(b_terms, draw(logs))
+    return MomentPoly(a_terms), MomentPoly(b_terms)
 
 
 @settings(max_examples=150, deadline=None)
@@ -201,11 +168,7 @@ def test_ring_matches_fraction_reference(pair, factor) -> None:
         same(a.partial(index), ra.partial(index))
     for dst in ("t", "iz", "eynard"):
         same(convert(a, "rho", dst), ra.convert("rho", dst))
-    got, want = outcome(lambda: a * b), outcome(lambda: ra * rb)
-    if isinstance(want, RefPoly):
-        same(got, want)
-    else:
-        assert got is want
+    same(a * b, ra * rb)
 
 
 def test_terms_is_a_read_only_fraction_view() -> None:
@@ -256,11 +219,6 @@ def test_conversion_between_conventions() -> None:
             assert convert(convert(p, "rho", src), src, dst) == convert(p, "rho", dst)
 
 
-def test_log_coefficient_survives_conversion() -> None:
-    lg = MomentPoly.log_unit(F(-1, 24))
-    assert convert(lg, "rho", "t") == lg
-
-
 # -- rendering ----------------------------------------------------------------
 
 def test_monomial_rendering() -> None:
@@ -296,8 +254,6 @@ def test_normalized_rendered_values() -> None:
 def test_string_rendering() -> None:
     p = MomentPoly({(-5, 3): F(-21, 160)})
     assert render_str(p, "rho") == "-21/160*r0^-5*r1^3"
-    lg = MomentPoly.log_unit(F(-1, 24))
-    assert render_str(lg, "t") == "-1/24*log(T0)"
     assert render_str(MomentPoly.zero()) == "0"
     assert rational("7/240") == F(7, 240)
 
@@ -307,8 +263,6 @@ def test_string_rendering() -> None:
 
 def reference_terms(p: MomentPoly, convention: str, normalized: bool) -> list[tuple[str, str]]:
     out = []
-    if p.log_coeff:
-        out.append((f"log({unit_symbol(convention)})", str(p.log_coeff)))
     width = max((len(k) for k in p.terms), default=0)
     for key in sorted(p.terms, key=lambda k: (sum(l * e for l, e in enumerate(k) if l),
                                               k + (0,) * (width - len(k)))):
@@ -322,8 +276,6 @@ def reference_terms(p: MomentPoly, convention: str, normalized: bool) -> list[tu
 
 def reference_str(p: MomentPoly, convention: str) -> str:
     parts = []
-    if p.log_coeff:
-        parts.append(f"{p.log_coeff}*log({unit_symbol(convention)})")
     for key, n in _ordered_nums(p):
         coeff = F(n, p.den)
         mono = render_monomial(key, convention)
@@ -356,12 +308,9 @@ render_keys = st.tuples(
     st.integers(min_value=0, max_value=3),
     st.integers(min_value=0, max_value=5),
 )
-render_polys = st.builds(
-    MomentPoly,
-    st.dictionaries(render_keys, st.fractions(min_value=-50, max_value=50, max_denominator=720),
-                    max_size=8),
-    st.sampled_from([0, 0, F(-1, 24), F(7, 3)]),
-)
+render_polys = st.dictionaries(
+    render_keys, st.fractions(min_value=-50, max_value=50, max_denominator=720), max_size=8,
+).map(MomentPoly)
 
 
 @settings(max_examples=200, deadline=None)
@@ -561,11 +510,6 @@ def test_exact_evaluation_errors() -> None:
     with pytest.raises(NonUnitSubstitution):
         evaluate_full(obj, [F(2), F(3)], {0: 0, 1: F(1)})
     assert evaluate_full(obj, [F(2), 0], {0: F(2), 1: F(7)}) == F(1, 2)
-
-
-def test_laurent_rejects_log_coefficients() -> None:
-    with pytest.raises(LogTerm):
-        ZLaurent(1, {(0,): MomentPoly.log_unit(1)})
 
 
 # -- rational boundary objects --------------------------------------------------

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from oracles import constraint_residuals_by_sums, quadratic_part_by_sums, raising_part_by_sums
 from taulap.laplacian import free_energy, stable_partition
-from taulap.ring import LogProduct, MomentPoly, RingError
+from taulap.ring import MomentPoly, RingError
 from taulap.virasoro import (
     GradedSeries,
     constraint_residuals,
@@ -137,27 +137,13 @@ _PROBE_TERMS = st.dictionaries(
 
 
 @settings(max_examples=40, deadline=None)
-@given(_PROBE_TERMS, st.fractions(min_value=-3, max_value=3, max_denominator=5))
-def test_parts_match_ring_sums_on_probes(terms, log):
-    """Probes with negative unit powers and a log term; a log times a zero-order piece raises."""
-    probe = MomentPoly(terms, log)
+@given(_PROBE_TERMS)
+def test_parts_match_ring_sums_on_probes(terms):
+    """Probes with negative unit powers."""
+    probe = MomentPoly(terms)
     for n in range(12):
         assert raising_part(n, probe) == raising_part_by_sums(n, probe), n
-        if log and n in (1, 2, 3):
-            with pytest.raises(LogProduct):
-                quadratic_part_by_sums(n, probe)
-            with pytest.raises(LogProduct):
-                quadratic_part(n, probe)
-        else:
-            assert quadratic_part(n, probe) == quadratic_part_by_sums(n, probe), n
-
-
-def test_log_term_differentiates_to_the_inverse_unit():
-    """``d_0 (c log r0) = c/r0``: ``A_0`` sends it to ``3c/2`` and ``B_4`` ignores it."""
-    probe = MomentPoly.log_unit(F(2, 3))
-    assert raising_part(0, probe) == MomentPoly.constant(1)
-    assert raising_part(1, probe).is_zero
-    assert quadratic_part(4, probe + MomentPoly.variable(1, 2)) == quadratic_part(4, MomentPoly.variable(1, 2))
+        assert quadratic_part(n, probe) == quadratic_part_by_sums(n, probe), n
 
 
 def test_perturbed_series_violates_constraints():
