@@ -228,3 +228,13 @@ def test_dse_pieces_reject_coincident_squares():
 def test_dse_residual_vanishes_on_all_pairs():
     for g, b in DSE_PAIRS:
         assert dse_residual(g, b).is_zero
+
+
+def test_dse_certify_detects_corruption():
+    # the certificate is `dse_residual(g, b).is_zero`; one stray term must break it
+    res = dse_residual(0, 3)
+    assert res.is_zero
+    corrupted = res + ZRational(ZLaurent(3, {(-3, -3, -3): F(1, 5)}))
+    assert not corrupted.is_zero
+    assert not (corrupted + ZRational(ZLaurent(3, {(-3, -3, -3): F(-1, 10)}))).is_zero
+    assert (corrupted + ZRational(ZLaurent(3, {(-3, -3, -3): F(-1, 5)}))).is_zero
