@@ -11,11 +11,11 @@ constraint operators:
 Both are built here by series division on packed keys (``ring._shift``):
 each earlier coefficient enters as one integer shift by the key of
 ``r_k / r0`` per term, summed into one integer accumulator over one lcm.
-Only the packed form is cached; ``reciprocal_coefficient``,
-``resolvent_coefficient`` and ``resolvent_coefficient_t`` return
-``MomentPoly`` views of it, built on each call. Their closed forms as
-partial Bell-polynomial sums live in the tests, as independent oracles. The
-rescaled ``R^t_m`` is ``(2m-1)!!`` times ``R_m`` converted to ``t``.
+Only the packed form is cached; ``reciprocal_coefficient`` and
+``resolvent_coefficient`` return ``MomentPoly`` views of it, built on each
+call. Their closed forms as partial Bell-polynomial sums live in the tests,
+as independent oracles. ``resolvent_coefficient_t``, the paper's ``R^t_m``,
+is ``(2m-1)!!`` times ``R_m`` converted to ``t``; the Laplacian never uses it.
 """
 
 from __future__ import annotations

@@ -262,7 +262,7 @@ def _orbits(g: int, boundaries: int) -> dict[ZKey, MomentPoly]:
     if (g, boundaries) == (1, 1):
         return _genus_one_point()
     if boundaries == 1:
-        return create(stable_partition("rho").f(g), 2 ** (4 * g)).terms
+        return create(stable_partition().f(g), 2 ** (4 * g)).terms
     if (g, boundaries) == (0, 3):
         return _planar_triple()
     return _create_orbits(_orbits(g, boundaries - 1), 4 if boundaries == 2 else 8)

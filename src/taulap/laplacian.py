@@ -32,21 +32,23 @@ one lcm, keeping the key order of the ring's sum. The chain's other products
 use ordinary ``MomentPoly`` arithmetic, which runs on the same numerators
 with tuple keys.
 
-The operator is written once, in the moment variables (``rho``). The form
-in the rescaled variables (``t``) is its conjugate under the change of
-variables ``r_l = -t_{l+1} / (2l+1)!!``: its blocks, constants, ``F_2`` and
-tables are derived from the moment form's. Intersection numbers of stable
-moduli spaces are the normalized coefficients of ``F_g`` in the ``t`` form.
+The operator is written once, in the moment variables (``rho``), and the
+chain runs only there. Every other convention is a ``convert`` view of the
+moment form: the paper's ``Delta_t`` in the rescaled variables (``t``) is the
+moment-form operator conjugated by the change of variables
+``r_l = -t_{l+1} / (2l+1)!!``, and ``F_g`` in ``t``, ``iz`` or ``eynard`` is
+the moment-form ``F_g`` converted. Intersection numbers of stable moduli
+spaces are the normalized coefficients of ``F_g`` in the ``t`` form.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import partial
+from functools import cache
 from math import factorial, gcd, lcm
 from typing import Callable, Sequence
 
-from taulap.bell import resolvent_coefficient, resolvent_coefficient_t
+from taulap.bell import resolvent_coefficient
 from taulap.ring import (
     _SLOT_BITS,
     _SLOT_MASK,
@@ -57,9 +59,7 @@ from taulap.ring import (
     SlotOverflow,
     _shift,
     _unpack,
-    convention_scale,
     convert,
-    double_factorial,
 )
 
 F = Fraction
@@ -81,18 +81,14 @@ def genus_two_rho() -> MomentPoly:
     })
 
 
-def genus_two_t() -> MomentPoly:
-    return convert(genus_two_rho(), "rho", "t")
-
-
 # ---------------------------------------------------------------------------
 # operator coefficients
 #
 # Every block of the operator (``c1``, ``c2``, ``e``, ``m`` and ``d``) is a
 # short sum of pieces ``(coefficient, shift key, table)``: the coefficient
 # times the monomial ``shift key`` times a table, which is the resolvent
-# coefficient ``R_m`` of the form for an int ``m``, or one of the form's
-# constant polynomials by name (``"one"`` is 1).
+# coefficient ``R_m`` for an int ``m``, or one of the constant polynomials by
+# name (``"one"`` is 1).
 
 _Spec = tuple[Fraction, Key, int | str]
 
@@ -145,8 +141,8 @@ def apply_laplacian_rho(p: MomentPoly) -> MomentPoly:
 
 
 def apply_laplacian_t(p: MomentPoly) -> MomentPoly:
-    """The same operator in the rescaled variables, conjugated from the moment form."""
-    return _apply_packed(p, _T_TABLES)
+    """The paper's ``Delta_t``: the moment-form operator conjugated to the rescaled variables."""
+    return convert(apply_laplacian_rho(convert(p, "t", "rho")), "rho", "t")
 
 
 # ---------------------------------------------------------------------------
@@ -194,7 +190,7 @@ _Piece = tuple[int, int, int, int]
 
 
 class _OperatorTables:
-    """One form's operator blocks as pieces over shared integer tables.
+    """The operator's blocks as pieces over shared integer tables.
 
     ``blocks`` maps a block name (``c1``, ``c2``, ``e``, ``m``, ``d``) to a
     function of the block's indices returning its pieces and the integer
@@ -311,7 +307,7 @@ def _rows(p: MomentPoly, form: _OperatorTables) -> tuple[dict[int, int], int]:
 
 
 def _apply_packed(p: MomentPoly, form: _OperatorTables) -> MomentPoly:
-    """Apply one form of the operator to ``p`` in packed integer arithmetic.
+    """Apply the operator of ``form`` to ``p`` in packed integer arithmetic.
 
     A monomial is one int with an 8-bit slot per variable: slot ``i`` is bits
     ``8 i`` to ``8 i + 7`` and holds ``e_i``, except slot 0, which holds
@@ -379,65 +375,15 @@ _RHO_BLOCKS: dict[str, Callable[..., tuple[list[_Spec], int]]] = {
 _RHO_TABLES = _OperatorTables(lambda m: resolvent_coefficient(m), _RHO_CONSTANTS, _RHO_BLOCKS)
 
 
-def _rescaling(key: Key) -> tuple[int, int]:
-    """``lambda(key) = prod_l s_l^(e_l)`` over the variables, not the unit, with
-    ``r_l = s_l t_{l+1}``: its numerator and denominator."""
-    up = down = 1
-    for l, e in enumerate(key):
-        if l and e:
-            s = convention_scale("t", l)
-            up *= s.numerator ** e
-            down *= s.denominator ** e
-    return up, down
-
-
-def _rescaled(block: str, *indices: int) -> tuple[list[_Spec], int]:
-    """The moment-form block conjugated by the change of variables.
-
-    The term ``a x^K`` of a ``t``-form polynomial is ``a / lambda(K) x^K`` in
-    moment variables, and the block takes ``x^K`` to ``x^(K - d)`` times its
-    pieces, ``d`` the monomial it differentiates. So a piece ``(c, shift,
-    table)`` with scalar ``s`` becomes ``c s lambda(shift) / lambda(d)`` on the
-    table in ``t``, with scalar 1, and over ``(2m-1)!!`` if the table is ``R^t_m``.
-    """
-    spec, scalar = _RHO_BLOCKS[block](*indices)
-    d_up, d_down = _rescaling(_key(0, *indices))
-    out = []
-    for coeff, shift, table in spec:
-        up, down = _rescaling(shift)
-        if isinstance(table, int):
-            down *= double_factorial(2 * table - 1)
-        c = F(coeff.numerator * scalar * up * d_down, coeff.denominator * down * d_up)
-        out.append((c, shift, table))
-    return out, 1
-
-
-# Rescaled form. Slot ``j >= 1`` carries the variable ``t_{j+1}``; the unit is
-# ``T0 = 1 - t_0``, stored as the moment form stores ``r0``.
-_T_TABLES = _OperatorTables(
-    lambda m: resolvent_coefficient_t(m),
-    {name: convert(c, "rho", "t") for name, c in _RHO_CONSTANTS.items()},
-    {block: partial(_rescaled, block) for block in _RHO_BLOCKS},
-)
-
-
 # ---------------------------------------------------------------------------
 # partition function and free energies
 
 
 class StablePartition:
-    """Incremental computation of ``Z_g`` and ``F_g`` in one variable form."""
+    """Incremental computation of ``Z_g`` and ``F_g`` in the moment form."""
 
-    def __init__(self, convention: str = "rho") -> None:
-        if convention == "rho":
-            self._apply = apply_laplacian_rho
-            self._f2 = genus_two_rho()
-        elif convention == "t":
-            self._apply = apply_laplacian_t
-            self._f2 = genus_two_t()
-        else:
-            raise RingError("native computation supports the 'rho' and 't' forms")
-        self.convention = convention
+    def __init__(self) -> None:
+        self._f2 = genus_two_rho()
         self._u = MomentPoly.one()  # the last u_n of the chain
         self._z: list[MomentPoly] = []  # Z_2, Z_3, ...
         self._f: dict[int, MomentPoly] = {}
@@ -452,7 +398,7 @@ class StablePartition:
             raise GenusOutOfRange(f"stable range starts at genus 2, got {g}")
         while len(self._z) < g - 1:
             u = self._u
-            self._u = -self._apply(u) + self._f2 * u
+            self._u = -apply_laplacian_rho(u) + self._f2 * u
             self._z.append(self._u.scale(F(1, factorial(len(self._z) + 1))))
         return self._z[g - 2]
 
@@ -517,23 +463,15 @@ class StablePartition:
         return out
 
 
-_PARTITIONS: dict[str, StablePartition] = {}
-
-
-def stable_partition(convention: str = "rho") -> StablePartition:
-    """Shared per-convention instance (chains are expensive; reuse them)."""
-    part = _PARTITIONS.get(convention)
-    if part is None:
-        part = StablePartition(convention)
-        _PARTITIONS[convention] = part
-    return part
+@cache
+def stable_partition() -> StablePartition:
+    """The shared instance (the chain is expensive; reuse it)."""
+    return StablePartition()
 
 
 def free_energy(g: int, convention: str = "rho") -> MomentPoly:
-    """``F_g`` in any display convention (native for rho/t, converted otherwise)."""
-    if convention in ("rho", "t"):
-        return stable_partition(convention).f(g)
-    return convert(stable_partition("t").f(g), "t", convention)
+    """``F_g`` in any display convention, converted from the moment-form chain."""
+    return convert(stable_partition().f(g), "rho", convention)
 
 
 def tau_intersection(indices: Sequence[int]) -> Fraction:
@@ -562,7 +500,7 @@ def tau_intersection(indices: Sequence[int]) -> Fraction:
     g = total // 3 + 1
     if g < 2:
         raise GenusOutOfRange(f"stable range starts at genus 2, got {g}")
-    fg = stable_partition("t").f(g)
+    fg = free_energy(g, "t")
     counts: dict[int, int] = {}
     for d in ds:
         counts[d - 1] = counts.get(d - 1, 0) + 1

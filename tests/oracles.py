@@ -7,9 +7,11 @@ runtime's series recurrences are compared against. The series divisions
 for ``R_m`` and ``R^t_m``, each written in its own variables, are the
 references for the runtime's ``R_m`` and for the ``R^t_m`` it derives by
 ``convert``. ``OPERATOR_BLOCKS`` holds the Laplacian's blocks built in ring
-arithmetic, each form written out in its own variables: the reference for
-the values and the key order of the kernel's pieces, which the runtime
-derives for the ``t`` form from the moment form. ``ungrouped_apply`` is the
+arithmetic, each form written out in its own variables. The moment-form
+blocks are the reference for the values and the key order of the kernel's
+pieces. ``apply_blocks`` applies one form's blocks in ring arithmetic; on
+the ``t`` blocks it is the reference for the runtime's ``Delta_t``, which is
+the moment form conjugated by ``convert``. ``ungrouped_apply`` is the
 operator kernel before its products were grouped by row: the reference for
 the grouped kernel's numerators, denominator and key order.
 ``ring_free_energies`` is the logarithm recurrence that extracts ``F_g`` from
@@ -44,7 +46,7 @@ from functools import lru_cache
 from itertools import zip_longest
 from itertools import product
 from math import factorial, lcm
-from typing import Iterable, Mapping, Sequence
+from typing import Callable, Iterable, Mapping, Sequence
 
 from taulap.bell import resolvent_coefficient
 from taulap.boundary import _orbits, planar_pair
@@ -437,6 +439,31 @@ OPERATOR_BLOCKS = {
         "d": lambda j, i: (d_t(j, i), -1),
     },
 }
+
+
+def apply_blocks(p: MomentPoly, blocks: Mapping[str, Callable[..., tuple[MomentPoly, int]]]) -> MomentPoly:
+    """The operator of one form of ``OPERATOR_BLOCKS`` applied in ring arithmetic.
+
+    Each block, times its scalar, multiplies one derivative of ``p`` in the
+    form's own variables (slot 0 is the unit): ``c1`` the first and ``c2``
+    the second unit derivative, ``e_k`` the ``k``-th derivative, ``m_k`` its
+    unit derivative, and ``d_{kl}`` the mixed second derivative, summed over
+    ordered pairs ``(k, l)``.
+    """
+    width = max(map(len, p.nums), default=1)
+    unit = p.partial(0)
+    # (block, its indices, the derivative it multiplies, multiplicity)
+    jobs = [("c1", (), unit, 1), ("c2", (), unit.partial(0), 1)]
+    for k in range(1, width):
+        dk = p.partial(k)
+        jobs += [("e", (k,), dk, 1), ("m", (k,), dk.partial(0), 1)]
+        jobs += [("d", (k, l), dk.partial(l), 1 if k == l else 2) for l in range(k, width)]
+    out = MomentPoly.zero()
+    for name, indices, derivative, mult in jobs:
+        if derivative:
+            poly, scalar = blocks[name](*indices)
+            out = out + poly.scale(scalar * mult) * derivative
+    return out
 
 
 # -- the operator kernel without grouping ---------------------------------------
@@ -881,7 +908,7 @@ def correlator_by_create(g: int, boundaries: int) -> ZLaurent | ZRational:
     if (g, boundaries) == (1, 1):
         return create_from_gradient(genus_one_gradient()).scale(16)
     if boundaries == 1:
-        return multipass_create(stable_partition("rho").f(g)).scale(2 ** (4 * g))
+        return multipass_create(stable_partition().f(g)).scale(2 ** (4 * g))
     step = 4 if boundaries == 2 else 8
     return multipass_create(correlator_by_create(g, boundaries - 1)).scale(step)
 

@@ -232,7 +232,7 @@ def test_operator_algebra():
     assert annihilate(correlator(1, 1)) == MomentPoly.constant(F(16, 24))
     for g in (2, 3):
         assert annihilate(correlator(g, 1)) == number_operator(
-            stable_partition("rho").f(g)
+            stable_partition().f(g)
         ).scale(2 ** (4 * g))
 
 

@@ -170,7 +170,7 @@ def test_one_boundary_removal_gives_number_image() -> None:
     assert annihilate(correlator(1, 1)) == MomentPoly.constant(F(16, 24))
     for g in (2, 3):
         lhs = annihilate(correlator(g, 1))
-        rhs = number_operator(stable_partition("rho").f(g)).scale(2 ** (4 * g))
+        rhs = number_operator(stable_partition().f(g)).scale(2 ** (4 * g))
         assert lhs == rhs
 
 
@@ -310,7 +310,7 @@ def test_create_matches_multipass_oracle_on_stored_correlators() -> None:
         if (g, b) == (1, 1):
             continue  # the literal seed; see test_genus_one_seed_is_the_created_genus_one_energy
         if b == 1:
-            p, factor = stable_partition("rho").f(g), 2 ** (4 * g)
+            p, factor = stable_partition().f(g), 2 ** (4 * g)
             expected = multipass_create(p)
             assert layout(create(p)) == layout(expected)
             assert layout(create(p, factor)) == layout(expected.scale(factor))

@@ -1,4 +1,4 @@
-"""Laplacian chain: frozen genus tables, cross-form validation, extraction checks."""
+"""Laplacian chain: frozen genus tables, the ``t`` form against its own blocks, extraction checks."""
 
 import hashlib
 import os
@@ -7,30 +7,30 @@ from math import factorial
 
 import pytest
 
-from oracles import OPERATOR_BLOCKS, bell_route_free_energy, ring_free_energies, ungrouped_apply
+from oracles import OPERATOR_BLOCKS, apply_blocks, bell_route_free_energy, ring_free_energies, ungrouped_apply
+from taulap import laplacian
 from taulap.bell import resolvent_coefficient
 from taulap.laplacian import (
     _RHO_TABLES,
-    _T_TABLES,
     DimensionMismatch,
     GenusOutOfRange,
     StablePartition,
     _apply_packed,
+    _key,
     _OperatorTables,
     _rows,
     apply_laplacian_rho,
     apply_laplacian_t,
     free_energy,
     genus_two_rho,
-    genus_two_t,
     stable_partition,
     tau_intersection,
 )
-from taulap.ring import _UNIT_OFFSET, MomentPoly, RingError, SlotOverflow, _unpack, convert, render_terms
+from taulap.ring import CONVENTIONS, _UNIT_OFFSET, MomentPoly, RingError, SlotOverflow, _unpack, render_terms
 
 F = Fraction
 
-FORMS = {"rho": _RHO_TABLES, "t": _T_TABLES}
+FORMS = {"rho": _RHO_TABLES}
 
 # Checks that take minutes run only when this environment variable is set.
 slow = pytest.mark.skipif(not os.environ.get("TAULAP_SLOW"), reason="set TAULAP_SLOW=1 to run")
@@ -101,10 +101,9 @@ GENUS2_T = MomentPoly({
 
 
 def test_genus_two_fixtures_consistent() -> None:
-    assert genus_two_t() == GENUS2_T
-    assert list(genus_two_t().nums) == list(GENUS2_T.nums)
-    assert stable_partition("rho").f(2) == genus_two_rho()
-    assert stable_partition("t").f(2) == genus_two_t()
+    assert free_energy(2, "t") == GENUS2_T
+    assert list(free_energy(2, "t").nums) == list(GENUS2_T.nums)
+    assert stable_partition().f(2) == genus_two_rho()
 
 
 def test_genus_three_table() -> None:
@@ -117,7 +116,7 @@ def test_genus_four_table() -> None:
 
 def test_genus_three_from_single_operator_application() -> None:
     # F_3 = -Delta(F_2) / 2 exactly
-    assert stable_partition("rho").f(3) == apply_laplacian_rho(genus_two_rho()).scale(F(-1, 2))
+    assert stable_partition().f(3) == apply_laplacian_rho(genus_two_rho()).scale(F(-1, 2))
 
 
 # -- operator structure ----------------------------------------------------------
@@ -128,22 +127,50 @@ def test_operator_raises_weight_by_three() -> None:
         assert image.weight() == probe.weight() + 3
 
 
+def _block_probes(top: int) -> list[MomentPoly]:
+    """For each block with index sum at most ``top``, a monomial that reaches it.
+
+    The monomial is the product of the block's variables (``r_1`` for ``c1``
+    and ``c2``) over the unit cubed.
+    """
+    return [MomentPoly.monomial(_key(-3, *(block[1:] or (1,))), F(2 * i + 1, 7))
+            for i, block in enumerate(_blocks(top))]
+
+
 def test_rescaled_form_agrees_with_moment_form() -> None:
-    probes = [
-        genus_two_t(),
-        MomentPoly.variable(1),
-        MomentPoly({(-4, 2, 1): F(3, 7), (-2, 0, 0, 2): F(-1, 5)}),
-        stable_partition("t").f(3),
-    ]
+    """``Delta_t``, conjugated from the moment form, against the ``t`` blocks in ring arithmetic."""
+    probes = _block_probes(15)
+    assert len(probes) == 88
+    probes += [GENUS2_T, MomentPoly({(-4, 2, 1): F(3, 7), (-2, 0, 0, 2): F(-1, 5)})]
     for p in probes:
-        lhs = apply_laplacian_t(p)
-        rhs = convert(apply_laplacian_rho(convert(p, "t", "rho")), "rho", "t")
-        assert lhs == rhs
+        assert apply_laplacian_t(p) == apply_blocks(p, OPERATOR_BLOCKS["t"]), p
 
 
 def test_native_chains_agree_across_forms() -> None:
-    for g in (2, 3, 4, 5):
-        assert convert(stable_partition("rho").f(g), "rho", "t") == stable_partition("t").f(g)
+    """The chain on the ``t`` blocks, from the literal ``t``-form ``F_2``, against ``free_energy``."""
+    u, zs = MomentPoly.one(), {}
+    for g in range(2, 6):
+        u = -apply_blocks(u, OPERATOR_BLOCKS["t"]) + GENUS2_T * u
+        zs[g] = u.scale(F(1, factorial(g - 1)))
+    want = ring_free_energies(zs, 5)
+    for g in range(2, 6):
+        assert free_energy(g, "t") == want[g], g
+
+
+def test_one_chain_serves_every_convention(monkeypatch) -> None:
+    """``F_6`` in every convention and a genus-4 ``tau`` take the chain's five steps once."""
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return _apply_packed(*args)
+
+    monkeypatch.setattr(laplacian, "_apply_packed", counted)
+    stable_partition.cache_clear()
+    for convention in CONVENTIONS:
+        free_energy(6, convention)
+    assert tau_intersection([2, 2, 4, 5]) == F(7597, 691200)
+    assert len(calls) == 5
 
 
 def _walk(form, block: tuple) -> tuple[MomentPoly, list[tuple[int, ...]]]:
@@ -240,7 +267,7 @@ def test_table_index_fits_its_slot() -> None:
 
 # -- grouped products against the ungrouped walk ---------------------------------
 
-F2 = {"rho": genus_two_rho(), "t": genus_two_t()}
+F2 = {"rho": genus_two_rho()}
 
 
 def _assert_same_as_ungrouped(p: MomentPoly, convention: str) -> MomentPoly:
@@ -276,7 +303,6 @@ def test_grouped_kernel_matches_ungrouped_walk_through_u_11(convention: str) -> 
 # sum to 0.
 CANCELLING = {
     "rho": MomentPoly({(-3, 1, 2): 1, (-3, 2, 0, 1): F(-7, 5)}),
-    "t": MomentPoly({(-3, 1, 2): 1, (-3, 2, 0, 1): -1}),
 }
 
 
@@ -323,26 +349,24 @@ def test_free_energy_structure() -> None:
 
 def test_extraction_matches_bell_route_oracle() -> None:
     """The runtime log recurrence against the Bell-polynomial form of ``log Z``."""
-    for convention in ("rho", "t"):
-        part = stable_partition(convention)
-        zs = {g: part.z(g) for g in range(2, 9)}
-        for g in range(2, 9):
-            assert part.f(g) == bell_route_free_energy(g, zs), (convention, g)
+    part = stable_partition()
+    zs = {g: part.z(g) for g in range(2, 9)}
+    for g in range(2, 9):
+        assert part.f(g) == bell_route_free_energy(g, zs), g
 
 
 def test_packed_extraction_matches_ring_recurrence() -> None:
     """Numerators, denominator and key order of every ``F_g`` against ring arithmetic."""
-    for convention in ("rho", "t"):
-        part = stable_partition(convention)
-        want = ring_free_energies({g: part.z(g) for g in range(2, 10)}, 9)
-        for g in range(2, 10):
-            got = part.f(g)
-            assert list(got.nums.items()) == list(want[g].nums.items()), (convention, g)
-            assert got.den == want[g].den, (convention, g)
+    part = stable_partition()
+    want = ring_free_energies({g: part.z(g) for g in range(2, 10)}, 9)
+    for g in range(2, 10):
+        got = part.f(g)
+        assert list(got.nums.items()) == list(want[g].nums.items()), g
+        assert got.den == want[g].den, g
 
 
 def _with_z(zs: list[MomentPoly]) -> StablePartition:
-    part = StablePartition("rho")
+    part = StablePartition()
     part._z = zs  # Z_2, Z_3, ... in place of the chain's
     return part
 
@@ -378,9 +402,9 @@ def test_packed_extraction_raises_on_slot_overflow() -> None:
 
 def test_genus_bounds() -> None:
     with pytest.raises(GenusOutOfRange):
-        stable_partition("t").f(1)
+        stable_partition().f(1)
     with pytest.raises(GenusOutOfRange):
-        stable_partition("t").z(0)
+        stable_partition().z(0)
 
 
 # -- intersection numbers ---------------------------------------------------------
@@ -420,7 +444,7 @@ def test_tau_validation() -> None:
 
 def test_free_energy_other_conventions() -> None:
     f2_iz = free_energy(2, "iz")
-    assert f2_iz == genus_two_t()  # identical scaling, different symbols
+    assert f2_iz == GENUS2_T  # identical scaling, different symbols
     f2_ey = free_energy(2, "eynard")
     assert f2_ey == MomentPoly({
         (-5, 3): F(21, 160),
