@@ -4,28 +4,24 @@ from taulap.ring import (
     CoincidentPoints,
     MomentPoly,
     NonUnitSubstitution,
-    NotHomogeneous,
     Rational,
     RingError,
     UnknownVariable,
     ZLaurent,
     ZRational,
     convert,
-    rational,
 )
 
 __all__ = [
     "CoincidentPoints",
     "MomentPoly",
     "NonUnitSubstitution",
-    "NotHomogeneous",
     "Rational",
     "RingError",
     "UnknownVariable",
     "ZLaurent",
     "ZRational",
     "convert",
-    "rational",
 ]
 
 __version__ = "0.1.0"

@@ -314,17 +314,6 @@ class _Arranger:
                 yield (e, f), self.walk(tail)
 
 
-def _arrangements(key: ZKey) -> list[ZKey]:
-    """The distinct permutations of a sorted key, in ascending lexicographic order.
-
-    The one-key view of ``_Arranger``: its blocks, joined.
-    """
-    out: list[ZKey] = []
-    for head, tails in _Arranger().blocks(key):
-        out.extend(map(head.__add__, tails))
-    return out
-
-
 @lru_cache(maxsize=None)
 def correlator(g: int, boundaries: int) -> ZLaurent | ZRational:
     """Stored correlator with ``g`` handles and ``boundaries`` boundaries.

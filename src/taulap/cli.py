@@ -37,20 +37,21 @@ from taulap.spectral import SpectralError, SpectralModel, solve
 USAGE_EXIT = 64
 CHECK_EXIT = 2
 # Largest genus that --gmax, --genus and the indices of tau reach: the chain's
-# cost roughly triples per genus; fg --gmax 12 takes about 3.5 s and fg --gmax 14
-# about 21 s (2 vCPUs, CPython 3.11).
+# cost roughly triples per genus; fg --gmax 12 takes about 2.2 s and 73 MB and
+# fg --gmax 14 about 12-16 s and 226 MB (2 vCPUs, CPython 3.11).
 MAX_GENUS = 14
 # The most boundaries a correlator may have at genus g = 0..MAX_GENUS: the largest
 # correlator --boundaries, and the most groups npoint --groups and model --eval
 # may list (each group is a boundary). A correlator's written-out keys grow
 # about fourfold per boundary and its peak RSS with them. Measured on the
 # correlator command (2 vCPUs, CPython 3.11): every admitted pair peaks at 643 MB
-# or less ((5, 7) 642 MB; (0, 12) takes about 4 s and 210 MB, (1, 11) about 9 s
-# and 452 MB), and every pair one boundary further peaks at 679 MB or more
-# ((8, 5)) or runs out of a 1.5 GB address space ((1, 12)).
+# or less ((5, 7) 642 MB; (0, 12) takes about 1.2 s and 163 MB, (1, 11) about
+# 3.9 s and 370 MB), and every pair one boundary further peaked at 679 MB or
+# more ((8, 5)) or ran out of a 1.5 GB address space ((1, 12)) when the table
+# was set.
 MAX_BOUNDARIES = (12, 11, 9, 8, 7, 7, 6, 5, 4, 4, 3, 3, 2, 2, 1)
 # Largest coeffs --mmax: R_m and S_m have a term per partition of m, and
-# coeffs --mmax 40 takes about 9 s for S and 4 s for R.
+# coeffs --mmax 40 takes about 3 s for S and 2.5 s for R.
 MAX_MMAX = 40
 # Most digits a number in npoint --groups, --moments and --coupling or model
 # --eval may have, counting the size of its exponent: exact arithmetic on

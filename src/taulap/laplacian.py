@@ -57,6 +57,7 @@ from taulap.ring import (
     MomentPoly,
     RingError,
     SlotOverflow,
+    _check_convention,
     _shift,
     _unpack,
     convert,
@@ -470,7 +471,11 @@ def stable_partition() -> StablePartition:
 
 
 def free_energy(g: int, convention: str = "rho") -> MomentPoly:
-    """``F_g`` in any display convention, converted from the moment-form chain."""
+    """``F_g`` in any display convention, converted from the moment-form chain.
+
+    An unknown convention raises ``RingError`` before the chain runs.
+    """
+    _check_convention(convention)
     return convert(stable_partition().f(g), "rho", convention)
 
 

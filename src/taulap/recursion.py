@@ -107,21 +107,6 @@ def _divide(cols: Columns, den: int, shift: int = 0) -> ZLaurent:
     return _laurent(out, den, shift)
 
 
-def residue_invert(obj: ZLaurent) -> ZLaurent:
-    """Inverse of the kernel operator on one-variable even Laurent input.
-
-    ``z**(-2k)`` maps to ``-(1/r0) sum_{j=0..k} S_j/j! z**-(2k-2j+2)`` where
-    ``S_j`` are the reciprocal-series coefficients; the defining property
-    ``z^2 K(z^{-1} residue_invert(f)) = -f`` is exercised in the tests. The
-    sum is evaluated by series division (see ``_divide``), which never builds
-    an ``S_j``; the keys come in a different order from the sum's.
-    """
-    if obj.nvars != 1:
-        raise RingError("residue inversion acts on one-variable objects")
-    rows, den = _columns(obj)
-    return _divide({e: {k: n * mult for k, n in nums.items()} for e, nums, mult in rows}, den)
-
-
 # ---------------------------------------------------------------------------
 # independent one-boundary chain
 
@@ -204,9 +189,9 @@ def _quadratic_sum(
 def one_point(g: int) -> ZLaurent:
     """One-boundary correlator of genus ``g`` from the quadratic residue recursion.
 
-    ``G_{g,1} = z**-1 / 2 * residue_invert(z**2 * rhs)`` with
-    ``rhs = 4 pair_diagonal(g-1) + sum_h G_{h,1} G_{g-h,1}``; the right-hand
-    side is summed in one integer accumulator. Only ``==`` and ``is_zero``
+    ``G_{g,1}`` is ``z**-1 / 2`` times the residue inversion (``_divide``)
+    of ``z**2 * rhs``, with ``rhs = 4 pair_diagonal(g-1) + sum_h G_{h,1}
+    G_{g-h,1}``; the right-hand side is summed in one integer accumulator. Only ``==`` and ``is_zero``
     read the result, so its key order is free.
     """
     if g < 1:
@@ -233,12 +218,6 @@ def one_point_residual(g: int) -> ZLaurent:
 # multi-boundary residual
 
 
-def _as_rational(obj: ZLaurent | ZRational) -> ZRational:
-    if isinstance(obj, ZRational):
-        return obj
-    return ZRational(obj)
-
-
 def _embedded(g: int, positions: Sequence[int], nvars: int) -> ZRational:
     stored = correlator(g, len(positions))
     if isinstance(stored, ZLaurent):
@@ -259,12 +238,10 @@ def dse_terms(g: int, boundaries: int) -> dict[str, ZRational]:
         raise GenusOutOfRange(f"multi-boundary residual undefined for ({g}, {B})")
     spectators = list(range(1, B))
     out: dict[str, ZRational] = {}
-    out["kernel"] = _as_rational(kernel_op(correlator(g, B), 0))
+    out["kernel"] = ZRational(kernel_op(correlator(g, B), 0))
     if g >= 1:
-        higher = correlator(g - 1, B + 1)
-        if not isinstance(higher, ZLaurent):
-            raise RingError("handle-gluing term expects a Laurent correlator")
-        out["handle"] = _as_rational(higher.identify(B, 0))
+        # B + 1 >= 3 boundaries: never the planar pair, always a ZLaurent
+        out["handle"] = ZRational(correlator(g - 1, B + 1).identify(B, 0))
     split: ZRational | None = None
     for h in range(0, g + 1):
         for chosen in _subsets(spectators):
@@ -279,7 +256,7 @@ def dse_terms(g: int, boundaries: int) -> dict[str, ZRational]:
         out["split"] = split
     dress: ZRational | None = None
     for h in range(1, g + 1):
-        left = _as_rational(correlator(h, 1).embed([0], B))
+        left = ZRational(correlator(h, 1).embed([0], B))
         right = _embedded(g - h, list(range(B)), B)
         prod = left * right
         dress = prod if dress is None else dress + prod

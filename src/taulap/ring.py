@@ -49,10 +49,6 @@ class RingError(ValueError):
     """Base class for arithmetic domain errors raised by this package."""
 
 
-class NotHomogeneous(RingError):
-    """A single weight was requested from a mixed-weight polynomial."""
-
-
 class NonUnitSubstitution(RingError):
     """The unit variable was bound to a non-invertible value."""
 
@@ -70,13 +66,6 @@ Key = tuple[int, ...]
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
-
-
-def rational(value: object, denominator: object | None = None) -> Fraction:
-    """Build an exact rational; accepts ints, strings like ``"7/240"``, Fractions."""
-    if denominator is None:
-        return Fraction(value)  # type: ignore[arg-type]
-    return Fraction(value, denominator)  # type: ignore[arg-type]
 
 
 def format_rational(value: object) -> str:
@@ -284,27 +273,6 @@ class MomentPoly:
             raise RingError(f"not a constant polynomial: {self!r}")
         return Fraction(self.nums.get((), 0), self.den)
 
-    def weights(self) -> set[int]:
-        return {monomial_weight(k) for k in self.nums}
-
-    def weight(self) -> int:
-        """The common weight of all terms; ``NotHomogeneous`` if they differ."""
-        ws = self.weights()
-        if not ws:
-            return 0
-        if len(ws) > 1:
-            raise NotHomogeneous(f"mixed weights {sorted(ws)}")
-        return ws.pop()
-
-    def moment_support(self) -> set[int]:
-        """Variable indices on which the polynomial genuinely depends."""
-        out: set[int] = set()
-        for key in self.nums:
-            for l, e in enumerate(key):
-                if e:
-                    out.add(l)
-        return out
-
     # -- arithmetic --------------------------------------------------------
 
     def __bool__(self) -> bool:
@@ -386,21 +354,7 @@ class MomentPoly:
             return self.scale(other)
         return NotImplemented
 
-    # -- calculus ----------------------------------------------------------
-
-    def partial(self, index: int) -> "MomentPoly":
-        """Partial derivative with respect to variable ``index`` (0 = unit)."""
-        nums: dict[Key, int] = {}
-        for key, n in self.nums.items():
-            e = key[index] if index < len(key) else 0
-            if not e:
-                continue
-            if index == 0:
-                new = (e - 1,) + key[1:]
-            else:
-                new = key[:index] + (e - 1,) + key[index + 1:]
-            nums[_trim(new)] = n * e
-        return MomentPoly.from_numerators(nums, self.den)
+    # -- evaluation --------------------------------------------------------
 
     def substitute(self, values: Mapping[int, object]) -> object:
         """Evaluate at numeric moment values (index -> value).
@@ -636,10 +590,6 @@ class ZLaurent:
     def zero(cls, nvars: int) -> "ZLaurent":
         return cls(nvars)
 
-    @classmethod
-    def monomial(cls, nvars: int, zexps: Iterable[int], coeff: object = 1) -> "ZLaurent":
-        return cls(nvars, {tuple(zexps): coeff})
-
     @property
     def is_zero(self) -> bool:
         return not self.terms
@@ -760,16 +710,6 @@ class ZLaurent:
             if not val.is_zero:
                 terms[key] = val
         out.terms = terms
-        return out
-
-    def partial_moment(self, index: int) -> "ZLaurent":
-        """Apply a moment-variable partial derivative to every coefficient."""
-        return self.map_coefficients(lambda c: c.partial(index))
-
-    def moment_support(self) -> set[int]:
-        out: set[int] = set()
-        for coeff in self.terms.values():
-            out |= coeff.moment_support()
         return out
 
     def identify(self, var: int, target: int) -> "ZLaurent":
@@ -1045,9 +985,6 @@ class ZRational:
         den = dict(self.den)
         den[key] = den.get(key, 0) + power
         return ZRational(num, den)
-
-    def partial_moment(self, index: int) -> "ZRational":
-        return ZRational(self.num.partial_moment(index), dict(self.den))
 
     def dz(self, var: int) -> "ZRational":
         """Derivative in ``z_var`` (quotient rule; denominator powers grow by one)."""

@@ -10,7 +10,7 @@ and the constraint holds iff every graded residual
 
 vanishes identically as a moment polynomial.  The first-order parts satisfy
 the Witt bracket ``[A_m, A_n] = (m - n) A_{m+n}`` on arbitrary arguments,
-which is exposed for testing via :func:`witt_defect`.
+which is checked by the tests.
 
 Both parts are tables of pieces ``s/64 * x^S * D``: an integer scalar ``s``
 over 64, a shift monomial ``x^S`` and a derivative ``D`` that is
@@ -176,33 +176,6 @@ def _apply(terms: list[tuple[int, Table, MomentPoly]], over: int = 1) -> MomentP
     for mult, table, p in terms:
         _emit(acc, table, p, mult, den)
     return MomentPoly.from_numerators(acc, 64 * over * den)
-
-
-def raising_part(n: int, p: MomentPoly) -> MomentPoly:
-    """First-order part ``A_n = sum_{j>=n} (3+2j)/2 rho_{j-n} d/d rho_j``."""
-    if n < 0:
-        raise RingError("constraint label must be nonnegative")
-    return _apply([(1, _table("A", n, _width(p)), p)])
-
-
-def quadratic_part(n: int, p: MomentPoly) -> MomentPoly:
-    """Grade-raising part ``B_n`` of the constraint operator."""
-    if n < 0:
-        raise RingError("constraint label must be nonnegative")
-    return _apply([(1, _table("B", n, _width(p)), p)])
-
-
-def scaling_constraint(p: MomentPoly) -> MomentPoly:
-    """The grade-zero constraint (pure raising part with label 0)."""
-    return raising_part(0, p)
-
-
-def witt_defect(m: int, n: int, probe: MomentPoly) -> MomentPoly:
-    """``[A_m, A_n] - (m-n) A_{m+n}`` applied to a probe; zero for all probes."""
-    first = raising_part(m, raising_part(n, probe))
-    second = raising_part(n, raising_part(m, probe))
-    straight = raising_part(m + n, probe).scale(m - n)
-    return first - second - straight
 
 
 @dataclass(frozen=True)

@@ -2,9 +2,11 @@
 
 Nothing here is used by the package. ``RefPoly`` is the ring the package
 stored before it kept integer numerators: one Fraction per coefficient, with
-the same key order rules. The Bell forms are the independent closed forms the
-runtime's series recurrences are compared against. The series divisions
-for ``R_m`` and ``R^t_m``, each written in its own variables, are the
+the same key order rules. ``partial``, ``partial_moment``, ``moment_support``
+and ``weight`` are the moment calculus the references and the tests build
+on; the runtime has none of them. The Bell forms are the independent closed
+forms the runtime's series recurrences are compared against. The series
+divisions for ``R_m`` and ``R^t_m``, each written in its own variables, are the
 references for the runtime's ``R_m`` and for the ``R^t_m`` it derives by
 ``convert``. ``OPERATOR_BLOCKS`` holds the Laplacian's blocks built in ring
 arithmetic, each form written out in its own variables. The moment-form
@@ -75,6 +77,7 @@ from taulap.ring import (
     _unpack,
     convention_scale,
     double_factorial,
+    monomial_weight,
     render_str,
 )
 
@@ -185,6 +188,51 @@ class RefPoly:
                     part = part * values[l] ** e
             total = part if total is None else total + part
         return Fraction(0) if total is None else total
+
+
+# -- the moment calculus the references build on --------------------------------
+#
+# The runtime never differentiates a whole polynomial or asks for its support
+# or its weight: its kernels take derivatives term by term in integers. These
+# are those operations on ``MomentPoly`` and the boundary objects, written out.
+
+
+def partial(p: MomentPoly, index: int) -> MomentPoly:
+    """The partial derivative in variable ``index`` (0 = unit); keys keep their order."""
+    nums: dict[Key, int] = {}
+    for key, n in p.nums.items():
+        e = key[index] if index < len(key) else 0
+        if e:
+            nums[_trim(key[:index] + (e - 1,) + key[index + 1:])] = n * e
+    return MomentPoly.from_numerators(nums, p.den)
+
+
+def partial_moment(obj: ZLaurent | ZRational, index: int) -> ZLaurent | ZRational:
+    """``partial`` on every coefficient (of the numerator, for a rational object)."""
+    if isinstance(obj, ZRational):
+        return ZRational(partial_moment(obj.num, index), dict(obj.den))
+    return obj.map_coefficients(lambda c: partial(c, index))
+
+
+def moment_support(obj: MomentPoly | ZLaurent | ZRational) -> set[int]:
+    """The variable indices (0 = unit) on which ``obj`` genuinely depends."""
+    if isinstance(obj, ZRational):
+        obj = obj.num
+    polys = obj.terms.values() if isinstance(obj, ZLaurent) else [obj]
+    return {l for poly in polys for key in poly.nums for l, e in enumerate(key) if e}
+
+
+def weights(p: MomentPoly) -> set[int]:
+    """The weights ``sum_{k>=1} k e_k`` of the terms of ``p``."""
+    return {monomial_weight(key) for key in p.nums}
+
+
+def weight(p: MomentPoly) -> int:
+    """The common weight of the terms of ``p``, 0 for zero; ``ValueError`` if they differ."""
+    ws = weights(p)
+    if len(ws) > 1:
+        raise ValueError(f"mixed weights {sorted(ws)}")
+    return ws.pop() if ws else 0
 
 
 class InsufficientArguments(RingError):
@@ -451,13 +499,13 @@ def apply_blocks(p: MomentPoly, blocks: Mapping[str, Callable[..., tuple[MomentP
     ordered pairs ``(k, l)``.
     """
     width = max(map(len, p.nums), default=1)
-    unit = p.partial(0)
+    unit = partial(p, 0)
     # (block, its indices, the derivative it multiplies, multiplicity)
-    jobs = [("c1", (), unit, 1), ("c2", (), unit.partial(0), 1)]
+    jobs = [("c1", (), unit, 1), ("c2", (), partial(unit, 0), 1)]
     for k in range(1, width):
-        dk = p.partial(k)
-        jobs += [("e", (k,), dk, 1), ("m", (k,), dk.partial(0), 1)]
-        jobs += [("d", (k, l), dk.partial(l), 1 if k == l else 2) for l in range(k, width)]
+        dk = partial(p, k)
+        jobs += [("e", (k,), dk, 1), ("m", (k,), partial(dk, 0), 1)]
+        jobs += [("d", (k, l), partial(dk, l), 1 if k == l else 2) for l in range(k, width)]
     out = MomentPoly.zero()
     for name, indices, derivative, mult in jobs:
         if derivative:
@@ -565,9 +613,9 @@ def residue_invert_by_reciprocals(obj: ZLaurent) -> ZLaurent:
 
 def _coincident_pair_by_sums(stored: ZLaurent) -> ZLaurent:
     out = ZLaurent.zero(1)
-    support = stored.moment_support()
+    support = moment_support(stored)
     for l in range(0, (max(support) if support else -1) + 1):
-        d = stored.partial_moment(l)
+        d = partial_moment(stored, l)
         if d.is_zero:
             continue
         ratio = MomentPoly.monomial((-1,) + (0,) * l + (1,), -(3 + 2 * l))
@@ -596,10 +644,10 @@ def one_point_by_sums(g: int) -> ZLaurent:
 def raising_part_by_sums(n: int, p: MomentPoly) -> MomentPoly:
     """``A_n = sum_{j>=n} (3+2j)/2 rho_{j-n} d/d rho_j``, one ring product per index."""
     out = MomentPoly.zero()
-    for j in sorted(p.moment_support()):
+    for j in sorted(moment_support(p)):
         if j < n:
             continue
-        d = p.partial(j)
+        d = partial(p, j)
         if d.is_zero:
             continue
         out = out + (MomentPoly.variable(j - n) * d).scale(F(3 + 2 * j, 2))
@@ -608,13 +656,13 @@ def raising_part_by_sums(n: int, p: MomentPoly) -> MomentPoly:
 
 def _quadratic_one(p: MomentPoly) -> MomentPoly:
     out = MomentPoly.zero()
-    support = sorted(p.moment_support())
+    support = sorted(moment_support(p))
     for k in support:
-        dk = p.partial(k)
+        dk = partial(p, k)
         if dk.is_zero:
             continue
-        for l in sorted(dk.moment_support() | {0}):
-            dkl = dk.partial(l)
+        for l in sorted(moment_support(dk) | {0}):
+            dkl = partial(dk, l)
             if dkl.is_zero:
                 continue
             coeff = (MomentPoly.monomial((-2,) + (0,) * k + (1,)) * MomentPoly.variable(l + 1)).scale(
@@ -631,16 +679,16 @@ def _quadratic_one(p: MomentPoly) -> MomentPoly:
 
 def _quadratic_two(p: MomentPoly) -> MomentPoly:
     out = MomentPoly.zero()
-    for k in sorted(p.moment_support()):
-        dk = p.partial(k)
+    for k in sorted(moment_support(p)):
+        dk = partial(p, k)
         if dk.is_zero:
             continue
-        dk0 = dk.partial(0)
+        dk0 = partial(dk, 0)
         if not dk0.is_zero:
             out = out + (MomentPoly.monomial((-1,) + (0,) * k + (1,)) * dk0).scale(-6 * (3 + 2 * k))
         if k >= 1:
             out = out + (MomentPoly.monomial((-2,) + (0,) * k + (1,)) * dk).scale(F(25 * (3 + 2 * k), 4))
-    d0 = p.partial(0)
+    d0 = partial(p, 0)
     if not d0.is_zero:
         out = out + (MomentPoly.monomial((-2, 1)) * d0).scale(F(39, 2))
     return out + MomentPoly.monomial((-3, 1), F(-49, 32)) * p
@@ -648,20 +696,20 @@ def _quadratic_two(p: MomentPoly) -> MomentPoly:
 
 def _quadratic_three(p: MomentPoly) -> MomentPoly:
     out = MomentPoly.zero()
-    d0 = p.partial(0)
+    d0 = partial(p, 0)
     if not d0.is_zero:
-        d00 = d0.partial(0)
+        d00 = partial(d0, 0)
         if not d00.is_zero:
             out = out + d00.scale(9)
         out = out + (MomentPoly.unit_power(-1) * d0).scale(F(-123, 4))
-    for k in sorted(p.moment_support()):
-        dk = p.partial(k)
+    for k in sorted(moment_support(p)):
+        dk = partial(p, k)
         if dk.is_zero:
             continue
-        dk1 = dk.partial(1)
+        dk1 = partial(dk, 1)
         if not dk1.is_zero:
             out = out + (MomentPoly.monomial((-1,) + (0,) * k + (1,)) * dk1).scale(-10 * (3 + 2 * k))
-    d1 = p.partial(1)
+    d1 = partial(p, 1)
     if not d1.is_zero:
         out = out + (MomentPoly.monomial((-2, 1)) * d1).scale(F(5, 4))
     return out + MomentPoly.unit_power(-2).scale(F(105, 64)) * p
@@ -670,22 +718,22 @@ def _quadratic_three(p: MomentPoly) -> MomentPoly:
 def _quadratic_high(n: int, p: MomentPoly) -> MomentPoly:
     out = MomentPoly.zero()
     for l in range(0, n - 2):
-        dl = p.partial(l)
+        dl = partial(p, l)
         if dl.is_zero:
             continue
-        d2 = dl.partial(n - 3 - l)
+        d2 = partial(dl, n - 3 - l)
         if not d2.is_zero:
             out = out + d2.scale((3 + 2 * l) * (2 * n - 2 * l - 3))
-    dn2 = p.partial(n - 2)
+    dn2 = partial(p, n - 2)
     if not dn2.is_zero:
-        for l in sorted(dn2.moment_support() | {0}):
-            d2 = dn2.partial(l)
+        for l in sorted(moment_support(dn2) | {0}):
+            d2 = partial(dn2, l)
             if d2.is_zero:
                 continue
             ratio = MomentPoly.monomial((-1,) + (0,) * l + (1,))
             out = out + (ratio * d2).scale(-2 * (3 + 2 * l) * (2 * n - 1))
         out = out + (MomentPoly.monomial((-2, 1)) * dn2).scale(F(2 * n - 1, 4))
-    dn3 = p.partial(n - 3)
+    dn3 = partial(p, n - 3)
     if not dn3.is_zero:
         out = out + (MomentPoly.unit_power(-1) * dn3).scale(
             F(-(2 * n - 3) * (16 * n - 7), 4)
@@ -726,10 +774,7 @@ def constraint_residuals_by_sums(n: int, orders: Sequence[MomentPoly]) -> dict[i
 
 
 def _moment_indices(obj: MomentPoly | ZLaurent | ZRational) -> range:
-    if isinstance(obj, ZRational):
-        support = obj.num.moment_support()
-    else:
-        support = obj.moment_support()
+    support = moment_support(obj)
     return range(0, (max(support) if support else -1) + 1)
 
 
@@ -848,7 +893,7 @@ def genus_one_gradient() -> dict[int, MomentPoly]:
 def multipass_create(obj: MomentPoly | ZLaurent | ZRational) -> ZLaurent | ZRational:
     """Boundary creation, one more variable appended as the last slot, in ring arithmetic."""
     if isinstance(obj, MomentPoly):
-        return create_from_gradient({l: obj.partial(l) for l in _moment_indices(obj)})
+        return create_from_gradient({l: partial(obj, l) for l in _moment_indices(obj)})
     # the z_new^-3 part is summed in the input's variables, then placed once
     n = obj.nvars
     positions = list(range(n))
@@ -857,7 +902,7 @@ def multipass_create(obj: MomentPoly | ZLaurent | ZRational) -> ZLaurent | ZRati
     low, euler = zero, zero
     highs = []
     for l in _moment_indices(obj):
-        d = obj.partial_moment(l)
+        d = partial_moment(obj, l)
         if d.is_zero:
             continue
         low = low + d.scale(_ratio_coeff(l).scale(-(3 + 2 * l)))

@@ -17,7 +17,7 @@ from math import comb, factorial, sqrt
 import mpmath
 import pytest
 
-from oracles import annihilate, bell, evaluate_full, multipass_create
+from oracles import annihilate, bell, evaluate_full, multipass_create, raising_part_by_sums, weights
 from taulap.boundary import (
     correlator,
     create,
@@ -202,7 +202,7 @@ def test_operator_algebra():
         MomentPoly({(0, 0, 4): F(5, 3)}),
         MomentPoly({(-3, 2, 0, 2): 1}),
     ]
-    assert max(max(p.weights(), default=0) for p in probes) == 8
+    assert max(max(weights(p), default=0) for p in probes) == 8
     for p in probes:
         assert annihilate(create(p)) == number_operator(p)
 
@@ -241,13 +241,13 @@ def test_operator_algebra():
 
 
 def test_constraint_sweep():
-    from taulap.virasoro import constraint_satisfied, scaling_constraint, stable_series
+    from taulap.virasoro import constraint_satisfied, stable_series
 
     series = stable_series(5)
     for n in range(0, 18):
         assert constraint_satisfied(n, series), f"constraint {n}"
     for g in range(2, 7):
-        assert scaling_constraint(free_energy(g, "rho")).is_zero, f"grade-zero on F_{g}"
+        assert raising_part_by_sums(0, free_energy(g, "rho")).is_zero, f"grade-zero on F_{g}"
     # index-shift identity of the partial Bell polynomials, full deterministic sweep
     xs = [F(2 * j + 1, j + 2) for j in range(1, 12)]
     for n in range(1, 11):

@@ -14,6 +14,7 @@ from oracles import (
     reciprocal_by_division,
     rescaled_resolvent_by_division,
     resolvent_by_division,
+    weight,
 )
 from taulap.bell import (
     reciprocal_coefficient,
@@ -182,5 +183,5 @@ def test_resolvent_display_form_matches_converted_form() -> None:
 
 def test_resolvent_weights() -> None:
     for m in range(6):
-        assert resolvent_coefficient(m).weight() == m
-        assert reciprocal_coefficient(m).weight() == m
+        assert weight(resolvent_coefficient(m)) == m
+        assert weight(reciprocal_coefficient(m)) == m

@@ -18,14 +18,16 @@ from oracles import (
     evaluate_full,
     genus_one_gradient,
     grouped_by_full_form,
+    moment_support,
     multipass_create,
+    partial_moment,
     render_z_by_key,
 )
 from taulap import boundary
 from taulap.boundary import (
     OutOfFloatRange,
     UnsupportedExponent,
-    _arrangements,
+    _Arranger,
     _create_orbits,
     _genus_one_point,
     _orbit_values,
@@ -56,6 +58,14 @@ from taulap.ring import (
 )
 
 F = Fraction
+
+
+def _arrangements(key: tuple[int, ...]) -> list[tuple[int, ...]]:
+    """The distinct permutations of a sorted key: one fresh ``_Arranger``'s blocks, joined."""
+    out: list[tuple[int, ...]] = []
+    for head, tails in _Arranger().blocks(key):
+        out.extend(map(head.__add__, tails))
+    return out
 
 
 # -- frozen low-order objects ---------------------------------------------------
@@ -274,7 +284,7 @@ def test_correlators_use_every_moment_index_through_3g_3_plus_b() -> None:
         for b in range(1, 6):
             if (g, b) in ((0, 1), (0, 2)):
                 continue  # no correlator, and the planar pair, which has no moments
-            assert correlator(g, b).moment_support() == set(range(3 * g - 2 + b)), (g, b)
+            assert moment_support(correlator(g, b)) == set(range(3 * g - 2 + b)), (g, b)
 
 
 # -- the creation kernel against the multi-pass construction -----------------------
@@ -513,7 +523,7 @@ def test_shared_coefficients_survive_their_consumers() -> None:
     snapshot = {key: (dict(poly.nums), poly.den) for key, poly in _orbits(1, 4).items()}
     number_operator_z(stored)
     kernel_op(stored, 2)
-    stored.identify(0, 1).partial_moment(0)
+    partial_moment(stored.identify(0, 1), 0)
     (stored + stored - stored.scale(F(1, 3))).dz(1)
     -stored
     render_z(stored)

@@ -7,7 +7,14 @@ from math import factorial
 
 import pytest
 
-from oracles import OPERATOR_BLOCKS, apply_blocks, bell_route_free_energy, ring_free_energies, ungrouped_apply
+from oracles import (
+    OPERATOR_BLOCKS,
+    apply_blocks,
+    bell_route_free_energy,
+    ring_free_energies,
+    ungrouped_apply,
+    weight,
+)
 from taulap import laplacian
 from taulap.bell import resolvent_coefficient
 from taulap.laplacian import (
@@ -124,7 +131,7 @@ def test_genus_three_from_single_operator_application() -> None:
 def test_operator_raises_weight_by_three() -> None:
     for probe in (genus_two_rho(), MomentPoly.variable(2), MomentPoly({(-2, 1, 1): 1})):
         image = apply_laplacian_rho(probe)
-        assert image.weight() == probe.weight() + 3
+        assert weight(image) == weight(probe) + 3
 
 
 def _block_probes(top: int) -> list[MomentPoly]:
@@ -171,6 +178,20 @@ def test_one_chain_serves_every_convention(monkeypatch) -> None:
         free_energy(6, convention)
     assert tau_intersection([2, 2, 4, 5]) == F(7597, 691200)
     assert len(calls) == 5
+
+
+def test_unknown_convention_fails_before_the_chain_runs(monkeypatch) -> None:
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return _apply_packed(*args)
+
+    monkeypatch.setattr(laplacian, "_apply_packed", counted)
+    stable_partition.cache_clear()
+    with pytest.raises(RingError, match="unknown convention"):
+        free_energy(10, "bogus")
+    assert calls == []
 
 
 def _walk(form, block: tuple) -> tuple[MomentPoly, list[tuple[int, ...]]]:
@@ -244,7 +265,7 @@ def test_packed_kernel_raises_on_slot_overflow() -> None:
     """Exponents live in 8-bit slots (unit offset by 128); leaving one raises, never wraps."""
     assert issubclass(SlotOverflow, RingError)
     # fits: the operator lowers the unit power by at most 6 here (to -126)
-    assert apply_laplacian_rho(MomentPoly({(-120, 1): 1})).weight() == 4
+    assert weight(apply_laplacian_rho(MomentPoly({(-120, 1): 1}))) == 4
     for probe in (
         MomentPoly({(-127, 1): 1}),   # image would need a unit power below -128
         MomentPoly({(-129, 1): 1}),   # does not fit a slot at all
@@ -341,7 +362,7 @@ def test_free_energy_term_order_is_frozen() -> None:
 def test_free_energy_structure() -> None:
     for g in range(2, 7):
         fg = free_energy(g, "t")
-        assert fg.weight() == 3 * g - 3
+        assert weight(fg) == 3 * g - 3
         assert len(fg.terms) == _partition_count(3 * g - 3)
         for key in fg.terms:
             assert key[0] == -(2 * g - 2) - sum(key[1:])
@@ -455,4 +476,4 @@ def test_free_energy_other_conventions() -> None:
 
 def test_resolvent_required_depth_available() -> None:
     # the genus-5 chain needs series coefficients well past m = 12
-    assert resolvent_coefficient(18).weight() == 18
+    assert weight(resolvent_coefficient(18)) == 18

@@ -8,17 +8,26 @@ from hypothesis import strategies as st
 
 from oracles import constraint_residuals_by_sums, quadratic_part_by_sums, raising_part_by_sums
 from taulap.laplacian import free_energy, stable_partition
+from taulap import virasoro
 from taulap.ring import MomentPoly, RingError
-from taulap.virasoro import (
-    GradedSeries,
-    constraint_residuals,
-    constraint_satisfied,
-    quadratic_part,
-    raising_part,
-    scaling_constraint,
-    stable_series,
-    witt_defect,
-)
+from taulap.virasoro import GradedSeries, constraint_residuals, constraint_satisfied, stable_series
+
+
+def raising_part(n: int, p: MomentPoly) -> MomentPoly:
+    """``A_n p``: the runtime's table of ``A_n`` alone in its accumulator."""
+    return virasoro._apply([(1, virasoro._table("A", n, virasoro._width(p)), p)])
+
+
+def quadratic_part(n: int, p: MomentPoly) -> MomentPoly:
+    """``B_n p``: the runtime's table of ``B_n`` alone in its accumulator."""
+    return virasoro._apply([(1, virasoro._table("B", n, virasoro._width(p)), p)])
+
+
+def witt_defect(m: int, n: int, probe: MomentPoly) -> MomentPoly:
+    """``[A_m, A_n] - (m-n) A_{m+n}`` applied to a probe; zero for all probes."""
+    first = raising_part(m, raising_part(n, probe))
+    second = raising_part(n, raising_part(m, probe))
+    return first - second - raising_part(m + n, probe).scale(m - n)
 
 
 def test_stable_series_orders():
@@ -35,20 +44,20 @@ def test_stable_series_orders():
 
 def test_scaling_constraint_kills_free_energies():
     for g in range(2, 7):
-        assert scaling_constraint(free_energy(g, "rho")).is_zero
+        assert raising_part(0, free_energy(g, "rho")).is_zero
 
 
 def test_scaling_constraint_eigenvalues():
     # each monomial is an eigenvector with eigenvalue sum((3+2j) e_j) / 2
     mono = MomentPoly.monomial((-2, 2), 1)  # rho_1^2 / rho_0^2
-    assert scaling_constraint(mono) == mono.scale(F(5 * 2 + 3 * (-2), 2))
+    assert raising_part(0, mono) == mono.scale(F(5 * 2 + 3 * (-2), 2))
     mono = MomentPoly.monomial((0, 0, 3), 1)  # rho_2^3
-    assert scaling_constraint(mono) == mono.scale(F(21, 2))
+    assert raising_part(0, mono) == mono.scale(F(21, 2))
 
 
 def test_raising_part_label_validation():
     with pytest.raises(RingError):
-        raising_part(-1, MomentPoly.one())
+        constraint_residuals(-1, stable_series(2))
 
 
 def test_quadratic_part_grade_zero_vanishes():
