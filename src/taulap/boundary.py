@@ -1,11 +1,11 @@
 """Boundary correlators built from the free energies by creation operators.
 
 A correlator with ``B`` boundaries is a Laurent object in ``z_1 .. z_B`` with
-moment-polynomial coefficients (a rational object with a ``(z_1 + z_2)``
-pole for the planar pair). Chains grow from two literal seeds, ``G_{0,3}``
-and ``G_{1,1}`` (the initial data of topological recursion), and from the
-one-boundary correlators of ``F_g`` for ``g >= 2``, by the boundary creation
-operator:
+moment-polynomial coefficients; the planar pair is the record ``ZRational``
+of its one term over ``(z_1 + z_2)^2``. Chains grow from two literal seeds,
+``G_{0,3}`` and ``G_{1,1}`` (the initial data of topological recursion), and
+from the one-boundary correlators of ``F_g`` for ``g >= 2``, by the boundary
+creation operator:
 
 * ``create``      -- the one-boundary correlator of a free energy (the
   creation step from no boundary);
@@ -20,8 +20,9 @@ evaluation run on orbits only (monomial symmetric functions, Macdonald,
 coefficient per sorted ``z`` key, every creation step is ``_create_orbits``,
 and exact and float evaluation (``n_point_core``) and the coincident-point
 pair (``diagonal``) read the orbits directly. ``correlator`` writes every key
-out for the consumers that need the full form (printing, the multi-boundary
-loop-equation residual), with one shared coefficient object per orbit.
+out for the consumers that need the full form (printing, and the
+multi-boundary loop-equation residual, which reads each key's coefficient as
+integer numerators), with one shared coefficient object per orbit.
 
 Stored objects are unit-normalized: the physical correlator carries an
 overall coupling power ``lambda ** lambda_exponent(g, B)`` on top of the

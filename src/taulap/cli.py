@@ -240,7 +240,7 @@ def _cmd_check(args: argparse.Namespace) -> int:
                 failures.append(f"dse1 g={g}")
     elif args.suite == "dseB":
         for g, b in [(0, 3), (0, 4), (1, 2), (1, 3), (2, 2)]:
-            ok = recursion.dse_residual(g, b).is_zero
+            ok = not recursion.dse_residual(g, b)
             print(f"loop equation ({g}, {b}): {'ok' if ok else 'NONZERO'}")
             if not ok:
                 failures.append(f"dseB ({g},{b})")

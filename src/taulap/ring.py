@@ -29,12 +29,12 @@ Converting a polynomial between conventions is a pure rescaling of
 coefficients; the exponent keys are shared by all conventions.
 
 Boundary-variable objects are Laurent polynomials in ``z_1 .. z_B`` whose
-coefficients are moment polynomials (:class:`ZLaurent`), and rational
-functions whose denominators are products of ``(z_i + z_j)`` or
-``(z_i - z_j)`` factors (:class:`ZRational`). A ``ZRational`` serves the
-planar pair and the multi-boundary loop-equation residual; it is never
-reduced at runtime, and cancelling its factors is left to the tests'
-references.
+coefficients are moment polynomials (:class:`ZLaurent`). The runtime builds,
+scales, compares and prints them, but does no Laurent arithmetic: creation
+and evaluation run on orbits, and the loop-equation residuals on integer
+numerators. :class:`ZRational` is the record of the planar pair, a numerator
+over powers of ``(z_i + z_j)`` or ``(z_i - z_j)`` factors. Sums, products,
+derivatives and embeddings of both kinds are left to the tests' references.
 """
 
 from __future__ import annotations
@@ -586,10 +586,6 @@ class ZLaurent:
         self.nvars = nvars
         self.terms = clean
 
-    @classmethod
-    def zero(cls, nvars: int) -> "ZLaurent":
-        return cls(nvars)
-
     @property
     def is_zero(self) -> bool:
         return not self.terms
@@ -601,41 +597,6 @@ class ZLaurent:
         if isinstance(other, ZLaurent):
             return self.nvars == other.nvars and self.terms == other.terms
         return NotImplemented
-
-    def _same_space(self, other: "ZLaurent") -> None:
-        if self.nvars != other.nvars:
-            raise RingError(
-                f"variable count mismatch: {self.nvars} vs {other.nvars}"
-            )
-
-    def __neg__(self) -> "ZLaurent":
-        out = ZLaurent(self.nvars)
-        out.terms = {k: -c for k, c in self.terms.items()}
-        return out
-
-    def __add__(self, other: object) -> "ZLaurent":
-        if not isinstance(other, ZLaurent):
-            return NotImplemented
-        self._same_space(other)
-        terms = dict(self.terms)
-        for key, coeff in other.terms.items():
-            prev = terms.get(key)
-            if prev is None:
-                terms[key] = coeff
-            else:
-                total = prev + coeff
-                if total.is_zero:
-                    del terms[key]
-                else:
-                    terms[key] = total
-        out = ZLaurent(self.nvars)
-        out.terms = terms
-        return out
-
-    def __sub__(self, other: object) -> "ZLaurent":
-        if not isinstance(other, ZLaurent):
-            return NotImplemented
-        return self + (-other)
 
     def scale(self, factor: object) -> "ZLaurent":
         """Multiply every coefficient by a moment polynomial or scalar."""
@@ -652,56 +613,6 @@ class ZLaurent:
         out.terms = terms
         return out
 
-    def __mul__(self, other: object) -> "ZLaurent":
-        if isinstance(other, (int, Fraction, MomentPoly)):
-            return self.scale(other)
-        if not isinstance(other, ZLaurent):
-            return NotImplemented
-        self._same_space(other)
-        acc: dict[ZKey, MomentPoly] = {}
-        for ka, ca in self.terms.items():
-            for kb, cb in other.terms.items():
-                key = tuple(x + y for x, y in zip(ka, kb))
-                val = ca * cb
-                prev = acc.get(key)
-                acc[key] = val if prev is None else prev + val
-        out = ZLaurent(self.nvars)
-        out.terms = {k: c for k, c in acc.items() if not c.is_zero}
-        return out
-
-    def __rmul__(self, other: object) -> "ZLaurent":
-        if isinstance(other, (int, Fraction, MomentPoly)):
-            return self.scale(other)
-        return NotImplemented
-
-    def shift(self, var: int, amount: int) -> "ZLaurent":
-        """Multiply by ``z_var ** amount``."""
-        out = ZLaurent(self.nvars)
-        out.terms = {
-            k[:var] + (k[var] + amount,) + k[var + 1:]: c for k, c in self.terms.items()
-        }
-        return out
-
-    def dz(self, var: int) -> "ZLaurent":
-        """Derivative in the boundary variable ``z_var``."""
-        terms: dict[ZKey, MomentPoly] = {}
-        for key, coeff in self.terms.items():
-            e = key[var]
-            if not e:
-                continue
-            new = key[:var] + (e - 1,) + key[var + 1:]
-            val = coeff.scale(e)
-            prev = terms.get(new)
-            if prev is not None:
-                val = prev + val
-            if val.is_zero:
-                terms.pop(new, None)
-            else:
-                terms[new] = val
-        out = ZLaurent(self.nvars)
-        out.terms = terms
-        return out
-
     def map_coefficients(self, fn: Callable[[MomentPoly], MomentPoly]) -> "ZLaurent":
         out = ZLaurent(self.nvars)
         terms: dict[ZKey, MomentPoly] = {}
@@ -709,40 +620,6 @@ class ZLaurent:
             val = fn(coeff)
             if not val.is_zero:
                 terms[key] = val
-        out.terms = terms
-        return out
-
-    def identify(self, var: int, target: int) -> "ZLaurent":
-        """Substitute ``z_var := z_target`` and drop the slot of ``z_var``."""
-        if var == target:
-            raise RingError("identify needs two distinct variables")
-        out = ZLaurent(self.nvars - 1)
-        terms: dict[ZKey, MomentPoly] = {}
-        for key, coeff in self.terms.items():
-            merged = list(key)
-            merged[target] += merged[var]
-            del merged[var]
-            new = tuple(merged)
-            prev = terms.get(new)
-            terms[new] = coeff if prev is None else prev + coeff
-        out.terms = {k: c for k, c in terms.items() if not c.is_zero}
-        return out
-
-    def embed(self, positions: Sequence[int], nvars: int) -> "ZLaurent":
-        """Place variable ``k`` of this object at slot ``positions[k]`` of a larger space."""
-        if len(positions) != self.nvars:
-            raise RingError("embed needs one target position per variable")
-        if len(set(positions)) != len(positions):
-            raise RingError("embed positions must be distinct")
-        if any(p < 0 or p >= nvars for p in positions):
-            raise RingError("embed positions out of range")
-        out = ZLaurent(nvars)
-        terms: dict[ZKey, MomentPoly] = {}
-        for key, coeff in self.terms.items():
-            new = [0] * nvars
-            for k, e in enumerate(key):
-                new[positions[k]] = e
-            terms[tuple(new)] = coeff
         out.terms = terms
         return out
 
@@ -867,44 +744,20 @@ def render_z(obj: ZLaurent, convention: str = "rho") -> str:
 FactorKey = tuple[int, int, int]  # (i, j, sign): the factor (z_i + sign * z_j), i < j
 
 
-def _factor_key(i: int, j: int, sign: int) -> tuple[FactorKey, int]:
-    """Normalized factor key and the numerator sign flip it costs."""
-    if sign not in (1, -1):
-        raise RingError("factor sign must be +1 or -1")
-    if i == j:
-        raise RingError("pair factors need two distinct variables")
-    if i < j:
-        return (i, j, sign), 1
-    # (z_i + z_j) is symmetric; (z_i - z_j) = -(z_j - z_i)
-    return (j, i, sign), (1 if sign == 1 else -1)
-
-
-def _laurent_times_factor(obj: ZLaurent, factor: FactorKey) -> ZLaurent:
-    i, j, sign = factor
-    return obj.shift(i, 1) + (obj.shift(j, 1) if sign == 1 else -obj.shift(j, 1))
-
-
 class ZRational:
-    """``num / prod (z_i +- z_j)^m`` with a Laurent-polynomial numerator."""
+    """``num / prod (z_i +- z_j)^m``: a Laurent numerator over pair factors.
+
+    ``den`` maps each factor key ``(i, j, sign)``, ``i < j``, to its power.
+    It is the record of the planar pair, which ``correlator(0, 2)`` returns
+    and the CLI prints; the runtime does no arithmetic on it, and ``==``
+    compares the numerators and the factors as stored.
+    """
 
     __slots__ = ("num", "den")
 
     def __init__(self, num: ZLaurent, den: Mapping[FactorKey, int] | None = None) -> None:
         self.num = num
-        clean: dict[FactorKey, int] = {}
-        if den:
-            for raw, power in den.items():
-                if power < 0:
-                    raise RingError("denominator powers must be nonnegative")
-                if not power:
-                    continue
-                key, flip = _factor_key(*raw)
-                if flip < 0 and power % 2:
-                    self.num = -self.num
-                if key[1] >= num.nvars:
-                    raise RingError("denominator variable out of range")
-                clean[key] = clean.get(key, 0) + power
-        self.den = clean
+        self.den = dict(den or {})
 
     @property
     def nvars(self) -> int:
@@ -916,106 +769,8 @@ class ZRational:
 
     def __eq__(self, other: object) -> bool:
         if isinstance(other, ZRational):
-            diff = self - other
-            return diff.num.is_zero
-        if isinstance(other, ZLaurent):
-            return self == ZRational(other)
+            return self.num == other.num and self.den == other.den
         return NotImplemented
-
-    def __neg__(self) -> "ZRational":
-        return ZRational(-self.num, dict(self.den))
-
-    def _widen(self, den: Mapping[FactorKey, int]) -> ZLaurent:
-        """Numerator re-expressed over the (larger) common denominator ``den``."""
-        num = self.num
-        for factor, power in den.items():
-            deficit = power - self.den.get(factor, 0)
-            for _ in range(deficit):
-                num = _laurent_times_factor(num, factor)
-        return num
-
-    def __add__(self, other: object) -> "ZRational":
-        if isinstance(other, ZLaurent):
-            other = ZRational(other)
-        if not isinstance(other, ZRational):
-            return NotImplemented
-        if self.num.nvars != other.num.nvars:
-            raise RingError("variable count mismatch in rational addition")
-        den: dict[FactorKey, int] = dict(self.den)
-        for factor, power in other.den.items():
-            den[factor] = max(den.get(factor, 0), power)
-        return ZRational(self._widen(den) + other._widen(den), den)
-
-    __radd__ = __add__
-
-    def __sub__(self, other: object) -> "ZRational":
-        if isinstance(other, ZLaurent):
-            other = ZRational(other)
-        if not isinstance(other, ZRational):
-            return NotImplemented
-        return self + (-other)
-
-    def __mul__(self, other: object) -> "ZRational":
-        if isinstance(other, (int, Fraction, MomentPoly)):
-            return ZRational(self.num.scale(other), dict(self.den))
-        if isinstance(other, ZLaurent):
-            return ZRational(self.num * other, dict(self.den))
-        if not isinstance(other, ZRational):
-            return NotImplemented
-        den = dict(self.den)
-        for factor, power in other.den.items():
-            den[factor] = den.get(factor, 0) + power
-        return ZRational(self.num * other.num, den)
-
-    def __rmul__(self, other: object) -> "ZRational":
-        if isinstance(other, (int, Fraction, MomentPoly, ZLaurent)):
-            return self * other
-        return NotImplemented
-
-    def scale(self, factor: object) -> "ZRational":
-        return ZRational(self.num.scale(factor), dict(self.den))
-
-    def shift(self, var: int, amount: int) -> "ZRational":
-        return ZRational(self.num.shift(var, amount), dict(self.den))
-
-    def divide_by_factor(self, i: int, j: int, sign: int, power: int = 1) -> "ZRational":
-        """Multiply the denominator by ``(z_i + sign*z_j)^power``."""
-        key, flip = _factor_key(i, j, sign)
-        num = self.num if flip > 0 or power % 2 == 0 else -self.num
-        den = dict(self.den)
-        den[key] = den.get(key, 0) + power
-        return ZRational(num, den)
-
-    def dz(self, var: int) -> "ZRational":
-        """Derivative in ``z_var`` (quotient rule; denominator powers grow by one)."""
-        touching = [(f, m) for f, m in self.den.items() if var in (f[0], f[1])]
-        den = dict(self.den)
-        for factor, power in touching:
-            den[factor] = power + 1
-        out = self.num.dz(var)
-        for factor, _ in touching:
-            out = _laurent_times_factor(out, factor)
-        for factor, power in touching:
-            # d(z_i + s z_j)/dz_var is 1 at i, s at j
-            dfac = 1 if var == factor[0] else factor[2]
-            piece = self.num.scale(Fraction(-power * dfac))
-            for other, _ in touching:
-                if other != factor:
-                    piece = _laurent_times_factor(piece, other)
-            out = out + piece
-        return ZRational(out, den)
-
-    def embed(self, positions: Sequence[int], nvars: int) -> "ZRational":
-        num = self.num.embed(positions, nvars)
-        den: dict[FactorKey, int] = {}
-        out = ZRational(num)
-        for (i, j, sign), power in self.den.items():
-            key, flip = _factor_key(positions[i], positions[j], sign)
-            if flip < 0 and power % 2:
-                out.num = -out.num
-            den[key] = den.get(key, 0) + power
-        out.den = den
-        return out
 
     def __str__(self) -> str:
         den = "*".join(

@@ -4,7 +4,12 @@ Nothing here is used by the package. ``RefPoly`` is the ring the package
 stored before it kept integer numerators: one Fraction per coefficient, with
 the same key order rules. ``partial``, ``partial_moment``, ``moment_support``
 and ``weight`` are the moment calculus the references and the tests build
-on; the runtime has none of them. The Bell forms are the independent closed
+on; the runtime has none of them. ``add``, ``sub``, ``mul``, ``shift``, ``dz``,
+``identify``, ``embed``, ``widen`` and ``divide_by_factor`` are the algebra of
+boundary objects (``ZLaurent``, and ``ZRational`` as a numerator over pair
+factors), which the runtime does not have either; ``dse_terms_by_rationals``
+sums the multi-boundary loop equation's pieces in it, the reference for the
+runtime's integer pieces. The Bell forms are the independent closed
 forms the runtime's series recurrences are compared against. The series
 divisions for ``R_m`` and ``R^t_m``, each written in its own variables, are the
 references for the runtime's ``R_m`` and for the ``R^t_m`` it derives by
@@ -45,13 +50,12 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from itertools import zip_longest
-from itertools import product
+from itertools import combinations, product, zip_longest
 from math import factorial, lcm
 from typing import Callable, Iterable, Mapping, Sequence
 
 from taulap.bell import resolvent_coefficient
-from taulap.boundary import _orbits, planar_pair
+from taulap.boundary import _orbits, correlator, kernel_op, planar_pair
 from taulap.laplacian import (
     _add_bounds,
     _bounds,
@@ -233,6 +237,233 @@ def weight(p: MomentPoly) -> int:
     if len(ws) > 1:
         raise ValueError(f"mixed weights {sorted(ws)}")
     return ws.pop() if ws else 0
+
+
+# -- the boundary-object algebra the references build on -------------------------
+#
+# The runtime never adds, multiplies, differentiates or re-embeds whole boundary
+# objects: creation and evaluation run on orbits, and the loop-equation
+# residuals on integer numerators. These are those operations on ``ZLaurent``
+# and on ``ZRational``, written out. An operation with a rational operand gives
+# a rational result whose pair factors are never cancelled (``reduce`` does
+# that); keys keep the order of first appearance, and cancelled ones are dropped.
+
+
+def _laurent(nvars: int, terms: dict[ZKey, MomentPoly]) -> ZLaurent:
+    out = ZLaurent(nvars)
+    out.terms = terms
+    return out
+
+
+def _factor_key(i: int, j: int, sign: int) -> tuple[FactorKey, int]:
+    """Normalized factor key and the numerator sign flip it costs."""
+    if sign not in (1, -1):
+        raise RingError("factor sign must be +1 or -1")
+    if i == j:
+        raise RingError("pair factors need two distinct variables")
+    if i < j:
+        return (i, j, sign), 1
+    # (z_i + z_j) is symmetric; (z_i - z_j) = -(z_j - z_i)
+    return (j, i, sign), (1 if sign == 1 else -1)
+
+
+def rational(num: ZLaurent, den: Mapping[FactorKey, int] | None = None) -> ZRational:
+    """``num / prod (z_i + s z_j)^m`` with every factor key put in the order ``i < j``.
+
+    A reversed difference ``(z_j - z_i)`` to an odd power flips the numerator's sign.
+    """
+    clean: dict[FactorKey, int] = {}
+    for raw, power in (den or {}).items():
+        if power < 0:
+            raise RingError("denominator powers must be nonnegative")
+        if not power:
+            continue
+        key, flip = _factor_key(*raw)
+        if flip < 0 and power % 2:
+            num = neg(num)
+        if key[1] >= num.nvars:
+            raise RingError("denominator variable out of range")
+        clean[key] = clean.get(key, 0) + power
+    return ZRational(num, clean)
+
+
+def _as_rational(obj: ZLaurent | ZRational) -> ZRational:
+    return obj if isinstance(obj, ZRational) else ZRational(obj)
+
+
+def _same_space(a: ZLaurent | ZRational, b: ZLaurent | ZRational) -> None:
+    if a.nvars != b.nvars:
+        raise RingError(f"variable count mismatch: {a.nvars} vs {b.nvars}")
+
+
+def neg(obj: ZLaurent | ZRational) -> ZLaurent | ZRational:
+    if isinstance(obj, ZRational):
+        return ZRational(neg(obj.num), obj.den)
+    return _laurent(obj.nvars, {k: -c for k, c in obj.terms.items()})
+
+
+def scale(obj: ZLaurent | ZRational, factor: object) -> ZLaurent | ZRational:
+    """Every coefficient (of the numerator) times a moment polynomial or a scalar."""
+    if isinstance(obj, ZRational):
+        return ZRational(obj.num.scale(factor), obj.den)
+    return obj.scale(factor)
+
+
+def add(a: ZLaurent | ZRational, b: ZLaurent | ZRational) -> ZLaurent | ZRational:
+    """The sum; rational operands are taken over the highest power of each factor."""
+    _same_space(a, b)
+    if isinstance(a, ZRational) or isinstance(b, ZRational):
+        a, b = _as_rational(a), _as_rational(b)
+        den = dict(a.den)
+        for factor, power in b.den.items():
+            den[factor] = max(den.get(factor, 0), power)
+        return ZRational(add(widen(a, den), widen(b, den)), den)
+    terms = dict(a.terms)
+    for key, coeff in b.terms.items():
+        prev = terms.get(key)
+        if prev is None:
+            terms[key] = coeff
+        else:
+            total = prev + coeff
+            if total.is_zero:
+                del terms[key]
+            else:
+                terms[key] = total
+    return _laurent(a.nvars, terms)
+
+
+def sub(a: ZLaurent | ZRational, b: ZLaurent | ZRational) -> ZLaurent | ZRational:
+    return add(a, neg(b))
+
+
+def mul(a: ZLaurent | ZRational, b: ZLaurent | ZRational) -> ZLaurent | ZRational:
+    """The product; the factors of rational operands multiply."""
+    _same_space(a, b)
+    if isinstance(a, ZRational) or isinstance(b, ZRational):
+        a, b = _as_rational(a), _as_rational(b)
+        den = dict(a.den)
+        for factor, power in b.den.items():
+            den[factor] = den.get(factor, 0) + power
+        return ZRational(mul(a.num, b.num), den)
+    acc: dict[ZKey, MomentPoly] = {}
+    for ka, ca in a.terms.items():
+        for kb, cb in b.terms.items():
+            key = tuple(x + y for x, y in zip(ka, kb))
+            val = ca * cb
+            prev = acc.get(key)
+            acc[key] = val if prev is None else prev + val
+    return _laurent(a.nvars, {k: c for k, c in acc.items() if not c.is_zero})
+
+
+def shift(obj: ZLaurent | ZRational, var: int, amount: int) -> ZLaurent | ZRational:
+    """Multiply by ``z_var ** amount``."""
+    if isinstance(obj, ZRational):
+        return ZRational(shift(obj.num, var, amount), obj.den)
+    return _laurent(obj.nvars, {
+        k[:var] + (k[var] + amount,) + k[var + 1:]: c for k, c in obj.terms.items()
+    })
+
+
+def times_factor(obj: ZLaurent, factor: FactorKey) -> ZLaurent:
+    """``obj`` times ``(z_i + sign z_j)``."""
+    i, j, sign = factor
+    return add(shift(obj, i, 1), shift(obj, j, 1) if sign == 1 else neg(shift(obj, j, 1)))
+
+
+def widen(obj: ZRational, den: Mapping[FactorKey, int]) -> ZLaurent:
+    """The numerator of ``obj`` re-expressed over the (larger) factors ``den``."""
+    num = obj.num
+    for factor, power in den.items():
+        for _ in range(power - obj.den.get(factor, 0)):
+            num = times_factor(num, factor)
+    return num
+
+
+def divide_by_factor(obj: ZRational, i: int, j: int, sign: int, power: int = 1) -> ZRational:
+    """Multiply the denominator by ``(z_i + sign*z_j)^power``."""
+    key, flip = _factor_key(i, j, sign)
+    num = obj.num if flip > 0 or power % 2 == 0 else neg(obj.num)
+    den = dict(obj.den)
+    den[key] = den.get(key, 0) + power
+    return ZRational(num, den)
+
+
+def dz(obj: ZLaurent | ZRational, var: int) -> ZLaurent | ZRational:
+    """Derivative in the boundary variable ``z_var`` (the quotient rule on a rational object)."""
+    if isinstance(obj, ZRational):
+        # every factor touching z_var gains one power
+        touching = [(f, m) for f, m in obj.den.items() if var in (f[0], f[1])]
+        den = dict(obj.den)
+        for factor, power in touching:
+            den[factor] = power + 1
+        out = dz(obj.num, var)
+        for factor, _ in touching:
+            out = times_factor(out, factor)
+        for factor, power in touching:
+            # d(z_i + s z_j)/dz_var is 1 at i, s at j
+            dfac = 1 if var == factor[0] else factor[2]
+            piece = obj.num.scale(Fraction(-power * dfac))
+            for other, _ in touching:
+                if other != factor:
+                    piece = times_factor(piece, other)
+            out = add(out, piece)
+        return ZRational(out, den)
+    terms: dict[ZKey, MomentPoly] = {}
+    for key, coeff in obj.terms.items():
+        e = key[var]
+        if not e:
+            continue
+        new = key[:var] + (e - 1,) + key[var + 1:]
+        val = coeff.scale(e)
+        prev = terms.get(new)
+        if prev is not None:
+            val = prev + val
+        if val.is_zero:
+            terms.pop(new, None)
+        else:
+            terms[new] = val
+    return _laurent(obj.nvars, terms)
+
+
+def identify(obj: ZLaurent, var: int, target: int) -> ZLaurent:
+    """Substitute ``z_var := z_target`` and drop the slot of ``z_var``."""
+    if var == target:
+        raise RingError("identify needs two distinct variables")
+    terms: dict[ZKey, MomentPoly] = {}
+    for key, coeff in obj.terms.items():
+        merged = list(key)
+        merged[target] += merged[var]
+        del merged[var]
+        new = tuple(merged)
+        prev = terms.get(new)
+        terms[new] = coeff if prev is None else prev + coeff
+    return _laurent(obj.nvars - 1, {k: c for k, c in terms.items() if not c.is_zero})
+
+
+def embed(obj: ZLaurent | ZRational, positions: Sequence[int], nvars: int) -> ZLaurent | ZRational:
+    """Place variable ``k`` of ``obj`` at slot ``positions[k]`` of a larger space."""
+    if isinstance(obj, ZRational):
+        num = embed(obj.num, positions, nvars)
+        den: dict[FactorKey, int] = {}
+        for (i, j, sign), power in obj.den.items():
+            key, flip = _factor_key(positions[i], positions[j], sign)
+            if flip < 0 and power % 2:
+                num = neg(num)
+            den[key] = den.get(key, 0) + power
+        return ZRational(num, den)
+    if len(positions) != obj.nvars:
+        raise RingError("embed needs one target position per variable")
+    if len(set(positions)) != len(positions):
+        raise RingError("embed positions must be distinct")
+    if any(p < 0 or p >= nvars for p in positions):
+        raise RingError("embed positions out of range")
+    terms: dict[ZKey, MomentPoly] = {}
+    for key, coeff in obj.terms.items():
+        new = [0] * nvars
+        for k, e in enumerate(key):
+            new[positions[k]] = e
+        terms[tuple(new)] = coeff
+    return _laurent(nvars, terms)
 
 
 class InsufficientArguments(RingError):
@@ -607,21 +838,21 @@ def residue_invert_by_reciprocals(obj: ZLaurent) -> ZLaurent:
         k = -e // 2
         for j in range(k + 1):
             piece = (coeff * reciprocal_by_division(j) * inv_unit).scale(F(-1, factorial(j)))
-            out = out + ZLaurent(1, {(-(2 * (k - j) + 2),): piece})
+            out = add(out, ZLaurent(1, {(-(2 * (k - j) + 2),): piece}))
     return out
 
 
 def _coincident_pair_by_sums(stored: ZLaurent) -> ZLaurent:
-    out = ZLaurent.zero(1)
+    out = ZLaurent(1)
     support = moment_support(stored)
     for l in range(0, (max(support) if support else -1) + 1):
         d = partial_moment(stored, l)
         if d.is_zero:
             continue
         ratio = MomentPoly.monomial((-1,) + (0,) * l + (1,), -(3 + 2 * l))
-        out = out + d.scale(ratio).shift(0, -3)
-        out = out + d.scale(3 + 2 * l).shift(0, -5 - 2 * l)
-    out = out + stored.dz(0).shift(0, -4).scale(MomentPoly.unit_power(-1))
+        out = add(out, shift(d.scale(ratio), 0, -3))
+        out = add(out, shift(d.scale(3 + 2 * l), 0, -5 - 2 * l))
+    out = add(out, shift(dz(stored, 0), 0, -4).scale(MomentPoly.unit_power(-1)))
     return out
 
 
@@ -637,8 +868,8 @@ def one_point_by_sums(g: int) -> ZLaurent:
     """``G_{g,1}`` by the residue recursion, with the right-hand side a ``ZLaurent`` sum."""
     rhs = pair_diagonal_by_sums(g - 1).scale(4)
     for h in range(1, g):
-        rhs = rhs + one_point_by_sums(h) * one_point_by_sums(g - h)
-    return residue_invert_by_reciprocals(rhs.shift(0, 2)).shift(0, -1).scale(F(1, 2))
+        rhs = add(rhs, mul(one_point_by_sums(h), one_point_by_sums(g - h)))
+    return shift(residue_invert_by_reciprocals(shift(rhs, 0, 2)), 0, -1).scale(F(1, 2))
 
 
 def raising_part_by_sums(n: int, p: MomentPoly) -> MomentPoly:
@@ -817,15 +1048,15 @@ def _synthetic_divide(num: ZLaurent, factor: FactorKey) -> ZLaurent | None:
     # view as a polynomial of degree (hi - lo) in z_i; divide by (z_i - root),
     # root = -sign * z_j, which multiplies by z_j in the coefficient ring
     jj = j if j < i else j - 1  # slot of z_j once z_i is removed
-    zero = ZLaurent.zero(num.nvars - 1)
+    zero = ZLaurent(num.nvars - 1)
     quotient: dict[int, ZLaurent] = {}
     carry = zero
     for e in range(hi, lo, -1):
-        carry = by_exp.get(e, zero) + carry
+        carry = add(by_exp.get(e, zero), carry)
         quotient[e - 1] = carry
         # multiply by root for the next column: -sign * z_j
-        carry = carry.shift(jj, 1).scale(Fraction(-sign))
-    remainder = by_exp.get(lo, zero) + carry
+        carry = shift(carry, jj, 1).scale(Fraction(-sign))
+    remainder = add(by_exp.get(lo, zero), carry)
     if not remainder.is_zero:
         return None
     out = ZLaurent(num.nvars)
@@ -898,23 +1129,23 @@ def multipass_create(obj: MomentPoly | ZLaurent | ZRational) -> ZLaurent | ZRati
     n = obj.nvars
     positions = list(range(n))
     rational = isinstance(obj, ZRational)
-    zero = ZRational(ZLaurent.zero(n)) if rational else ZLaurent.zero(n)
+    zero = ZRational(ZLaurent(n)) if rational else ZLaurent(n)
     low, euler = zero, zero
     highs = []
     for l in _moment_indices(obj):
         d = partial_moment(obj, l)
         if d.is_zero:
             continue
-        low = low + d.scale(_ratio_coeff(l).scale(-(3 + 2 * l)))
-        highs.append(d.scale(3 + 2 * l).embed(positions, n + 1).shift(n, -5 - 2 * l))
+        low = add(low, scale(d, _ratio_coeff(l).scale(-(3 + 2 * l))))
+        highs.append(shift(embed(scale(d, 3 + 2 * l), positions, n + 1), n, -5 - 2 * l))
     for i in range(n):
-        dz = obj.dz(i)
-        if not dz.is_zero:
-            euler = euler + dz.shift(i, -1)  # sum_i z_i^-1 dG/dz_i
-    low = low + euler.scale(MomentPoly.unit_power(-1))
-    total = low.embed(positions, n + 1).shift(n, -3)
+        deriv = dz(obj, i)
+        if not deriv.is_zero:
+            euler = add(euler, shift(deriv, i, -1))  # sum_i z_i^-1 dG/dz_i
+    low = add(low, scale(euler, MomentPoly.unit_power(-1)))
+    total = shift(embed(low, positions, n + 1), n, -3)
     for high in highs:
-        total = total + high
+        total = add(total, high)
     return reduce(total) if rational else total
 
 
@@ -955,7 +1186,7 @@ def correlator_by_create(g: int, boundaries: int) -> ZLaurent | ZRational:
     if boundaries == 1:
         return multipass_create(stable_partition().f(g)).scale(2 ** (4 * g))
     step = 4 if boundaries == 2 else 8
-    return multipass_create(correlator_by_create(g, boundaries - 1)).scale(step)
+    return scale(multipass_create(correlator_by_create(g, boundaries - 1)), step)
 
 
 def full_form_values(
@@ -1037,6 +1268,59 @@ def grouped_by_full_form(
                     value = value * 2 / (zk * zk - zl * zl)
         total = total + value
     return total
+
+
+# ---------------------------------------------------------------------------
+# the multi-boundary loop equation in rational arithmetic
+
+
+def dse_terms_by_rationals(g: int, boundaries: int) -> dict[str, ZRational]:
+    """The pieces of the multi-boundary loop equation, each one rational object.
+
+    Every stored correlator is placed by ``embed``, then multiplied, divided
+    and summed as a whole rational object; a sum is taken over the highest
+    power of each pair factor its terms have. The reference for
+    ``recursion.dse_terms``. With ``z_0`` the main variable and ``z_1 ..
+    z_{B-1}`` the spectators, the pieces are
+
+    * ``kernel``: ``kernel_op`` of ``G_{g,B}`` in ``z_0``;
+    * ``handle``: ``G_{g-1,B+1}`` with ``z_B = z_0``;
+    * ``split``: ``G_{h,1+|I|}(z_0, z_I) G_{g-h,B-|I|}(z_0, z_rest)`` over every
+      ``h`` and every spectator subset ``I`` that leaves some out;
+    * ``dressing``: ``G_{h,1}(z_0) G_{g-h,B}`` for ``h >= 1``;
+    * ``reflection``: ``2^(3 - [B = 2])`` times the sum over spectators ``beta``
+      of ``z_beta^-1 d/dz_beta`` of ``(G_{g,B-1}(z_0, z_rest) - G_{g,B-1}(z_beta,
+      z_rest)) / ((z_0 - z_beta)(z_0 + z_beta))``.
+    """
+    B = boundaries
+    spectators = list(range(1, B))
+
+    def placed(h: int, positions: Sequence[int]) -> ZRational:
+        return embed(_as_rational(correlator(h, len(positions))), positions, B)
+
+    def total(parts: Iterable[ZRational]) -> ZRational | None:
+        out = None
+        for part in parts:
+            out = part if out is None else add(out, part)
+        return out
+
+    out = {"kernel": ZRational(kernel_op(correlator(g, B), 0))}
+    if g >= 1:
+        out["handle"] = ZRational(identify(correlator(g - 1, B + 1), B, 0))
+    split = total(
+        mul(placed(h, [0, *chosen]), placed(g - h, [0, *(j for j in spectators if j not in chosen)]))
+        for h in range(g + 1) for size in range(1, B - 1) for chosen in combinations(spectators, size))
+    if split is not None:
+        out["split"] = split
+    dressing = total(mul(placed(h, [0]), placed(g - h, range(B))) for h in range(1, g + 1))
+    if dressing is not None:
+        out["dressing"] = dressing
+    reflection = total(
+        shift(dz(divide_by_factor(divide_by_factor(
+            sub(placed(g, [0, *rest]), placed(g, [beta, *rest])), 0, beta, -1), 0, beta, 1), beta), beta, -1)
+        for beta, rest in ((beta, [j for j in spectators if j != beta]) for beta in spectators))
+    out["reflection"] = scale(reflection, 2 ** (3 - (B == 2)))
+    return out
 
 
 # ---------------------------------------------------------------------------

@@ -10,18 +10,24 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import (
+    add,
     annihilate,
     arrangements_by_orbit,
     correlator_by_create,
     correlator_keys_by_orbit,
     create_from_gradient,
+    dz,
+    embed,
     evaluate_full,
     genus_one_gradient,
     grouped_by_full_form,
+    identify,
     moment_support,
     multipass_create,
+    neg,
     partial_moment,
     render_z_by_key,
+    sub,
 )
 from taulap import boundary
 from taulap.boundary import (
@@ -119,7 +125,7 @@ def test_diagonal_never_writes_the_pair_out(monkeypatch) -> None:
         raise AssertionError("diagonal wrote a correlator out")
 
     monkeypatch.setattr(boundary, "correlator", refuse)
-    assert diagonal(5) == correlator(5, 2).identify(0, 1)
+    assert diagonal(5) == identify(correlator(5, 2), 0, 1)
 
 
 # -- operator algebra ------------------------------------------------------------
@@ -146,7 +152,7 @@ def test_creation_commutes() -> None:
     for base in (correlator(1, 1), correlator(0, 3)):
         twice = multipass_create(multipass_create(base))
         swap = list(range(base.nvars)) + [base.nvars + 1, base.nvars]
-        assert twice == twice.embed(swap, base.nvars + 2)
+        assert twice == embed(twice, swap, base.nvars + 2)
 
 
 def test_number_operator_eigenvalue() -> None:
@@ -523,9 +529,9 @@ def test_shared_coefficients_survive_their_consumers() -> None:
     snapshot = {key: (dict(poly.nums), poly.den) for key, poly in _orbits(1, 4).items()}
     number_operator_z(stored)
     kernel_op(stored, 2)
-    partial_moment(stored.identify(0, 1), 0)
-    (stored + stored - stored.scale(F(1, 3))).dz(1)
-    -stored
+    partial_moment(identify(stored, 0, 1), 0)
+    dz(sub(add(stored, stored), stored.scale(F(1, 3))), 1)
+    neg(stored)
     render_z(stored)
     n_point_core(1, [[F(2)], [F(3), F(4)], [F(5)], [F(7)]], generic_moments())
     n_point_core(1, [[2.0], [3.0, 4.0], [5.0], [7.0]],

@@ -13,9 +13,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import taulap.cli
-from taulap.boundary import evaluate_correlator, generic_moments
+from taulap.boundary import correlator, evaluate_correlator, generic_moments
 from taulap.cli import MAX_BOUNDARIES, MAX_GENUS, MAX_LITERAL_DIGITS, MAX_LMAX, MAX_MMAX, main
-from taulap.ring import ZLaurent, ZRational
 
 MODEL4 = {
     "dimension": 4,
@@ -112,6 +111,14 @@ def test_correlator_rational_seed(capsys):
     assert code == 0
     assert "(z1+z2)^2" in out
     assert "coupling power: lambda^2" in out
+
+
+def test_planar_pair_prints_its_frozen_bytes(capsys):
+    # the whole stdout of the planar pair, and its repr, byte for byte
+    code, out, err = run(capsys, "correlator", "--genus", "0", "--boundaries", "2")
+    assert (code, err) == (0, "")
+    assert out == "(4*z1^-1*z2^-1) / ((z1+z2)^2)\ncoupling power: lambda^2\n"
+    assert repr(correlator(0, 2)) == "ZRational((4*z1^-1*z2^-1) / ((z1+z2)^2))"
 
 
 def test_correlator_invalid(capsys):
@@ -280,9 +287,9 @@ def test_check_virasoro(capsys):
 def test_check_failure_exits_two(capsys, monkeypatch):
     import taulap.recursion
 
-    # a residual that no longer cancels at (0, 3) is reported, and the suite fails
+    # a residual that no longer cancels at (0, 3), one stray term, is reported, and the suite fails
     res = taulap.recursion.dse_residual(0, 3)
-    corrupted = res + ZRational(ZLaurent(3, {(-3, -3, -3): Fraction(1, 5)}))
+    corrupted = {**res, ((-3, -3, -3), (-1,)): 1}
     real = taulap.recursion.dse_residual
     monkeypatch.setattr(taulap.recursion, "dse_residual",
                         lambda g, b: corrupted if (g, b) == (0, 3) else real(g, b))

@@ -1,5 +1,6 @@
 """Tests for the residue recursion and the loop-equation residual checks."""
 
+import os
 from fractions import Fraction as F
 
 import pytest
@@ -7,10 +8,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import (
+    add,
+    dse_terms_by_rationals,
     evaluate_full,
+    identify,
+    mul,
     one_point_by_sums,
     pair_diagonal_by_sums,
     residue_invert_by_reciprocals,
+    shift,
+    widen,
 )
 from taulap import recursion
 from taulap.boundary import correlator, diagonal, generic_moments, kernel_op
@@ -26,7 +33,10 @@ from taulap.recursion import (
 )
 from taulap.ring import CoincidentPoints, MomentPoly, RingError, ZLaurent, ZRational
 
-DSE_PAIRS = [(0, 3), (0, 4), (1, 2), (1, 3), (2, 2)]
+slow = pytest.mark.skipif(not os.environ.get("TAULAP_SLOW"), reason="set TAULAP_SLOW=1 to run")
+
+# every (g, B) with B >= 2 and 2g + B - 2 <= 4, but the planar pair
+DSE_PAIRS = [(0, 3), (0, 4), (0, 5), (0, 6), (1, 2), (1, 3), (1, 4), (2, 2)]
 
 
 # ---------------------------------------------------------------------------
@@ -40,7 +50,7 @@ def residue_invert(obj: ZLaurent) -> ZLaurent:
     ``S_j`` the reciprocal-series coefficients; ``one_point`` runs the same
     division on its right-hand side.
     """
-    rows, den = recursion._columns(obj)
+    rows, den = recursion._rows(obj)
     return recursion._divide(
         {e: {k: n * mult for k, n in nums.items()} for e, nums, mult in rows}, den)
 
@@ -57,7 +67,7 @@ def test_residue_invert_reproduces_genus_one():
         (-2,): MomentPoly.monomial((-2, 1), 4),
     }
     assert inv.terms == expected
-    rebuilt = inv.shift(0, -1).scale(F(1, 2))
+    rebuilt = shift(inv, 0, -1).scale(F(1, 2))
     assert rebuilt.terms == correlator(1, 1).terms
 
 
@@ -79,7 +89,7 @@ def test_residue_invert_input_validation():
 def test_residue_invert_round_trip(data):
     source = ZLaurent(1, dict(data))
     inverted = residue_invert(source)
-    round_trip = kernel_op(inverted.shift(0, -1), 0).shift(0, 2)
+    round_trip = shift(kernel_op(shift(inverted, 0, -1), 0), 0, 2)
     assert round_trip.terms == source.scale(-1).terms
 
 
@@ -113,7 +123,7 @@ def test_residue_invert_matches_reciprocal_sum(data):
 def test_residue_invert_round_trip_with_moment_coefficients():
     coeff = MomentPoly.monomial((-1, 2), F(3, 7)) + MomentPoly.unit_power(2)
     source = ZLaurent(1, {(-4,): coeff, (0,): MomentPoly.variable(2)})
-    round_trip = kernel_op(residue_invert(source).shift(0, -1), 0).shift(0, 2)
+    round_trip = shift(kernel_op(shift(residue_invert(source), 0, -1), 0), 0, 2)
     assert round_trip.terms == source.scale(-1).terms
 
 
@@ -145,7 +155,7 @@ def test_pair_diagonal_matches_boundary_route():
         assert isinstance(other, ZLaurent)
         assert pair_diagonal(g).terms == other.terms, g
         if g:
-            written = correlator(g, 2).identify(0, 1)
+            written = identify(correlator(g, 2), 0, 1)
             assert other.terms == written.terms, g
             assert list(other.terms) == list(written.terms), g
 
@@ -161,16 +171,16 @@ def test_one_point_residual_vanishes_symbolically():
 
 def test_one_point_residual_matches_ring_sums_on_corrupted_input(monkeypatch):
     """On a corrupted ``G_{2,1}`` the accumulated residual equals the ``ZLaurent`` sum, and is nonzero."""
-    bad = correlator(2, 1) + ZLaurent(1, {(-9,): MomentPoly.monomial((-3, 0, 1), F(2, 7))})
+    bad = add(correlator(2, 1), ZLaurent(1, {(-9,): MomentPoly.monomial((-3, 0, 1), F(2, 7))}))
 
     def corrupted(g, b):
         return bad if (g, b) == (2, 1) else correlator(g, b)
 
     monkeypatch.setattr(recursion, "correlator", corrupted)
     for g in range(2, 6):
-        want = kernel_op(corrupted(g, 1), 0) + diagonal(g - 1).scale(2)
+        want = add(kernel_op(corrupted(g, 1), 0), diagonal(g - 1).scale(2))
         for h in range(1, g):
-            want = want + (corrupted(h, 1) * corrupted(g - h, 1)).scale(F(1, 2))
+            want = add(want, mul(corrupted(h, 1), corrupted(g - h, 1)).scale(F(1, 2)))
         got = one_point_residual(g)
         assert got == want and got.terms, g
 
@@ -184,10 +194,26 @@ def test_one_point_residual_genus_bound():
 # multi-boundary loop equation
 
 
+def piece_as_rational(piece, den: int, poles, nvars: int) -> ZRational:
+    """A piece of ``dse_terms`` as the rational object it stands for."""
+    rows: dict = {}
+    for (zkey, key), n in piece.items():
+        rows.setdefault(zkey, {})[key] = n
+    num = ZLaurent(nvars, {z: MomentPoly.from_numerators(nums, den) for z, nums in rows.items()})
+    return ZRational(num, poles)
+
+
+def numerators_over(obj: ZRational, den: int, poles) -> dict:
+    """The numerator of ``obj`` over ``den`` and the pair factors ``poles``, keyed like a piece."""
+    assert all(m <= poles.get(f, 0) for f, m in obj.den.items())
+    return {(zkey, key): F(n * den, poly.den)
+            for zkey, poly in widen(obj, poles).terms.items() for key, n in poly.nums.items()}
+
+
 def test_dse_term_names():
-    assert sorted(dse_terms(0, 3)) == ["kernel", "reflection", "split"]
-    assert sorted(dse_terms(1, 2)) == ["dressing", "handle", "kernel", "reflection"]
-    assert sorted(dse_terms(1, 3)) == [
+    assert sorted(dse_terms(0, 3)[0]) == ["kernel", "reflection", "split"]
+    assert sorted(dse_terms(1, 2)[0]) == ["dressing", "handle", "kernel", "reflection"]
+    assert sorted(dse_terms(1, 3)[0]) == [
         "dressing",
         "handle",
         "kernel",
@@ -205,7 +231,9 @@ def test_dse_invalid_labels():
 def test_dse_planar_three_boundary_values():
     pts = [F(1), F(2), F(3)]
     moments = generic_moments()
-    values = {name: evaluate_full(part, pts, moments) for name, part in dse_terms(0, 3).items()}
+    pieces, den, poles = dse_terms(0, 3)
+    values = {name: evaluate_full(piece_as_rational(part, den, poles, 3), pts, moments)
+              for name, part in pieces.items()}
     assert values["kernel"] == F(-4, 27)
     assert values["split"] == F(1, 27)
     assert values["reflection"] == F(1, 9)
@@ -215,18 +243,40 @@ def test_dse_planar_three_boundary_values():
 def test_dse_pieces_nonzero_but_sum_vanishes():
     pts = [F(2), F(3)]
     moments = generic_moments()
-    values = [evaluate_full(part, pts, moments) for part in dse_terms(2, 2).values()]
+    pieces, den, poles = dse_terms(2, 2)
+    values = [evaluate_full(piece_as_rational(part, den, poles, 2), pts, moments)
+              for part in pieces.values()]
     assert all(value != 0 for value in values)
     assert sum(values) == 0
 
 
+def test_dse_pieces_match_the_rational_reference():
+    """Each piece's numerators are the rational reference piece's over the common denominator.
+
+    The common factors are the highest power of each pair factor among the
+    reference pieces, and the numerators agree exactly, piece by piece.
+    """
+    for g, b in DSE_PAIRS:
+        pieces, den, poles = dse_terms(g, b)
+        reference = dse_terms_by_rationals(g, b)
+        assert list(pieces) == list(reference), (g, b)
+        top: dict = {}
+        for part in reference.values():
+            for factor, m in part.den.items():
+                top[factor] = max(top.get(factor, 0), m)
+        assert poles == top, (g, b)
+        for name, piece in pieces.items():
+            assert piece == numerators_over(reference[name], den, poles), (g, b, name)
+
+
 def test_dse_residual_symbolically_zero():
     for g, b in DSE_PAIRS:
-        assert not dse_residual(g, b).num.terms
+        assert dse_residual(g, b) == {}, (g, b)
 
 
 def test_dse_pieces_reject_coincident_squares():
-    reflection = dse_terms(0, 3)["reflection"]
+    pieces, den, poles = dse_terms(0, 3)
+    reflection = piece_as_rational(pieces["reflection"], den, poles, 3)
     moments = generic_moments()
     with pytest.raises(CoincidentPoints):
         evaluate_full(reflection, [F(3), F(3), F(2)], moments)
@@ -235,15 +285,47 @@ def test_dse_pieces_reject_coincident_squares():
 
 
 def test_dse_residual_vanishes_on_all_pairs():
+    """The pieces, read as rational objects, sum to zero at an exact point off every pole."""
+    moments = generic_moments()
     for g, b in DSE_PAIRS:
-        assert dse_residual(g, b).is_zero
+        pieces, den, poles = dse_terms(g, b)
+        pts = [F(2 * i + 3, i + 2) for i in range(b)]
+        assert sum(evaluate_full(piece_as_rational(part, den, poles, b), pts, moments)
+                   for part in pieces.values()) == 0, (g, b)
 
 
-def test_dse_certify_detects_corruption():
-    # the certificate is `dse_residual(g, b).is_zero`; one stray term must break it
-    res = dse_residual(0, 3)
-    assert res.is_zero
-    corrupted = res + ZRational(ZLaurent(3, {(-3, -3, -3): F(1, 5)}))
-    assert not corrupted.is_zero
-    assert not (corrupted + ZRational(ZLaurent(3, {(-3, -3, -3): F(-1, 10)}))).is_zero
-    assert (corrupted + ZRational(ZLaurent(3, {(-3, -3, -3): F(-1, 5)}))).is_zero
+def test_dse_certify_detects_corruption(monkeypatch):
+    # the certificate is that `dse_residual(g, b)` is empty: one stray term in a
+    # piece must break it, and only its exact negative may restore it
+    real = recursion.dse_terms
+    stray = ((-3, -3, -3), (-1,))
+
+    def with_strays(*values):
+        def terms(g, b):
+            pieces, den, poles = real(g, b)
+            extra = {f"stray {i}": {stray: n} for i, n in enumerate(values)}
+            return {**pieces, **extra}, den, poles
+        return terms
+
+    for values, holds in [((), True), ((5,), False), ((10, -5), False), ((5, -5), True)]:
+        monkeypatch.setattr(recursion, "dse_terms", with_strays(*values))
+        assert (not dse_residual(0, 3)) == holds, values
+
+
+def test_dse_residual_detects_a_doubled_coefficient(monkeypatch):
+    """A ``G_{0,3}`` with one coefficient doubled breaks the loop equations that read it."""
+    good = correlator(0, 3)
+    key, poly = next(iter(good.terms.items()))
+    bad = ZLaurent(3, {**good.terms, key: poly.scale(2)})
+    monkeypatch.setattr(recursion, "correlator",
+                        lambda g, b: bad if (g, b) == (0, 3) else correlator(g, b))
+    # nothing on the residual's path is cached, so both read the corrupted G_{0,3}
+    assert dse_residual(0, 4)
+    assert dse_residual(1, 2)
+
+
+@slow
+def test_dse_residual_vanishes_through_energy_five():
+    """Every pair with ``2g + B - 2 <= 5``; ``correlator`` admits each, ``(0, 7)`` the largest."""
+    for g, b in DSE_PAIRS + [(0, 7), (1, 5), (2, 3)]:
+        assert dse_residual(g, b) == {}, (g, b)

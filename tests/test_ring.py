@@ -14,13 +14,22 @@ from hypothesis import strategies as st
 
 from oracles import (
     RefPoly,
+    add,
     collect,
+    divide_by_factor,
+    dz,
+    embed,
     evaluate_full,
+    identify,
     moment_support,
+    mul,
     partial,
     partial_moment,
+    rational,
     reduce,
     render_z_by_key,
+    shift,
+    sub,
     weight,
     weights,
 )
@@ -380,16 +389,16 @@ def zl(nvars, terms):
 def test_laurent_arithmetic_and_shift() -> None:
     a = zl(2, {(-3, 0): 1, (0, -5): F(1, 2)})
     b = zl(2, {(1, 1): MomentPoly.variable(1)})
-    prod = a * b
+    prod = mul(a, b)
     assert prod == zl(2, {(-2, 1): MomentPoly.variable(1),
                           (1, -4): MomentPoly.variable(1).scale(F(1, 2))})
-    assert a.shift(0, 2) == zl(2, {(-1, 0): 1, (2, -5): F(1, 2)})
-    assert (a - a).is_zero
+    assert shift(a, 0, 2) == zl(2, {(-1, 0): 1, (2, -5): F(1, 2)})
+    assert sub(a, a).is_zero
 
 
 def test_laurent_derivative_and_moment_partial() -> None:
     a = zl(1, {(-3,): MomentPoly.variable(1), (2,): 1})
-    assert a.dz(0) == zl(1, {(-4,): MomentPoly.variable(1).scale(-3), (1,): 2})
+    assert dz(a, 0) == zl(1, {(-4,): MomentPoly.variable(1).scale(-3), (1,): 2})
     assert partial_moment(a, 1) == zl(1, {(-3,): 1})
 
 
@@ -399,16 +408,16 @@ def test_laurent_collect_and_identify() -> None:
     assert set(grouped) == {-3, 0}
     assert grouped[-3] == zl(1, {(-1,): 1, (-2,): 2})
     assert collect(a, 1)[-1] == zl(1, {(-3,): 1, (0,): 3})
-    assert a.identify(0, 1) == zl(1, {(-4,): 1, (-5,): 2, (-1,): 3})
-    assert a.identify(1, 0) == zl(1, {(-4,): 1, (-5,): 2, (-1,): 3})
+    assert identify(a, 0, 1) == zl(1, {(-4,): 1, (-5,): 2, (-1,): 3})
+    assert identify(a, 1, 0) == zl(1, {(-4,): 1, (-5,): 2, (-1,): 3})
 
 
 def test_laurent_embed_and_permute() -> None:
     a = zl(1, {(-3,): 1})
-    wide = a.embed([2], 4)
+    wide = embed(a, [2], 4)
     assert wide == zl(4, {(0, 0, -3, 0): 1})
     b = zl(2, {(-1, -2): 1})
-    assert b.embed([1, 0], 2) == zl(2, {(-2, -1): 1})
+    assert embed(b, [1, 0], 2) == zl(2, {(-2, -1): 1})
 
 
 def test_laurent_evaluate_and_bind() -> None:
@@ -542,28 +551,28 @@ def test_rational_arithmetic_against_pointwise_oracle() -> None:
     b = ZRational(zl(2, {(-2, 0): 3}), {(0, 1, -1): 1})
     pts = [F(2), F(5)]
     for combined, expected in [
-        (a + b, evaluate_full(a, pts, {}) + evaluate_full(b, pts, {})),
-        (a * b, evaluate_full(a, pts, {}) * evaluate_full(b, pts, {})),
-        (a - b, evaluate_full(a, pts, {}) - evaluate_full(b, pts, {})),
+        (add(a, b), evaluate_full(a, pts, {}) + evaluate_full(b, pts, {})),
+        (mul(a, b), evaluate_full(a, pts, {}) * evaluate_full(b, pts, {})),
+        (sub(a, b), evaluate_full(a, pts, {}) - evaluate_full(b, pts, {})),
     ]:
         assert evaluate_full(combined, pts, {}) == expected
 
 
 def test_denominator_orientation_normalization() -> None:
     # (z2 - z1) = -(z1 - z2): numerator sign flips on normalization
-    a = ZRational(zl(2, {(0, 0): 1}), {(1, 0, -1): 1})
-    b = ZRational(zl(2, {(0, 0): -1}), {(0, 1, -1): 1})
-    assert (a - b).num.is_zero
-    sym = ZRational(zl(2, {(0, 0): 1}), {(1, 0, 1): 1})
+    a = rational(zl(2, {(0, 0): 1}), {(1, 0, -1): 1})
+    b = rational(zl(2, {(0, 0): -1}), {(0, 1, -1): 1})
+    assert sub(a, b).num.is_zero
+    sym = rational(zl(2, {(0, 0): 1}), {(1, 0, 1): 1})
     assert evaluate_full(sym, [F(2), F(3)], {}) == F(1, 5)
 
 
 def test_synthetic_division_round_trip() -> None:
     base = zl(2, {(-3, 1): MomentPoly.variable(1), (0, -2): F(2, 3), (1, 1): 1})
     for sign in (1, -1):
-        grown = ZRational(base).divide_by_factor(0, 1, sign)
-        prod = ZRational(base * zl(2, {(1, 0): 1}) + base.shift(1, 1).scale(sign))
-        assert reduce(prod * ZRational(zl(2, {(0, 0): 1}), {(0, 1, sign): 1})) == base
+        grown = divide_by_factor(ZRational(base), 0, 1, sign)
+        prod = ZRational(add(mul(base, zl(2, {(1, 0): 1})), shift(base, 1, 1).scale(sign)))
+        assert reduce(mul(prod, ZRational(zl(2, {(0, 0): 1}), {(0, 1, sign): 1}))) == base
         assert reduce(grown) is not base  # stays rational: not divisible
         reduced = reduce(grown)
         assert isinstance(reduced, ZRational)
@@ -573,7 +582,7 @@ def test_reduce_cancels_exact_factors() -> None:
     num = zl(2, {(1, 0): 1, (0, 1): 1})  # z1 + z2
     r = ZRational(num, {(0, 1, 1): 1})
     assert reduce(r) == zl(2, {(0, 0): 1})
-    r2 = ZRational(num * num, {(0, 1, 1): 2})
+    r2 = ZRational(mul(num, num), {(0, 1, 1): 2})
     assert reduce(r2) == zl(2, {(0, 0): 1})
     diff = zl(2, {(2, 0): 1, (0, 2): -1})  # z1^2 - z2^2
     assert reduce(ZRational(diff, {(0, 1, 1): 1})) == zl(2, {(1, 0): 1, (0, 1): -1})
@@ -585,7 +594,7 @@ def test_rational_derivative_matches_symbolic_oracle() -> None:
     seed = pair_seed()
     expr = 4 / (z1 * z2 * (z1 + z2) ** 2)
     for var, sym in ((0, z1), (1, z2)):
-        deriv = seed.dz(var)
+        deriv = dz(seed, var)
         expected = sympy.diff(expr, sym)
         for pts in ([F(1), F(2)], [F(3), F(5)], [F(2), F(7)]):
             got = evaluate_full(deriv, pts, {})
@@ -598,7 +607,7 @@ def test_rational_derivative_with_minus_factor() -> None:
     r = ZRational(zl(2, {(-1, 2): 1}), {(0, 1, -1): 2, (0, 1, 1): 1})
     expr = z2**2 / (z1 * (z1 - z2) ** 2 * (z1 + z2))
     for var, sym in ((0, z1), (1, z2)):
-        deriv = r.dz(var)
+        deriv = dz(r, var)
         expected = sympy.diff(expr, sym)
         got = evaluate_full(deriv, [F(5), F(2)], {})
         want = expected.subs({z1: 5, z2: 2})
@@ -607,6 +616,6 @@ def test_rational_derivative_with_minus_factor() -> None:
 
 def test_rational_embed() -> None:
     r = pair_seed()
-    wide = r.embed([2, 0], 3)
+    wide = embed(r, [2, 0], 3)
     pts = [F(5), F(11), F(2)]
     assert evaluate_full(wide, pts, {}) == evaluate_full(r, [pts[2], pts[0]], {})
