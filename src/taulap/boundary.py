@@ -10,9 +10,7 @@ creation operator:
 * ``create``      -- the one-boundary correlator of a free energy (the
   creation step from no boundary);
 * ``number_operator`` -- the grading; correlators are eigenvectors with
-  eigenvalue ``2g + B - 2``;
-* ``kernel_op``   -- the multiplication-side kernel entering the loop
-  equations.
+  eigenvalue ``2g + B - 2``.
 
 A correlator is symmetric in its boundary variables, so creation and
 evaluation run on orbits only (monomial symmetric functions, Macdonald,
@@ -55,10 +53,6 @@ from taulap.ring import (
 )
 
 F = Fraction
-
-
-class UnsupportedExponent(RingError):
-    """The kernel operator is defined on odd negative powers only."""
 
 
 class OutOfFloatRange(RingError):
@@ -106,42 +100,6 @@ def number_operator(p: MomentPoly) -> MomentPoly:
 
 def number_operator_z(obj: ZLaurent) -> ZLaurent:
     return obj.map_coefficients(number_operator)
-
-
-def kernel_op(obj: ZLaurent, var: int = 0) -> ZLaurent:
-    """Kernel operator in one boundary variable.
-
-    ``z**-(3+2n)`` maps to ``sum_{k=0}^{n} r_k z**-(2n+2-2k)``; ``z**-1`` maps
-    to ``1``; any other exponent is an error.
-    """
-    out = ZLaurent(obj.nvars)
-    terms: dict[tuple[int, ...], MomentPoly] = {}
-
-    def _add(key: tuple[int, ...], poly: MomentPoly) -> None:
-        prev = terms.get(key)
-        total = poly if prev is None else prev + poly
-        if total.is_zero:
-            terms.pop(key, None)
-        else:
-            terms[key] = total
-
-    for key, coeff in obj.terms.items():
-        e = key[var]
-        if e == -1:
-            _add(key[:var] + (0,) + key[var + 1:], coeff)
-            continue
-        if e > -3 or e % 2 == 0:
-            raise UnsupportedExponent(
-                f"kernel operator undefined on exponent {e} of variable {var}"
-            )
-        n = (-e - 3) // 2
-        for k in range(n + 1):
-            _add(
-                key[:var] + (-(2 * n + 2 - 2 * k),) + key[var + 1:],
-                coeff * MomentPoly.variable(k),
-            )
-    out.terms = terms
-    return out
 
 
 # ---------------------------------------------------------------------------

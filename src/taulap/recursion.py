@@ -11,7 +11,9 @@ Two cross-validations of the boundary-correlator chain live here:
 Every kernel here (the residue inversion, the coincident pair, the quadratic
 right-hand side and both loop-equation residuals) takes each coefficient as
 integer numerators over one common denominator and sums its terms into one
-accumulator per ``z`` key, so no intermediate polynomial is built.
+accumulator per ``z`` key, so no intermediate polynomial is built. Both
+residuals take the loop equations' kernel operator from ``_kernel_rows``,
+which rejects a ``z_0`` power outside its domain.
 
 The multi-boundary pieces also share one product of pair factors
 ``(z_i +- z_j)^m``, each factor at the highest power any piece has, and each
@@ -28,11 +30,7 @@ from math import lcm
 from operator import add
 from typing import Callable, Iterable, Mapping, NamedTuple, Sequence
 
-from taulap.boundary import (
-    correlator,
-    diagonal,
-    kernel_op,
-)
+from taulap.boundary import correlator, diagonal
 from taulap.laplacian import GenusOutOfRange
 from taulap.ring import (
     FactorKey,
@@ -65,6 +63,10 @@ class UnboundedInput(RingError):
     """The residue inversion needs nonpositive exponents."""
 
 
+class UnsupportedExponent(RingError):
+    """The kernel operator is defined on odd negative powers only."""
+
+
 def _rows(obj: ZLaurent) -> tuple[RowList, int]:
     """The rows of an object and their common denominator, the lcm of its coefficients'."""
     den = lcm(*(c.den for c in obj.terms.values()))
@@ -92,6 +94,40 @@ def _product(acc: Rows, rows_a: RowList, rows_b: RowList, f: int) -> None:
                 for key_b, nb in items_b:
                     key = _addkey(key_a, key_b)
                     col[key] = get(key, 0) + fa * nb
+
+
+def _emit_rows(acc: Rows, rows: RowList, f: int) -> None:
+    """Add ``f`` times a row list to ``acc``."""
+    for key, nums, mult in rows:
+        _emit(acc, key, nums, f * mult)
+
+
+def _kernel_rows(acc: Rows, rows: RowList, f: int) -> None:
+    """Add ``f`` times the kernel operator in ``z_0`` of a row list to ``acc``.
+
+    ``z_0**-(3+2n)`` maps to ``sum_{k=0}^{n} r_k z_0**-(2n+2-2k)``; ``z_0**-1``
+    maps to ``1``; any other exponent is an error.
+    """
+    for key, nums, mult in rows:
+        e, rest = key[0], key[1:]
+        fm = f * mult
+        if e == -1:
+            _emit(acc, (0,) + rest, nums, fm)
+            continue
+        if e > -3 or e % 2 == 0:
+            raise UnsupportedExponent(f"kernel operator undefined on exponent {e} of z_0")
+        n = (-e - 3) // 2
+        for k in range(n + 1):
+            r_k = (0,) * k + (1,)
+            col = acc.setdefault((-(2 * n + 2 - 2 * k),) + rest, {})
+            get = col.get
+            for key_m, v in nums.items():
+                key_m = _addkey(key_m, r_k)
+                col[key_m] = get(key_m, 0) + fm * v
+
+
+# adds ``f`` times a row list to an accumulator: ``_emit_rows`` or ``_kernel_rows``
+Emitter = Callable[[Rows, RowList, int], None]
 
 
 def _laurent(cols: Rows, den: int, shift: int = 0) -> ZLaurent:
@@ -180,9 +216,9 @@ def pair_diagonal(g: int) -> ZLaurent:
 
 
 def _quadratic_sum(
-    g: int, series: Callable[[int], ZLaurent], extra: Sequence[tuple[int, ZLaurent]]
+    g: int, series: Callable[[int], ZLaurent], extra: Sequence[tuple[int, ZLaurent, Emitter]]
 ) -> tuple[Rows, int]:
-    """``sum_{h=1}^{g-1} series(h) series(g-h) + sum w * obj`` over ``(w, obj)`` in ``extra``.
+    """``sum_{h=1}^{g-1} series(h) series(g-h) + sum w * emit(obj)`` over ``(w, obj, emit)`` in ``extra``.
 
     The result is integer numerators per ``z`` key over one denominator.
     Each unordered pair ``{h, g-h}`` is multiplied once, with weight 2 (1
@@ -190,13 +226,11 @@ def _quadratic_sum(
     """
     pairs = [(2 - (2 * h == g), _rows(series(h)), _rows(series(g - h)))
              for h in range(1, g // 2 + 1)]
-    singles = [(w, _rows(obj)) for w, obj in extra]
-    den = lcm(*(da * db for _, (_, da), (_, db) in pairs), *(d for _, (_, d) in singles))
+    singles = [(w, _rows(obj), emit) for w, obj, emit in extra]
+    den = lcm(*(da * db for _, (_, da), (_, db) in pairs), *(d for _, (_, d), _ in singles))
     acc: Rows = {}
-    for w, (rows, d) in singles:
-        scale = w * (den // d)
-        for key, nums, mult in rows:
-            _emit(acc, key, nums, scale * mult)
+    for w, (rows, d), emit in singles:
+        emit(acc, rows, w * (den // d))
     for w, (rows_a, da), (rows_b, db) in pairs:
         _product(acc, rows_a, rows_b, w * (den // (da * db)))
     return acc, den
@@ -213,7 +247,7 @@ def one_point(g: int) -> ZLaurent:
     """
     if g < 1:
         raise GenusOutOfRange("the residue recursion starts at genus 1")
-    rhs, den = _quadratic_sum(g, one_point, [(4, pair_diagonal(g - 1))])
+    rhs, den = _quadratic_sum(g, one_point, [(4, pair_diagonal(g - 1), _emit_rows)])
     return _divide({(e + 2,): nums for (e,), nums in rhs.items()}, 2 * den, -1)
 
 
@@ -225,9 +259,8 @@ def one_point_residual(g: int) -> ZLaurent:
     """
     if g < 1:
         raise GenusOutOfRange("the one-boundary residual starts at genus 1")
-    kernel = kernel_op(correlator(g, 1), 0)
-    total, den = _quadratic_sum(
-        g, lambda h: correlator(h, 1), [(2, kernel), (4, diagonal(g - 1))])
+    total, den = _quadratic_sum(g, lambda h: correlator(h, 1), [
+        (2, correlator(g, 1), _kernel_rows), (4, diagonal(g - 1), _emit_rows)])
     return _laurent(total, 2 * den)
 
 
@@ -268,24 +301,6 @@ def _placed(g: int, positions: Sequence[int], nvars: int) -> _Placed:
             z[p] = e
         placed.append((tuple(z), nums, mult))
     return _Placed(placed, den, poles)
-
-
-def _kernel_rows(acc: Rows, placed: _Placed, f: int) -> None:
-    """Add ``f`` times the kernel operator in ``z_0`` (``boundary.kernel_op``) of the rows."""
-    for key, nums, mult in placed.rows:
-        e, rest = key[0], key[1:]
-        fm = f * mult
-        if e == -1:
-            _emit(acc, (0,) + rest, nums, fm)
-            continue
-        n = (-e - 3) // 2
-        for k in range(n + 1):  # z^-(3+2n) -> sum_k r_k z^-(2n+2-2k)
-            r_k = (0,) * k + (1,)
-            col = acc.setdefault((-(2 * n + 2 - 2 * k),) + rest, {})
-            get = col.get
-            for key_m, v in nums.items():
-                key_m = _addkey(key_m, r_k)
-                col[key_m] = get(key_m, 0) + fm * v
 
 
 def _times_factor(rows: Rows, factor: FactorKey) -> Rows:
@@ -367,7 +382,7 @@ def dse_terms(g: int, boundaries: int) -> tuple[dict[str, Numerators], int, Pole
     def into(piece: str, poles: Poles) -> Rows:
         return groups.setdefault(piece, {}).setdefault(tuple(sorted(poles.items())), {})
 
-    _kernel_rows(into("kernel", {}), kernel, den // kernel.den)
+    _kernel_rows(into("kernel", {}), kernel.rows, den // kernel.den)
     if handle is not None:
         acc = into("handle", {})
         f = den // handle.den
@@ -383,8 +398,7 @@ def dse_terms(g: int, boundaries: int) -> tuple[dict[str, Numerators], int, Pole
         for sign, placed in ((1, main), (-1, mirror)):
             f = sign * 2 ** (3 - (B == 2)) * (den // placed.den)
             rows: Rows = {}
-            for key, nums, mult in placed.rows:
-                _emit(rows, key, nums, f * mult)
+            _emit_rows(rows, placed.rows, f)
             rows, poles = _quotient_rule(
                 rows, {**placed.poles, (0, beta, -1): 1, (0, beta, 1): 1}, beta)
             acc = into("reflection", poles)

@@ -747,17 +747,26 @@ FactorKey = tuple[int, int, int]  # (i, j, sign): the factor (z_i + sign * z_j),
 class ZRational:
     """``num / prod (z_i +- z_j)^m``: a Laurent numerator over pair factors.
 
-    ``den`` maps each factor key ``(i, j, sign)``, ``i < j``, to its power.
-    It is the record of the planar pair, which ``correlator(0, 2)`` returns
-    and the CLI prints; the runtime does no arithmetic on it, and ``==``
-    compares the numerators and the factors as stored.
+    ``den`` maps each factor key ``(i, j, sign)``, ``i < j``, to its power;
+    a key out of that form or a negative power is an error, and a zero power
+    is dropped. It is the record of the planar pair, which ``correlator(0,
+    2)`` returns and the CLI prints; the runtime does no arithmetic on it,
+    and ``==`` compares the numerators and the factors as stored, so a common
+    factor of the two is not cancelled.
     """
 
     __slots__ = ("num", "den")
 
     def __init__(self, num: ZLaurent, den: Mapping[FactorKey, int] | None = None) -> None:
         self.num = num
-        self.den = dict(den or {})
+        self.den = {}
+        for (i, j, sign), power in (den or {}).items():
+            if sign not in (1, -1) or not 0 <= i < j < num.nvars:
+                raise RingError(f"pair factor {(i, j, sign)} is not (z_i +- z_j) with i < j < {num.nvars}")
+            if power < 0:
+                raise RingError("denominator powers must be nonnegative")
+            if power:
+                self.den[i, j, sign] = power
 
     @property
     def nvars(self) -> int:

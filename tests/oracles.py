@@ -5,12 +5,14 @@ stored before it kept integer numerators: one Fraction per coefficient, with
 the same key order rules. ``partial``, ``partial_moment``, ``moment_support``
 and ``weight`` are the moment calculus the references and the tests build
 on; the runtime has none of them. ``add``, ``sub``, ``mul``, ``shift``, ``dz``,
-``identify``, ``embed``, ``widen`` and ``divide_by_factor`` are the algebra of
-boundary objects (``ZLaurent``, and ``ZRational`` as a numerator over pair
-factors), which the runtime does not have either; ``dse_terms_by_rationals``
-sums the multi-boundary loop equation's pieces in it, the reference for the
-runtime's integer pieces. The Bell forms are the independent closed
-forms the runtime's series recurrences are compared against. The series
+``identify``, ``embed``, ``widen``, ``divide_by_factor`` and ``kernel_op``
+are the algebra of boundary objects (``ZLaurent``, and ``ZRational`` as a
+numerator over pair factors), which the runtime does not have either: its
+kernel operator is ``recursion._kernel_rows``, on integer numerators.
+``dse_terms_by_rationals`` sums the multi-boundary loop equation's pieces in
+it, the reference for the runtime's integer pieces. The Bell forms are the
+independent closed forms the runtime's series recurrences are compared
+against. The series
 divisions for ``R_m`` and ``R^t_m``, each written in its own variables, are the
 references for the runtime's ``R_m`` and for the ``R^t_m`` it derives by
 ``convert``. ``OPERATOR_BLOCKS`` holds the Laplacian's blocks built in ring
@@ -55,7 +57,7 @@ from math import factorial, lcm
 from typing import Callable, Iterable, Mapping, Sequence
 
 from taulap.bell import resolvent_coefficient
-from taulap.boundary import _orbits, correlator, kernel_op, planar_pair
+from taulap.boundary import _orbits, correlator, planar_pair
 from taulap.laplacian import (
     _add_bounds,
     _bounds,
@@ -63,6 +65,7 @@ from taulap.laplacian import (
     _OperatorTables,
     stable_partition,
 )
+from taulap.recursion import UnsupportedExponent
 from taulap.ring import (
     _SLOT_BITS,
     _UNIT_OFFSET,
@@ -438,6 +441,41 @@ def identify(obj: ZLaurent, var: int, target: int) -> ZLaurent:
         prev = terms.get(new)
         terms[new] = coeff if prev is None else prev + coeff
     return _laurent(obj.nvars - 1, {k: c for k, c in terms.items() if not c.is_zero})
+
+
+def kernel_op(obj: ZLaurent, var: int = 0) -> ZLaurent:
+    """Kernel operator in one boundary variable, one ``MomentPoly`` product per term.
+
+    ``z**-(3+2n)`` maps to ``sum_{k=0}^{n} r_k z**-(2n+2-2k)``; ``z**-1`` maps
+    to ``1``; any other exponent is an error. The reference for
+    ``recursion._kernel_rows``.
+    """
+    terms: dict[ZKey, MomentPoly] = {}
+
+    def _add(key: ZKey, poly: MomentPoly) -> None:
+        prev = terms.get(key)
+        total = poly if prev is None else prev + poly
+        if total.is_zero:
+            terms.pop(key, None)
+        else:
+            terms[key] = total
+
+    for key, coeff in obj.terms.items():
+        e = key[var]
+        if e == -1:
+            _add(key[:var] + (0,) + key[var + 1:], coeff)
+            continue
+        if e > -3 or e % 2 == 0:
+            raise UnsupportedExponent(
+                f"kernel operator undefined on exponent {e} of variable {var}"
+            )
+        n = (-e - 3) // 2
+        for k in range(n + 1):
+            _add(
+                key[:var] + (-(2 * n + 2 - 2 * k),) + key[var + 1:],
+                coeff * MomentPoly.variable(k),
+            )
+    return _laurent(obj.nvars, terms)
 
 
 def embed(obj: ZLaurent | ZRational, positions: Sequence[int], nvars: int) -> ZLaurent | ZRational:

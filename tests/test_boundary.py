@@ -22,6 +22,7 @@ from oracles import (
     genus_one_gradient,
     grouped_by_full_form,
     identify,
+    kernel_op,
     moment_support,
     multipass_create,
     neg,
@@ -32,7 +33,6 @@ from oracles import (
 from taulap import boundary
 from taulap.boundary import (
     OutOfFloatRange,
-    UnsupportedExponent,
     _Arranger,
     _create_orbits,
     _genus_one_point,
@@ -44,7 +44,6 @@ from taulap.boundary import (
     diagonal,
     evaluate_correlator,
     generic_moments,
-    kernel_op,
     lambda_exponent,
     n_point_core,
     number_operator,
@@ -53,6 +52,7 @@ from taulap.boundary import (
 )
 from taulap.cli import MAX_BOUNDARIES
 from taulap.laplacian import GenusOutOfRange, genus_two_rho, stable_partition
+from taulap.recursion import UnsupportedExponent, _kernel_rows, _rows
 from taulap.ring import (
     CoincidentPoints,
     MomentPoly,
@@ -529,6 +529,7 @@ def test_shared_coefficients_survive_their_consumers() -> None:
     snapshot = {key: (dict(poly.nums), poly.den) for key, poly in _orbits(1, 4).items()}
     number_operator_z(stored)
     kernel_op(stored, 2)
+    _kernel_rows({}, _rows(stored)[0], 1)
     partial_moment(identify(stored, 0, 1), 0)
     dz(sub(add(stored, stored), stored.scale(F(1, 3))), 1)
     neg(stored)

@@ -12,6 +12,7 @@ from oracles import (
     dse_terms_by_rationals,
     evaluate_full,
     identify,
+    kernel_op,
     mul,
     one_point_by_sums,
     pair_diagonal_by_sums,
@@ -20,11 +21,12 @@ from oracles import (
     widen,
 )
 from taulap import recursion
-from taulap.boundary import correlator, diagonal, generic_moments, kernel_op
+from taulap.boundary import correlator, diagonal, generic_moments
 from taulap.laplacian import GenusOutOfRange
 from taulap.recursion import (
     OddInput,
     UnboundedInput,
+    UnsupportedExponent,
     dse_residual,
     dse_terms,
     one_point,
@@ -125,6 +127,34 @@ def test_residue_invert_round_trip_with_moment_coefficients():
     source = ZLaurent(1, {(-4,): coeff, (0,): MomentPoly.variable(2)})
     round_trip = shift(kernel_op(shift(residue_invert(source), 0, -1), 0), 0, 2)
     assert round_trip.terms == source.scale(-1).terms
+
+
+# ---------------------------------------------------------------------------
+# kernel operator
+
+
+def kernel_image(obj: ZLaurent) -> ZLaurent:
+    """``recursion._kernel_rows`` of ``obj``'s rows, read back as a ``ZLaurent``."""
+    rows, den = recursion._rows(obj)
+    acc: dict = {}
+    recursion._kernel_rows(acc, rows, 1)
+    return ZLaurent(obj.nvars, {z: MomentPoly.from_numerators(nums, den) for z, nums in acc.items()})
+
+
+def test_kernel_rows_match_the_reference():
+    """The integer kernel equals the ``MomentPoly`` reference on literals and stored correlators."""
+    objs = [ZLaurent(1, {(-1,): 1}), ZLaurent(1, {(-7,): F(3, 4)}),
+            ZLaurent(2, {(-5, -3): MomentPoly.monomial((-1, 2), F(2, 9)), (-1, -1): 3})]
+    objs += [correlator(g, 1) for g in range(1, 7)]
+    objs += [correlator(g, b) for g, b in [(0, 3), (0, 4), (1, 2), (1, 3), (2, 2)]]
+    for obj in objs:
+        assert kernel_image(obj) == kernel_op(obj, 0), obj
+
+
+def test_kernel_rows_reject_exponents_off_the_domain():
+    for e in [-6, -4, -2, 0, 1, 2]:
+        with pytest.raises(UnsupportedExponent):
+            kernel_image(ZLaurent(2, {(-3, -3): 1, (e, -3): 1}))
 
 
 # ---------------------------------------------------------------------------
@@ -322,6 +352,21 @@ def test_dse_residual_detects_a_doubled_coefficient(monkeypatch):
     # nothing on the residual's path is cached, so both read the corrupted G_{0,3}
     assert dse_residual(0, 4)
     assert dse_residual(1, 2)
+
+
+def test_residuals_reject_a_term_off_the_kernel_domain(monkeypatch):
+    """A stored correlator with an even or nonnegative ``z_0`` power raises, rather than passing."""
+    for key in [(-2, -2, -2), (0, 0, 0), (-4, -3, -3)]:
+        bad = ZLaurent(3, {**correlator(0, 3).terms, key: MomentPoly.unit_power(-1)})
+        monkeypatch.setattr(recursion, "correlator",
+                            lambda g, b: bad if (g, b) == (0, 3) else correlator(g, b))
+        with pytest.raises(UnsupportedExponent):
+            dse_residual(0, 3)
+    bad_one = ZLaurent(1, {**correlator(2, 1).terms, (-2,): 1})
+    monkeypatch.setattr(recursion, "correlator",
+                        lambda g, b: bad_one if (g, b) == (2, 1) else correlator(g, b))
+    with pytest.raises(UnsupportedExponent):
+        one_point_residual(2)
 
 
 @slow

@@ -38,6 +38,7 @@ from taulap.ring import (
     CoincidentPoints,
     MomentPoly,
     NonUnitSubstitution,
+    RingError,
     UnknownVariable,
     ZLaurent,
     ZRational,
@@ -537,6 +538,18 @@ def test_exact_evaluation_errors() -> None:
 def pair_seed() -> ZRational:
     """4 / (z1 z2 (z1+z2)^2): the planar two-boundary generating object."""
     return ZRational(zl(2, {(-1, -1): 4}), {(0, 1, 1): 2})
+
+
+def test_rational_record_checks_its_factors() -> None:
+    """The record keeps ``i < j`` factor keys and positive powers; ``==`` is on the stored form."""
+    num = zl(2, {(-1, -1): 4})
+    assert ZRational(num, {(0, 1, 1): 2, (0, 1, -1): 0}).den == {(0, 1, 1): 2}
+    assert ZRational(num, {(0, 1, 1): 2}) == pair_seed()
+    for bad in [{(1, 0, 1): 2}, {(0, 0, 1): 1}, {(0, 2, 1): 1}, {(0, 1, 2): 1}, {(0, 1, 1): -1}]:
+        with pytest.raises(RingError):
+            ZRational(num, bad)
+    # the same function with a factor written into the numerator is another record
+    assert ZRational(zl(2, {(0, -1): 4, (-1, 0): 4}), {(0, 1, 1): 3}) != pair_seed()
 
 
 def test_rational_evaluation() -> None:
