@@ -53,12 +53,17 @@ from taulap.ring import (
     _SLOT_BITS,
     _SLOT_MASK,
     _UNIT_OFFSET,
+    Bounds,
     Key,
     MomentPoly,
     RingError,
     SlotOverflow,
+    _add_bounds,
+    _bounds,
     _check_convention,
+    _check_slots,
     _shift,
+    _union_bounds,
     _unpack,
     convert,
 )
@@ -150,29 +155,6 @@ def apply_laplacian_t(p: MomentPoly) -> MomentPoly:
 # the operator kernel: packed monomial keys, integer numerators
 
 
-# (least unit exponent, largest unit exponent, largest variable exponent)
-Bounds = tuple[int, int, int]
-
-
-def _bounds(keys: list[Key]) -> Bounds:
-    e0s = [k[0] if k else 0 for k in keys] or [0]
-    top = max((max(k[1:]) for k in keys if len(k) > 1), default=0)
-    return min(e0s), max(e0s), top
-
-
-def _check_slots(bounds: Bounds) -> None:
-    low, high, top = bounds
-    if low < -_UNIT_OFFSET or high >= _UNIT_OFFSET or top > _SLOT_MASK:
-        raise SlotOverflow(
-            f"unit exponents {low}..{high} or variable exponents up to {top} "
-            f"do not fit {_SLOT_BITS}-bit slots"
-        )
-
-
-def _add_bounds(a: Bounds, b: Bounds) -> Bounds:
-    return a[0] + b[0], a[1] + b[1], a[2] + b[2]
-
-
 # A polynomial packed as a factor: (denominator, [(key shift, numerator)], bounds).
 _Factor = tuple[int, list[tuple[int, int]], Bounds]
 
@@ -247,8 +229,7 @@ class _OperatorTables:
                 den, index, _ = self._table(name)
                 c = coeff / den
                 pieces.append((c.denominator, c.numerator, shift, index))
-            lows, highs, tops = zip(*reach)
-            got = self._pieces[block] = (pieces, (min(lows), max(highs), max(tops)))
+            got = self._pieces[block] = (pieces, _union_bounds(reach))
         return got
 
 

@@ -155,6 +155,11 @@ def _shift(key: Key) -> int:
     return key[0] + (int.from_bytes(bytes(key[1:]), "little") << _SLOT_BITS)
 
 
+def _slot(k: int) -> int:
+    """What multiplying by ``r_k`` adds to a packed key; ``r_0`` is the unit."""
+    return 1 << (_SLOT_BITS * k)
+
+
 def _unpack(code: int) -> Key:
     """The trimmed key of a packed key."""
     e0 = (code & _SLOT_MASK) - _UNIT_OFFSET
@@ -162,6 +167,36 @@ def _unpack(code: int) -> Key:
     if not rest:
         return (e0,) if e0 else ()
     return (e0, *rest.to_bytes((rest.bit_length() + 7) // 8, "little"))
+
+
+# (least unit exponent, largest unit exponent, largest variable exponent)
+Bounds = tuple[int, int, int]
+
+
+def _bounds(keys: list[Key]) -> Bounds:
+    e0s = [k[0] if k else 0 for k in keys] or [0]
+    top = max((max(k[1:]) for k in keys if len(k) > 1), default=0)
+    return min(e0s), max(e0s), top
+
+
+def _check_slots(bounds: Bounds) -> None:
+    """``SlotOverflow`` unless every exponent within ``bounds`` fits its slot."""
+    low, high, top = bounds
+    if low < -_UNIT_OFFSET or high >= _UNIT_OFFSET or top > _SLOT_MASK:
+        raise SlotOverflow(
+            f"unit exponents {low}..{high} or variable exponents up to {top} "
+            f"do not fit {_SLOT_BITS}-bit slots"
+        )
+
+
+def _add_bounds(a: Bounds, b: Bounds) -> Bounds:
+    return a[0] + b[0], a[1] + b[1], a[2] + b[2]
+
+
+def _union_bounds(bounds: Iterable[Bounds]) -> Bounds:
+    """The bounds of the keys of several sets, each within its own bounds (at least one)."""
+    lows, highs, tops = zip(*bounds)
+    return min(lows), max(highs), max(tops)
 
 
 def monomial_weight(key: Key) -> int:

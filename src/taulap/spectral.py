@@ -103,8 +103,11 @@ class SpectralModel:
         except (KeyError, TypeError, ValueError) as exc:
             raise InvalidModel(f"bad model header: {exc}") from exc
         if "eigenvalues" in data:
+            entries = data["eigenvalues"]
+            if not isinstance(entries, list):
+                raise InvalidModel(f"'eigenvalues' must be a list of levels, not {type(entries).__name__}")
             levels = []
-            for entry in data["eigenvalues"]:
+            for entry in entries:
                 try:
                     levels.append((float(entry["E"]), _integral(entry["mult"], "mult")))
                 except (KeyError, TypeError, ValueError) as exc:
@@ -112,6 +115,8 @@ class SpectralModel:
             return cls(dimension, coupling, volume, tuple(levels))
         if "generator" in data:
             gen = data["generator"]
+            if not isinstance(gen, Mapping):
+                raise InvalidModel(f"'generator' must be an object, not {type(gen).__name__}")
             if gen.get("e") != "linear":
                 raise InvalidModel("only the linear spectrum generator is supported")
             if dimension not in (2, 4, 6):

@@ -40,27 +40,52 @@ argument uses; ``r_0`` is the unit and ``[a, b, ...]`` stands for
 monomial, as integer numerators over one denominator: ``d_k`` of
 ``c x^K`` is ``K_k c x^(K-e_k)``, ``d_k d_l`` is ``K_k (K_l - [k=l]) c
 x^(K-e_k-e_l)``; the series has no genus-one term, so there is no log term
-to differentiate. The emitter's key order differs from that of a sum of ring
-products; only ``==`` and ``is_zero`` read its results.
+to differentiate. The emitter runs on the packed monomial keys of the
+Laplacian chain (``ring._shift``): one int per monomial, an 8-bit slot per
+variable, so a product adds ints and ``d_k`` subtracts ``2^(8 k)``. Each
+piece's shift has its derivative's lowering folded in, so a piece adds one
+int to a key. The tables are packed once per label and width, and each
+series order once per series, with its nonzero slots listed. The exponent
+bounds of the order plus the table's largest shifts are checked before any
+key is formed, so ``SlotOverflow`` is raised rather than a key wrapping.
+The emitter's key order differs from that of a sum of ring products; only
+``==`` and ``is_zero`` read its results.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from math import lcm
 
 from taulap.laplacian import stable_partition
-from taulap.ring import Key, MomentPoly, RingError, _addkey, _lowered, _trim
+from taulap.ring import (
+    _UNIT_OFFSET,
+    Bounds,
+    Key,
+    MomentPoly,
+    RingError,
+    _add_bounds,
+    _bounds,
+    _check_slots,
+    _shift,
+    _slot,
+    _trim,
+    _unpack,
+)
 
-# a table of pieces, each a shift key mapped to its scalar over 64: the d_k
-# pieces by k, the d_k d_l pieces by k and then l >= k, and those with no
-# derivative
-Pieces = dict[Key, int]
-Table = tuple[dict[int, Pieces], dict[int, dict[int, Pieces]], Pieces]
+# a table's pieces, each ``(shift, scalar over 64)``, where the shift adds the
+# piece's monomial to a packed key and takes away the derivative's variables
+Pieces = list[tuple[int, int]]
+# the d_k pieces by k, the d_k d_l pieces by k and then l >= k, those with no
+# derivative, and the bounds of the pieces' monomials
+Table = tuple[dict[int, Pieces], dict[int, dict[int, Pieces]], Pieces, Bounds]
+# a polynomial packed for the emitter: its denominator, its terms as
+# ``(packed key, numerator, [(slot, exponent)] of the nonzero slots)`` and its bounds
+Packed = tuple[int, list[tuple[int, int, list[tuple[int, int]]]], Bounds]
 
 
-def _shift(unit: int = 0, *raised: int) -> Key:
+def _monomial(unit: int = 0, *raised: int) -> Key:
     """The key of ``r0^unit`` times the product of ``r_l`` over ``raised``."""
     key = [unit] + [0] * max(raised, default=0)
     for l in raised:
@@ -74,12 +99,12 @@ def _table(part: str, n: int, width: int) -> Table:
 
     Pieces on the same derivative and shift merge.
     """
-    first: dict[int, Pieces] = {}
-    second: dict[int, dict[int, Pieces]] = {}
-    zero: Pieces = {}
+    first: dict[int, dict[Key, int]] = {}
+    second: dict[int, dict[int, dict[Key, int]]] = {}
+    zero: dict[Key, int] = {}
 
-    def put(pieces: Pieces, scalar: int, shift: tuple[int, ...]) -> None:
-        key = _shift(*shift)
+    def put(pieces: dict[Key, int], scalar: int, shift: tuple[int, ...]) -> None:
+        key = _monomial(*shift)
         pieces[key] = pieces.get(key, 0) + scalar
 
     def d(k: int, scalar: int, *shift: int) -> None:
@@ -122,7 +147,18 @@ def _table(part: str, n: int, width: int) -> Table:
             dd(n - 2, l, -128 * (3 + 2 * l) * (2 * n - 1), -1, l + 1)
         d(n - 2, 16 * (2 * n - 1), -2, 1)
         d(n - 3, -16 * (2 * n - 3) * (16 * n - 7), -1)
-    return first, second, zero
+
+    def packed(pieces: dict[Key, int], lowered: int) -> Pieces:
+        return [(_shift(key) - lowered, s) for key, s in pieces.items()]
+
+    every = [*first.values(), *(p for row in second.values() for p in row.values()), zero]
+    return (
+        {k: packed(pieces, _slot(k)) for k, pieces in first.items()},
+        {k: {l: packed(pieces, _slot(k) + _slot(l)) for l, pieces in row.items()}
+         for k, row in second.items()},
+        packed(zero, 0),
+        _bounds([key for pieces in every for key in pieces]),
+    )
 
 
 def _width(*polys: MomentPoly) -> int:
@@ -130,22 +166,35 @@ def _width(*polys: MomentPoly) -> int:
     return max((len(k) for p in polys for k in p.nums), default=0)
 
 
-def _emit(acc: dict[Key, int], table: Table, p: MomentPoly, mult: int, den: int) -> None:
-    """Add to ``acc`` the numerators over ``den`` of ``mult`` times the table applied to ``p``."""
-    first, second, zero = table
+def _pack(p: MomentPoly) -> Packed:
+    """``p`` packed for the emitter, after checking that its keys fit the slots."""
+    bounds = _bounds(list(p.nums))
+    _check_slots(bounds)
+    terms = [(_UNIT_OFFSET + _shift(key), n, [(k, e) for k, e in enumerate(key) if e])
+             for key, n in p.nums.items()]
+    return p.den, terms, bounds
+
+
+def _emit(acc: dict[int, int], table: Table, p: Packed, mult: int, den: int) -> None:
+    """Add to ``acc`` the numerators over ``den`` of ``mult`` times the table applied to ``p``.
+
+    The keys of ``acc`` are packed. The bounds of ``p``, its unit exponent
+    lowered by two derivatives, plus those of the table's monomials are
+    checked before any key is formed.
+    """
+    first, second, zero, reach = table
+    p_den, terms, bounds = p
+    _check_slots(_add_bounds((bounds[0] - 2, *bounds[1:]), reach))
     get = acc.get
-    scale = mult * (den // p.den)
-    for key, n in p.nums.items():
+    scale = mult * (den // p_den)
+    for code, n, slots in terms:
         n *= scale
-        slots = [(k, e) for k, e in enumerate(key) if e]
         for i, (k, e) in enumerate(slots):
-            lowered = None
             pieces = first.get(k)
             if pieces:
-                lowered = _lowered(key, k)
                 v = e * n
-                for shift, s in pieces.items():
-                    out = _addkey(lowered, shift)
+                for shift, s in pieces:
+                    out = code + shift
                     acc[out] = get(out, 0) + s * v
             row = second.get(k)
             if row is None:
@@ -157,25 +206,23 @@ def _emit(acc: dict[Key, int], table: Table, p: MomentPoly, mult: int, den: int)
                 w = e * (f - 1) if l == k else e * f
                 if not w:
                     continue
-                if lowered is None:
-                    lowered = _lowered(key, k)
-                twice = _lowered(lowered, l)
                 v = w * n
-                for shift, s in pieces.items():
-                    out = _addkey(twice, shift)
+                for shift, s in pieces:
+                    out = code + shift
                     acc[out] = get(out, 0) + s * v
-        for shift, s in zero.items():
-            out = _addkey(key, shift)
+        for shift, s in zero:
+            out = code + shift
             acc[out] = get(out, 0) + s * n
 
 
-def _apply(terms: list[tuple[int, Table, MomentPoly]], over: int = 1) -> MomentPoly:
+def _apply(terms: list[tuple[int, Table, Packed]], over: int = 1) -> MomentPoly:
     """``sum mult * op(p) / over`` over ``(mult, table of 64 op, p)``, in one integer accumulator."""
-    den = lcm(*(p.den for _, _, p in terms))
-    acc: dict[Key, int] = {}
+    den = lcm(*(p[0] for _, _, p in terms))
+    acc: dict[int, int] = {}
     for mult, table, p in terms:
         _emit(acc, table, p, mult, den)
-    return MomentPoly.from_numerators(acc, 64 * over * den)
+    return MomentPoly.from_numerators(
+        {_unpack(code): n for code, n in acc.items() if n}, 64 * over * den)
 
 
 @dataclass(frozen=True)
@@ -192,6 +239,11 @@ class GradedSeries:
         if not 0 <= k <= self.max_order:
             raise RingError(f"order {k} outside the computed range")
         return self.orders[k]
+
+    @cached_property
+    def _packed(self) -> tuple[int, tuple[Packed, ...]]:
+        """The width of the orders' keys and each order packed for the emitter, once per series."""
+        return _width(*self.orders), tuple(map(_pack, self.orders))
 
 
 @lru_cache(maxsize=None)
@@ -214,14 +266,14 @@ def constraint_residuals(n: int, series: GradedSeries) -> dict[int, MomentPoly]:
     """
     if n < 0:
         raise RingError("constraint label must be nonnegative")
-    width = _width(*series.orders)
+    width, orders = series._packed
     raising = _table("A", n, width)
     quadratic = _table("B", n, width)
     out: dict[int, MomentPoly] = {}
-    for k in range(series.max_order + 1):
-        terms = [(4, raising, series.order(k))]
+    for k, c in enumerate(orders):
+        terms = [(4, raising, c)]
         if k >= 1:
-            terms.append((1, quadratic, series.order(k - 1)))
+            terms.append((1, quadratic, orders[k - 1]))
         out[k] = _apply(terms, 4)
     return out
 

@@ -58,13 +58,7 @@ from typing import Callable, Iterable, Mapping, Sequence
 
 from taulap.bell import resolvent_coefficient
 from taulap.boundary import _orbits, correlator, planar_pair
-from taulap.laplacian import (
-    _add_bounds,
-    _bounds,
-    _check_slots,
-    _OperatorTables,
-    stable_partition,
-)
+from taulap.laplacian import _OperatorTables, stable_partition
 from taulap.recursion import UnsupportedExponent
 from taulap.ring import (
     _SLOT_BITS,
@@ -76,7 +70,10 @@ from taulap.ring import (
     ZKey,
     ZLaurent,
     ZRational,
+    _add_bounds,
     _bind_exact,
+    _bounds,
+    _check_slots,
     _is_exact,
     _joined,
     _power_tables,

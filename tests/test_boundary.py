@@ -529,7 +529,7 @@ def test_shared_coefficients_survive_their_consumers() -> None:
     snapshot = {key: (dict(poly.nums), poly.den) for key, poly in _orbits(1, 4).items()}
     number_operator_z(stored)
     kernel_op(stored, 2)
-    _kernel_rows({}, _rows(stored)[0], 1)
+    _kernel_rows({}, _rows(stored), 1)
     partial_moment(identify(stored, 0, 1), 0)
     dz(sub(add(stored, stored), stored.scale(F(1, 3))), 1)
     neg(stored)

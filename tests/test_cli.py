@@ -352,6 +352,15 @@ def test_model_huge_levels_never_end_in_a_traceback(capsys, tmp_path):
                 assert err.startswith("error:") and err.count("\n") == 1
 
 
+@pytest.mark.parametrize("spectrum", [{"eigenvalues": 5}, {"generator": 5}])
+def test_model_with_a_malformed_spectrum_from_stdin_exits_one(capsys, monkeypatch, spectrum):
+    header = {"dimension": 4, "lambda": 0.1, "volume": 1.0}
+    monkeypatch.setattr(sys, "stdin", io.StringIO(json.dumps({**header, **spectrum})))
+    code, out, err = run(capsys, "model", "--file", "-")
+    assert (code, out) == (1, "")
+    assert err.startswith("error:") and err.count("\n") == 1
+
+
 def test_model_without_root_exits_one(capsys, tmp_path):
     path = tmp_path / "model.json"
     path.write_text(json.dumps({"dimension": 0, "lambda": 5.0, "volume": 1.0,

@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import (
+    _coincident_pair_by_sums,
     add,
     dse_terms_by_rationals,
     evaluate_full,
@@ -33,7 +34,7 @@ from taulap.recursion import (
     one_point_residual,
     pair_diagonal,
 )
-from taulap.ring import CoincidentPoints, MomentPoly, RingError, ZLaurent, ZRational
+from taulap.ring import CoincidentPoints, MomentPoly, RingError, SlotOverflow, ZLaurent, ZRational
 
 slow = pytest.mark.skipif(not os.environ.get("TAULAP_SLOW"), reason="set TAULAP_SLOW=1 to run")
 
@@ -52,9 +53,10 @@ def residue_invert(obj: ZLaurent) -> ZLaurent:
     ``S_j`` the reciprocal-series coefficients; ``one_point`` runs the same
     division on its right-hand side.
     """
-    rows, den = recursion._rows(obj)
+    packed = recursion._rows(obj)
     return recursion._divide(
-        {e: {k: n * mult for k, n in nums.items()} for e, nums, mult in rows}, den)
+        {e: {k: n * mult for k, n in nums.items()} for e, nums, mult in packed.rows},
+        packed.den, packed.bounds)
 
 
 def test_residue_invert_constant():
@@ -129,16 +131,39 @@ def test_residue_invert_round_trip_with_moment_coefficients():
     assert round_trip.terms == source.scale(-1).terms
 
 
+def test_residue_invert_raises_slot_overflow_before_a_key_could_wrap():
+    """From ``z**-8`` a key picks up four factors ``r_1/r0`` and then ``1/r0``; past a slot it raises.
+
+    The unit's exponent is followed per coefficient: ``r0^-127`` at ``z**0``
+    only gains the ``1/r0``, and at ``z**-2`` one factor more.
+    """
+    for terms in [{(-8,): (-124,)}, {(-8,): (0, 252)}, {(-2,): (-127,), (-8,): (0, 1)}]:
+        with pytest.raises(SlotOverflow):
+            residue_invert(ZLaurent(1, {z: MomentPoly.monomial(key) for z, key in terms.items()}))
+    for terms in [{(-8,): (-123, 251)}, {(0,): (-127,), (-8,): (0, 1)}]:
+        source = ZLaurent(1, {z: MomentPoly.monomial(key, 3) for z, key in terms.items()})
+        assert residue_invert(source) == residue_invert_by_reciprocals(source)
+
+
+def test_coincident_pair_raises_slot_overflow_before_a_key_could_wrap():
+    """The coincident pair lowers the unit by two and raises a variable by one."""
+    for key in [(-127, 1), (0, 255)]:
+        with pytest.raises(SlotOverflow):
+            recursion._coincident_pair(ZLaurent(1, {(-5,): MomentPoly.monomial(key)}))
+    source = ZLaurent(1, {(-5,): MomentPoly.monomial((-126, 254), F(2, 3))})
+    assert recursion._coincident_pair(source) == _coincident_pair_by_sums(source)
+
+
 # ---------------------------------------------------------------------------
 # kernel operator
 
 
 def kernel_image(obj: ZLaurent) -> ZLaurent:
-    """``recursion._kernel_rows`` of ``obj``'s rows, read back as a ``ZLaurent``."""
-    rows, den = recursion._rows(obj)
+    """``recursion._kernel_rows`` of ``obj``'s packed rows, unpacked into a ``ZLaurent``."""
+    packed = recursion._rows(obj)
     acc: dict = {}
-    recursion._kernel_rows(acc, rows, 1)
-    return ZLaurent(obj.nvars, {z: MomentPoly.from_numerators(nums, den) for z, nums in acc.items()})
+    recursion._kernel_rows(acc, packed, 1)
+    return ZLaurent(obj.nvars, {z: recursion._poly(nums, packed.den) for z, nums in acc.items()})
 
 
 def test_kernel_rows_match_the_reference():
@@ -367,6 +392,44 @@ def test_residuals_reject_a_term_off_the_kernel_domain(monkeypatch):
                         lambda g, b: bad_one if (g, b) == (2, 1) else correlator(g, b))
     with pytest.raises(UnsupportedExponent):
         one_point_residual(2)
+
+
+def _corrupt(monkeypatch, key, g=2, b=1, z=(-5,)):
+    """Make ``recursion.correlator(g, b)`` carry one more term, ``2/3 r^key z^z``."""
+    bad = add(correlator(g, b), ZLaurent(b, {z: MomentPoly.monomial(key, F(2, 3))}))
+    monkeypatch.setattr(recursion, "correlator",
+                        lambda h, c: bad if (h, c) == (g, b) else correlator(h, c))
+    return bad
+
+
+@pytest.mark.parametrize("key", [(0, 255), (-127,)])
+def test_residuals_raise_slot_overflow_before_a_key_could_wrap(monkeypatch, key):
+    """A stored term whose product with ``G_{1,1}`` (unit ``r0^-2``, ``r_1``) leaves a slot raises."""
+    _corrupt(monkeypatch, key)
+    with pytest.raises(SlotOverflow):
+        one_point_residual(3)
+    _corrupt(monkeypatch, key, 0, 3, (-3, -3, -3))
+    with pytest.raises(SlotOverflow):
+        dse_residual(1, 3)
+
+
+def test_kernel_raises_slot_overflow_before_a_key_could_wrap(monkeypatch):
+    """The kernel operator raises one exponent by one, so a variable at 255 raises."""
+    _corrupt(monkeypatch, (0, 255), 0, 3, (-3, -3, -3))
+    with pytest.raises(SlotOverflow):
+        dse_residual(0, 3)
+    _corrupt(monkeypatch, (0, 255))
+    with pytest.raises(SlotOverflow):
+        one_point_residual(2)
+
+
+def test_one_point_residual_near_the_slot_edges_matches_ring_sums(monkeypatch):
+    """Exponents that fit after every shift give the ``ZLaurent`` sums, not a wrapped key."""
+    bad = _corrupt(monkeypatch, (-125, 0, 253))
+    want = add(kernel_op(correlator(3, 1), 0), diagonal(2).scale(2))
+    want = add(want, mul(correlator(1, 1), bad))
+    got = one_point_residual(3)
+    assert got == want and got.terms
 
 
 @slow

@@ -9,18 +9,18 @@ from hypothesis import strategies as st
 from oracles import constraint_residuals_by_sums, quadratic_part_by_sums, raising_part_by_sums
 from taulap.laplacian import free_energy, stable_partition
 from taulap import virasoro
-from taulap.ring import MomentPoly, RingError
+from taulap.ring import MomentPoly, RingError, SlotOverflow
 from taulap.virasoro import GradedSeries, constraint_residuals, constraint_satisfied, stable_series
 
 
 def raising_part(n: int, p: MomentPoly) -> MomentPoly:
     """``A_n p``: the runtime's table of ``A_n`` alone in its accumulator."""
-    return virasoro._apply([(1, virasoro._table("A", n, virasoro._width(p)), p)])
+    return virasoro._apply([(1, virasoro._table("A", n, virasoro._width(p)), virasoro._pack(p))])
 
 
 def quadratic_part(n: int, p: MomentPoly) -> MomentPoly:
     """``B_n p``: the runtime's table of ``B_n`` alone in its accumulator."""
-    return virasoro._apply([(1, virasoro._table("B", n, virasoro._width(p)), p)])
+    return virasoro._apply([(1, virasoro._table("B", n, virasoro._width(p)), virasoro._pack(p))])
 
 
 def witt_defect(m: int, n: int, probe: MomentPoly) -> MomentPoly:
@@ -130,6 +130,31 @@ def test_residuals_match_ring_sums_on_perturbed_series():
         assert got == constraint_residuals_by_sums(n, bad.orders), n
         violated += any(not r.is_zero for r in got.values())
     assert violated == len(LABELS)
+
+
+def _with_term(series: GradedSeries, k: int, key: tuple[int, ...]) -> GradedSeries:
+    orders = list(series.orders)
+    orders[k] = orders[k] + MomentPoly.monomial(key, F(2, 3))
+    return GradedSeries(tuple(orders))
+
+
+# a key, and the labels whose tables would take it out of its slot: A_n raises
+# a variable by one, B_1 by two, and B_1..B_3 lower the unit by up to four
+@pytest.mark.parametrize("key, labels", [
+    ((0, 255), range(4)), ((-127,), range(4)), ((-125, 1), range(1, 4)), ((0, 0, 254), [1])])
+def test_residuals_raise_slot_overflow_before_a_key_could_wrap(key, labels):
+    """An order whose exponents plus its tables' largest shifts leave an 8-bit slot raises."""
+    bad = _with_term(stable_series(4), 2, key)
+    for n in labels:
+        with pytest.raises(SlotOverflow):
+            constraint_residuals(n, bad)
+
+
+def test_residuals_near_the_slot_edges_match_ring_sums():
+    """Exponents that fit with the largest shift give the ring-product sums, not a wrapped key."""
+    bad = _with_term(_with_term(stable_series(4), 1, (-122, 250)), 2, (-121, 0, 1, 0, 250))
+    for n in LABELS:
+        assert constraint_residuals(n, bad) == constraint_residuals_by_sums(n, bad.orders), n
 
 
 _PROBE_TERMS = st.dictionaries(
