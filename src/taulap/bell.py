@@ -8,39 +8,34 @@ constraint operators:
 * ``R_m`` -- the ``z^(2m)`` coefficient of the ratio
   ``(sum_l r_l z^(2l) / (3+2l)) / (sum_l r_l z^(2l))``.
 
-Both are built here by series division on packed keys (``ring._shift``):
-each earlier coefficient enters as one integer shift by the key of
-``r_k / r0`` per term, summed into one integer accumulator over one lcm.
-Only the packed form is cached; ``reciprocal_coefficient`` and
-``resolvent_coefficient`` return ``MomentPoly`` views of it, built on each
-call. Their closed forms as partial Bell-polynomial sums live in the tests,
-as independent oracles. ``resolvent_coefficient_t``, the paper's ``R^t_m``,
-is ``(2m-1)!!`` times ``R_m`` converted to ``t``; the Laplacian never uses it.
+Both are built here by series division on the ring's packed keys: each
+earlier coefficient enters shifted by ``r_k / r0``, one integer added to each
+of its keys, and is summed into one integer accumulator over one lcm.
+Each coefficient is cached as the ``MomentPoly`` that ``reciprocal_coefficient``
+and ``resolvent_coefficient`` return. Their closed forms as partial
+Bell-polynomial sums live in the tests, as independent oracles.
+``resolvent_coefficient_t``, the paper's ``R^t_m``, is ``(2m-1)!!`` times
+``R_m`` converted to ``t``; the Laplacian never uses it.
 """
 
 from __future__ import annotations
 
+from fractions import Fraction
 from functools import lru_cache
-from math import factorial, gcd, lcm
+from math import factorial, lcm
 
 from taulap.ring import (
     _UNIT_OFFSET,
     MomentPoly,
     RingError,
     SlotOverflow,
-    _over_unit,
-    _shift,
-    _unpack,
+    _slot,
     convert,
     double_factorial,
 )
 
-# A coefficient in packed integers: (denominator, {key shift: numerator}),
-# reduced, with no zero numerators, in the key order of the ring's sum.
-_Packed = tuple[int, dict[int, int]]
 
-
-def _divided(acc: dict[int, int], den: int, lower: list[_Packed], weights: list[int]) -> _Packed:
+def _divided(acc: dict[int, int], den: int, lower: list[MomentPoly], weights: list[int]) -> MomentPoly:
     """``acc / den + sum_{k=1..m} weights[k-1] (r_k/r0) lower[m-k]``, with ``m = len(lower)``.
 
     The terms are summed into ``acc`` as integers over ``den``, a multiple of
@@ -49,17 +44,13 @@ def _divided(acc: dict[int, int], den: int, lower: list[_Packed], weights: list[
     m = len(lower)
     get = acc.get
     for k in range(1, m + 1):
-        shift = _shift(_over_unit(k))
-        r_den, r = lower[m - k]
-        mult = weights[k - 1] * (den // r_den)
-        for code, n in r.items():
+        shift = _slot(k) - 1  # r_k / r0
+        r = lower[m - k]
+        mult = weights[k - 1] * (den // r.den)
+        for code, n in r.packed.items():
             code += shift
             acc[code] = get(code, 0) + n * mult
-    nums = {code: n for code, n in acc.items() if n}
-    common = gcd(den, *nums.values())
-    if common != 1:
-        nums = {code: n // common for code, n in nums.items()}
-    return den // common, nums
+    return MomentPoly._from_packed(acc, den)
 
 
 def _checked(m: int) -> None:
@@ -70,28 +61,23 @@ def _checked(m: int) -> None:
         raise SlotOverflow(f"series index {m} does not fit the packed keys' slots")
 
 
-def _view(packed: _Packed) -> MomentPoly:
-    den, nums = packed
-    return MomentPoly.from_numerators(
-        {_unpack(_UNIT_OFFSET + code): n for code, n in nums.items()}, den)
-
-
 @lru_cache(maxsize=None)
-def _reciprocal(m: int) -> _Packed:
+def _reciprocal(m: int) -> MomentPoly:
     if m == 0:
-        return 1, {0: 1}
+        return MomentPoly.one()
     lower = [_reciprocal(j) for j in range(m)]
     weights = [-(factorial(m) // factorial(m - k)) for k in range(1, m + 1)]
-    return _divided({}, lcm(*(den for den, _ in lower)), lower, weights)
+    return _divided({}, lcm(*(p.den for p in lower)), lower, weights)
 
 
 @lru_cache(maxsize=None)
-def _resolvent(m: int) -> _Packed:
+def _resolvent(m: int) -> MomentPoly:
     if m == 0:
-        return 3, {0: 1}
+        return MomentPoly.constant(Fraction(1, 3))
     lower = [_resolvent(j) for j in range(m)]
-    den = lcm(3 + 2 * m, *(den for den, _ in lower))
-    return _divided({_shift(_over_unit(m)): den // (3 + 2 * m)}, den, lower, [-1] * m)
+    den = lcm(3 + 2 * m, *(p.den for p in lower))
+    # N_m / r0 = r_m / ((3+2m) r0)
+    return _divided({_UNIT_OFFSET + _slot(m) - 1: den // (3 + 2 * m)}, den, lower, [-1] * m)
 
 
 def reciprocal_coefficient(m: int) -> MomentPoly:
@@ -100,7 +86,7 @@ def reciprocal_coefficient(m: int) -> MomentPoly:
     Its terms, ``k = 1..m``, are summed as integers over one lcm.
     """
     _checked(m)
-    return _view(_reciprocal(m))
+    return _reciprocal(m)
 
 
 def resolvent_coefficient(m: int) -> MomentPoly:
@@ -110,7 +96,7 @@ def resolvent_coefficient(m: int) -> MomentPoly:
     terms, ``N_m`` then ``k = 1..m``, are summed as integers over one lcm.
     """
     _checked(m)
-    return _view(_resolvent(m))
+    return _resolvent(m)
 
 
 def resolvent_coefficient_t(m: int) -> MomentPoly:

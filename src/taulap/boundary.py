@@ -39,17 +39,24 @@ from typing import Iterator, Mapping, Sequence
 
 from taulap.laplacian import GenusOutOfRange, stable_partition
 from taulap.ring import (
+    _SLOT_BITS,
+    _SLOT_MASK,
+    _UNIT_OFFSET,
     CoincidentPoints,
-    Key,
     MomentPoly,
     RingError,
     ZKey,
     ZLaurent,
     ZRational,
+    _add_bounds,
     _bind_exact,
+    _check_slots,
     _is_exact,
-    _lowered,
     _power_tables,
+    _slot,
+    _union_bounds,
+    _unpack,
+    _width,
 )
 
 F = Fraction
@@ -85,17 +92,17 @@ def generic_moments() -> dict[int, Fraction]:
 # operators
 
 
-def _lowered_ratio(key: Key, l: int) -> Key:
-    """``_lowered(key, l)`` times ``r_{l+1} / r_0``."""
-    raised = (key[l + 1] if l + 1 < len(key) else 0) + 1
-    if l == 0:
-        return (key[0] - 2, raised) + key[2:]
-    return (key[0] - 1,) + key[1:l] + (key[l] - 1, raised) + key[l + 2:]
+def _with_variable(p: MomentPoly, l: int) -> list[tuple[int, int, int]]:
+    """``(packed key, e_l, numerator)`` for each term of ``p`` in which ``r_l`` occurs, in order."""
+    bits = _SLOT_BITS * l
+    unit = _UNIT_OFFSET if l == 0 else 0
+    return [(code, e, n) for code, n in p.packed.items()
+            if (e := ((code >> bits) & _SLOT_MASK) - unit)]
 
 
 def number_operator(p: MomentPoly) -> MomentPoly:
     """``-sum_l r_l d/dr_l``: eigenvalue ``-(e0 + sum e_k)`` per monomial."""
-    return MomentPoly.from_numerators({k: -sum(k) * n for k, n in p.nums.items()}, p.den)
+    return MomentPoly._from_packed({k: -sum(_unpack(k)) * n for k, n in p.packed.items()}, p.den)
 
 
 def number_operator_z(obj: ZLaurent) -> ZLaurent:
@@ -164,34 +171,40 @@ def _create_orbits(orbits: Mapping[ZKey, MomentPoly], factor: int) -> dict[ZKey,
     input orbit by input orbit, those that add a part ``-(5+2l)`` to it, for
     ascending ``l``. The low blocks are added index by index, and a term that
     cancels is deleted at once, so a term that comes back lands last.
+
+    On packed keys, ``d/dr_l`` subtracts ``_slot(l)`` and the factor
+    ``r_{l+1}/r_0`` adds ``_slot(l+1) - 1``; the input bounds are checked
+    first, since an output key lowers the unit's exponent by at most two and
+    raises a variable's by at most one.
     """
-    width = max((len(k) for poly in orbits.values() for k in poly.nums), default=0)
+    _check_slots(_add_bounds(_union_bounds([poly.bounds for poly in orbits.values()]), (-2, 0, 1)))
+    width = _width(code for poly in orbits.values() for code in poly.packed)
     out: dict[ZKey, MomentPoly] = {}
     for key, poly in orbits.items():
         if set(_orbit_key(key)) <= {-3}:
-            acc: dict[Key, int] = {}
+            acc: dict[int, int] = {}
             for l in range(width):
                 scale = -(3 + 2 * l) * factor
-                for k, n in poly.nums.items():
-                    if l < len(k) and k[l]:
-                        low = _lowered_ratio(k, l)
-                        v = acc.get(low, 0) + scale * k[l] * n
-                        if v:
-                            acc[low] = v
-                        else:
-                            del acc[low]
+                ratio = _slot(l + 1) - 1 - _slot(l)
+                for code, e, n in _with_variable(poly, l):
+                    lowered = code + ratio
+                    v = acc.get(lowered, 0) + scale * e * n
+                    if v:
+                        acc[lowered] = v
+                    else:
+                        del acc[lowered]
             if acc:
-                out[key + (-3,)] = MomentPoly.from_numerators(acc, poly.den)
+                out[key + (-3,)] = MomentPoly._from_packed(acc, poly.den)
     for key, poly in orbits.items():
         # the new part must be the largest part below -3 of the output orbit
         below = [e for e in key if e < -3]
         top = width if not below else min(width, (-below[-1] - 3) // 2)
         for l in range(top):
             scale = (3 + 2 * l) * factor
-            nums = {_lowered(k, l): scale * k[l] * n
-                    for k, n in poly.nums.items() if l < len(k) and k[l]}
+            lower = _slot(l)
+            nums = {code - lower: scale * e * n for code, e, n in _with_variable(poly, l)}
             if nums:
-                out[tuple(sorted(key + (-5 - 2 * l,)))] = MomentPoly.from_numerators(
+                out[tuple(sorted(key + (-5 - 2 * l,)))] = MomentPoly._from_packed(
                     nums, poly.den)
     return out
 

@@ -12,25 +12,23 @@ and the free energies are recovered from the ``Z_g`` by the exact
 exponential-to-logarithm relation ``Z = exp(sum_g F_g)``, as the power-series
 logarithm recurrence over the genus index.
 
-The operator is applied by one kernel, ``_apply_packed``. It packs each
-monomial key into one int, with an 8-bit slot per variable (``ring._shift``),
-and multiplies the ring's integer numerators (``MomentPoly.nums`` over
-``MomentPoly.den``).
+The operator is applied by one kernel, ``_apply_packed``, on the ring's own
+storage: packed monomial keys, one int with an 8-bit slot per variable, and
+integer numerators (``MomentPoly.packed`` over ``MomentPoly.den``).
 Each block of the operator is a short list of pieces, an integer scalar and a
-monomial shift on a table shared by every block that uses it: one packed
-table per resolvent coefficient ``R_m``, plus a few small constant
-polynomials. The tables therefore grow with the largest index ``m``, not
-with the number of blocks.
+monomial shift on a table shared by every block that uses it: one table per
+resolvent coefficient ``R_m`` (the polynomial itself), plus a few small
+constant polynomials. The tables therefore grow with the largest index
+``m``, not with the number of blocks.
 The kernel runs in two passes. The first adds up every scaled contribution
 that lands on the same table at the same shifted key (a row); the second
 multiplies each row's table once, walking the rows in the order of their
 first contributions. That order gives the result the key order of the
 ungrouped walk, which multiplied a table once per contribution.
-The extraction runs on the same packed keys: each ``Z_g`` and ``F_g`` is
-packed once, and the logarithm recurrence sums its products as integers over
-one lcm, keeping the key order of the ring's sum. The chain's other products
-use ordinary ``MomentPoly`` arithmetic, which runs on the same numerators
-with tuple keys.
+The extraction reads the same keys: the logarithm recurrence multiplies the
+stored ``Z_g`` and ``F_g`` and sums the products as integers over one lcm,
+keeping the key order of the ring's sum. The chain's other products are
+``MomentPoly`` arithmetic, on the same keys and numerators.
 
 The operator is written once, in the moment variables (``rho``), and the
 chain runs only there. Every other convention is a ``convert`` view of the
@@ -45,7 +43,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import cache
-from math import factorial, gcd, lcm
+from math import factorial, lcm
 from typing import Callable, Sequence
 
 from taulap.bell import resolvent_coefficient
@@ -62,7 +60,7 @@ from taulap.ring import (
     _bounds,
     _check_convention,
     _check_slots,
-    _shift,
+    _code,
     _union_bounds,
     _unpack,
     convert,
@@ -155,20 +153,12 @@ def apply_laplacian_t(p: MomentPoly) -> MomentPoly:
 # the operator kernel: packed monomial keys, integer numerators
 
 
-# A polynomial packed as a factor: (denominator, [(key shift, numerator)], bounds).
-_Factor = tuple[int, list[tuple[int, int]], Bounds]
-
-
-def _factor(p: MomentPoly) -> _Factor:
-    """``p`` with its keys as shifts, after checking that they fit the slots."""
-    bounds = _bounds(list(p.nums))
-    _check_slots(bounds)
-    return p.den, [(_shift(k), n) for k, n in p.nums.items()], bounds
-
-
-# A shared table: (denominator, table index, bounds); its items are ``items[index]``.
+# A shared table: (denominator, table index, bounds); its numerators by packed
+# key are ``items[index]``.
 _Table = tuple[int, int, Bounds]
-# A block's piece: (denominator, numerator, key shift, the shared table's index).
+# A block's piece: (denominator, numerator, offset, the shared table's index).
+# The offset is the packed key of the piece's monomial less two unit offsets:
+# a listed key plus the offset plus a table's key is the packed key of the product.
 _Piece = tuple[int, int, int, int]
 
 
@@ -178,10 +168,10 @@ class _OperatorTables:
     ``blocks`` maps a block name (``c1``, ``c2``, ``e``, ``m``, ``d``) to a
     function of the block's indices returning its pieces and the integer
     scalar the block carries in the operator. A table is ``resolvent(m)``
-    for an int ``m`` or ``constants[name]``; each is packed once, on first
-    use, into ``items`` as a list of ``(key shift, numerator)``, and shared
-    by every piece that names it by its index in ``items``. The cache grows
-    with the largest index, not with the number of blocks.
+    for an int ``m`` or ``constants[name]``; each is put once, on first use,
+    into ``items`` as its numerators by packed key (``MomentPoly.packed``),
+    and shared by every piece that names it by its index in ``items``. The
+    cache grows with the largest index, not with the number of blocks.
     """
 
     def __init__(
@@ -195,7 +185,7 @@ class _OperatorTables:
         self._blocks = blocks
         self._tables: dict[int | str, _Table] = {}
         self._pieces: dict[tuple[object, ...], tuple[list[_Piece], Bounds]] = {}
-        self.items: list[list[tuple[int, int]]] = []
+        self.items: list[dict[int, int]] = []
 
     def _table(self, name: int | str) -> _Table:
         got = self._tables.get(name)
@@ -205,9 +195,8 @@ class _OperatorTables:
                 # the kernel packs a table's index into the low slot of a row key
                 raise SlotOverflow(f"more than {_SLOT_MASK + 1} shared tables")
             poly = self._resolvent(name) if isinstance(name, int) else self._constants[name]
-            den, items, bounds = _factor(poly)
-            self.items.append(items)
-            got = self._tables[name] = (den, index, bounds)
+            self.items.append(poly.packed)
+            got = self._tables[name] = (poly.den, index, poly.bounds)
         return got
 
     def pieces(self, block: tuple[object, ...]) -> tuple[list[_Piece], Bounds]:
@@ -221,14 +210,15 @@ class _OperatorTables:
             merged: dict[tuple[int | str, int], Fraction] = {}
             reach = []
             for coeff, key, name in spec:
-                at = (name, _shift(key))
+                code = _code(key)
+                at = (name, code)
                 merged[at] = merged.get(at, 0) + coeff * scalar
-                reach.append(_add_bounds(self._table(name)[2], _bounds([key])))
+                reach.append(_add_bounds(self._table(name)[2], _bounds([code])))
             pieces = []
-            for (name, shift), coeff in merged.items():
+            for (name, code), coeff in merged.items():
                 den, index, _ = self._table(name)
                 c = coeff / den
-                pieces.append((c.denominator, c.numerator, shift, index))
+                pieces.append((c.denominator, c.numerator, code - 2 * _UNIT_OFFSET, index))
             got = self._pieces[block] = (pieces, _union_bounds(reach))
         return got
 
@@ -240,8 +230,7 @@ def _rows(p: MomentPoly, form: _OperatorTables) -> tuple[dict[int, int], int]:
     is multiplied by, in the order of its first contribution; see
     ``_apply_packed``.
     """
-    bounds = _bounds(list(p.nums))
-    _check_slots(bounds)
+    bounds = p.bounds
     jobs: dict[tuple[object, ...], list[tuple[int, int]]] = {}
 
     def job(block: tuple[object, ...], code: int, mult: int) -> None:
@@ -251,9 +240,9 @@ def _rows(p: MomentPoly, form: _OperatorTables) -> tuple[dict[int, int], int]:
         else:
             todo.append((code, mult))
 
-    for key, n in p.nums.items():
+    for code, n in p.packed.items():
+        key = _unpack(code)
         e0 = key[0] if key else 0
-        code = _UNIT_OFFSET + _shift(key)
         if e0:
             job(("c1",), code - 1, n * e0)
             if e0 != 1:
@@ -277,9 +266,9 @@ def _rows(p: MomentPoly, form: _OperatorTables) -> tuple[dict[int, int], int]:
     rows: dict[int, int] = {}
     get = rows.get
     for block, todo in jobs.items():
-        # (start << 8) | index == (base << 8) + ((shift << 8) + index): the index is below 256
-        walk = [(num * (den_ops // den), (shift << _SLOT_BITS) + index)
-                for den, num, shift, index in blocks[block][0]]
+        # (start << 8) | index == (base << 8) + ((offset << 8) + index): the index is below 256
+        walk = [(num * (den_ops // den), (offset << _SLOT_BITS) + index)
+                for den, num, offset, index in blocks[block][0]]
         for base, mult in todo:
             base <<= _SLOT_BITS
             for scale, offset in walk:
@@ -291,14 +280,12 @@ def _rows(p: MomentPoly, form: _OperatorTables) -> tuple[dict[int, int], int]:
 def _apply_packed(p: MomentPoly, form: _OperatorTables) -> MomentPoly:
     """Apply the operator of ``form`` to ``p`` in packed integer arithmetic.
 
-    A monomial is one int with an 8-bit slot per variable: slot ``i`` is bits
-    ``8 i`` to ``8 i + 7`` and holds ``e_i``, except slot 0, which holds
-    ``e0 + 128``. So ``-128 <= e0 <= 127`` and ``0 <= e_k <= 255``.
-    Multiplying monomials adds keys, and a derivative by variable ``k``
-    subtracts ``2^(8 k)``. The exponent bounds of ``p`` and of every block
-    (each piece's table bounds plus its shift) are checked before any
-    product is formed: ``SlotOverflow`` is raised if an exponent could leave
-    its slot, so a key never wraps silently.
+    Keys are the ring's packed keys (``MomentPoly.packed``): multiplying
+    monomials adds keys, less one unit offset, and a derivative by variable
+    ``k`` subtracts ``2^(8 k)``. The exponent bounds of ``p`` and of every
+    block (each piece's table bounds plus its monomial's) are checked before
+    any product is formed: ``SlotOverflow`` is raised if an exponent could
+    leave its slot, so a key never wraps silently.
 
     Coefficients are the ring's integer numerators: ``p`` over its
     denominator, each piece over its own, all rescaled to the step's common
@@ -309,7 +296,7 @@ def _apply_packed(p: MomentPoly, form: _OperatorTables) -> MomentPoly:
 
     1. Grouping. For each block, listed key and piece, in that order, the
        scaled multiplicity is added to a row: the piece's table started at
-       the listed key plus the piece's shift. A row is one int,
+       the listed key plus the piece's offset. A row is one int,
        ``start << 8 | table index``.
     2. Products. The rows are walked in insertion order, each multiplying
        its factor into every item of its table at ``start`` plus the item's
@@ -337,10 +324,10 @@ def _apply_packed(p: MomentPoly, form: _OperatorTables) -> MomentPoly:
     tables = form.items
     for row, factor in rows.items():
         start = row >> _SLOT_BITS
-        for s, c in tables[row & _SLOT_MASK]:
+        for s, c in tables[row & _SLOT_MASK].items():
             code = start + s
             acc[code] = get(code, 0) + factor * c
-    return MomentPoly.from_numerators({_unpack(code): v for code, v in acc.items() if v}, den)
+    return MomentPoly._from_packed(acc, den)
 
 
 # Each block's pieces and the integer scalar the block carries in the operator.
@@ -369,10 +356,6 @@ class StablePartition:
         self._u = MomentPoly.one()  # the last u_n of the chain
         self._z: list[MomentPoly] = []  # Z_2, Z_3, ...
         self._f: dict[int, MomentPoly] = {}
-        # Z_g and F_g packed for the extraction, each once: Z_g's keys as
-        # shifts, F_g's as packed keys, so a product of the two is packed
-        self._z_packed: dict[int, _Factor] = {}
-        self._f_packed: dict[int, _Factor] = {}
 
     def z(self, g: int) -> MomentPoly:
         """``Z_g = u_{g-1} / (g-1)!``, kept once computed."""
@@ -384,23 +367,13 @@ class StablePartition:
             self._z.append(self._u.scale(F(1, factorial(len(self._z) + 1))))
         return self._z[g - 2]
 
-    def _z_factor(self, g: int) -> _Factor:
-        got = self._z_packed.get(g)
-        if got is None:
-            got = self._z_packed[g] = _factor(self.z(g))
-        return got
-
-    def _f_factor(self, g: int) -> _Factor:
-        self.f(g)
-        return self._f_packed[g]
-
     def f(self, g: int) -> MomentPoly:
         """``F_g`` from the logarithm recurrence of ``Z = exp(sum_g F_g)``.
 
         With ``m = g - 1``:  ``m F_{m+1} = m Z_{m+1} - sum_{k=1}^{m-1} k F_{k+1} Z_{m-k+1}``.
 
-        The recurrence runs on packed keys with integer numerators over one
-        lcm, and keeps the key order of the ring's sum: each product is summed
+        The recurrence runs on the stored packed keys, with integer numerators
+        over one lcm, and keeps the key order of the ring's sum: each product is summed
         into its own dict and its zeros dropped, then it is added term by term
         to the accumulator, where a key whose total cancels is deleted (and
         re-enters at the end if a later product reaches it). The bounds of
@@ -413,21 +386,23 @@ class StablePartition:
         if cached is not None:
             return cached
         m = g - 1
-        z_den, z_items, _ = self._z_factor(g)
-        pairs = [(self._f_factor(k + 1), self._z_factor(m - k + 1)) for k in range(1, m)]
-        den = lcm(z_den, *(a[0] * b[0] for a, b in pairs))
-        mult = m * (den // z_den)
-        acc = {_UNIT_OFFSET + shift: n * mult for shift, n in z_items}
+        z = self.z(g)
+        pairs = [(self.f(k + 1), self.z(m - k + 1)) for k in range(1, m)]
+        den = lcm(z.den, *(a.den * b.den for a, b in pairs))
+        mult = m * (den // z.den)
+        acc = {code: n * mult for code, n in z.packed.items()}
         get = acc.get
-        for k, ((a_den, a_items, a_bounds), (b_den, b_items, b_bounds)) in enumerate(pairs, 1):
-            _check_slots(_add_bounds(a_bounds, b_bounds))
+        for k, (a, b) in enumerate(pairs, 1):
+            _check_slots(_add_bounds(a.bounds, b.bounds))
             product: dict[int, int] = {}
             put = product.get
-            for code_a, na in a_items:
-                for shift, nb in b_items:
-                    code = code_a + shift
+            b_items = b.packed.items()
+            for code_a, na in a.packed.items():
+                base = code_a - _UNIT_OFFSET
+                for code_b, nb in b_items:
+                    code = base + code_b
                     product[code] = put(code, 0) + na * nb
-            mult = -k * (den // (a_den * b_den))
+            mult = -k * (den // (a.den * b.den))
             for code, n in product.items():
                 if n:
                     total = get(code, 0) + n * mult
@@ -435,13 +410,7 @@ class StablePartition:
                         acc[code] = total
                     else:
                         del acc[code]
-        den *= m
-        common = gcd(den, *acc.values())
-        packed = [(code, n // common) for code, n in acc.items()]
-        keys = [_unpack(code) for code, _ in packed]
-        self._f_packed[g] = (den // common, packed, _bounds(keys))
-        out = self._f[g] = MomentPoly.from_numerators(
-            dict(zip(keys, (n for _, n in packed))), den // common)
+        out = self._f[g] = MomentPoly._from_packed(acc, den * m)
         return out
 
 
@@ -491,10 +460,10 @@ def tau_intersection(indices: Sequence[int]) -> Fraction:
     for d in ds:
         counts[d - 1] = counts.get(d - 1, 0) + 1
     value = F(0)
-    for key, coeff in fg.terms.items():
-        var_part = {l: e for l, e in enumerate(key) if l and e}
+    for code, n in fg.packed.items():
+        var_part = {l: e for l, e in enumerate(_unpack(code)) if l and e}
         if var_part == counts:
-            value += coeff
+            value += F(n, fg.den)
     for m in counts.values():
         value *= factorial(m)
     return value

@@ -12,14 +12,14 @@ Every kernel here (the residue inversion, the coincident pair, the quadratic
 right-hand side and both loop-equation residuals) takes each coefficient as
 integer numerators over one common denominator and sums its terms into one
 accumulator per ``z`` key, so no intermediate polynomial is built. The
-moment keys are the packed keys of the Laplacian chain (``ring._shift``):
-one int per monomial, an 8-bit slot per variable. A product of monomials
-adds ints (less one unit offset), ``d/dr_k`` subtracts ``2^(8 k)`` and
-``r_l / r_0`` adds ``2^(8 l) - 1``. ``_rows`` packs an object's keys, and
-``_laurent`` and ``dse_terms`` unpack them once, when they return. Each
-kernel checks the exponent bounds of its inputs plus the largest shift it
-applies before it forms a key, so ``SlotOverflow`` is raised rather than a
-key wrapping. Both residuals take the loop equations' kernel operator from
+moment keys are the ring's packed keys (``MomentPoly.packed``), read from
+the stored coefficients and written into the results as they are: one int
+per monomial, an 8-bit slot per variable. A product of monomials adds ints
+(less one unit offset), ``d/dr_k`` subtracts ``2^(8 k)`` and ``r_l / r_0``
+adds ``2^(8 l) - 1``. Only ``dse_terms`` returns exponent tuples, each key
+unpacked once. Each kernel checks the exponent bounds of its inputs plus
+the largest shift it applies before it forms a key, so ``SlotOverflow`` is
+raised rather than a key wrapping. Both residuals take the loop equations' kernel operator from
 ``_kernel_rows``, which rejects a ``z_0`` power outside its domain.
 
 The multi-boundary pieces also share one product of pair factors
@@ -50,9 +50,7 @@ from taulap.ring import (
     ZKey,
     ZLaurent,
     _add_bounds,
-    _bounds,
     _check_slots,
-    _shift,
     _slot,
     _union_bounds,
     _unpack,
@@ -84,7 +82,7 @@ class UnsupportedExponent(RingError):
 
 
 class _Packed(NamedTuple):
-    """An object's rows with packed moment keys, over one denominator.
+    """An object's rows, numerators by packed moment key over one denominator.
 
     ``bounds`` are the exponent bounds of the moment keys, and ``poles`` the
     pair factors the rows are divided by (only the planar pair has any).
@@ -97,22 +95,14 @@ class _Packed(NamedTuple):
 
 
 def _rows(obj: ZLaurent) -> _Packed:
-    """The rows of an object, packed after checking that their keys fit the slots.
+    """The rows of an object: each coefficient's stored numerators, and a multiplier.
 
     Their common denominator is the lcm of the object's coefficients'.
     """
     coeffs = obj.terms
-    bounds = _bounds([key for c in coeffs.values() for key in c.nums])
-    _check_slots(bounds)
     den = lcm(*(c.den for c in coeffs.values()))
-    rows = [(z, {_UNIT_OFFSET + _shift(key): n for key, n in c.nums.items()}, den // c.den)
-            for z, c in coeffs.items()]
-    return _Packed(rows, den, bounds, {})
-
-
-def _poly(nums: Mapping[int, int], den: int) -> MomentPoly:
-    """The moment polynomial whose numerators over ``den`` are ``nums``, unpacked."""
-    return MomentPoly.from_numerators({_unpack(code): n for code, n in nums.items() if n}, den)
+    rows = [(z, c.packed, den // c.den) for z, c in coeffs.items()]
+    return _Packed(rows, den, _union_bounds([c.bounds for c in coeffs.values()]), {})
 
 
 def _emit(acc: Rows, zkey: ZKey, nums: Mapping[int, int], f: int) -> None:
@@ -127,18 +117,17 @@ def _product(acc: Rows, a: _Packed, b: _Packed, f: int) -> Bounds:
     """Add ``f`` times the product of two row lists to ``acc``; the bounds of the keys it reaches."""
     bounds = _add_bounds(a.bounds, b.bounds)
     _check_slots(bounds)
-    # b's keys as shifts, so a product adds one int to a's packed key
-    rows_b = [(kb, [(key - _UNIT_OFFSET, n) for key, n in nums_b.items()], mb)
-              for kb, nums_b, mb in b.rows]
     for ka, nums_a, ma in a.rows:
-        for kb, items_b, mb in rows_b:
+        for kb, nums_b, mb in b.rows:
             col = acc.setdefault(tuple(map(add, ka, kb)), {})
             get = col.get
             fab = f * ma * mb
+            items_b = nums_b.items()
             for key_a, na in nums_a.items():
                 fa = fab * na
-                for shift, nb in items_b:
-                    key = key_a + shift
+                base = key_a - _UNIT_OFFSET  # a product of packed keys carries one offset
+                for key_b, nb in items_b:
+                    key = base + key_b
                     col[key] = get(key, 0) + fa * nb
     return bounds
 
@@ -188,8 +177,8 @@ def _laurent(cols: Rows, den: int, shift: int = 0) -> ZLaurent:
     """``z**shift`` times the one-variable object whose numerators over ``den`` are ``cols``."""
     terms = {}
     for (e,), nums in cols.items():
-        poly = _poly(nums, den)
-        if poly.nums:
+        poly = MomentPoly._from_packed(nums, den)
+        if poly.packed:
             terms[(e + shift,)] = poly
     out = ZLaurent(1)
     out.terms = terms
@@ -246,11 +235,11 @@ def _coincident_pair(stored: ZLaurent) -> ZLaurent:
     A term ``c r^K z^e`` emits, for every moment index ``l`` with
     ``K[l] != 0`` and ``d = K[l] c r^K / r_l``, ``-(3+2l) (r_{l+1}/r_0) d z^(e-3)``
     and ``(3+2l) d z^(e-5-2l)``, and its ``z`` derivative ``e c (r^K/r_0) z^(e-5)``.
-    Each key is packed once; its emitted keys lower the unit's exponent by at
-    most two and raise a variable's by at most one.
+    The emitted keys lower the unit's exponent by at most two and raise a
+    variable's by at most one.
     """
     coeffs = stored.terms
-    low, high, top = _bounds([key for c in coeffs.values() for key in c.nums])
+    low, high, top = _union_bounds([c.bounds for c in coeffs.values()])
     _check_slots((low - 2, high, top + 1))
     den = lcm(*(c.den for c in coeffs.values()))
     acc: Rows = {}
@@ -258,10 +247,9 @@ def _coincident_pair(stored: ZLaurent) -> ZLaurent:
         mult = den // c.den
         raised = acc.setdefault((e - 3,), {})
         dz = acc.setdefault((e - 5,), {})
-        for key, n in c.nums.items():
+        for code, n in c.packed.items():
             n *= mult
-            code = _UNIT_OFFSET + _shift(key)
-            for l, k_l in enumerate(key):
+            for l, k_l in enumerate(_unpack(code)):
                 if k_l:
                     v = (3 + 2 * l) * k_l * n
                     lowered = code - _slot(l)

@@ -1,19 +1,28 @@
 """Exact sparse arithmetic for moment polynomials and boundary-variable Laurent objects.
 
 The coefficient ring is generated by one invertible unit (index 0) and
-countably many ordinary moment variables (index 1, 2, ...).  A monomial is a
-dense exponent tuple ``(e0, e1, e2, ...)`` with trailing zeros trimmed;
-``e0`` may be any integer because the unit is invertible, while ``e_k >= 0``
-for ``k >= 1``. There is no log term: the chain's free energies start at
-genus two, and the genus-one correlator is a literal seed in ``boundary``.
+countably many ordinary moment variables (index 1, 2, ...). A monomial
+``r0^e0 r1^e1 r2^e2 ...`` is stored as one packed int with an 8-bit slot per
+variable (after Monagan and Pearce, *Polynomial division using dynamic
+arrays, heaps, and packed exponent vectors*, CASC 2007): slot ``i`` holds
+``e_i``, and slot 0 holds ``e0 + 128``. So ``-128 <= e0 <= 127`` and
+``0 <= e_k <= 255``; a polynomial whose exponents leave that domain is never
+built, and ``SlotOverflow`` is raised instead. Multiplying monomials adds
+their packed keys (less one unit offset). There is no log term: the chain's
+free energies start at genus two, and the genus-one correlator is a literal
+seed in ``boundary``.
 
 A polynomial stores its coefficients as integer numerators over one positive
-denominator (``MomentPoly.nums`` and ``MomentPoly.den``). Arithmetic runs on
-the numerators, and each result is reduced by a single gcd;
-``MomentPoly.from_numerators`` builds a polynomial from that form directly.
-``MomentPoly.terms`` is a read-only view of the coefficients as Fractions.
-Every operation keeps the insertion order of the keys, which fixes the order
-in which float evaluation sums the terms.
+denominator: ``MomentPoly.packed`` maps each packed key to its numerator, over
+``MomentPoly.den``. Arithmetic runs on the numerators, and each result is
+reduced by a single gcd. Every kernel of the package reads and writes these
+packed keys. Exponent tuples ``(e0, e1, e2, ...)`` with trailing zeros
+trimmed appear only at the edges: ``MomentPoly(...)`` and
+``MomentPoly.from_numerators`` take them, ``MomentPoly.nums`` (numerators)
+and ``MomentPoly.terms`` (Fractions) are views keyed by them, and rendering,
+``convert``, ``substitute`` and exact binding read them. Every operation
+keeps the insertion order of the keys, which fixes the order in which float
+evaluation sums the terms.
 
 Four display conventions for the same ring are supported:
 
@@ -41,7 +50,6 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import factorial, gcd, lcm
-from operator import add
 from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 
@@ -92,48 +100,11 @@ def double_factorial(n: int) -> int:
     return out
 
 
-def _trim(key: Iterable[int]) -> Key:
-    key = tuple(key)
-    end = len(key)
-    while end and key[end - 1] == 0:
-        end -= 1
-    return key[:end]
-
-
-def _addkey(a: Key, b: Key) -> Key:
-    """The key of the product of two monomials.
-
-    Keys are trimmed and their variable exponents are positive at the end, so
-    the sum needs trimming only where two unit powers cancel.
-    """
-    n = len(b)
-    if len(a) < n:
-        a, b, n = b, a, len(a)
-    out = (*map(add, a, b), *a[n:])
-    return out if out != (0,) else ()
-
-
-def _lowered(key: Key, l: int) -> Key:
-    """``key`` with ``e_l`` lowered by one, trailing zeros trimmed."""
-    e = key[l] - 1
-    if e or l + 1 < len(key):
-        return key[:l] + (e,) + key[l + 1:]
-    key = key[:l]
-    while key and not key[-1]:
-        key = key[:-1]
-    return key
-
-
-def _over_unit(index: int) -> Key:
-    """The key of ``v_index / unit`` for a variable index ``>= 1``."""
-    return (-1,) + (0,) * (index - 1) + (1,)
-
-
-# Packed keys: a monomial as one int with an 8-bit slot per variable. Slot
+# Packed keys: a monomial is one int with an 8-bit slot per variable. Slot
 # ``i`` is bits ``8 i`` to ``8 i + 7`` and holds ``e_i``, except slot 0, which
-# holds ``e0 + 128``; so ``-128 <= e0 <= 127`` and ``0 <= e_k <= 255``.
-# Multiplying monomials adds their ``_shift``s, and a packed key is
-# ``_UNIT_OFFSET`` plus the ``_shift`` of its exponents.
+# holds ``e0 + 128``; so ``-128 <= e0 <= 127`` and ``0 <= e_k <= 255``. The
+# packed key is ``_UNIT_OFFSET + sum_i e_i 2^(8 i)``, so the product of two
+# monomials has the sum of their keys less one ``_UNIT_OFFSET``.
 
 
 class SlotOverflow(RingError):
@@ -145,23 +116,31 @@ _SLOT_MASK = (1 << _SLOT_BITS) - 1
 _UNIT_OFFSET = 1 << (_SLOT_BITS - 1)
 
 
-def _shift(key: Key) -> int:
-    """``sum_i e_i 2^(8 i)``: what multiplying by the monomial adds to a packed key.
-
-    The caller has checked the bounds of ``key``.
-    """
-    if not key:
-        return 0
-    return key[0] + (int.from_bytes(bytes(key[1:]), "little") << _SLOT_BITS)
-
-
 def _slot(k: int) -> int:
     """What multiplying by ``r_k`` adds to a packed key; ``r_0`` is the unit."""
     return 1 << (_SLOT_BITS * k)
 
 
+def _code(key: Iterable[int]) -> int:
+    """The packed key of an exponent tuple; trailing zeros do not change it.
+
+    ``RingError`` for an exponent that is not an int or a negative variable
+    exponent, ``SlotOverflow`` for one that does not fit its slot.
+    """
+    key = tuple(key)
+    if not all(isinstance(e, int) for e in key):
+        raise RingError(f"exponents must be integers: {key}")
+    if any(e < 0 for e in key[1:]):
+        raise RingError(f"moment exponents must be nonnegative: {key}")
+    if not key:
+        return _UNIT_OFFSET
+    if not -_UNIT_OFFSET <= key[0] < _UNIT_OFFSET or max(key[1:], default=0) > _SLOT_MASK:
+        raise SlotOverflow(f"exponents {key} do not fit {_SLOT_BITS}-bit slots")
+    return _UNIT_OFFSET + key[0] + (int.from_bytes(bytes(key[1:]), "little") << _SLOT_BITS)
+
+
 def _unpack(code: int) -> Key:
-    """The trimmed key of a packed key."""
+    """The trimmed exponent tuple of a packed key."""
     e0 = (code & _SLOT_MASK) - _UNIT_OFFSET
     rest = code >> _SLOT_BITS
     if not rest:
@@ -169,14 +148,27 @@ def _unpack(code: int) -> Key:
     return (e0, *rest.to_bytes((rest.bit_length() + 7) // 8, "little"))
 
 
+def _width(codes: Iterable[int]) -> int:
+    """One more than the largest variable index packed keys use; at least 1, the unit's slot."""
+    return max(1, (max(codes, default=0).bit_length() + 7) // _SLOT_BITS)
+
+
 # (least unit exponent, largest unit exponent, largest variable exponent)
 Bounds = tuple[int, int, int]
 
 
-def _bounds(keys: list[Key]) -> Bounds:
-    e0s = [k[0] if k else 0 for k in keys] or [0]
-    top = max((max(k[1:]) for k in keys if len(k) > 1), default=0)
-    return min(e0s), max(e0s), top
+def _bounds(codes: Iterable[int]) -> Bounds:
+    """The exponent bounds of packed keys; ``(0, 0, 0)`` for none."""
+    units = []
+    top = 0
+    for code in codes:
+        units.append(code & _SLOT_MASK)
+        rest = code >> _SLOT_BITS
+        if rest:
+            top = max(top, *rest.to_bytes((rest.bit_length() + 7) // 8, "little"))
+    if not units:
+        return 0, 0, 0
+    return min(units) - _UNIT_OFFSET, max(units) - _UNIT_OFFSET, top
 
 
 def _check_slots(bounds: Bounds) -> None:
@@ -194,7 +186,10 @@ def _add_bounds(a: Bounds, b: Bounds) -> Bounds:
 
 
 def _union_bounds(bounds: Iterable[Bounds]) -> Bounds:
-    """The bounds of the keys of several sets, each within its own bounds (at least one)."""
+    """The bounds of the keys of several sets, each within its own bounds; ``(0, 0, 0)`` for none."""
+    bounds = list(bounds)
+    if not bounds:
+        return 0, 0, 0
     lows, highs, tops = zip(*bounds)
     return min(lows), max(highs), max(tops)
 
@@ -207,55 +202,65 @@ def monomial_weight(key: Key) -> int:
 class MomentPoly:
     """Sparse exact polynomial in the unit and the moment variables.
 
-    The coefficient of the monomial ``k`` is ``nums[k] / den``: integer
-    numerators over one positive denominator, reduced so that no integer
-    above 1 divides ``den`` and every numerator. Zero numerators are never
-    stored, and the dict keeps the order in which the keys first appeared.
+    ``packed`` maps the packed key of each monomial to its integer numerator
+    over one positive denominator ``den``, reduced so that no integer above 1
+    divides ``den`` and every numerator. Zero numerators are never stored,
+    and the dict keeps the order in which the keys first appeared. ``nums``
+    and ``terms`` are views of it with tuple keys.
     """
 
-    __slots__ = ("nums", "den")
+    __slots__ = ("packed", "den", "_reach")
 
     def __init__(self, terms: Mapping[Key, object] | None = None) -> None:
-        clean: dict[Key, Fraction] = {}
+        clean: dict[int, Fraction] = {}
         if terms:
             for raw_key, raw_coeff in terms.items():
+                code = _code(raw_key)
                 coeff = raw_coeff if type(raw_coeff) is Fraction else Fraction(raw_coeff)  # type: ignore[arg-type]
                 if not coeff:
                     continue
-                key = _trim(raw_key)
-                if any(e < 0 for e in key[1:]):
-                    raise RingError(f"moment exponents must be nonnegative: {key}")
-                prev = clean.get(key)
+                prev = clean.get(code)
                 if prev is None:
-                    clean[key] = coeff
+                    clean[code] = coeff
                 else:
                     total = prev + coeff
                     if total:
-                        clean[key] = total
+                        clean[code] = total
                     else:
-                        del clean[key]
+                        del clean[code]
         # over the lcm of the reduced denominators the numerators share no factor with it
         den = lcm(*(c.denominator for c in clean.values()))
-        self.nums = {k: c.numerator * (den // c.denominator) for k, c in clean.items()}
+        self.packed = {k: c.numerator * (den // c.denominator) for k, c in clean.items()}
         self.den = den
+        self._reach: Bounds | None = None
 
     # -- constructors ------------------------------------------------------
 
     @classmethod
     def from_numerators(cls, nums: Mapping[Key, int], den: int = 1) -> "MomentPoly":
-        """``sum_k nums[k] / den * x^k``, reduced by one gcd.
+        """``sum_k nums[k] / den * x^k`` over tuple keys ``k``, reduced by one gcd.
 
-        Keys must be trimmed, with nonnegative variable exponents, and ``den``
-        must be positive. Zero numerators are dropped; the rest keep their order.
+        ``den`` must be positive. Keys are checked as in ``MomentPoly(...)``;
+        zero numerators are dropped, and the rest keep their order.
         """
-        nums = {k: n for k, n in nums.items() if n}
-        common = gcd(den, *nums.values())
+        packed: dict[int, int] = {}
+        for key, n in nums.items():
+            code = _code(key)
+            packed[code] = packed.get(code, 0) + n
+        return cls._from_packed(packed, den)
+
+    @classmethod
+    def _from_packed(cls, packed: Mapping[int, int], den: int = 1) -> "MomentPoly":
+        """``from_numerators`` on packed keys, which are not checked: how kernels build results."""
+        packed = {k: n for k, n in packed.items() if n}
+        common = gcd(den, *packed.values())
         if common != 1:
-            nums = {k: n // common for k, n in nums.items()}
+            packed = {k: n // common for k, n in packed.items()}
             den //= common
         out = cls.__new__(cls)
-        out.nums = nums
+        out.packed = packed
         out.den = den
+        out._reach = None
         return out
 
     @classmethod
@@ -290,23 +295,36 @@ class MomentPoly:
     # -- structure ---------------------------------------------------------
 
     @property
+    def nums(self) -> dict[Key, int]:
+        """The numerators by tuple key, in stored order; a new dict on every access."""
+        return {_unpack(k): n for k, n in self.packed.items()}
+
+    @property
     def terms(self) -> dict[Key, Fraction]:
-        """The coefficients as Fractions, in stored order; a new dict on every access."""
+        """The coefficients as Fractions by tuple key, in stored order; a new dict on every access."""
         den = self.den
-        return {k: Fraction(n, den) for k, n in self.nums.items()}
+        return {_unpack(k): Fraction(n, den) for k, n in self.packed.items()}
+
+    @property
+    def bounds(self) -> Bounds:
+        """The exponent bounds of the keys (``_bounds``), computed on first use."""
+        reach = self._reach
+        if reach is None:
+            reach = self._reach = _bounds(self.packed)
+        return reach
 
     @property
     def is_zero(self) -> bool:
-        return not self.nums
+        return not self.packed
 
     @property
     def is_constant(self) -> bool:
-        return all(not k for k in self.nums)
+        return all(k == _UNIT_OFFSET for k in self.packed)
 
     def constant_value(self) -> Fraction:
-        if any(k for k in self.nums):
+        if not self.is_constant:
             raise RingError(f"not a constant polynomial: {self!r}")
-        return Fraction(self.nums.get((), 0), self.den)
+        return Fraction(self.packed.get(_UNIT_OFFSET, 0), self.den)
 
     # -- arithmetic --------------------------------------------------------
 
@@ -317,14 +335,17 @@ class MomentPoly:
         other = _as_poly(other)
         if other is None:
             return NotImplemented
-        return self.nums == other.nums and self.den == other.den
+        return self.packed == other.packed and self.den == other.den
 
     def __hash__(self) -> int:
-        return hash((frozenset(self.nums.items()), self.den))
+        # a constant equals its value, so it hashes as its value
+        if self.is_constant:
+            return hash(self.constant_value())
+        return hash((frozenset(self.packed.items()), self.den))
 
     def __neg__(self) -> "MomentPoly":
-        return MomentPoly.from_numerators(
-            {k: -n for k, n in self.nums.items()}, self.den)
+        return MomentPoly._from_packed(
+            {k: -n for k, n in self.packed.items()}, self.den)
 
     def __add__(self, other: object) -> "MomentPoly":
         """The sum; a key whose coefficient cancels is deleted at once."""
@@ -333,14 +354,14 @@ class MomentPoly:
             return NotImplemented
         den = lcm(self.den, other.den)
         mine, theirs = den // self.den, den // other.den
-        nums = {k: n * mine for k, n in self.nums.items()}
-        for key, n in other.nums.items():
+        nums = {k: n * mine for k, n in self.packed.items()}
+        for key, n in other.packed.items():
             total = nums.get(key, 0) + n * theirs
             if total:
                 nums[key] = total
             else:
                 del nums[key]
-        return MomentPoly.from_numerators(nums, den)
+        return MomentPoly._from_packed(nums, den)
 
     __radd__ = __add__
 
@@ -361,12 +382,16 @@ class MomentPoly:
         if not factor:
             return MomentPoly()
         num = factor.numerator
-        return MomentPoly.from_numerators(
-            {k: n * num for k, n in self.nums.items()},
+        return MomentPoly._from_packed(
+            {k: n * num for k, n in self.packed.items()},
             self.den * factor.denominator)
 
     def __mul__(self, other: object) -> "MomentPoly":
-        """The product; keys keep the order of first appearance, cancelled ones are dropped."""
+        """The product; keys keep the order of first appearance, cancelled ones are dropped.
+
+        The summed exponent bounds of the factors are checked first, so
+        ``SlotOverflow`` is raised before a key could leave its slot.
+        """
         if isinstance(other, (int, Fraction)):
             return self.scale(other)
         if not isinstance(other, MomentPoly):
@@ -375,14 +400,16 @@ class MomentPoly:
             return self.scale(other.constant_value())
         if self.is_constant:
             return other.scale(self.constant_value())
-        acc: dict[Key, int] = {}
+        _check_slots(_add_bounds(self.bounds, other.bounds))
+        acc: dict[int, int] = {}
         get = acc.get
-        theirs = list(other.nums.items())
-        for ka, na in self.nums.items():
+        theirs = other.packed.items()
+        for ka, na in self.packed.items():
+            base = ka - _UNIT_OFFSET  # a product of packed keys carries one offset
             for kb, nb in theirs:
-                k = _addkey(ka, kb)
+                k = base + kb
                 acc[k] = get(k, 0) + na * nb
-        return MomentPoly.from_numerators(acc, self.den * other.den)
+        return MomentPoly._from_packed(acc, self.den * other.den)
 
     def __rmul__(self, other: object) -> "MomentPoly":
         if isinstance(other, (int, Fraction)):
@@ -400,9 +427,9 @@ class MomentPoly:
         """
         total: object = None
         den = self.den
-        for key, n in self.nums.items():
+        for code, n in self.packed.items():
             part: object = Fraction(n, den)
-            for l, e in enumerate(key):
+            for l, e in enumerate(_unpack(code)):
                 if not e:
                     continue
                 if l not in values:
@@ -474,13 +501,14 @@ def convert(poly: MomentPoly, src: str, dst: str) -> MomentPoly:
     _check_convention(dst)
     if src == dst:
         return poly
-    width = max(map(len, poly.nums), default=1)
+    keys = [_unpack(code) for code in poly.packed]
+    width = max(map(len, keys), default=1)
     # x^e gains prod_l (ups[l] / downs[l])^e_l: one integer ratio per variable index
     ratios = [convention_scale(dst, l) / convention_scale(src, l) for l in range(1, width)]
     ups = [1] + [r.numerator for r in ratios]
     downs = [1] + [r.denominator for r in ratios]
     factors = []
-    for key in poly.nums:
+    for key in keys:
         up = down = 1
         for l in range(1, len(key)):
             e = key[l]
@@ -490,9 +518,9 @@ def convert(poly: MomentPoly, src: str, dst: str) -> MomentPoly:
         factors.append((up, down))
     # each numerator times its factor, all over the lcm of the factors' denominators
     common = lcm(*(down for _, down in factors))
-    nums = {key: n * up * (common // down)
-            for (key, n), (up, down) in zip(poly.nums.items(), factors)}
-    return MomentPoly.from_numerators(nums, poly.den * common)
+    nums = {code: n * up * (common // down)
+            for (code, n), (up, down) in zip(poly.packed.items(), factors)}
+    return MomentPoly._from_packed(nums, poly.den * common)
 
 
 def _padded_sort_key(key: Key, width: int) -> tuple:
@@ -501,13 +529,13 @@ def _padded_sort_key(key: Key, width: int) -> tuple:
 
 
 def _ordered_nums(poly: MomentPoly) -> list[tuple[Key, int]]:
-    width = max(map(len, poly.nums), default=0)
-    return sorted(poly.nums.items(), key=lambda kv: _padded_sort_key(kv[0], width))
+    nums = [(_unpack(code), n) for code, n in poly.packed.items()]
+    width = max((len(key) for key, _ in nums), default=0)
+    return sorted(nums, key=lambda kv: _padded_sort_key(kv[0], width))
 
 
 def render_monomial(key: Key, convention: str = "rho") -> str:
     _check_convention(convention)
-    key = _trim(key)
     e0 = key[0] if key else 0
     prefix, a, b = _VARIABLE_SYMBOL[convention]
     var_parts = [
@@ -700,11 +728,14 @@ def _bind_exact(
     numerators are taken over the lcm of the coefficients' denominators.
     """
     den = lcm(*(poly.den for poly in terms.values()))
-    width = max((len(k) for poly in terms.values() for k in poly.nums), default=0)
+    # each coefficient's terms with their exponent tuples, read once
+    unpacked = [(zkey, den // poly.den, [(_unpack(code), n) for code, n in poly.packed.items()])
+                for zkey, poly in terms.items()]
+    width = max((len(key) for _, _, nums in unpacked for key, _ in nums), default=0)
     # every range holds 0, the exponent of the variables past the end of a key
     ranges = [[0, 0] for _ in range(width)]
-    for poly in terms.values():
-        for key in poly.nums:
+    for _, _, nums in unpacked:
+        for key, _ in nums:
             for r, e in zip(ranges, key):
                 if e < r[0]:
                     r[0] = e
@@ -726,10 +757,9 @@ def _bind_exact(
     for l in range(width - 1, -1, -1):
         tails[l] = tails[l + 1] * tables[l][-lows[l]]
     out: dict[ZKey, int] = {}
-    for zkey, poly in terms.items():
-        mult = den // poly.den
+    for zkey, mult, nums in unpacked:
         total = 0
-        for key, n in poly.nums.items():
+        for key, n in nums:
             n *= mult * tails[len(key)]
             for table, e, lo in zip(tables, key, lows):
                 n *= table[e - lo]
@@ -759,7 +789,7 @@ def render_z(obj: ZLaurent, convention: str = "rho") -> str:
             signed = rendered.get(id(coeff))
             if signed is None:
                 cstr = render_str(coeff, convention)
-                if len(coeff.nums) > 1:
+                if len(coeff.packed) > 1:
                     signed = (False, f"({cstr})")
                 elif cstr.startswith("-"):
                     signed = (True, cstr[1:])

@@ -40,12 +40,12 @@ argument uses; ``r_0`` is the unit and ``[a, b, ...]`` stands for
 monomial, as integer numerators over one denominator: ``d_k`` of
 ``c x^K`` is ``K_k c x^(K-e_k)``, ``d_k d_l`` is ``K_k (K_l - [k=l]) c
 x^(K-e_k-e_l)``; the series has no genus-one term, so there is no log term
-to differentiate. The emitter runs on the packed monomial keys of the
-Laplacian chain (``ring._shift``): one int per monomial, an 8-bit slot per
+to differentiate. The emitter reads and writes the ring's packed monomial
+keys (``MomentPoly.packed``): one int per monomial, an 8-bit slot per
 variable, so a product adds ints and ``d_k`` subtracts ``2^(8 k)``. Each
 piece's shift has its derivative's lowering folded in, so a piece adds one
-int to a key. The tables are packed once per label and width, and each
-series order once per series, with its nonzero slots listed. The exponent
+int to a key. The tables are built once per label and width, and each
+series order's nonzero slots are listed once per series. The exponent
 bounds of the order plus the table's largest shifts are checked before any
 key is formed, so ``SlotOverflow`` is raised rather than a key wrapping.
 The emitter's key order differs from that of a sum of ring products; only
@@ -62,16 +62,15 @@ from taulap.laplacian import stable_partition
 from taulap.ring import (
     _UNIT_OFFSET,
     Bounds,
-    Key,
     MomentPoly,
     RingError,
     _add_bounds,
     _bounds,
     _check_slots,
-    _shift,
+    _code,
     _slot,
-    _trim,
     _unpack,
+    _width,
 )
 
 # a table's pieces, each ``(shift, scalar over 64)``, where the shift adds the
@@ -80,17 +79,17 @@ Pieces = list[tuple[int, int]]
 # the d_k pieces by k, the d_k d_l pieces by k and then l >= k, those with no
 # derivative, and the bounds of the pieces' monomials
 Table = tuple[dict[int, Pieces], dict[int, dict[int, Pieces]], Pieces, Bounds]
-# a polynomial packed for the emitter: its denominator, its terms as
+# a polynomial listed for the emitter: its denominator, its terms as
 # ``(packed key, numerator, [(slot, exponent)] of the nonzero slots)`` and its bounds
-Packed = tuple[int, list[tuple[int, int, list[tuple[int, int]]]], Bounds]
+Listed = tuple[int, list[tuple[int, int, list[tuple[int, int]]]], Bounds]
 
 
-def _monomial(unit: int = 0, *raised: int) -> Key:
-    """The key of ``r0^unit`` times the product of ``r_l`` over ``raised``."""
+def _monomial(unit: int = 0, *raised: int) -> int:
+    """The packed key of ``r0^unit`` times the product of ``r_l`` over ``raised``."""
     key = [unit] + [0] * max(raised, default=0)
     for l in raised:
         key[l] += 1
-    return _trim(key)
+    return _code(key)
 
 
 @lru_cache(maxsize=None)
@@ -99,11 +98,11 @@ def _table(part: str, n: int, width: int) -> Table:
 
     Pieces on the same derivative and shift merge.
     """
-    first: dict[int, dict[Key, int]] = {}
-    second: dict[int, dict[int, dict[Key, int]]] = {}
-    zero: dict[Key, int] = {}
+    first: dict[int, dict[int, int]] = {}
+    second: dict[int, dict[int, dict[int, int]]] = {}
+    zero: dict[int, int] = {}
 
-    def put(pieces: dict[Key, int], scalar: int, shift: tuple[int, ...]) -> None:
+    def put(pieces: dict[int, int], scalar: int, shift: tuple[int, ...]) -> None:
         key = _monomial(*shift)
         pieces[key] = pieces.get(key, 0) + scalar
 
@@ -148,34 +147,27 @@ def _table(part: str, n: int, width: int) -> Table:
         d(n - 2, 16 * (2 * n - 1), -2, 1)
         d(n - 3, -16 * (2 * n - 3) * (16 * n - 7), -1)
 
-    def packed(pieces: dict[Key, int], lowered: int) -> Pieces:
-        return [(_shift(key) - lowered, s) for key, s in pieces.items()]
+    def shifts(pieces: dict[int, int], lowered: int) -> Pieces:
+        return [(code - _UNIT_OFFSET - lowered, s) for code, s in pieces.items()]
 
     every = [*first.values(), *(p for row in second.values() for p in row.values()), zero]
     return (
-        {k: packed(pieces, _slot(k)) for k, pieces in first.items()},
-        {k: {l: packed(pieces, _slot(k) + _slot(l)) for l, pieces in row.items()}
+        {k: shifts(pieces, _slot(k)) for k, pieces in first.items()},
+        {k: {l: shifts(pieces, _slot(k) + _slot(l)) for l, pieces in row.items()}
          for k, row in second.items()},
-        packed(zero, 0),
-        _bounds([key for pieces in every for key in pieces]),
+        shifts(zero, 0),
+        _bounds([code for pieces in every for code in pieces]),
     )
 
 
-def _width(*polys: MomentPoly) -> int:
-    """One more than the largest variable index the polynomials use (the unit counts)."""
-    return max((len(k) for p in polys for k in p.nums), default=0)
+def _listed(p: MomentPoly) -> Listed:
+    """``p`` for the emitter: its stored keys, each with its nonzero slots listed."""
+    terms = [(code, n, [(k, e) for k, e in enumerate(_unpack(code)) if e])
+             for code, n in p.packed.items()]
+    return p.den, terms, p.bounds
 
 
-def _pack(p: MomentPoly) -> Packed:
-    """``p`` packed for the emitter, after checking that its keys fit the slots."""
-    bounds = _bounds(list(p.nums))
-    _check_slots(bounds)
-    terms = [(_UNIT_OFFSET + _shift(key), n, [(k, e) for k, e in enumerate(key) if e])
-             for key, n in p.nums.items()]
-    return p.den, terms, bounds
-
-
-def _emit(acc: dict[int, int], table: Table, p: Packed, mult: int, den: int) -> None:
+def _emit(acc: dict[int, int], table: Table, p: Listed, mult: int, den: int) -> None:
     """Add to ``acc`` the numerators over ``den`` of ``mult`` times the table applied to ``p``.
 
     The keys of ``acc`` are packed. The bounds of ``p``, its unit exponent
@@ -215,14 +207,13 @@ def _emit(acc: dict[int, int], table: Table, p: Packed, mult: int, den: int) -> 
             acc[out] = get(out, 0) + s * n
 
 
-def _apply(terms: list[tuple[int, Table, Packed]], over: int = 1) -> MomentPoly:
+def _apply(terms: list[tuple[int, Table, Listed]], over: int = 1) -> MomentPoly:
     """``sum mult * op(p) / over`` over ``(mult, table of 64 op, p)``, in one integer accumulator."""
     den = lcm(*(p[0] for _, _, p in terms))
     acc: dict[int, int] = {}
     for mult, table, p in terms:
         _emit(acc, table, p, mult, den)
-    return MomentPoly.from_numerators(
-        {_unpack(code): n for code, n in acc.items() if n}, 64 * over * den)
+    return MomentPoly._from_packed(acc, 64 * over * den)
 
 
 @dataclass(frozen=True)
@@ -241,9 +232,10 @@ class GradedSeries:
         return self.orders[k]
 
     @cached_property
-    def _packed(self) -> tuple[int, tuple[Packed, ...]]:
-        """The width of the orders' keys and each order packed for the emitter, once per series."""
-        return _width(*self.orders), tuple(map(_pack, self.orders))
+    def _for_emitter(self) -> tuple[int, tuple[Listed, ...]]:
+        """The width of the orders' keys and each order listed for the emitter, once per series."""
+        width = _width(code for p in self.orders for code in p.packed)
+        return width, tuple(map(_listed, self.orders))
 
 
 @lru_cache(maxsize=None)
@@ -266,7 +258,7 @@ def constraint_residuals(n: int, series: GradedSeries) -> dict[int, MomentPoly]:
     """
     if n < 0:
         raise RingError("constraint label must be nonnegative")
-    width, orders = series._packed
+    width, orders = series._for_emitter
     raising = _table("A", n, width)
     quadratic = _table("B", n, width)
     out: dict[int, MomentPoly] = {}

@@ -62,7 +62,6 @@ from taulap.laplacian import _OperatorTables, stable_partition
 from taulap.recursion import UnsupportedExponent
 from taulap.ring import (
     _SLOT_BITS,
-    _UNIT_OFFSET,
     CoincidentPoints,
     FactorKey,
     MomentPoly,
@@ -72,12 +71,11 @@ from taulap.ring import (
     ZRational,
     _add_bounds,
     _bind_exact,
-    _bounds,
     _check_slots,
+    _code,
     _is_exact,
     _joined,
     _power_tables,
-    _shift,
     _unpack,
     convention_scale,
     double_factorial,
@@ -794,8 +792,7 @@ def ungrouped_apply(p: MomentPoly, form: _OperatorTables) -> MomentPoly:
     """
     if p.is_zero:
         return MomentPoly.zero()
-    bounds = _bounds(list(p.nums))
-    _check_slots(bounds)
+    bounds = p.bounds
     jobs: dict[tuple[object, ...], list[tuple[int, int]]] = {}
 
     def job(block: tuple[object, ...], code: int, mult: int) -> None:
@@ -807,7 +804,7 @@ def ungrouped_apply(p: MomentPoly, form: _OperatorTables) -> MomentPoly:
 
     for key, n in p.nums.items():
         e0 = key[0] if key else 0
-        code = _UNIT_OFFSET + _shift(key)
+        code = _code(key)
         if e0:
             job(("c1",), code - 1, n * e0)
             if e0 != 1:
@@ -832,13 +829,13 @@ def ungrouped_apply(p: MomentPoly, form: _OperatorTables) -> MomentPoly:
     get = acc.get
     for block, todo in jobs.items():
         # pieces name their shared table by its index in ``form.items``
-        walk = [(num * (den_ops // den), shift, form.items[index])
-                for den, num, shift, index in blocks[block][0]]
+        walk = [(num * (den_ops // den), offset, form.items[index])
+                for den, num, offset, index in blocks[block][0]]
         for base, mult in todo:
-            for scale, shift, items in walk:
+            for scale, offset, items in walk:
                 factor = scale * mult
-                start = base + shift
-                for s, c in items:
+                start = base + offset
+                for s, c in items.items():
                     code = start + s
                     acc[code] = get(code, 0) + factor * c
     return MomentPoly.from_numerators(

@@ -197,9 +197,9 @@ def test_unknown_convention_fails_before_the_chain_runs(monkeypatch) -> None:
 def _walk(form, block: tuple) -> tuple[MomentPoly, list[tuple[int, ...]]]:
     """A block's pieces summed in the kernel's walk order, and the keys in first-touch order."""
     acc: dict[int, Fraction] = {}
-    for den, num, shift, index in form.pieces(block)[0]:
-        for s, c in form.items[index]:
-            code = _UNIT_OFFSET + shift + s
+    for den, num, offset, index in form.pieces(block)[0]:
+        for s, c in form.items[index].items():
+            code = _UNIT_OFFSET + offset + s
             acc[code] = acc.get(code, 0) + F(num * c, den)
     return MomentPoly({_unpack(code): v for code, v in acc.items()}), [_unpack(code) for code in acc]
 
@@ -268,13 +268,17 @@ def test_packed_kernel_raises_on_slot_overflow() -> None:
     assert weight(apply_laplacian_rho(MomentPoly({(-120, 1): 1}))) == 4
     for probe in (
         MomentPoly({(-127, 1): 1}),   # image would need a unit power below -128
-        MomentPoly({(-129, 1): 1}),   # does not fit a slot at all
         MomentPoly({(0, 255): F(1, 3)}),  # image would need r1^257
     ):
         with pytest.raises(SlotOverflow):
             apply_laplacian_rho(probe)
         with pytest.raises(SlotOverflow):
             apply_laplacian_t(probe)
+    # does not fit a slot at all, so building the probe raises
+    with pytest.raises(SlotOverflow):
+        apply_laplacian_rho(MomentPoly({(-129, 1): 1}))
+    with pytest.raises(SlotOverflow):
+        apply_laplacian_t(MomentPoly({(-129, 1): 1}))
 
 
 def test_table_index_fits_its_slot() -> None:
@@ -414,11 +418,13 @@ def test_packed_extraction_raises_on_slot_overflow() -> None:
     for zs in (
         [MomentPoly({(-65, 1): 1}), MomentPoly({(-64, 1): 1})],  # F_2 Z_2 needs r0^-130
         [MomentPoly({(0, 128): 1}), MomentPoly({(0, 128): 1})],  # F_2 Z_2 needs r1^256
-        [MomentPoly({(-129, 1): 1})],  # Z_2 does not fit a slot at all
     ):
         part = _with_z(zs)
         with pytest.raises(SlotOverflow):
             part.f(len(zs) + 1)
+    # Z_2 does not fit a slot at all, so building it raises
+    with pytest.raises(SlotOverflow):
+        _with_z([MomentPoly({(-129, 1): 1})]).f(2)
 
 
 def test_genus_bounds() -> None:

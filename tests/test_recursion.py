@@ -159,11 +159,11 @@ def test_coincident_pair_raises_slot_overflow_before_a_key_could_wrap():
 
 
 def kernel_image(obj: ZLaurent) -> ZLaurent:
-    """``recursion._kernel_rows`` of ``obj``'s packed rows, unpacked into a ``ZLaurent``."""
+    """``recursion._kernel_rows`` of ``obj``'s rows, as a ``ZLaurent``."""
     packed = recursion._rows(obj)
     acc: dict = {}
     recursion._kernel_rows(acc, packed, 1)
-    return ZLaurent(obj.nvars, {z: recursion._poly(nums, packed.den) for z, nums in acc.items()})
+    return ZLaurent(obj.nvars, {z: MomentPoly._from_packed(nums, packed.den) for z, nums in acc.items()})
 
 
 def test_kernel_rows_match_the_reference():

@@ -39,6 +39,7 @@ from taulap.ring import (
     MomentPoly,
     NonUnitSubstitution,
     RingError,
+    SlotOverflow,
     UnknownVariable,
     ZLaurent,
     ZRational,
@@ -204,6 +205,51 @@ def test_terms_is_a_read_only_fraction_view() -> None:
         p.terms = {}
     assert MomentPoly.from_numerators({(1,): 4, (2,): 0, (3,): -6}, 8) == MomentPoly(
         {(1,): F(1, 2), (3,): F(-3, 4)})
+
+
+def test_nums_is_a_tuple_keyed_view_of_the_packed_keys() -> None:
+    """A monomial is stored as one int, an 8-bit slot per variable and ``e0 + 128`` in slot 0."""
+    p = MomentPoly({(-2, 1): F(2, 6), (1, 0): 3, (0, 0, 2): 1})
+    assert p.packed == {126 + (1 << 8): 1, 129: 9, 128 + (2 << 16): 3} and p.den == 3
+    assert p.nums == {(-2, 1): 1, (1,): 9, (0, 0, 2): 3}
+    view = p.nums
+    view[(1,)] = 0
+    assert p.nums[(1,)] == 9
+    # trailing zeros do not change a key
+    assert MomentPoly({(1,): 1, (1, 0, 0): 2}) == MomentPoly({(1,): 3})
+
+
+@pytest.mark.parametrize("value", [0, 3, F(1, 2)])
+def test_constant_hashes_as_its_value(value) -> None:
+    """A constant polynomial equals its value, so it hashes as its value."""
+    p = MomentPoly.constant(value)
+    assert p == value and hash(p) == hash(value) == hash(F(value))
+    assert len({p, value}) == 1
+    assert len({p, MomentPoly.constant(F(value)), F(value)}) == 1
+
+
+def test_exponents_are_ints_that_fit_their_slots() -> None:
+    """A key off the packed domain is rejected when the polynomial is built."""
+    for key in [(1.5,), (0, 2.0), (F(1), 1)]:
+        with pytest.raises(RingError, match="integers"):
+            MomentPoly({key: 1})
+        with pytest.raises(RingError, match="integers"):
+            MomentPoly.from_numerators({key: 1})
+    with pytest.raises(RingError, match="nonnegative"):
+        MomentPoly({(0, -1): 1})
+    for key in [(-129,), (128,), (0, 256), (-3, 0, 0, 300)]:
+        with pytest.raises(SlotOverflow):
+            MomentPoly({key: 1})
+        with pytest.raises(SlotOverflow):
+            MomentPoly.from_numerators({key: 1})
+    edge = MomentPoly({(-128, 255): 1, (127, 0, 255): 2})
+    assert list(edge.nums) == [(-128, 255), (127, 0, 255)]
+    # a product checks the summed bounds of its factors before it forms a key
+    for a, b in [((-100,), (-100,)), ((100,), (28,)), ((0, 200), (0, 56))]:
+        with pytest.raises(SlotOverflow):
+            MomentPoly({a: 1}) * MomentPoly({b: 1})
+    assert MomentPoly({(-100,): 1}) * MomentPoly({(-28,): 1}) == MomentPoly({(-128,): 1})
+    assert MomentPoly({(0, 200): 1}) * MomentPoly({(0, 55): 1}) == MomentPoly({(0, 255): 1})
 
 
 def test_double_factorial_values() -> None:

@@ -9,18 +9,18 @@ from hypothesis import strategies as st
 from oracles import constraint_residuals_by_sums, quadratic_part_by_sums, raising_part_by_sums
 from taulap.laplacian import free_energy, stable_partition
 from taulap import virasoro
-from taulap.ring import MomentPoly, RingError, SlotOverflow
+from taulap.ring import MomentPoly, RingError, SlotOverflow, _width
 from taulap.virasoro import GradedSeries, constraint_residuals, constraint_satisfied, stable_series
 
 
 def raising_part(n: int, p: MomentPoly) -> MomentPoly:
     """``A_n p``: the runtime's table of ``A_n`` alone in its accumulator."""
-    return virasoro._apply([(1, virasoro._table("A", n, virasoro._width(p)), virasoro._pack(p))])
+    return virasoro._apply([(1, virasoro._table("A", n, _width(p.packed)), virasoro._listed(p))])
 
 
 def quadratic_part(n: int, p: MomentPoly) -> MomentPoly:
     """``B_n p``: the runtime's table of ``B_n`` alone in its accumulator."""
-    return virasoro._apply([(1, virasoro._table("B", n, virasoro._width(p)), virasoro._pack(p))])
+    return virasoro._apply([(1, virasoro._table("B", n, _width(p.packed)), virasoro._listed(p))])
 
 
 def witt_defect(m: int, n: int, probe: MomentPoly) -> MomentPoly:
