@@ -37,8 +37,8 @@ from taulap.spectral import SpectralError, SpectralModel, solve
 USAGE_EXIT = 64
 CHECK_EXIT = 2
 # Largest genus that --gmax, --genus and the indices of tau reach: the chain's
-# cost roughly triples per genus; fg --gmax 12 takes about 2.2 s and 73 MB and
-# fg --gmax 14 about 12-16 s and 226 MB (2 vCPUs, CPython 3.11).
+# cost roughly triples per genus; fg --gmax 12 takes about 2.6-3.5 s and 61 MB
+# and fg --gmax 14 about 12-16 s and 183 MB (2 vCPUs, CPython 3.11).
 MAX_GENUS = 14
 # The most boundaries a correlator may have at genus g = 0..MAX_GENUS: the largest
 # correlator --boundaries, and the most groups npoint --groups and model --eval

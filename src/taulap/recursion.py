@@ -8,19 +8,18 @@ Two cross-validations of the boundary-correlator chain live here:
 * symbolic residuals of the loop equations (one-boundary and multi-boundary),
   which must vanish identically when evaluated on the stored correlators.
 
-Every kernel here (the residue inversion, the coincident pair, the quadratic
-right-hand side and both loop-equation residuals) takes each coefficient as
-integer numerators over one common denominator and sums its terms into one
-accumulator per ``z`` key, so no intermediate polynomial is built. The
-moment keys are the ring's packed keys (``MomentPoly.packed``), read from
-the stored coefficients and written into the results as they are: one int
-per monomial, an 8-bit slot per variable. A product of monomials adds ints
-(less one unit offset), ``d/dr_k`` subtracts ``2^(8 k)`` and ``r_l / r_0``
-adds ``2^(8 l) - 1``. Only ``dse_terms`` returns exponent tuples, each key
-unpacked once. Each kernel checks the exponent bounds of its inputs plus
-the largest shift it applies before it forms a key, so ``SlotOverflow`` is
-raised rather than a key wrapping. Both residuals take the loop equations' kernel operator from
-``_kernel_rows``, which rejects a ``z_0`` power outside its domain.
+Every kernel here sums integer numerators over one common denominator into
+one flat accumulator keyed by one int per term. A term key holds ``n``
+8-bit ``z`` slots (``n`` the call's number of boundary variables), slot
+``i`` holding ``e_i + 128``, below the ring's packed moment key
+(``MomentPoly.packed``). So a product adds keys less the key of ``1``,
+``z_i`` adds ``2^(8 i)``, and ``d/dr_k`` subtracts ``2^(8 (n + k))``. Keys
+are packed once where a stored ``ZLaurent`` is read (``_rows``) and
+unpacked once where a result is returned (``_laurent``, ``dse_terms``).
+Each kernel checks the moment and ``z`` bounds its keys can reach before it
+forms one, so ``SlotOverflow`` is raised rather than a slot wrapping. Both
+residuals take the kernel operator from ``_kernel_rows``, which rejects a
+``z_0`` power outside its domain.
 
 The multi-boundary pieces also share one product of pair factors
 ``(z_i +- z_j)^m``, each factor at the highest power any piece has, and each
@@ -34,12 +33,12 @@ from __future__ import annotations
 from functools import lru_cache
 from itertools import combinations
 from math import lcm
-from operator import add
-from typing import Callable, Iterable, Mapping, NamedTuple, Sequence
+from typing import Callable, Iterable, NamedTuple, Sequence
 
 from taulap.boundary import correlator, diagonal
 from taulap.laplacian import GenusOutOfRange
 from taulap.ring import (
+    _SLOT_BITS,
     _SLOT_MASK,
     _UNIT_OFFSET,
     Bounds,
@@ -47,6 +46,7 @@ from taulap.ring import (
     Key,
     MomentPoly,
     RingError,
+    SlotOverflow,
     ZKey,
     ZLaurent,
     _add_bounds,
@@ -56,13 +56,10 @@ from taulap.ring import (
     _unpack,
 )
 
-# integer numerators per packed moment key
+# integer numerators per term key
 Nums = dict[int, int]
-# integer numerators per ``z`` key
-Rows = dict[ZKey, Nums]
-# ``(z key, numerators, multiplier)``: the coefficient at ``z**key`` is
-# ``multiplier * numerators`` over the rows' common denominator
-RowList = list[tuple[ZKey, Mapping[int, int], int]]
+# (least, largest) ``z`` exponent over every slot of a set of term keys
+ZBounds = tuple[int, int]
 # integer numerators keyed by ``(z key, moment key)``
 Numerators = dict[tuple[ZKey, Key], int]
 # pair factors ``(z_i + s z_j)^m`` as ``{(i, j, s): m}`` with ``i < j``
@@ -81,66 +78,73 @@ class UnsupportedExponent(RingError):
     """The kernel operator is defined on odd negative powers only."""
 
 
+def _check_z(zbounds: ZBounds) -> None:
+    """``SlotOverflow`` unless every ``z`` exponent within ``zbounds`` fits its slot."""
+    if zbounds[0] < -_UNIT_OFFSET or zbounds[1] >= _UNIT_OFFSET:
+        raise SlotOverflow(f"z exponents {zbounds[0]}..{zbounds[1]} do not fit {_SLOT_BITS}-bit slots")
+
+
 class _Packed(NamedTuple):
-    """An object's rows, numerators by packed moment key over one denominator.
+    """An object's numerators by term key over one denominator, with the bounds of
+    its moment and ``z`` exponents (``zbounds`` include 0), and the pair factors
+    it is divided by (only the planar pair has any)."""
 
-    ``bounds`` are the exponent bounds of the moment keys, and ``poles`` the
-    pair factors the rows are divided by (only the planar pair has any).
-    """
-
-    rows: RowList
+    nums: Nums
     den: int
+    nvars: int
     bounds: Bounds
+    zbounds: ZBounds
     poles: Poles
 
 
-def _rows(obj: ZLaurent) -> _Packed:
-    """The rows of an object: each coefficient's stored numerators, and a multiplier.
+def _rows(obj: ZLaurent, positions: Sequence[int] | None = None, nvars: int = 0) -> _Packed:
+    """The terms of ``obj`` by term key, over the lcm of its coefficients' denominators.
 
-    Their common denominator is the lcm of the object's coefficients'.
+    Variable ``k`` goes to slot ``positions[k]`` of ``nvars`` (by default slot
+    ``k`` of ``obj.nvars``); variables on one slot are identified.
     """
+    if positions is None:
+        positions, nvars = range(obj.nvars), obj.nvars
     coeffs = obj.terms
     den = lcm(*(c.den for c in coeffs.values()))
-    rows = [(z, c.packed, den // c.den) for z, c in coeffs.items()]
-    return _Packed(rows, den, _union_bounds([c.bounds for c in coeffs.values()]), {})
+    width = _SLOT_BITS * nvars
+    low = high = 0
+    nums: Nums = {}
+    get = nums.get
+    for zkey, c in coeffs.items():
+        z = [0] * nvars
+        for p, e in zip(positions, zkey):
+            z[p] += e
+        low, high = min(low, *z), max(high, *z)
+        _check_z((low, high))
+        zpart = int.from_bytes(bytes([e + _UNIT_OFFSET for e in z]), "little")
+        mult = den // c.den
+        for code, n in c.packed.items():
+            key = (code << width) + zpart
+            nums[key] = get(key, 0) + n * mult
+    bounds = _union_bounds([c.bounds for c in coeffs.values()])
+    return _Packed(nums, den, nvars, bounds, (low, high), {})
 
 
-def _emit(acc: Rows, zkey: ZKey, nums: Mapping[int, int], f: int) -> None:
-    """Add ``f * nums`` to the numerators of ``acc`` at ``zkey``."""
-    col = acc.setdefault(zkey, {})
-    get = col.get
-    for key, n in nums.items():
-        col[key] = get(key, 0) + f * n
-
-
-def _product(acc: Rows, a: _Packed, b: _Packed, f: int) -> Bounds:
-    """Add ``f`` times the product of two row lists to ``acc``; the bounds of the keys it reaches."""
+def _product(acc: Nums, a: _Packed, b: _Packed, f: int) -> Bounds:
+    """Add ``f`` times the product of two packed objects to ``acc``; the bounds of the keys it reaches."""
     bounds = _add_bounds(a.bounds, b.bounds)
     _check_slots(bounds)
-    for ka, nums_a, ma in a.rows:
-        for kb, nums_b, mb in b.rows:
-            col = acc.setdefault(tuple(map(add, ka, kb)), {})
-            get = col.get
-            fab = f * ma * mb
-            items_b = nums_b.items()
-            for key_a, na in nums_a.items():
-                fa = fab * na
-                base = key_a - _UNIT_OFFSET  # a product of packed keys carries one offset
-                for key_b, nb in items_b:
-                    key = base + key_b
-                    col[key] = get(key, 0) + fa * nb
+    _check_z((a.zbounds[0] + b.zbounds[0], a.zbounds[1] + b.zbounds[1]))
+    one = int.from_bytes(bytes([_UNIT_OFFSET] * (a.nvars + 1)), "little")  # the key of 1
+    get = acc.get
+    items_b = b.nums.items()
+    for key_a, na in a.nums.items():
+        fa = f * na
+        base = key_a - one
+        for key_b, nb in items_b:
+            key = base + key_b
+            acc[key] = get(key, 0) + fa * nb
     return bounds
 
 
-def _emit_rows(acc: Rows, packed: _Packed, f: int) -> Bounds:
-    """Add ``f`` times a row list to ``acc``; the bounds of the keys it reaches."""
-    for key, nums, mult in packed.rows:
-        _emit(acc, key, nums, f * mult)
-    return packed.bounds
-
-
-def _kernel_rows(acc: Rows, packed: _Packed, f: int) -> Bounds:
-    """Add ``f`` times the kernel operator in ``z_0`` of a row list to ``acc``.
+def _kernel_rows(acc: Nums, packed: _Packed, f: int) -> Bounds:
+    """Add ``f`` times the kernel operator in ``z_0`` of a packed object to ``acc``.
 
     ``z_0**-(3+2n)`` maps to ``sum_{k=0}^{n} r_k z_0**-(2n+2-2k)``; ``z_0**-1``
     maps to ``1``; any other exponent is an error. Returns the bounds of the
@@ -149,80 +153,81 @@ def _kernel_rows(acc: Rows, packed: _Packed, f: int) -> Bounds:
     low, high, top = packed.bounds
     bounds = low, high + 1, top + 1
     _check_slots(bounds)
-    for key, nums, mult in packed.rows:
-        e, rest = key[0], key[1:]
-        fm = f * mult
+    width = _SLOT_BITS * packed.nvars
+    get = acc.get
+    for key, n in packed.nums.items():
+        e = (key & _SLOT_MASK) - _UNIT_OFFSET
+        fn = f * n
         if e == -1:
-            _emit(acc, (0,) + rest, nums, fm)
+            key += 1
+            acc[key] = get(key, 0) + fn
             continue
         if e > -3 or e % 2 == 0:
             raise UnsupportedExponent(f"kernel operator undefined on exponent {e} of z_0")
-        n = (-e - 3) // 2
-        for k in range(n + 1):
-            r_k = _slot(k)
-            col = acc.setdefault((-(2 * n + 2 - 2 * k),) + rest, {})
-            get = col.get
-            for key_m, v in nums.items():
-                key_m += r_k
-                col[key_m] = get(key_m, 0) + fm * v
+        m = (-e - 3) // 2
+        base = key - e - 2 * m - 2  # z_0**-(2m+2)
+        for k in range(m + 1):
+            out = base + 2 * k + (_slot(k) << width)
+            acc[out] = get(out, 0) + fn
     return bounds
 
 
-# adds ``f`` times a row list to an accumulator and returns the bounds of the
-# keys it reaches: ``_emit_rows`` or ``_kernel_rows``
-Emitter = Callable[[Rows, _Packed, int], Bounds]
-
-
-def _laurent(cols: Rows, den: int, shift: int = 0) -> ZLaurent:
-    """``z**shift`` times the one-variable object whose numerators over ``den`` are ``cols``."""
-    terms = {}
-    for (e,), nums in cols.items():
-        poly = MomentPoly._from_packed(nums, den)
-        if poly.packed:
-            terms[(e + shift,)] = poly
-    out = ZLaurent(1)
-    out.terms = terms
+def _laurent(acc: Nums, den: int, nvars: int = 1) -> ZLaurent:
+    """The object in ``nvars`` variables whose numerators by term key over ``den`` are ``acc``."""
+    cols: dict[int, Nums] = {}  # moment numerators by the ``z`` slots
+    for key, n in acc.items():
+        if n:
+            code, z = divmod(key, _slot(nvars))
+            cols.setdefault(z, {})[code] = n
+    out = ZLaurent(nvars)
+    out.terms = {tuple(e - _UNIT_OFFSET for e in z.to_bytes(nvars, "little")):
+                 MomentPoly._from_packed(nums, den) for z, nums in cols.items()}
     return out
 
 
-def _divide(cols: Rows, den: int, bounds: Bounds, shift: int = 0) -> ZLaurent:
-    """``z**shift`` times the residue inversion of the object given by ``cols`` over ``den``.
+def _divide(acc: Nums, den: int, bounds: Bounds, lift: int = 0, shift: int = 0) -> ZLaurent:
+    """``z**shift`` times the residue inversion of ``z**lift acc``, one variable over ``den``.
 
     With the input ``sum_k c_k z**(-2k)``, the output coefficient of
     ``z**-(2m+2)`` is ``-g_m / r0``, where ``g_m = sum_j c_{m+j} S_j/j!``
     (``S_j`` the reciprocal-series coefficients). ``S_j/j!`` is the ``tau^j``
     coefficient of ``1 / (1 + sum_{l>=1} (r_l/r0) tau^l)``, so the ``g_m``
     solve ``g_m = c_m - sum_{l>=1} (r_l/r0) g_{m+l}``; they are taken from the
-    top exponent down, each ``g_{m+l}`` multiplied by the single monomial
-    ``r_l/r0``. ``bounds`` are those of the keys of ``cols``.
+    top exponent down, each ``g_{m+l}`` multiplied by the single term
+    ``z**(2l) r_l/r0``. ``bounds`` are those of the moment keys of ``acc``.
     """
-    for (e,) in cols:
+    by_e: dict[int, Nums] = {}  # the terms of each c_k, by ``-2k``
+    for key, n in acc.items():
+        by_e.setdefault((key & _SLOT_MASK) - _UNIT_OFFSET + lift, {})[key] = n
+    for e in by_e:
         if e % 2:
             raise OddInput(f"exponent {e} is odd")
         if e > 0:
             raise UnboundedInput(f"exponent {e} is positive")
-    top = max((-e // 2 for (e,) in cols), default=-1)
+    top = -min(by_e, default=2) // 2
+    _check_z((-2 * top - 2 + shift, shift))
     # A variable gains one per factor r_l/r0, at most ``top`` of them. The
     # unit loses one per factor, so its least exponent is followed: ``least``
     # bounds that of c_m and of g_{m+1}, g_{m+2}, ... times r_l/r0.
     least, high, vtop = bounds
     done: list[Nums] = []  # g_{top}, g_{top-1}, ..., g_{m+1}
-    out: Rows = {}
+    out: Nums = {}
     for m in range(top, -1, -1):
         _check_slots((least - 1, high, vtop + top))  # the output is over r0
-        acc = dict(cols.get((-2 * m,), ()))
-        get = acc.get
+        g = dict(by_e.get(-2 * m, ()))
+        get = g.get
         for l, higher in enumerate(reversed(done), 1):
-            ratio = _slot(l) - 1
+            step = 2 * l + _slot(l + 1) - _slot(1)  # z**(2l) r_l/r0, in slots 1 and l + 1
             for key, n in higher.items():
-                key += ratio
-                acc[key] = get(key, 0) - n
-        g = {key: n for key, n in acc.items() if n}
+                key += step
+                g[key] = get(key, 0) - n
+        g = {key: n for key, n in g.items() if n}
         if g:
-            least = min(least, min(key & _SLOT_MASK for key in g) - _UNIT_OFFSET - 1)
+            least = min(least, min((key >> _SLOT_BITS) & _SLOT_MASK for key in g) - _UNIT_OFFSET - 1)
         done.append(g)
-        out[(-2 * m - 2,)] = {key - 1: -n for key, n in g.items()}
-    return _laurent(out, den, shift)
+        for key, n in g.items():
+            out[key + lift + shift - 2 - _slot(1)] = -n  # z**(lift+shift-2) / r0
+    return _laurent(out, den)
 
 
 # ---------------------------------------------------------------------------
@@ -236,30 +241,30 @@ def _coincident_pair(stored: ZLaurent) -> ZLaurent:
     ``K[l] != 0`` and ``d = K[l] c r^K / r_l``, ``-(3+2l) (r_{l+1}/r_0) d z^(e-3)``
     and ``(3+2l) d z^(e-5-2l)``, and its ``z`` derivative ``e c (r^K/r_0) z^(e-5)``.
     The emitted keys lower the unit's exponent by at most two and raise a
-    variable's by at most one.
+    variable's by at most one; ``z``'s goes down to ``e - 5 - 2l`` for the
+    highest variable ``r_l`` of the term, checked term by term.
     """
-    coeffs = stored.terms
-    low, high, top = _union_bounds([c.bounds for c in coeffs.values()])
+    packed = _rows(stored)
+    low, high, top = packed.bounds
     _check_slots((low - 2, high, top + 1))
-    den = lcm(*(c.den for c in coeffs.values()))
-    acc: Rows = {}
-    for (e,), c in coeffs.items():
-        mult = den // c.den
-        raised = acc.setdefault((e - 3,), {})
-        dz = acc.setdefault((e - 5,), {})
-        for code, n in c.packed.items():
-            n *= mult
-            for l, k_l in enumerate(_unpack(code)):
-                if k_l:
-                    v = (3 + 2 * l) * k_l * n
-                    lowered = code - _slot(l)
-                    out = lowered + _slot(l + 1) - 1
-                    raised[out] = raised.get(out, 0) - v
-                    col = acc.setdefault((e - 5 - 2 * l,), {})
-                    col[lowered] = col.get(lowered, 0) + v
-            if e:
-                dz[code - 1] = dz.get(code - 1, 0) + e * n
-    return _laurent(acc, den)
+    acc: Nums = {}
+    get = acc.get
+    for key, n in packed.nums.items():
+        e = (key & _SLOT_MASK) - _UNIT_OFFSET
+        exps = _unpack(key >> _SLOT_BITS)
+        _check_z((e - 5 - 2 * len(exps), 0))
+        for l, k_l in enumerate(exps):
+            if k_l:
+                v = (3 + 2 * l) * k_l * n
+                lowered = key - _slot(l + 1)  # r_l sits in slot l + 1, above z
+                out = lowered + _slot(l + 2) - _slot(1) - 3
+                acc[out] = get(out, 0) - v
+                out = lowered - 5 - 2 * l
+                acc[out] = get(out, 0) + v
+        if e:
+            out = key - _slot(1) - 5
+            acc[out] = get(out, 0) + e * n
+    return _laurent(acc, packed.den)
 
 
 @lru_cache(maxsize=None)
@@ -271,20 +276,20 @@ def pair_diagonal(g: int) -> ZLaurent:
 
 
 def _quadratic_sum(
-    g: int, series: Callable[[int], ZLaurent], extra: Sequence[tuple[int, ZLaurent, Emitter]]
-) -> tuple[Rows, int, Bounds]:
-    """``sum_{h=1}^{g-1} series(h) series(g-h) + sum w * emit(obj)`` over ``(w, obj, emit)`` in ``extra``.
+    g: int, series: Callable[[int], ZLaurent], diag: ZLaurent, kernel: ZLaurent | None = None
+) -> tuple[Nums, int, Bounds]:
+    """``sum_{h=1}^{g-1} series(h) series(g-h) + 4 diag``, plus twice the kernel operator of ``kernel``.
 
-    The result is integer numerators per ``z`` key over one denominator, and
-    the bounds of their keys. Each unordered pair ``{h, g-h}`` is multiplied
-    once, with weight 2 (1 when ``h = g-h``).
+    Returns numerators by term key over one denominator, and their moment
+    bounds. Each pair ``{h, g-h}`` is taken once, with weight 2 (1 if ``h = g-h``).
     """
-    pairs = [(2 - (2 * h == g), _rows(series(h)), _rows(series(g - h)))
-             for h in range(1, g // 2 + 1)]
-    singles = [(w, _rows(obj), emit) for w, obj, emit in extra]
-    den = lcm(*(a.den * b.den for _, a, b in pairs), *(p.den for _, p, _ in singles))
-    acc: Rows = {}
-    reach = [emit(acc, p, w * (den // p.den)) for w, p, emit in singles]
+    pairs = [(2 - (2 * h == g), _rows(series(h)), _rows(series(g - h))) for h in range(1, g // 2 + 1)]
+    d = _rows(diag)
+    k = None if kernel is None else _rows(kernel)
+    den = lcm(d.den, k.den if k else 1, *(a.den * b.den for _, a, b in pairs))
+    f = 4 * (den // d.den)
+    acc = {key: f * n for key, n in d.nums.items()}
+    reach = [d.bounds] if k is None else [d.bounds, _kernel_rows(acc, k, 2 * (den // k.den))]
     reach += [_product(acc, a, b, w * (den // (a.den * b.den))) for w, a, b in pairs]
     return acc, den, _union_bounds(reach)
 
@@ -300,8 +305,8 @@ def one_point(g: int) -> ZLaurent:
     """
     if g < 1:
         raise GenusOutOfRange("the residue recursion starts at genus 1")
-    rhs, den, bounds = _quadratic_sum(g, one_point, [(4, pair_diagonal(g - 1), _emit_rows)])
-    return _divide({(e + 2,): nums for (e,), nums in rhs.items()}, 2 * den, bounds, -1)
+    rhs, den, bounds = _quadratic_sum(g, one_point, pair_diagonal(g - 1))
+    return _divide(rhs, 2 * den, bounds, 2, -1)
 
 
 def one_point_residual(g: int) -> ZLaurent:
@@ -312,8 +317,7 @@ def one_point_residual(g: int) -> ZLaurent:
     """
     if g < 1:
         raise GenusOutOfRange("the one-boundary residual starts at genus 1")
-    total, den, _ = _quadratic_sum(g, lambda h: correlator(h, 1), [
-        (2, correlator(g, 1), _kernel_rows), (4, diagonal(g - 1), _emit_rows)])
+    total, den, _ = _quadratic_sum(g, lambda h: correlator(h, 1), diagonal(g - 1), correlator(g, 1))
     return _laurent(total, 2 * den)
 
 
@@ -321,11 +325,11 @@ def one_point_residual(g: int) -> ZLaurent:
 # multi-boundary residual
 #
 # A piece is a sum of terms ``N / prod (z_i + s z_j)^m``. Each term's
-# numerator ``N`` is kept as rows over the residual's common denominator, in
-# one group per set of pair factors; the planar pair (as a factor of a
-# product, or reflected at ``B = 3``) and the reflection bring them. Each
-# group is then multiplied by the factors it lacks, and the pieces are read
-# off over the common product.
+# numerator ``N`` is kept as term keys over the residual's common
+# denominator, in one group per set of pair factors; the planar pair (as a
+# factor of a product, or reflected at ``B = 3``) and the reflection bring
+# them. Each group is then multiplied by the factors it lacks, and the pieces
+# are read off over the common product.
 
 
 def _placed(g: int, positions: Sequence[int], nvars: int) -> _Packed:
@@ -338,58 +342,49 @@ def _placed(g: int, positions: Sequence[int], nvars: int) -> _Packed:
         poles = {(min(positions[i], positions[j]), max(positions[i], positions[j]), s): m
                  for (i, j, s), m in stored.den.items()}
         stored = stored.num
-    packed = _rows(stored)
-    placed: RowList = []
-    for key, nums, mult in packed.rows:
-        z = [0] * nvars
-        for p, e in zip(positions, key):
-            z[p] = e
-        placed.append((tuple(z), nums, mult))
-    return packed._replace(rows=placed, poles=poles)
+    return _rows(stored, positions, nvars)._replace(poles=poles)
 
 
-def _times_factor(rows: Rows, factor: FactorKey) -> Rows:
-    """``rows`` times ``(z_i + s z_j)``: each row emitted shifted in ``z_i``, and times ``s`` in ``z_j``."""
+def _times_factor(nums: Nums, factor: FactorKey) -> Nums:
+    """``nums`` times ``(z_i + s z_j)``: each term shifted in ``z_i``, and times ``s`` in ``z_j``."""
     i, j, s = factor
-    out: Rows = {}
-    for key, nums in rows.items():
-        _emit(out, key[:i] + (key[i] + 1,) + key[i + 1:], nums, 1)
-        _emit(out, key[:j] + (key[j] + 1,) + key[j + 1:], nums, s)
+    zi, zj = _slot(i), _slot(j)
+    out = {key + zi: n for key, n in nums.items()}
+    get = out.get
+    for key, n in nums.items():
+        key += zj
+        out[key] = get(key, 0) + s * n
     # what cancelled is dropped, so the next factor does not carry it
-    kept: Rows = {}
-    for key, col in out.items():
-        col = {m: n for m, n in col.items() if n}
-        if col:
-            kept[key] = col
-    return kept
+    return {key: n for key, n in out.items() if n}
 
 
-def _times_factors(rows: Rows, factors: Iterable[FactorKey]) -> Rows:
+def _times_factors(nums: Nums, factors: Iterable[FactorKey]) -> Nums:
     for factor in factors:
-        rows = _times_factor(rows, factor)
-    return rows
+        nums = _times_factor(nums, factor)
+    return nums
 
 
-def _quotient_rule(rows: Rows, poles: Poles, var: int) -> tuple[Rows, Poles]:
-    """``z_var^-1 d/dz_var`` of ``rows / prod f^m``, as its numerator and factors.
+def _quotient_rule(packed: _Packed, f: int, poles: Poles, var: int) -> tuple[Nums, Poles]:
+    """``z_var^-1 d/dz_var`` of ``f`` times ``packed / prod f^m``, as its numerator and factors.
 
     Each factor ``t`` touching ``z_var`` gains one power; the numerator is
     ``N' prod_t t - sum_t m_t (dt/dz_var) N prod_{u != t} u``, times
     ``z_var^-1``.
     """
-    touching = [f for f in poles if var in f[:2]]
-    deriv: Rows = {}
-    for key, nums in rows.items():
-        e = key[var]
-        if e:
-            _emit(deriv, key[:var] + (e - 2,) + key[var + 1:], nums, e)
+    touching = [t for t in poles if var in t[:2]]
+    _check_z((packed.zbounds[0] - 2, packed.zbounds[1] + len(touching)))
+    step = _slot(var)
+    terms = packed.nums.items()
+    deriv = {key - 2 * step: e * f * n for key, n in terms
+             if (e := (key // step & _SLOT_MASK) - _UNIT_OFFSET)}
+    shifted = {key - step: f * n for key, n in terms}
     out = _times_factors(deriv, touching)
-    shifted = {key[:var] + (key[var] - 1,) + key[var + 1:]: nums for key, nums in rows.items()}
+    get = out.get
     for t in touching:
         slope = 1 if var == t[0] else t[2]  # d(z_i + s z_j)/dz_var
-        for key, nums in _times_factors(shifted, [u for u in touching if u != t]).items():
-            _emit(out, key, nums, -poles[t] * slope)
-    return out, {f: m + (f in touching) for f, m in poles.items()}
+        for key, n in _times_factors(shifted, [u for u in touching if u != t]).items():
+            out[key] = get(key, 0) - poles[t] * slope * n
+    return out, {t: m + (t in touching) for t, m in poles.items()}
 
 
 def dse_terms(g: int, boundaries: int) -> tuple[dict[str, Numerators], int, Poles]:
@@ -406,7 +401,7 @@ def dse_terms(g: int, boundaries: int) -> tuple[dict[str, Numerators], int, Pole
     spectators = list(range(1, B))
     everywhere = range(B)
     kernel = _placed(g, everywhere, B)
-    handle = _placed(g - 1, range(B + 1), B + 1) if g else None
+    handle = _placed(g - 1, [*everywhere, 0], B) if g else None  # z_B identified with z_0
     products: list[tuple[str, _Packed, _Packed]] = []
     for h in range(g + 1):
         for size in range(1, B - 1):  # every spectator subset that leaves some out
@@ -422,17 +417,15 @@ def dse_terms(g: int, boundaries: int) -> tuple[dict[str, Numerators], int, Pole
     den = lcm(kernel.den, handle.den if handle else 1,
               *(a.den * b.den for _, a, b in products), *(main.den for _, main, _ in mirrors))
 
-    groups: dict[str, dict[tuple[tuple[FactorKey, int], ...], Rows]] = {}
+    groups: dict[str, dict[tuple[tuple[FactorKey, int], ...], Nums]] = {}
 
-    def into(piece: str, poles: Poles) -> Rows:
+    def into(piece: str, poles: Poles) -> Nums:
         return groups.setdefault(piece, {}).setdefault(tuple(sorted(poles.items())), {})
 
     _kernel_rows(into("kernel", {}), kernel, den // kernel.den)
     if handle is not None:
-        acc = into("handle", {})
         f = den // handle.den
-        for key, nums, mult in handle.rows:  # z_B identified with z_0
-            _emit(acc, (key[0] + key[B],) + key[1:B], nums, f * mult)
+        into("handle", {}).update((key, f * n) for key, n in handle.nums.items())
     for piece, a, b in products:
         poles = dict(a.poles)
         for factor, m in b.poles.items():
@@ -442,33 +435,37 @@ def dse_terms(g: int, boundaries: int) -> tuple[dict[str, Numerators], int, Pole
     for beta, main, mirror in mirrors:
         for sign, placed in ((1, main), (-1, mirror)):
             f = sign * 2 ** (3 - (B == 2)) * (den // placed.den)
-            rows: Rows = {}
-            _emit_rows(rows, placed, f)
-            rows, poles = _quotient_rule(
-                rows, {**placed.poles, (0, beta, -1): 1, (0, beta, 1): 1}, beta)
+            nums, poles = _quotient_rule(
+                placed, f, {**placed.poles, (0, beta, -1): 1, (0, beta, 1): 1}, beta)
             acc = into("reflection", poles)
-            for key, nums in rows.items():
-                _emit(acc, key, nums, 1)
+            get = acc.get
+            for key, n in nums.items():
+                acc[key] = get(key, 0) + n
 
     top: Poles = {}
     for by_poles in groups.values():
         for poles in by_poles:
             for factor, m in poles:
                 top[factor] = max(top.get(factor, 0), m)
+    # at most two inputs' highest z exponents, raised per factor in the quotient rule and here
+    inputs = [kernel, handle or kernel, *(p for _, a, b in products + mirrors for p in (a, b))]
+    _check_z((0, 2 * max(p.zbounds[1] for p in inputs) + 2 * sum(top.values())))
+    # one tuple per packed key, shared by the pieces
+    zkey = lru_cache(maxsize=None)(lambda z: tuple(e - _UNIT_OFFSET for e in z.to_bytes(B, "little")))
+    mkey = lru_cache(maxsize=None)(_unpack)
     pieces: dict[str, Numerators] = {}
-    unpack = lru_cache(maxsize=None)(_unpack)  # one tuple per packed key, shared by the pieces
     for piece, by_poles in groups.items():
-        flat: dict[tuple[ZKey, int], int] = {}
-        for poles, rows in by_poles.items():
+        flat: Nums = {}
+        get = flat.get
+        for poles, nums in by_poles.items():
             have = dict(poles)
             # one power of each missing factor per round, (z_0 - z_j) next to (z_0 + z_j):
             # the terms of their product that cancel go at once
             missing = sorted((r, f) for f, m in top.items() for r in range(have.get(f, 0), m))
-            rows = _times_factors(rows, [f for _, f in missing])
-            for zkey, nums in rows.items():
-                for code, n in nums.items():
-                    flat[zkey, code] = flat.get((zkey, code), 0) + n
-        pieces[piece] = {(zkey, unpack(code)): n for (zkey, code), n in flat.items() if n}
+            for key, n in _times_factors(nums, [f for _, f in missing]).items():
+                flat[key] = get(key, 0) + n
+        pieces[piece] = {(zkey(key % _slot(B)), mkey(key >> _SLOT_BITS * B)): n
+                         for key, n in flat.items() if n}
     return pieces, den, top
 
 

@@ -49,6 +49,7 @@ derivatives and embeddings of both kinds are left to the tests' references.
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import zip_longest
 from math import factorial, gcd, lcm
 from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
@@ -183,6 +184,17 @@ def _check_slots(bounds: Bounds) -> None:
 
 def _add_bounds(a: Bounds, b: Bounds) -> Bounds:
     return a[0] + b[0], a[1] + b[1], a[2] + b[2]
+
+
+def _slot_tops(codes: Iterable[int]) -> list[int]:
+    """The largest exponent of each variable slot (``r_1``, ``r_2``, ...) over packed keys."""
+    tops: list[int] = []
+    for code in codes:
+        rest = code >> _SLOT_BITS
+        exps = rest.to_bytes((rest.bit_length() + 7) // 8, "little")
+        tops += [0] * (len(exps) - len(tops))
+        tops[:len(exps)] = map(max, tops, exps)
+    return tops
 
 
 def _union_bounds(bounds: Iterable[Bounds]) -> Bounds:
@@ -390,7 +402,9 @@ class MomentPoly:
         """The product; keys keep the order of first appearance, cancelled ones are dropped.
 
         The summed exponent bounds of the factors are checked first, so
-        ``SlotOverflow`` is raised before a key could leave its slot.
+        ``SlotOverflow`` is raised before a key could leave its slot. When the
+        largest variable exponents of the factors overflow together, they may
+        sit in different slots, so the sums are then taken slot by slot.
         """
         if isinstance(other, (int, Fraction)):
             return self.scale(other)
@@ -400,7 +414,11 @@ class MomentPoly:
             return self.scale(other.constant_value())
         if self.is_constant:
             return other.scale(self.constant_value())
-        _check_slots(_add_bounds(self.bounds, other.bounds))
+        bounds = _add_bounds(self.bounds, other.bounds)
+        if bounds[2] > _SLOT_MASK:
+            tops = zip_longest(_slot_tops(self.packed), _slot_tops(other.packed), fillvalue=0)
+            bounds = bounds[0], bounds[1], max(map(sum, tops))
+        _check_slots(bounds)
         acc: dict[int, int] = {}
         get = acc.get
         theirs = other.packed.items()

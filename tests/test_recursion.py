@@ -1,12 +1,12 @@
 """Tests for the residue recursion and the loop-equation residual checks."""
 
-import os
 from fractions import Fraction as F
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import oracles
 from oracles import (
     _coincident_pair_by_sums,
     add,
@@ -36,8 +36,6 @@ from taulap.recursion import (
 )
 from taulap.ring import CoincidentPoints, MomentPoly, RingError, SlotOverflow, ZLaurent, ZRational
 
-slow = pytest.mark.skipif(not os.environ.get("TAULAP_SLOW"), reason="set TAULAP_SLOW=1 to run")
-
 # every (g, B) with B >= 2 and 2g + B - 2 <= 4, but the planar pair
 DSE_PAIRS = [(0, 3), (0, 4), (0, 5), (0, 6), (1, 2), (1, 3), (1, 4), (2, 2)]
 
@@ -54,9 +52,7 @@ def residue_invert(obj: ZLaurent) -> ZLaurent:
     division on its right-hand side.
     """
     packed = recursion._rows(obj)
-    return recursion._divide(
-        {e: {k: n * mult for k, n in nums.items()} for e, nums, mult in packed.rows},
-        packed.den, packed.bounds)
+    return recursion._divide(packed.nums, packed.den, packed.bounds)
 
 
 def test_residue_invert_constant():
@@ -159,11 +155,11 @@ def test_coincident_pair_raises_slot_overflow_before_a_key_could_wrap():
 
 
 def kernel_image(obj: ZLaurent) -> ZLaurent:
-    """``recursion._kernel_rows`` of ``obj``'s rows, as a ``ZLaurent``."""
+    """``recursion._kernel_rows`` of ``obj``'s packed terms, read back as a ``ZLaurent``."""
     packed = recursion._rows(obj)
     acc: dict = {}
     recursion._kernel_rows(acc, packed, 1)
-    return ZLaurent(obj.nvars, {z: MomentPoly._from_packed(nums, packed.den) for z, nums in acc.items()})
+    return recursion._laurent(acc, packed.den, obj.nvars)
 
 
 def test_kernel_rows_match_the_reference():
@@ -325,7 +321,8 @@ def test_dse_pieces_match_the_rational_reference():
 
 
 def test_dse_residual_symbolically_zero():
-    for g, b in DSE_PAIRS:
+    """Every pair with ``2g + B - 2 <= 5`` that ``correlator`` admits, ``(0, 7)`` the largest."""
+    for g, b in DSE_PAIRS + [(0, 7), (1, 5), (2, 3)]:
         assert dse_residual(g, b) == {}, (g, b)
 
 
@@ -402,15 +399,40 @@ def _corrupt(monkeypatch, key, g=2, b=1, z=(-5,)):
     return bad
 
 
-@pytest.mark.parametrize("key", [(0, 255), (-127,)])
-def test_residuals_raise_slot_overflow_before_a_key_could_wrap(monkeypatch, key):
-    """A stored term whose product with ``G_{1,1}`` (unit ``r0^-2``, ``r_1``) leaves a slot raises."""
-    _corrupt(monkeypatch, key)
-    with pytest.raises(SlotOverflow):
-        one_point_residual(3)
-    _corrupt(monkeypatch, key, 0, 3, (-3, -3, -3))
-    with pytest.raises(SlotOverflow):
-        dse_residual(1, 3)
+@pytest.mark.parametrize("key, z, fits", [
+    pytest.param((0, 255), None, False, id="key0"),
+    pytest.param((-127,), None, False, id="key1"),
+    # G_{0,3} terms in dse_residual(1, 3), met by G_{1,1}'s z_0^-3 and z_0^-5 in
+    # a product, and then by at least four pair factors in z_0
+    pytest.param((-1,), (-124, -3, -3), False, id="z-product"),
+    pytest.param((-1,), (127, -3, -3), False, id="z-pair-factor"),
+    pytest.param((-1,), (-123, -3, -3), True, id="z-edge-fits"),
+])
+def test_residuals_raise_slot_overflow_before_a_key_could_wrap(monkeypatch, key, z, fits):
+    """A stored term whose product with ``G_{1,1}`` (unit ``r0^-2``, ``r_1``) leaves a slot raises.
+
+    So does a ``z`` exponent that a product or the pair factors take out of
+    ``-128..127``; one that reaches ``z_0^-128`` gives the reference pieces.
+    """
+    if z is None:
+        _corrupt(monkeypatch, key)
+        with pytest.raises(SlotOverflow):
+            one_point_residual(3)
+        z = (-3, -3, -3)
+    bad = _corrupt(monkeypatch, key, 0, 3, z)
+    if not fits:
+        with pytest.raises(SlotOverflow):
+            dse_residual(1, 3)
+        return
+    monkeypatch.setattr(oracles, "correlator",
+                        lambda h, c: bad if (h, c) == (0, 3) else correlator(h, c))
+    pieces, den, poles = dse_terms(1, 3)
+    reference = dse_terms_by_rationals(1, 3)
+    assert list(pieces) == list(reference)
+    for name, piece in pieces.items():
+        assert piece == numerators_over(reference[name], den, poles), name
+    assert min(zkey[0] for zkey, _ in pieces["dressing"]) == -128
+    assert dse_residual(1, 3)
 
 
 def test_kernel_raises_slot_overflow_before_a_key_could_wrap(monkeypatch):
@@ -430,10 +452,3 @@ def test_one_point_residual_near_the_slot_edges_matches_ring_sums(monkeypatch):
     want = add(want, mul(correlator(1, 1), bad))
     got = one_point_residual(3)
     assert got == want and got.terms
-
-
-@slow
-def test_dse_residual_vanishes_through_energy_five():
-    """Every pair with ``2g + B - 2 <= 5``; ``correlator`` admits each, ``(0, 7)`` the largest."""
-    for g, b in DSE_PAIRS + [(0, 7), (1, 5), (2, 3)]:
-        assert dse_residual(g, b) == {}, (g, b)

@@ -244,12 +244,22 @@ def test_exponents_are_ints_that_fit_their_slots() -> None:
             MomentPoly.from_numerators({key: 1})
     edge = MomentPoly({(-128, 255): 1, (127, 0, 255): 2})
     assert list(edge.nums) == [(-128, 255), (127, 0, 255)]
-    # a product checks the summed bounds of its factors before it forms a key
-    for a, b in [((-100,), (-100,)), ((100,), (28,)), ((0, 200), (0, 56))]:
+    # a product checks the summed bounds of its factors, slot by slot, before it forms a key
+    for a, b in [((-100,), (-100,)), ((100,), (28,)), ((0, 200), (0, 56)), ((0, 200), (0, 100))]:
         with pytest.raises(SlotOverflow):
             MomentPoly({a: 1}) * MomentPoly({b: 1})
     assert MomentPoly({(-100,): 1}) * MomentPoly({(-28,): 1}) == MomentPoly({(-128,): 1})
     assert MomentPoly({(0, 200): 1}) * MomentPoly({(0, 55): 1}) == MomentPoly({(0, 255): 1})
+    # r1^200 r2^100: the largest exponents sit in different slots, so it fits
+    product = MomentPoly({(0, 200): 1}) * MomentPoly({(0, 0, 100): 1})
+    assert product == MomentPoly({(0, 200, 100): 1})
+    a = MomentPoly({(0, 200): 1, (0, 0, 3): 1})
+    assert a * MomentPoly({(0, 0, 100): 1, (0, 55): 1}) == MomentPoly(
+        {(0, 200, 100): 1, (0, 255): 1, (0, 0, 103): 1, (0, 55, 3): 1})
+    with pytest.raises(SlotOverflow):
+        a * MomentPoly({(0, 0, 100): 1, (0, 56): 1})
+    with pytest.raises(SlotOverflow):
+        a * MomentPoly({(0, 0, 253): 1})
 
 
 def test_double_factorial_values() -> None:
