@@ -45,7 +45,7 @@ MAX_GENUS = 14
 # may list (each group is a boundary). A correlator's written-out keys grow
 # about fourfold per boundary and its peak RSS with them. Measured on the
 # correlator command (2 vCPUs, CPython 3.11): every admitted pair peaks at 643 MB
-# or less ((5, 7) 642 MB; (0, 12) takes about 1.2 s and 163 MB, (1, 11) about
+# or less ((5, 7) 642 MB; (0, 12) takes about 2.0 s and 163 MB, (1, 11) about
 # 3.9 s and 370 MB), and every pair one boundary further peaked at 679 MB or
 # more ((8, 5)) or ran out of a 1.5 GB address space ((1, 12)) when the table
 # was set.

@@ -12,23 +12,23 @@ and the free energies are recovered from the ``Z_g`` by the exact
 exponential-to-logarithm relation ``Z = exp(sum_g F_g)``, as the power-series
 logarithm recurrence over the genus index.
 
-The operator is applied by one kernel, ``_apply_packed``, on the ring's own
-storage: packed monomial keys, one int with an 8-bit slot per variable, and
-integer numerators (``MomentPoly.packed`` over ``MomentPoly.den``).
+The operator is applied by one kernel, ``apply_laplacian_rho``, on the ring's
+own storage: packed monomial keys, one int with an 8-bit slot per variable,
+and integer numerators (``MomentPoly.packed`` over ``MomentPoly.den``).
 Each block of the operator is a short list of pieces, an integer scalar and a
 monomial shift on a table shared by every block that uses it: one table per
 resolvent coefficient ``R_m`` (the polynomial itself), plus a few small
-constant polynomials. The tables therefore grow with the largest index
-``m``, not with the number of blocks.
+constant polynomials. The tables are module state, built on first use, so
+they grow with the largest index ``m``, not with the number of blocks.
 The kernel runs in two passes. The first adds up every scaled contribution
 that lands on the same table at the same shifted key (a row); the second
 multiplies each row's table once, walking the rows in the order of their
 first contributions. That order gives the result the key order of the
 ungrouped walk, which multiplied a table once per contribution.
-The extraction reads the same keys: the logarithm recurrence multiplies the
-stored ``Z_g`` and ``F_g`` and sums the products as integers over one lcm,
-keeping the key order of the ring's sum. The chain's other products are
-``MomentPoly`` arithmetic, on the same keys and numerators.
+The extraction reads the same keys: the logarithm recurrence forms each
+product of the stored ``F_g`` and ``Z_g`` with ``MomentPoly`` arithmetic and
+sums the products as integers over one lcm, keeping the key order of the
+ring's sum.
 
 The operator is written once, in the moment variables (``rho``), and the
 chain runs only there. Every other convention is a ``convert`` view of the
@@ -105,7 +105,8 @@ def _key(unit: int, *variables: int) -> Key:
     return tuple(key)
 
 
-_RHO_CONSTANTS = {
+_CONSTANTS = {
+    "one": MomentPoly.one(),
     "c2": MomentPoly({(-3, 3): F(-6, 5), (-2, 1, 1): F(111, 70), (-1, 0, 0, 1): F(-1, 2)}),
     "c1": MomentPoly({(-4, 3): F(2), (-3, 1, 1): F(-1097, 280), (-2, 0, 0, 1): F(41, 24)}),
     "m": MomentPoly({(-3, 2): F(-2, 5), (-2, 0, 1): F(2, 7)}),
@@ -139,96 +140,75 @@ def _e_rho(k: int) -> list[_Spec]:
     ]
 
 
-def apply_laplacian_rho(p: MomentPoly) -> MomentPoly:
-    """Apply the moment-form Laplacian; raises the weight by exactly three."""
-    return _apply_packed(p, _RHO_TABLES)
-
-
-def apply_laplacian_t(p: MomentPoly) -> MomentPoly:
-    """The paper's ``Delta_t``: the moment-form operator conjugated to the rescaled variables."""
-    return convert(apply_laplacian_rho(convert(p, "t", "rho")), "rho", "t")
+# Each block's pieces and the integer scalar the block carries in the operator.
+_BLOCKS: dict[str, Callable[..., tuple[list[_Spec], int]]] = {
+    "c1": lambda: ([(F(1), (), "c1")], -1),
+    "c2": lambda: ([(F(1), (), "c2")], -1),
+    "e": lambda k: (_e_rho(k), -(3 + 2 * k)),
+    "m": lambda k: (_m_rho(k), -(3 + 2 * k)),
+    "d": lambda k, l: (_d_rho(k, l), -(3 + 2 * k) * (3 + 2 * l)),
+}
 
 
 # ---------------------------------------------------------------------------
 # the operator kernel: packed monomial keys, integer numerators
 
-
-# A shared table: (denominator, table index, bounds); its numerators by packed
-# key are ``items[index]``.
-_Table = tuple[int, int, Bounds]
+# The shared tables' numerators by packed key (``MomentPoly.packed``), by
+# table index. A table is put here once, on first use, and shared by every
+# piece that names it, so the list grows with the largest resolvent index,
+# not with the number of blocks.
+_TABLES: list[dict[int, int]] = []
 # A block's piece: (denominator, numerator, offset, the shared table's index).
 # The offset is the packed key of the piece's monomial less two unit offsets:
 # a listed key plus the offset plus a table's key is the packed key of the product.
 _Piece = tuple[int, int, int, int]
 
 
-class _OperatorTables:
-    """The operator's blocks as pieces over shared integer tables.
+@cache
+def _table(name: int | str) -> tuple[int, int, Bounds]:
+    """The shared table ``name`` as (denominator, index in ``_TABLES``, bounds).
 
-    ``blocks`` maps a block name (``c1``, ``c2``, ``e``, ``m``, ``d``) to a
-    function of the block's indices returning its pieces and the integer
-    scalar the block carries in the operator. A table is ``resolvent(m)``
-    for an int ``m`` or ``constants[name]``; each is put once, on first use,
-    into ``items`` as its numerators by packed key (``MomentPoly.packed``),
-    and shared by every piece that names it by its index in ``items``. The
-    cache grows with the largest index, not with the number of blocks.
+    The table is ``resolvent_coefficient(name)`` for an int ``name`` (looked
+    up as a module global when the table is built, so a wrapper put in its
+    place sees every build), else ``_CONSTANTS[name]``.
     """
-
-    def __init__(
-        self,
-        resolvent: Callable[[int], MomentPoly],
-        constants: dict[str, MomentPoly],
-        blocks: dict[str, Callable[..., tuple[list[_Spec], int]]],
-    ) -> None:
-        self._resolvent = resolvent
-        self._constants = {"one": MomentPoly.one(), **constants}
-        self._blocks = blocks
-        self._tables: dict[int | str, _Table] = {}
-        self._pieces: dict[tuple[object, ...], tuple[list[_Piece], Bounds]] = {}
-        self.items: list[dict[int, int]] = []
-
-    def _table(self, name: int | str) -> _Table:
-        got = self._tables.get(name)
-        if got is None:
-            index = len(self.items)
-            if index > _SLOT_MASK:
-                # the kernel packs a table's index into the low slot of a row key
-                raise SlotOverflow(f"more than {_SLOT_MASK + 1} shared tables")
-            poly = self._resolvent(name) if isinstance(name, int) else self._constants[name]
-            self.items.append(poly.packed)
-            got = self._tables[name] = (poly.den, index, poly.bounds)
-        return got
-
-    def pieces(self, block: tuple[object, ...]) -> tuple[list[_Piece], Bounds]:
-        """The block's pieces in term order, and the bounds of the keys they reach.
-
-        Pieces with the same table and shift merge into the first of them.
-        """
-        got = self._pieces.get(block)
-        if got is None:
-            spec, scalar = self._blocks[block[0]](*block[1:])  # type: ignore[index]
-            merged: dict[tuple[int | str, int], Fraction] = {}
-            reach = []
-            for coeff, key, name in spec:
-                code = _code(key)
-                at = (name, code)
-                merged[at] = merged.get(at, 0) + coeff * scalar
-                reach.append(_add_bounds(self._table(name)[2], _bounds([code])))
-            pieces = []
-            for (name, code), coeff in merged.items():
-                den, index, _ = self._table(name)
-                c = coeff / den
-                pieces.append((c.denominator, c.numerator, code - 2 * _UNIT_OFFSET, index))
-            got = self._pieces[block] = (pieces, _union_bounds(reach))
-        return got
+    index = len(_TABLES)
+    if index > _SLOT_MASK:
+        # the kernel packs a table's index into the low slot of a row key
+        raise SlotOverflow(f"more than {_SLOT_MASK + 1} shared tables")
+    poly = resolvent_coefficient(name) if isinstance(name, int) else _CONSTANTS[name]
+    _TABLES.append(poly.packed)
+    return poly.den, index, poly.bounds
 
 
-def _rows(p: MomentPoly, form: _OperatorTables) -> tuple[dict[int, int], int]:
-    """The grouped rows of ``form`` applied to a nonzero ``p``, and their denominator.
+@cache
+def _pieces(block: tuple[object, ...]) -> tuple[list[_Piece], Bounds]:
+    """The block's pieces in term order, and the bounds of the keys they reach.
+
+    Pieces with the same table and shift merge into the first of them.
+    """
+    spec, scalar = _BLOCKS[block[0]](*block[1:])  # type: ignore[index]
+    merged: dict[tuple[int | str, int], Fraction] = {}
+    reach = []
+    for coeff, key, name in spec:
+        code = _code(key)
+        at = (name, code)
+        merged[at] = merged.get(at, 0) + coeff * scalar
+        reach.append(_add_bounds(_table(name)[2], _bounds([code])))
+    pieces = []
+    for (name, code), coeff in merged.items():
+        den, index, _ = _table(name)
+        c = coeff / den
+        pieces.append((c.denominator, c.numerator, code - 2 * _UNIT_OFFSET, index))
+    return pieces, _union_bounds(reach)
+
+
+def _rows(p: MomentPoly) -> tuple[dict[int, int], int]:
+    """The grouped rows of the operator applied to a nonzero ``p``, and their denominator.
 
     A row ``start << 8 | table index`` maps to the integer factor its table
     is multiplied by, in the order of its first contribution; see
-    ``_apply_packed``.
+    ``apply_laplacian_rho``.
     """
     bounds = p.bounds
     jobs: dict[tuple[object, ...], list[tuple[int, int]]] = {}
@@ -258,7 +238,7 @@ def _rows(p: MomentPoly, form: _OperatorTables) -> tuple[dict[int, int], int]:
                 # the ordered sum over (k, l) meets every symmetric block twice
                 job(("d", k, l), dk - (1 << (_SLOT_BITS * l)), 2 * n * e * f)
 
-    blocks = {block: form.pieces(block) for block in jobs}
+    blocks = {block: _pieces(block) for block in jobs}
     for _, block_bounds in blocks.values():
         # derivatives lower exponents, the unit's by at most two
         _check_slots(_add_bounds((bounds[0] - 2, *bounds[1:]), block_bounds))
@@ -277,8 +257,8 @@ def _rows(p: MomentPoly, form: _OperatorTables) -> tuple[dict[int, int], int]:
     return rows, p.den * den_ops
 
 
-def _apply_packed(p: MomentPoly, form: _OperatorTables) -> MomentPoly:
-    """Apply the operator of ``form`` to ``p`` in packed integer arithmetic.
+def apply_laplacian_rho(p: MomentPoly) -> MomentPoly:
+    """Apply the moment-form Laplacian; raises the weight by exactly three.
 
     Keys are the ring's packed keys (``MomentPoly.packed``): multiplying
     monomials adds keys, less one unit offset, and a derivative by variable
@@ -318,10 +298,10 @@ def _apply_packed(p: MomentPoly, form: _OperatorTables) -> MomentPoly:
     """
     if p.is_zero:
         return MomentPoly.zero()
-    rows, den = _rows(p, form)
+    rows, den = _rows(p)
     acc: dict[int, int] = {}
     get = acc.get
-    tables = form.items
+    tables = _TABLES
     for row, factor in rows.items():
         start = row >> _SLOT_BITS
         for s, c in tables[row & _SLOT_MASK].items():
@@ -330,18 +310,9 @@ def _apply_packed(p: MomentPoly, form: _OperatorTables) -> MomentPoly:
     return MomentPoly._from_packed(acc, den)
 
 
-# Each block's pieces and the integer scalar the block carries in the operator.
-_RHO_BLOCKS: dict[str, Callable[..., tuple[list[_Spec], int]]] = {
-    "c1": lambda: ([(F(1), (), "c1")], -1),
-    "c2": lambda: ([(F(1), (), "c2")], -1),
-    "e": lambda k: (_e_rho(k), -(3 + 2 * k)),
-    "m": lambda k: (_m_rho(k), -(3 + 2 * k)),
-    "d": lambda k, l: (_d_rho(k, l), -(3 + 2 * k) * (3 + 2 * l)),
-}
-
-# The tables look their resolvent up as a module global on each build, so a
-# wrapper put in its place (benchmarks/layertrace.py) sees every build.
-_RHO_TABLES = _OperatorTables(lambda m: resolvent_coefficient(m), _RHO_CONSTANTS, _RHO_BLOCKS)
+def apply_laplacian_t(p: MomentPoly) -> MomentPoly:
+    """The paper's ``Delta_t``: the moment-form operator conjugated to the rescaled variables."""
+    return convert(apply_laplacian_rho(convert(p, "t", "rho")), "rho", "t")
 
 
 # ---------------------------------------------------------------------------
@@ -372,13 +343,13 @@ class StablePartition:
 
         With ``m = g - 1``:  ``m F_{m+1} = m Z_{m+1} - sum_{k=1}^{m-1} k F_{k+1} Z_{m-k+1}``.
 
-        The recurrence runs on the stored packed keys, with integer numerators
-        over one lcm, and keeps the key order of the ring's sum: each product is summed
-        into its own dict and its zeros dropped, then it is added term by term
-        to the accumulator, where a key whose total cancels is deleted (and
-        re-enters at the end if a later product reaches it). The bounds of
-        each product are checked before it is formed, so ``SlotOverflow`` is
-        raised before a key could wrap.
+        Each product ``F_{k+1} Z_{m-k+1}`` is ``MomentPoly.__mul__``, which
+        checks its exponent bounds before forming it, so ``SlotOverflow`` is
+        raised before a key could wrap. The products are summed on their
+        packed keys, with integer numerators over one lcm, and keep the key
+        order of the ring's sum: each is added term by term to the
+        accumulator, where a key whose total cancels is deleted (and re-enters
+        at the end if a later product reaches it).
         """
         if g < 2:
             raise GenusOutOfRange(f"stable range starts at genus 2, got {g}")
@@ -393,23 +364,14 @@ class StablePartition:
         acc = {code: n * mult for code, n in z.packed.items()}
         get = acc.get
         for k, (a, b) in enumerate(pairs, 1):
-            _check_slots(_add_bounds(a.bounds, b.bounds))
-            product: dict[int, int] = {}
-            put = product.get
-            b_items = b.packed.items()
-            for code_a, na in a.packed.items():
-                base = code_a - _UNIT_OFFSET
-                for code_b, nb in b_items:
-                    code = base + code_b
-                    product[code] = put(code, 0) + na * nb
-            mult = -k * (den // (a.den * b.den))
-            for code, n in product.items():
-                if n:
-                    total = get(code, 0) + n * mult
-                    if total:
-                        acc[code] = total
-                    else:
-                        del acc[code]
+            product = a * b
+            mult = -k * (den // product.den)
+            for code, n in product.packed.items():
+                total = get(code, 0) + n * mult
+                if total:
+                    acc[code] = total
+                else:
+                    del acc[code]
         out = self._f[g] = MomentPoly._from_packed(acc, den * m)
         return out
 

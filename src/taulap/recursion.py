@@ -15,7 +15,8 @@ one flat accumulator keyed by one int per term. A term key holds ``n``
 (``MomentPoly.packed``). So a product adds keys less the key of ``1``,
 ``z_i`` adds ``2^(8 i)``, and ``d/dr_k`` subtracts ``2^(8 (n + k))``. Keys
 are packed once where a stored ``ZLaurent`` is read (``_rows``) and
-unpacked once where a result is returned (``_laurent``, ``dse_terms``).
+unpacked once where a result is returned (``_laurent``, ``dse_terms``;
+``dse_residual`` unpacks only what remains of the pieces' sum).
 Each kernel checks the moment and ``z`` bounds its keys can reach before it
 forms one, so ``SlotOverflow`` is raised rather than a slot wrapping. Both
 residuals take the kernel operator from ``_kernel_rows``, which rejects a
@@ -387,14 +388,8 @@ def _quotient_rule(packed: _Packed, f: int, poles: Poles, var: int) -> tuple[Num
     return out, {t: m + (t in touching) for t, m in poles.items()}
 
 
-def dse_terms(g: int, boundaries: int) -> tuple[dict[str, Numerators], int, Poles]:
-    """Named pieces of the multi-boundary loop-equation residual (stored units).
-
-    Returns ``(pieces, den, poles)``: the piece ``pieces[name]`` is the sum of
-    ``n z^zkey x^mkey`` over its items ``(zkey, mkey): n``, divided by ``den``
-    and by ``prod (z_i + s z_j)^m`` over ``poles = {(i, j, s): m}``, which
-    holds each pair factor at the highest power any piece has.
-    """
+def _dse_pieces(g: int, boundaries: int) -> tuple[dict[str, Nums], int, Poles]:
+    """``dse_terms`` with each piece's numerators by term key, zeros dropped."""
     B = boundaries
     if B < 2 or g < 0 or (g == 0 and B == 2):
         raise GenusOutOfRange(f"multi-boundary residual undefined for ({g}, {B})")
@@ -450,10 +445,7 @@ def dse_terms(g: int, boundaries: int) -> tuple[dict[str, Numerators], int, Pole
     # at most two inputs' highest z exponents, raised per factor in the quotient rule and here
     inputs = [kernel, handle or kernel, *(p for _, a, b in products + mirrors for p in (a, b))]
     _check_z((0, 2 * max(p.zbounds[1] for p in inputs) + 2 * sum(top.values())))
-    # one tuple per packed key, shared by the pieces
-    zkey = lru_cache(maxsize=None)(lambda z: tuple(e - _UNIT_OFFSET for e in z.to_bytes(B, "little")))
-    mkey = lru_cache(maxsize=None)(_unpack)
-    pieces: dict[str, Numerators] = {}
+    pieces: dict[str, Nums] = {}
     for piece, by_poles in groups.items():
         flat: Nums = {}
         get = flat.get
@@ -464,19 +456,41 @@ def dse_terms(g: int, boundaries: int) -> tuple[dict[str, Numerators], int, Pole
             missing = sorted((r, f) for f, m in top.items() for r in range(have.get(f, 0), m))
             for key, n in _times_factors(nums, [f for _, f in missing]).items():
                 flat[key] = get(key, 0) + n
-        pieces[piece] = {(zkey(key % _slot(B)), mkey(key >> _SLOT_BITS * B)): n
-                         for key, n in flat.items() if n}
+        pieces[piece] = {key: n for key, n in flat.items() if n}
     return pieces, den, top
+
+
+def _numerators(nums: Nums, boundaries: int) -> Numerators:
+    """Term-key numerators as ``(z key, moment key)`` tuples, one tuple per packed key."""
+    zkey = lru_cache(maxsize=None)(
+        lambda z: tuple(e - _UNIT_OFFSET for e in z.to_bytes(boundaries, "little")))
+    mkey = lru_cache(maxsize=None)(_unpack)
+    return {(zkey(key % _slot(boundaries)), mkey(key >> _SLOT_BITS * boundaries)): n
+            for key, n in nums.items()}
+
+
+def dse_terms(g: int, boundaries: int) -> tuple[dict[str, Numerators], int, Poles]:
+    """Named pieces of the multi-boundary loop-equation residual (stored units).
+
+    Returns ``(pieces, den, poles)``: the piece ``pieces[name]`` is the sum of
+    ``n z^zkey x^mkey`` over its items ``(zkey, mkey): n``, divided by ``den``
+    and by ``prod (z_i + s z_j)^m`` over ``poles = {(i, j, s): m}``, which
+    holds each pair factor at the highest power any piece has.
+    """
+    pieces, den, top = _dse_pieces(g, boundaries)
+    return {name: _numerators(nums, boundaries) for name, nums in pieces.items()}, den, top
 
 
 def dse_residual(g: int, boundaries: int) -> Numerators:
     """The multi-boundary residual's numerator: the pieces of ``dse_terms`` summed.
 
-    It is empty iff the loop equation holds. Each call computes it afresh, so
-    the dict is the caller's own.
+    The pieces are summed on their term keys and only what remains is
+    unpacked. It is empty iff the loop equation holds. Each call computes it
+    afresh, so the dict is the caller's own.
     """
-    total: Numerators = {}
-    for piece in dse_terms(g, boundaries)[0].values():
-        for term, n in piece.items():
-            total[term] = total.get(term, 0) + n
-    return {term: n for term, n in total.items() if n}
+    total: Nums = {}
+    get = total.get
+    for nums in _dse_pieces(g, boundaries)[0].values():
+        for key, n in nums.items():
+            total[key] = get(key, 0) + n
+    return _numerators({key: n for key, n in total.items() if n}, boundaries)

@@ -652,6 +652,8 @@ class ZLaurent:
                 key = tuple(raw_key)
                 if len(key) != nvars:
                     raise RingError(f"exponent key {key} does not have {nvars} entries")
+                if not all(isinstance(e, int) for e in key):
+                    raise RingError(f"exponents must be integers: {key}")
                 coeff = raw_coeff if isinstance(raw_coeff, MomentPoly) else MomentPoly.constant(raw_coeff)  # type: ignore[arg-type]
                 if coeff.is_zero:
                     continue

@@ -58,7 +58,8 @@ from typing import Callable, Iterable, Mapping, Sequence
 
 from taulap.bell import resolvent_coefficient
 from taulap.boundary import _orbits, correlator, planar_pair
-from taulap.laplacian import _OperatorTables, stable_partition
+from taulap import laplacian
+from taulap.laplacian import stable_partition
 from taulap.recursion import UnsupportedExponent
 from taulap.ring import (
     _SLOT_BITS,
@@ -781,7 +782,7 @@ def apply_blocks(p: MomentPoly, blocks: Mapping[str, Callable[..., tuple[MomentP
 # -- the operator kernel without grouping ---------------------------------------
 
 
-def ungrouped_apply(p: MomentPoly, form: _OperatorTables) -> MomentPoly:
+def ungrouped_apply(p: MomentPoly) -> MomentPoly:
     """The operator applied by multiplying every listed key by every piece's whole table.
 
     This is the kernel's walk before its products were grouped by
@@ -820,7 +821,7 @@ def ungrouped_apply(p: MomentPoly, form: _OperatorTables) -> MomentPoly:
                 # the ordered sum over (k, l) meets every symmetric block twice
                 job(("d", k, l), dk - (1 << (_SLOT_BITS * l)), 2 * n * e * f)
 
-    blocks = {block: form.pieces(block) for block in jobs}
+    blocks = {block: laplacian._pieces(block) for block in jobs}
     for _, block_bounds in blocks.values():
         # derivatives lower exponents, the unit's by at most two
         _check_slots(_add_bounds((bounds[0] - 2, *bounds[1:]), block_bounds))
@@ -828,8 +829,8 @@ def ungrouped_apply(p: MomentPoly, form: _OperatorTables) -> MomentPoly:
     acc: dict[int, int] = {}
     get = acc.get
     for block, todo in jobs.items():
-        # pieces name their shared table by its index in ``form.items``
-        walk = [(num * (den_ops // den), offset, form.items[index])
+        # pieces name their shared table by its index in ``laplacian._TABLES``
+        walk = [(num * (den_ops // den), offset, laplacian._TABLES[index])
                 for den, num, offset, index in blocks[block][0]]
         for base, mult in todo:
             for scale, offset, items in walk:

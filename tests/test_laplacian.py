@@ -18,13 +18,10 @@ from oracles import (
 from taulap import laplacian
 from taulap.bell import resolvent_coefficient
 from taulap.laplacian import (
-    _RHO_TABLES,
     DimensionMismatch,
     GenusOutOfRange,
     StablePartition,
-    _apply_packed,
     _key,
-    _OperatorTables,
     _rows,
     apply_laplacian_rho,
     apply_laplacian_t,
@@ -36,8 +33,6 @@ from taulap.laplacian import (
 from taulap.ring import CONVENTIONS, _UNIT_OFFSET, MomentPoly, RingError, SlotOverflow, _unpack, render_terms
 
 F = Fraction
-
-FORMS = {"rho": _RHO_TABLES}
 
 # Checks that take minutes run only when this environment variable is set.
 slow = pytest.mark.skipif(not os.environ.get("TAULAP_SLOW"), reason="set TAULAP_SLOW=1 to run")
@@ -168,11 +163,11 @@ def test_one_chain_serves_every_convention(monkeypatch) -> None:
     """``F_6`` in every convention and a genus-4 ``tau`` take the chain's five steps once."""
     calls = []
 
-    def counted(*args):
-        calls.append(args)
-        return _apply_packed(*args)
+    def counted(p):
+        calls.append(p)
+        return apply_laplacian_rho(p)
 
-    monkeypatch.setattr(laplacian, "_apply_packed", counted)
+    monkeypatch.setattr(laplacian, "apply_laplacian_rho", counted)
     stable_partition.cache_clear()
     for convention in CONVENTIONS:
         free_energy(6, convention)
@@ -183,22 +178,22 @@ def test_one_chain_serves_every_convention(monkeypatch) -> None:
 def test_unknown_convention_fails_before_the_chain_runs(monkeypatch) -> None:
     calls = []
 
-    def counted(*args):
-        calls.append(args)
-        return _apply_packed(*args)
+    def counted(p):
+        calls.append(p)
+        return apply_laplacian_rho(p)
 
-    monkeypatch.setattr(laplacian, "_apply_packed", counted)
+    monkeypatch.setattr(laplacian, "apply_laplacian_rho", counted)
     stable_partition.cache_clear()
     with pytest.raises(RingError, match="unknown convention"):
         free_energy(10, "bogus")
     assert calls == []
 
 
-def _walk(form, block: tuple) -> tuple[MomentPoly, list[tuple[int, ...]]]:
+def _walk(block: tuple) -> tuple[MomentPoly, list[tuple[int, ...]]]:
     """A block's pieces summed in the kernel's walk order, and the keys in first-touch order."""
     acc: dict[int, Fraction] = {}
-    for den, num, offset, index in form.pieces(block)[0]:
-        for s, c in form.items[index].items():
+    for den, num, offset, index in laplacian._pieces(block)[0]:
+        for s, c in laplacian._TABLES[index].items():
             code = _UNIT_OFFSET + offset + s
             acc[code] = acc.get(code, 0) + F(num * c, den)
     return MomentPoly({_unpack(code): v for code, v in acc.items()}), [_unpack(code) for code in acc]
@@ -216,49 +211,46 @@ def _blocks(top: int):
             yield ("d", k, s - k)
 
 
-def _check_pieces_against_oracle(convention: str, top: int) -> int:
-    form, oracle = FORMS[convention], OPERATOR_BLOCKS[convention]
+def _check_pieces_against_oracle(top: int) -> int:
+    oracle = OPERATOR_BLOCKS["rho"]
     count = 0
     for block in _blocks(top):
         poly, scalar = oracle[block[0]](*block[1:])
-        total, keys = _walk(form, block)
-        assert total == poly.scale(scalar), (convention, block)
+        total, keys = _walk(block)
+        assert total == poly.scale(scalar), block
         # a key touched by the walk but cancelled in the block would move the chain's key order
-        assert keys == list(poly.nums), (convention, block)
+        assert keys == list(poly.nums), block
         count += 1
     return count
 
 
 def test_operator_pieces_match_oracle_blocks() -> None:
-    for convention in FORMS:
-        assert _check_pieces_against_oracle(convention, 15) == 88
+    assert _check_pieces_against_oracle(15) == 88
 
 
 @slow
-@pytest.mark.parametrize("convention", sorted(FORMS))
-def test_operator_pieces_match_oracle_blocks_through_index_sum_39(convention: str) -> None:
+def test_operator_pieces_match_oracle_blocks_through_index_sum_39() -> None:
     """Index sums up to 39 cover every block the chain meets through ``MAX_GENUS = 14``."""
-    assert _check_pieces_against_oracle(convention, 39) == 460
+    assert _check_pieces_against_oracle(39) == 460
 
 
 def test_operator_coefficients_scaling_degree() -> None:
     """Every block must raise the Euler degree -(e0 + sum e_k) by exactly 2."""
-    for form in FORMS.values():
 
-        def block(*name: object) -> MomentPoly:
-            return _walk(form, name)[0]
+    def block(*name: object) -> MomentPoly:
+        return _walk(name)[0]
 
-        def degrees(p: MomentPoly) -> set[int]:
-            return {-(sum(k)) for k in p.terms}
+    def degrees(p: MomentPoly) -> set[int]:
+        return {-(sum(k)) for k in p.terms}
 
-        assert degrees(block("c2")) == {0}
-        assert degrees(block("c1")) == {1}
-        for k in range(1, 6):
-            assert degrees(block("m", k)) == {0}
-            assert degrees(block("e", k)) == {1}
-            for l in range(1, 6):
-                assert degrees(block("d", k, l)) == {0}
-                assert block("d", k, l) == block("d", l, k)
+    assert degrees(block("c2")) == {0}
+    assert degrees(block("c1")) == {1}
+    for k in range(1, 6):
+        assert degrees(block("m", k)) == {0}
+        assert degrees(block("e", k)) == {1}
+        for l in range(1, 6):
+            assert degrees(block("d", k, l)) == {0}
+            assert block("d", k, l) == block("d", l, k)
 
 
 def test_packed_kernel_raises_on_slot_overflow() -> None:
@@ -281,62 +273,92 @@ def test_packed_kernel_raises_on_slot_overflow() -> None:
         apply_laplacian_t(MomentPoly({(-129, 1): 1}))
 
 
-def test_table_index_fits_its_slot() -> None:
+@pytest.fixture
+def fresh_tables():
+    """Empties the operator tables before and after a test; the chain rebuilds them on use.
+
+    The fixture is the emptying function, for a test that must empty them again.
+    """
+
+    def reset() -> None:
+        laplacian._TABLES.clear()
+        laplacian._table.cache_clear()
+        laplacian._pieces.cache_clear()
+
+    reset()
+    yield reset
+    reset()
+
+
+def test_table_index_fits_its_slot(monkeypatch, fresh_tables) -> None:
     """A row key keeps its table's index in one 8-bit slot; a 257th table raises."""
-    form = _OperatorTables(lambda m: MomentPoly.variable(1), {}, {})
+    monkeypatch.setattr(laplacian, "resolvent_coefficient", lambda m: MomentPoly.variable(1))
     for m in range(256):
-        form._table(m)
+        laplacian._table(m)
     with pytest.raises(SlotOverflow):
-        form._table(256)
+        laplacian._table(256)
+
+
+def test_a_wrapped_resolvent_sees_every_table_build(monkeypatch, fresh_tables) -> None:
+    """A wrapper on ``laplacian.resolvent_coefficient`` is called once per ``R_m`` table."""
+    want = stable_partition().f(8)
+    fresh_tables()
+    calls = []
+
+    def counted(m):
+        calls.append(m)
+        return resolvent_coefficient(m)
+
+    monkeypatch.setattr(laplacian, "resolvent_coefficient", counted)
+    got = StablePartition().f(8)
+    # the blocks name R_{k+2} and up, k >= 1; genus 8 reaches R_21
+    assert sorted(calls) == list(range(3, 22))
+    # the other five tables are the constants
+    assert len(laplacian._TABLES) == len(calls) + 5
+    assert list(got.nums.items()) == list(want.nums.items())
+    assert got.den == want.den
 
 
 # -- grouped products against the ungrouped walk ---------------------------------
 
-F2 = {"rho": genus_two_rho()}
 
-
-def _assert_same_as_ungrouped(p: MomentPoly, convention: str) -> MomentPoly:
-    got = _apply_packed(p, FORMS[convention])
-    want = ungrouped_apply(p, FORMS[convention])
+def _assert_same_as_ungrouped(p: MomentPoly) -> MomentPoly:
+    got = apply_laplacian_rho(p)
+    want = ungrouped_apply(p)
     # numerators in key order, and the denominator
-    assert list(got.nums.items()) == list(want.nums.items()), convention
-    assert got.den == want.den, convention
+    assert list(got.nums.items()) == list(want.nums.items())
+    assert got.den == want.den
     return got
 
 
-def _check_chain_against_ungrouped(convention: str, top: int) -> None:
+def _check_chain_against_ungrouped(top: int) -> None:
     """The kernel equals the ungrouped walk on ``u_0..u_top`` of the chain."""
     u = MomentPoly.one()
     for _ in range(top + 1):
-        u = -_assert_same_as_ungrouped(u, convention) + F2[convention] * u
+        u = -_assert_same_as_ungrouped(u) + genus_two_rho() * u
 
 
 def test_grouped_kernel_matches_ungrouped_walk() -> None:
-    for convention in FORMS:
-        _check_chain_against_ungrouped(convention, 8)
+    _check_chain_against_ungrouped(8)
 
 
 @slow
-@pytest.mark.parametrize("convention", sorted(FORMS))
-def test_grouped_kernel_matches_ungrouped_walk_through_u_11(convention: str) -> None:
+def test_grouped_kernel_matches_ungrouped_walk_through_u_11() -> None:
     """``u_11`` is the last step ``fg --gmax 12`` takes."""
-    _check_chain_against_ungrouped(convention, 11)
+    _check_chain_against_ungrouped(11)
 
 
 # r1 r2^2 and r1^2 r3 (over unit^3) reach several of the same rows, the table
 # R_3 at r2 r3 / unit^4 among them; with these coefficients their factors there
 # sum to 0.
-CANCELLING = {
-    "rho": MomentPoly({(-3, 1, 2): 1, (-3, 2, 0, 1): F(-7, 5)}),
-}
+CANCELLING = MomentPoly({(-3, 1, 2): 1, (-3, 2, 0, 1): F(-7, 5)})
 
 
 def test_grouped_kernel_keeps_the_order_of_a_cancelled_row() -> None:
     """A row whose factor sums to 0 still places its keys where the walk first meets them."""
-    for convention, p in CANCELLING.items():
-        rows, _ = _rows(p, FORMS[convention])
-        assert 0 in rows.values(), convention
-        _assert_same_as_ungrouped(p, convention)
+    rows, _ = _rows(CANCELLING)
+    assert 0 in rows.values()
+    _assert_same_as_ungrouped(CANCELLING)
 
 
 # -- structure of the free energies ----------------------------------------------

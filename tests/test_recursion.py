@@ -349,19 +349,21 @@ def test_dse_residual_vanishes_on_all_pairs():
 def test_dse_certify_detects_corruption(monkeypatch):
     # the certificate is that `dse_residual(g, b)` is empty: one stray term in a
     # piece must break it, and only its exact negative may restore it
-    real = recursion.dse_terms
+    real = recursion._dse_pieces
     stray = ((-3, -3, -3), (-1,))
+    # the stray's term key, packed as the residual reads the pieces
+    (key,) = recursion._rows(ZLaurent(3, {stray[0]: MomentPoly.unit_power(-1)})).nums
 
     def with_strays(*values):
-        def terms(g, b):
+        def pieces(g, b):
             pieces, den, poles = real(g, b)
-            extra = {f"stray {i}": {stray: n} for i, n in enumerate(values)}
+            extra = {f"stray {i}": {key: n} for i, n in enumerate(values)}
             return {**pieces, **extra}, den, poles
-        return terms
+        return pieces
 
-    for values, holds in [((), True), ((5,), False), ((10, -5), False), ((5, -5), True)]:
-        monkeypatch.setattr(recursion, "dse_terms", with_strays(*values))
-        assert (not dse_residual(0, 3)) == holds, values
+    for values, left in [((), {}), ((5,), {stray: 5}), ((10, -5), {stray: 5}), ((5, -5), {})]:
+        monkeypatch.setattr(recursion, "_dse_pieces", with_strays(*values))
+        assert dse_residual(0, 3) == left, values
 
 
 def test_dse_residual_detects_a_doubled_coefficient(monkeypatch):

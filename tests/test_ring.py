@@ -230,11 +230,18 @@ def test_constant_hashes_as_its_value(value) -> None:
 
 def test_exponents_are_ints_that_fit_their_slots() -> None:
     """A key off the packed domain is rejected when the polynomial is built."""
-    for key in [(1.5,), (0, 2.0), (F(1), 1)]:
+    for key in [(1.5,), (0, 2.0), (F(1), 1), ("a",)]:
         with pytest.raises(RingError, match="integers"):
             MomentPoly({key: 1})
         with pytest.raises(RingError, match="integers"):
             MomentPoly.from_numerators({key: 1})
+        # boundary exponents follow the same rule
+        with pytest.raises(RingError, match="integers"):
+            ZLaurent(len(key), {key: 1})
+    with pytest.raises(RingError, match="does not have 2 entries"):
+        ZLaurent(2, {(1,): 1})
+    with pytest.raises(RingError, match="at least one variable"):
+        ZLaurent(0)
     with pytest.raises(RingError, match="nonnegative"):
         MomentPoly({(0, -1): 1})
     for key in [(-129,), (128,), (0, 256), (-3, 0, 0, 300)]:
